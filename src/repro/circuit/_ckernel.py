@@ -1,13 +1,30 @@
-"""Optional compiled stamp kernel for the analytic MOSFET model pass.
+"""Optional compiled kernels for the analytic MOSFET model and the
+dense Newton loop.
 
 The vectorized :class:`~repro.circuit.mosfet.MosfetGroup` pays one numpy
 ufunc dispatch (~0.7 µs) per arithmetic step; on the tiny analog cells
 this library solves (3–20 devices) that dispatch — not the arithmetic —
-is the entire cost of a Newton iteration.  This module compiles the
-analytic model pass (same closed-form equations as
-``Mosfet._linearize_nmos``) into a small C shared library at first use
-and stamps Jacobian + companion entries directly into the dense MNA
-arrays, replacing ~50 ufunc dispatches with one foreign call.
+is the entire cost of a Newton iteration.  This module compiles two
+entry points into a small C shared library at first use:
+
+* ``repro_stamp_mosfets[_batch]`` — the analytic model pass (same
+  closed-form equations as ``Mosfet._linearize_nmos``) stamping
+  Jacobian + companion entries directly into the dense MNA arrays,
+  replacing ~50 ufunc dispatches with one foreign call;
+* ``repro_newton_dense`` — the whole damped-Newton iteration of an
+  all-MOSFET dense system (see :func:`repro.circuit.dc.newton_solve`):
+  per iteration it copies the constant base system, calls the stamp
+  pass above, solves with LAPACK ``dgesv`` and applies the damping,
+  NaN/Inf guard and convergence test — one foreign call per solve
+  instead of ~15 numpy and ctypes calls per iteration.
+
+The Newton loop is **bit-identical** to the Python loop it replaces,
+not merely close: ``dgesv`` is the very routine scipy's f2py wrapper
+reaches (its function pointer comes from
+``scipy.linalg.cython_lapack``), fed the same column-major copy of the
+same matrix; the update arithmetic runs in numpy's operation order; and
+the library is built with ``-ffp-contract=off`` so the compiler never
+fuses a multiply-add into an FMA that numpy would round twice.
 
 Design constraints:
 
@@ -15,11 +32,14 @@ Design constraints:
   ``REPRO_NO_CKERNEL=1`` kill switch all degrade silently to the pure
   numpy analytic path — results are identical to rounding (the C and
   numpy passes evaluate the same expressions; Newton converges to the
-  same fixed point well inside its 1e-9 tolerance either way).
+  same fixed point well inside its 1e-9 tolerance either way).  The
+  Newton loop additionally needs scipy's LAPACK (the ``dgesv``
+  capability); without it solves run the Python loop.
 * **Build once per machine.**  The library is compiled into the system
-  temp directory keyed by a hash of the C source, so process-pool
-  workers and repeated test sessions reuse one artifact; the build is
-  written to a unique name and atomically renamed to survive races.
+  temp directory keyed by a hash of the C source and the compiler
+  flags, so process-pool workers and repeated test sessions reuse one
+  artifact; the build is written to a unique name and atomically
+  renamed to survive races.
 * **No new dependencies.**  Plain ``gcc -O2 -shared`` + ``ctypes``.
 """
 
@@ -35,6 +55,7 @@ from typing import Optional
 
 _C_SOURCE = r"""
 #include <math.h>
+#include <string.h>
 
 static double log1pexp(double v) {
     if (v > 40.0) return v;
@@ -140,9 +161,157 @@ void repro_stamp_mosfets(
                               inv_ns2, inv_s2, theta_eff, c0, lam,
                               0, clm_v, a, bv);
 }
+
+/* LAPACK dgesv as exported by scipy.linalg.cython_lapack (LP64). */
+typedef void (*repro_dgesv_fn)(int *n, int *nrhs, double *a, int *lda,
+                               int *ipiv, double *b, int *ldb, int *info);
+
+/* Argument block of repro_newton_dense: the MOSFET stamp arguments of
+ * one group, the Newton workspace buffers and the dgesv pointer.  Built
+ * once per (group, workspace) on the Python side (NewtonArgs there
+ * must mirror this layout); `iterations` is written back. */
+typedef struct {
+    long n, size;
+    const long *dgsb;
+    const double *sign, *vt0p, *gamma, *phi, *phi_cap, *inv_nphit,
+        *theta_nphit, *inv_ns2, *inv_s2, *theta_eff, *c0, *lam;
+    double clm_v;
+    double *xe, *a, *bv;
+    const double *base_a, *base_b;
+    double *lu, *x_new, *abs_delta;
+    int *ipiv;
+    repro_dgesv_fn dgesv;
+    long iterations;
+} repro_newton_args;
+
+enum {
+    REPRO_NEWTON_CONVERGED = 0,
+    REPRO_NEWTON_MAX_ITER = 1,
+    REPRO_NEWTON_NONFINITE = 2,
+    REPRO_NEWTON_SINGULAR = 3
+};
+
+/* Damped Newton on a dense all-MOSFET MNA system, updating x in place.
+ * Mirrors the Python loop of dc.newton_solve operation for operation so
+ * the iterates are bit-identical: base copy, stamp, dgesv on a
+ * column-major copy (what scipy's f2py wrapper hands LAPACK), then the
+ * node-voltage damping, the NaN/Inf guard on the undamped node update
+ * and the |dx| <= max(|x|, 1)*reltol + vtol test.  abs_delta is left
+ * holding the last |dx| for the caller's failure diagnostics. */
+int repro_newton_dense(repro_newton_args *w, double *x, long n_nodes,
+                       long max_iter, double damping_v, double reltol,
+                       double vtol)
+{
+    long size = w->size;
+    int n = (int) size, nrhs = 1, info = 0;
+    double *a = w->a, *bv = w->bv, *lu = w->lu;
+    double *xn = w->x_new, *ad = w->abs_delta;
+    w->iterations = 0;
+    for (long it = 1; it <= max_iter; it++) {
+        w->iterations = it;
+        memcpy(a, w->base_a, (size_t) (size * size) * sizeof(double));
+        memcpy(bv, w->base_b, (size_t) size * sizeof(double));
+        memcpy(w->xe, x, (size_t) size * sizeof(double));
+        repro_stamp_mosfets_batch(
+            1, w->n, size, w->xe, w->dgsb, w->sign, w->vt0p, w->gamma,
+            w->phi, w->phi_cap, w->inv_nphit, w->theta_nphit, w->inv_ns2,
+            w->inv_s2, w->theta_eff, w->c0, w->lam, 0, w->clm_v, a, bv);
+        for (long i = 0; i < size; i++) {
+            xn[i] = bv[i];
+            for (long j = 0; j < size; j++)
+                lu[j * size + i] = a[i * size + j];
+        }
+        w->dgesv(&n, &nrhs, lu, &n, w->ipiv, xn, &n, &info);
+        if (info != 0)
+            return REPRO_NEWTON_SINGULAR;
+        for (long i = 0; i < size; i++) {
+            xn[i] = xn[i] - x[i];
+            ad[i] = fabs(xn[i]);
+        }
+        double max_dv = 0.0;
+        for (long i = 0; i < n_nodes; i++) {
+            if (!isfinite(ad[i]))
+                return REPRO_NEWTON_NONFINITE;
+            if (ad[i] > max_dv)
+                max_dv = ad[i];
+        }
+        if (max_dv > damping_v) {
+            double factor = damping_v / max_dv;
+            for (long i = 0; i < size; i++) {
+                xn[i] *= factor;
+                ad[i] *= factor;
+            }
+        }
+        int converged = 1;
+        for (long i = 0; i < size; i++) {
+            x[i] += xn[i];
+            double scale = fabs(x[i]);
+            if (scale < 1.0)  /* NaN stays NaN, as np.maximum keeps it */
+                scale = 1.0;
+            scale *= reltol;
+            scale += vtol;
+            if (!(ad[i] <= scale))
+                converged = 0;
+        }
+        if (converged)
+            return REPRO_NEWTON_CONVERGED;
+    }
+    return REPRO_NEWTON_MAX_ITER;
+}
 """
 
 _DISABLED = os.environ.get("REPRO_NO_CKERNEL", "") not in ("", "0")
+
+#: Compiler flags; part of the cache key.  ``-ffp-contract=off`` keeps
+#: every multiply and add separately rounded, as numpy rounds them —
+#: without it gcc may emit FMAs on targets that have them (aarch64).
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+#: ``repro_newton_dense`` outcomes (the values of its C enum).
+NEWTON_CONVERGED, NEWTON_MAX_ITER, NEWTON_NONFINITE, NEWTON_SINGULAR = \
+    range(4)
+
+_PTR_FIELDS = ("sign", "vt0p", "gamma", "phi", "phi_cap", "inv_nphit",
+               "theta_nphit", "inv_ns2", "inv_s2", "theta_eff", "c0", "lam")
+_BUF_FIELDS = ("xe", "a", "bv", "base_a", "base_b", "lu", "x_new",
+               "abs_delta", "ipiv", "dgesv")
+
+
+class NewtonArgs(ctypes.Structure):
+    """ctypes mirror of the C ``repro_newton_args`` block (same field
+    order); every pointer field holds a raw address."""
+
+    _fields_ = ([("n", ctypes.c_long), ("size", ctypes.c_long),
+                 ("dgsb", ctypes.c_void_p)]
+                + [(name, ctypes.c_void_p) for name in _PTR_FIELDS]
+                + [("clm_v", ctypes.c_double)]
+                + [(name, ctypes.c_void_p) for name in _BUF_FIELDS]
+                + [("iterations", ctypes.c_long)])
+
+
+_dgesv_address: list = []
+
+
+def dgesv_pointer() -> Optional[int]:
+    """Address of LAPACK ``dgesv`` as exported by
+    ``scipy.linalg.cython_lapack`` — the same routine scipy's f2py
+    ``dgesv`` wrapper calls — or None without scipy."""
+    if not _dgesv_address:
+        try:
+            from scipy.linalg import cython_lapack
+
+            capsule = cython_lapack.__pyx_capi__["dgesv"]
+            api = ctypes.pythonapi
+            get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+                ("PyCapsule_GetName", api))
+            get_pointer = ctypes.PYFUNCTYPE(
+                ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+                ("PyCapsule_GetPointer", api))
+            address = get_pointer(capsule, get_name(capsule))
+        except Exception:
+            address = None
+        _dgesv_address.append(address)
+    return _dgesv_address[0]
 
 _lib: Optional[ctypes.CDLL] = None
 _build_attempted = False
@@ -196,7 +365,8 @@ def _compile() -> Optional[ctypes.CDLL]:
     cc = shutil.which("gcc") or shutil.which("cc")
     if cc is None:
         return None
-    tag = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
+    key = _C_SOURCE + "\0" + " ".join(_CFLAGS)
+    tag = hashlib.sha256(key.encode()).hexdigest()[:16]
     cached = os.path.join(tempfile.gettempdir(), f"repro_ckernel_{tag}.so")
     if not os.path.exists(cached):
         with tempfile.TemporaryDirectory() as tmp:
@@ -205,7 +375,7 @@ def _compile() -> Optional[ctypes.CDLL]:
             with open(src, "w") as fh:
                 fh.write(_C_SOURCE)
             result = subprocess.run(
-                [cc, "-O2", "-fPIC", "-shared", "-o", out, src, "-lm"],
+                [cc, *_CFLAGS, "-o", out, src, "-lm"],
                 capture_output=True)
             if result.returncode != 0:
                 return None
@@ -221,6 +391,10 @@ def _compile() -> Optional[ctypes.CDLL]:
     bfn.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_long] + \
         [ctypes.c_void_p] * 14 + [ctypes.c_long, ctypes.c_double] + \
         [ctypes.c_void_p] * 2
+    nfn = lib.repro_newton_dense
+    nfn.restype = ctypes.c_int
+    nfn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
+                    ctypes.c_long] + [ctypes.c_double] * 3
     return lib
 
 
@@ -241,6 +415,17 @@ def load() -> Optional[ctypes.CDLL]:
         except Exception:
             _lib = None
     return _lib
+
+
+def newton_dense(block: NewtonArgs, x, n_nodes: int, max_iterations: int,
+                 damping_v: float, reltol: float, vtol: float) -> int:
+    """Run ``repro_newton_dense`` on ``block``, updating the float64
+    vector ``x`` in place; returns a ``NEWTON_*`` status and leaves the
+    iteration count in ``block.iterations``.  Callers gate on
+    :func:`active` first."""
+    return _lib.repro_newton_dense(
+        ctypes.addressof(block), x.ctypes.data, n_nodes, max_iterations,
+        damping_v, reltol, vtol)
 
 
 def available() -> bool:

@@ -575,7 +575,8 @@ class BatchDcEngine:
             raise BatchUnsupportedError(
                 "circuit has non-MOSFET nonlinear elements; "
                 "the batched engine only vectorizes MOSFET channels")
-        self.circuit = circuit
+        # No reference to ``circuit``: the weakly keyed engine cache
+        # must not keep its key alive.
         self.scalar = scalar
         self.topology_version = circuit.topology_version
         self.n_lanes = n_lanes

@@ -31,6 +31,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import telemetry
+from repro.circuit import _ckernel
 from repro.circuit.elements import CurrentSource, VoltageSource
 from repro.circuit.mna import (
     ConvergenceError,
@@ -102,6 +103,11 @@ class NewtonWorkspace:
         # Scratch vectors for the Newton convergence bookkeeping.
         self.abs_delta = np.empty(size)
         self.scale = np.empty(size)
+        # Compiled-loop scratch: the column-major LU copy, the pivots and
+        # the solution/update vector handed to LAPACK dgesv.
+        self.lu = np.empty((size, size))
+        self.ipiv = np.empty(size, dtype=np.intc)
+        self.x_new = np.empty(size)
 
 
 def newton_solve(stamp: Callable[[Stamper, np.ndarray], None], size: int,
@@ -109,7 +115,8 @@ def newton_solve(stamp: Callable[[Stamper, np.ndarray], None], size: int,
                  options: Optional[NewtonOptions] = None, *,
                  workspace: Optional[NewtonWorkspace] = None,
                  stamp_base: Optional[Callable[[Stamper], None]] = None,
-                 stats: Optional[NewtonStats] = None) -> np.ndarray:
+                 stats: Optional[NewtonStats] = None,
+                 group: Optional[MosfetGroup] = None) -> np.ndarray:
     """Solve the nonlinear MNA system ``F(x) = 0`` by damped NR.
 
     ``stamp(st, x)`` must assemble the linearized system at guess ``x``.
@@ -123,6 +130,12 @@ def newton_solve(stamp: Callable[[Stamper, np.ndarray], None], size: int,
     adds the nonlinear companion models.  ``workspace`` recycles the
     dense matrices across calls.  ``stats`` (when given) accumulates the
     iterations spent, converged or not.
+
+    ``group`` declares that ``stamp`` adds nothing but that MOSFET
+    group's channels.  With a base system given, the whole iteration
+    then runs as one call into the compiled kernel
+    (:func:`MosfetGroup.newton_args` says when it can) — bit-identical
+    to the Python loop below, which serves every other case.
     """
     opts = options if options is not None else NewtonOptions()
     x = np.zeros(size) if x0 is None else np.array(x0, dtype=float)
@@ -137,6 +150,9 @@ def newton_solve(stamp: Callable[[Stamper, np.ndarray], None], size: int,
         base.clear()
         stamp_base(base)
         base.add_gmin(n_nodes, opts.gmin)
+        block = group.newton_args(ws) if group is not None else None
+        if block is not None:
+            return _newton_compiled(block, x, n_nodes, opts, ws, stats)
     iteration = 0
     for iteration in range(1, opts.max_iterations + 1):
         if base is None:
@@ -158,11 +174,7 @@ def newton_solve(stamp: Callable[[Stamper, np.ndarray], None], size: int,
             # overflowing companion must fail fast and classified.
             if stats is not None:
                 stats.iterations += iteration
-            raise ConvergenceError(
-                f"non-finite Newton update at iteration {iteration}",
-                iterations=iteration, final_residual=max_dv,
-                worst_index=int(np.argmax(np.isnan(abs_delta) |
-                                          np.isinf(abs_delta))))
+            raise _nonfinite_error(ws, iteration, max_dv)
         if max_dv > opts.damping_v:
             factor = opts.damping_v / max_dv
             delta *= factor
@@ -178,8 +190,43 @@ def newton_solve(stamp: Callable[[Stamper, np.ndarray], None], size: int,
             return x
     if stats is not None:
         stats.iterations += iteration
+    raise _max_iter_error(ws, opts)
+
+
+def _newton_compiled(block, x: np.ndarray, n_nodes: int,
+                     opts: NewtonOptions, ws: NewtonWorkspace,
+                     stats: Optional[NewtonStats]) -> np.ndarray:
+    """The compiled damped-Newton loop; raises exactly what the Python
+    loop of :func:`newton_solve` raises at the same iterate."""
+    status = _ckernel.newton_dense(block, x, n_nodes, opts.max_iterations,
+                                   opts.damping_v, opts.reltol, opts.vtol)
+    if status == _ckernel.NEWTON_SINGULAR:
+        raise ws.st.singular_error()
+    iteration = block.iterations
+    if stats is not None:
+        stats.iterations += iteration
+    if status == _ckernel.NEWTON_CONVERGED:
+        return x
+    if status == _ckernel.NEWTON_NONFINITE:
+        raise _nonfinite_error(
+            ws, iteration, float(ws.abs_delta[:n_nodes].max()))
+    raise _max_iter_error(ws, opts)
+
+
+def _nonfinite_error(ws: NewtonWorkspace, iteration: int,
+                     max_dv: float) -> ConvergenceError:
+    abs_delta = ws.abs_delta
+    return ConvergenceError(
+        f"non-finite Newton update at iteration {iteration}",
+        iterations=iteration, final_residual=max_dv,
+        worst_index=int(np.argmax(np.isnan(abs_delta) |
+                                  np.isinf(abs_delta))))
+
+
+def _max_iter_error(ws: NewtonWorkspace,
+                    opts: NewtonOptions) -> ConvergenceError:
     residual = float(ws.abs_delta.max())
-    raise ConvergenceError(
+    return ConvergenceError(
         f"Newton-Raphson did not converge in {opts.max_iterations} "
         f"iterations (final residual {residual:.3g})",
         iterations=opts.max_iterations,
@@ -246,7 +293,8 @@ class DcEngine:
 
     def __init__(self, circuit: Circuit):
         circuit.compile()
-        self.circuit = circuit
+        # No reference to ``circuit`` is kept: the engine cache is keyed
+        # weakly on it, and a back-reference would keep both alive.
         self.topology_version = circuit.topology_version
         self.size = circuit.n_unknowns
         self.n_nodes = circuit.n_nodes
@@ -257,6 +305,10 @@ class DcEngine:
         self.other_nonlinear = [e for e in self.nonlinear_elements
                                 if not isinstance(e, Mosfet)]
         self.mosfet_group = MosfetGroup(mosfets, self.size) if mosfets else None
+        #: The group handed to ``newton_solve`` for the compiled loop:
+        #: set when its channels are ALL the nonlinear stamps.
+        self.newton_group = None if self.other_nonlinear \
+            else self.mosfet_group
         self.workspace = NewtonWorkspace(self.size)
         #: Symbolic sparsity plan for large systems, or None (dense).
         #: Built once per engine — i.e. cached and reused per circuit
@@ -265,7 +317,7 @@ class DcEngine:
         self.sparsity_plan: Optional[SparsityPlan] = None
         if sparse_available() and not sparse_vetoed() \
                 and self.size >= sparse_min_size():
-            self.sparsity_plan = self._build_sparsity_plan()
+            self.sparsity_plan = self._build_sparsity_plan(circuit)
             self.workspace.st.plan = self.sparsity_plan
             session = telemetry.active()
             if session is not None:
@@ -274,7 +326,7 @@ class DcEngine:
         self.warm_start_enabled = False
         self.last_x: Optional[np.ndarray] = None
 
-    def _build_sparsity_plan(self) -> SparsityPlan:
+    def _build_sparsity_plan(self, circuit: Circuit) -> SparsityPlan:
         """Record the union of every stamp's matrix positions.
 
         One structural pass over all element stamps — DC *and* transient
@@ -286,7 +338,7 @@ class DcEngine:
         """
         recorder = CoordinateRecorder(self.size)
         x0 = np.zeros(self.size)
-        for element in self.circuit.elements:
+        for element in circuit.elements:
             if isinstance(element, Mosfet):
                 continue
             element.stamp_dc(recorder, x0)
@@ -469,6 +521,7 @@ def _solve_ladder(circuit: Circuit, x0: Optional[np.ndarray],
     stamp = engine.stamp_nonlinear
     stamp_base = engine.stamp_base
     ws = engine.workspace
+    group = engine.newton_group
     opts = options if options is not None else NewtonOptions()
     if x0 is None and engine.warm_start_enabled and engine.last_x is not None:
         x0 = engine.last_x
@@ -476,7 +529,8 @@ def _solve_ladder(circuit: Circuit, x0: Optional[np.ndarray],
     stats = NewtonStats()
     try:
         x = newton_solve(stamp, size, n_nodes, x0, opts,
-                         workspace=ws, stamp_base=stamp_base, stats=stats)
+                         workspace=ws, stamp_base=stamp_base, stats=stats,
+                         group=group)
         if engine.warm_start_enabled:
             engine.last_x = x.copy()
         return DcSolution(circuit, x), "newton", stats.iterations
@@ -496,9 +550,10 @@ def _solve_ladder(circuit: Circuit, x0: Optional[np.ndarray],
                 gmin=10.0 ** (-exponent))
             x_guess = newton_solve(stamp, size, n_nodes, x_guess, stepped,
                                    workspace=ws, stamp_base=stamp_base,
-                                   stats=stats)
+                                   stats=stats, group=group)
         x = newton_solve(stamp, size, n_nodes, x_guess, opts,
-                         workspace=ws, stamp_base=stamp_base, stats=stats)
+                         workspace=ws, stamp_base=stamp_base, stats=stats,
+                         group=group)
         if engine.warm_start_enabled:
             engine.last_x = x.copy()
         return DcSolution(circuit, x), "gmin-stepping", stats.iterations
@@ -523,7 +578,7 @@ def _solve_ladder(circuit: Circuit, x0: Optional[np.ndarray],
             # re-assembled each time — stamp_base reads them live.
             x_guess = newton_solve(stamp, size, n_nodes, x_guess, opts,
                                    workspace=ws, stamp_base=stamp_base,
-                                   stats=stats)
+                                   stats=stats, group=group)
         assert x_guess is not None
         if engine.warm_start_enabled:
             engine.last_x = x_guess.copy()
@@ -584,7 +639,8 @@ def dc_operating_point(circuit: Circuit,
         return _solve_ladder(circuit, x0, options)[0]
     # Sparse solves get their own span name so trace reports separate
     # the splu path from the dense LAPACK path at a glance.
-    sparse = dc_engine(circuit).sparsity_plan is not None
+    engine = dc_engine(circuit)
+    sparse = engine.sparsity_plan is not None
     span_name = "solve.dc.sparse" if sparse else "solve.dc"
     with session.tracer.span(span_name) as sp:
         metrics = session.metrics
@@ -608,6 +664,12 @@ def dc_operating_point(circuit: Circuit,
         # Analytic-vs-FD device-evaluation tally (one count per solve —
         # the mode cannot change mid-solve).
         metrics.inc("solver.dc.jacobian." + jacobian_mode())
+        # Which Newton loop served it (compiled kernel or Python).
+        group = engine.newton_group
+        compiled = group is not None \
+            and group.newton_args(engine.workspace) is not None
+        metrics.inc("solver.dc.kernel." + ("compiled" if compiled
+                                           else "python"))
         if sparse:
             # Each Newton iteration refactorizes numerically while
             # reusing the cached symbolic plan.

@@ -174,8 +174,11 @@ class Element:
         self.node_names: Tuple[str, ...] = tuple(node_names)
         self.nodes: Tuple[int, ...] = ()
         self.branches: Tuple[int, ...] = ()
-        #: The circuit that last bound this element (set by
-        #: ``Circuit.compile``); lets shared elements detect re-binding.
+        #: Binding token of the circuit that last bound this element
+        #: (set by ``Circuit.compile``); lets shared elements detect
+        #: re-binding.  A token, not the circuit: solver engines cached
+        #: weakly per circuit hold the elements, and a reference back to
+        #: the circuit would keep every cached engine alive forever.
         self.bound_by = None
 
     def bind(self, node_indices: Sequence[int], branch_indices: Sequence[int]) -> None:

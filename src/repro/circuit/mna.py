@@ -260,7 +260,7 @@ class Stamper:
         self.size = size
         self.a = np.zeros((size, size), dtype=dtype)
         self.b = np.zeros(size, dtype=dtype)
-        self._gmin_idx: Optional[np.ndarray] = None
+        self._gmin_diag: Optional[np.ndarray] = None
         #: Optional :class:`SparsityPlan`; when set (large circuits —
         #: see the DC engine), :meth:`solve` routes through scipy splu.
         self.plan: Optional["SparsityPlan"] = None
@@ -337,11 +337,13 @@ class Stamper:
         """
         if gmin < 0.0:
             raise ValueError(f"gmin must be non-negative, got {gmin}")
-        idx = self._gmin_idx
-        if idx is None or idx.size != n_nodes:
-            idx = np.arange(n_nodes)
-            self._gmin_idx = idx
-        self.a[idx, idx] += gmin
+        diag = self._gmin_diag
+        if diag is None or diag.size != n_nodes:
+            # Strided view of the node diagonal: no index temporaries.
+            step = self.size + 1
+            diag = self.a.reshape(-1)[:n_nodes * step:step]
+            self._gmin_diag = diag
+        diag += gmin
 
     def solve(self, x0: Optional[np.ndarray] = None) -> np.ndarray:
         """Solve ``A·x = b``; raises ``SingularCircuitError`` when singular."""
@@ -374,16 +376,11 @@ class Stamper:
                 if sparse_exc is not None:
                     self._report_sparse_failure(sparse_exc)
                 return x
-            self._record_singular()
-            raise SingularCircuitError(
-                "singular MNA matrix — floating node or voltage-source loop?")
+            raise self.singular_error()
         try:
             x = np.linalg.solve(self.a, self.b)
         except np.linalg.LinAlgError as exc:
-            self._record_singular()
-            raise SingularCircuitError(
-                "singular MNA matrix — floating node or voltage-source loop?"
-            ) from exc
+            raise self.singular_error() from exc
         if sparse_exc is not None:
             self._report_sparse_failure(sparse_exc)
         return x
@@ -405,12 +402,15 @@ class Stamper:
 
         resilience.record_failure("sparse", str(exc))
 
-    def _record_singular(self) -> None:
-        """Telemetry for a failed factorization (cold path only)."""
+    def singular_error(self) -> "SingularCircuitError":
+        """Record a failed factorization of this system (telemetry, cold
+        path only) and return the error to raise."""
         session = telemetry.active()
         if session is not None:
             session.metrics.inc("solver.singular_matrices")
             session.tracer.event("solver.singular_matrix", size=self.size)
+        return SingularCircuitError(
+            "singular MNA matrix — floating node or voltage-source loop?")
 
 
 @dataclass

@@ -40,6 +40,7 @@ import numpy as np
 
 from repro import units
 from repro.circuit import _ckernel
+from repro.circuit import mna as _mna
 from repro.circuit.elements import Element
 from repro.circuit.mna import Stamper
 from repro.technology.node import TechnologyNode
@@ -51,6 +52,9 @@ _FD_STEP_V = 1e-6
 _CLM_SMOOTH_V = 0.05
 
 _F64 = np.dtype(np.float64)
+
+#: Marks compiled-kernel bindings as stale (see MosfetGroup.refresh).
+_UNBOUND = object()
 
 # Jacobian-mode switch.  The analytic derivatives are the default (one
 # model pass per Newton iteration instead of seven); the legacy 7-point
@@ -744,10 +748,22 @@ class MosfetGroup:
         self._L4 = np.empty((4, n))
         self._P4 = np.empty((4, n))
         self._mask = np.empty(n, dtype=bool)
+        # Per-device dynamic parameters: rows of one buffer rewritten in
+        # place by every refresh(), so the compiled kernels' raw
+        # pointers stay valid.
+        self._dyn = np.empty((6, n))
+        (self._vt0p, self._gamma, self._c0, self._lam, self._half_gamma,
+         self._lam_clm) = self._dyn
         # Compiled-kernel node map: ground (-1) → the trailing zero slot.
         self._nodes_c = np.where(idx < 0, size, idx).astype(np.int64).ravel()
+        # Compiled-kernel bindings: the library they were taken from,
+        # the stamp argument tuple, and the Newton argument block with
+        # the workspace it points into (see newton_args).
+        self._ck_lib = _UNBOUND
         self._ck_fn = None
         self._ck_args: Optional[tuple] = None
+        self._nb: Optional[_ckernel.NewtonArgs] = None
+        self._nb_ws = None
         self._pcache: Optional[list] = None
         self.refresh()
 
@@ -759,6 +775,7 @@ class MosfetGroup:
         cheap identity check in :meth:`refresh` decides when to re-run.
         """
         self._pcache = params
+        self._ck_lib = _UNBOUND  # static arrays reallocated: rebind
         phit = np.array([units.thermal_voltage(p.temperature_k)
                          for p in params])
         n_slope = np.array([p.n_slope for p in params])
@@ -778,6 +795,10 @@ class MosfetGroup:
         self._inv_s2 = 1.0 / (2.0 * phit)
         self._inv_ns2 = self._inv_s2 / n_slope
         self._c0s = 2.0 * n_slope * phit * phit
+        # Per-device (vt_thermal, √φ, c0s) for refresh()'s scalar pass.
+        self._dyn_static = list(zip(self._vt_thermal.tolist(),
+                                    self._sqrt_phi.tolist(),
+                                    self._c0s.tolist()))
         # Analytic-pass extras: derivative prefactors and the stacked
         # scale rows that turn (ov, vds) into all four transcendental
         # arguments with two broadcasts.
@@ -791,32 +812,37 @@ class MosfetGroup:
 
     def refresh(self) -> None:
         """Re-read per-device effective parameters (call once per solve;
-        mismatch sampling and aging mutate them between solves)."""
+        mismatch sampling and aging mutate them between solves).
+
+        The dynamic arrays are rewritten in place, so the compiled
+        kernels' argument bindings survive; they are rebuilt only after
+        a params swap or when the kernel library comes or goes (breaker
+        veto, kill switch)."""
         ms = self.mosfets
         params = [m.params for m in ms]
         cache = self._pcache
         if cache is None or any(a is not b for a, b in zip(params, cache)):
             self._refresh_static(params)
-        gamma = np.array([m.gamma_effective for m in ms])
-        self._gamma = gamma
-        # vt0p folds the −γ·√φ reference into the threshold offset.
-        self._vt0p = (self._vt_thermal
-                      + np.array([m.vt_effective_v for m in ms])
-                      - gamma * self._sqrt_phi)
-        self._c0 = self._c0s * np.array([m.beta_effective for m in ms])
-        self._lam = np.array([m.lambda_effective for m in ms])
-        self._half_gamma = 0.5 * gamma
-        self._lam_clm = self._lam * _CLM_SMOOTH_V
-        self._refresh_ckernel()
-
-    def _refresh_ckernel(self) -> None:
-        """Rebind the compiled-kernel argument tuple to current arrays.
-
-        The dynamic arrays are reallocated by every :meth:`refresh`, so
-        the raw pointers handed to the C kernel must be recaptured here.
-        All referenced arrays stay alive as attributes of ``self``.
-        """
+        # One scalar pass per device (a handful of devices: cheaper than
+        # six ufunc dispatches; float64 either way, so same bits), rows
+        # in _dyn order.  vt0p folds the −γ·√φ reference into the
+        # threshold offset.
+        self._dyn.T[...] = [
+            (vt_thermal + m.vt_effective_v - (gamma := m.gamma_effective)
+             * sqrt_phi, gamma, c0s * m.beta_effective,
+             lam := m.lambda_effective, 0.5 * gamma, lam * _CLM_SMOOTH_V)
+            for m, (vt_thermal, sqrt_phi, c0s) in zip(ms, self._dyn_static)]
         lib = _ckernel.load()
+        if lib is not self._ck_lib:
+            self._bind_ckernel(lib)
+
+    def _bind_ckernel(self, lib) -> None:
+        """Capture the compiled-kernel argument tuple (raw pointers into
+        this group's arrays, which stay alive as attributes of ``self``)
+        and drop any Newton argument block built on the old bindings."""
+        self._ck_lib = lib
+        self._nb = None
+        self._nb_ws = None
         if lib is None:
             self._ck_fn = None
             self._ck_args = None
@@ -833,11 +859,37 @@ class MosfetGroup:
             self._c0.ctypes.data, self._lam.ctypes.data,
             _CLM_SMOOTH_V)
 
+    def newton_args(self, ws) -> Optional["_ckernel.NewtonArgs"]:
+        """The argument block of the compiled Newton loop over this
+        group and ``ws`` (a :class:`~repro.circuit.dc.NewtonWorkspace`),
+        or None when the loop cannot serve the solve: the kernel is off
+        (not built, vetoed, kill switch), FD Jacobians are forced, the
+        workspace solves sparse, or LAPACK ``dgesv`` is unavailable.
+
+        Checked per solve, so a breaker veto takes effect at the next
+        solve; the block itself is built once per (group, workspace)."""
+        if self._ck_args is None or _FD_JACOBIANS[0] \
+                or ws.st.plan is not None or not _ckernel.active() \
+                or _mna._dgesv is None:
+            return None
+        if self._nb_ws is not ws:
+            dgesv = _ckernel.dgesv_pointer()
+            if dgesv is None:
+                return None
+            n, size, xe, dgsb, *model, clm_v = self._ck_args
+            buffers = (ws.st.a, ws.st.b, ws.base.a, ws.base.b, ws.lu,
+                       ws.x_new, ws.abs_delta, ws.ipiv)
+            self._nb = _ckernel.NewtonArgs(
+                n, size, dgsb, *model, clm_v, xe,
+                *(array.ctypes.data for array in buffers), dgesv)
+            self._nb_ws = ws
+        return self._nb
+
     def dynamic_arrays(self) -> Tuple[np.ndarray, np.ndarray,
                                       np.ndarray, np.ndarray]:
         """``(vt0p, gamma, c0, lam)`` — the per-device folded parameters
-        that depend on variation/degradation (rebuilt by each
-        :meth:`refresh`).  These are exactly what differs between two
+        that depend on variation/degradation (rewritten in place by
+        each :meth:`refresh`).  These are exactly what differs between two
         sampled dies of one topology, which is why the batched engine
         (:class:`repro.circuit.batch.BatchMosfetGroup`) snapshots them
         per lane while sharing every params-derived static constant.

@@ -49,6 +49,10 @@ class Circuit:
         #: Bumped on every topology change; analysis caches (e.g. the DC
         #: engine in :mod:`repro.circuit.dc`) key their validity on it.
         self.topology_version = 0
+        #: Identity token stamped on the elements this circuit binds
+        #: (``Element.bound_by``); copies and unpickled replicas get
+        #: their own, shared with their own elements.
+        self._binding = object()
 
     # ------------------------------------------------------------------
     # Element management
@@ -159,9 +163,10 @@ class Circuit:
         """
         if not self._elements:
             raise ValueError("cannot compile an empty circuit")
+        binding = self._binding
         if self._node_index is not None:
             for element in self._elements.values():
-                if element.bound_by is not self:
+                if element.bound_by is not binding:
                     break
             else:
                 return
@@ -188,7 +193,7 @@ class Circuit:
             branches = list(range(branch_cursor, branch_cursor + element.n_branches))
             branch_cursor += element.n_branches
             element.bind(indices, branches)
-            element.bound_by = self
+            element.bound_by = binding
 
     @property
     def n_nodes(self) -> int:

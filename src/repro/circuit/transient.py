@@ -179,6 +179,9 @@ def _transient_impl(circuit: Circuit, t_stop: float, dt: float,
                    if e.nonlinear and not isinstance(e, Mosfet)]
     ws = engine.workspace
     stats = NewtonStats()
+    # Set when the channels are the only per-iteration stamps (no
+    # other_pairs): the compiled Newton loop then runs each step solve.
+    newton_group = engine.newton_group
 
     def solve_step(x_from: np.ndarray, t_to: float, dt_loc: float,
                    x_seed: Optional[np.ndarray] = None) -> np.ndarray:
@@ -211,11 +214,13 @@ def _transient_impl(circuit: Circuit, t_stop: float, dt: float,
             try:
                 return newton_solve(stamp, size, n_nodes, x0=x_seed,
                                     options=opts, workspace=ws,
-                                    stamp_base=stamp_base, stats=stats)
+                                    stamp_base=stamp_base, stats=stats,
+                                    group=newton_group)
             except ConvergenceError:
                 pass
         return newton_solve(stamp, size, n_nodes, x0=x_from, options=opts,
-                            workspace=ws, stamp_base=stamp_base, stats=stats)
+                            workspace=ws, stamp_base=stamp_base, stats=stats,
+                            group=newton_group)
 
     def commit_states(x_new: np.ndarray, t_to: float, dt_loc: float) -> None:
         for element, state in zip(elements, element_states):

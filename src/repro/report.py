@@ -234,6 +234,12 @@ def render_trace_summary(trace, top: int = 8) -> str:
             extra.append(("newton iterations / solve",
                           f"mean {hist['sum'] / hist['count']:.1f}, "
                           f"max {hist['max']:.0f}"))
+        kernels = sorted((name[len("solver.dc.kernel."):], int(count))
+                         for name, count in counters.items()
+                         if name.startswith("solver.dc.kernel."))
+        if kernels:
+            extra.append(("newton loop", ", ".join(
+                f"{kernel} {count}" for kernel, count in kernels)))
         if counters.get("solver.factorizations"):
             extra.append(("matrix factorizations",
                           int(counters["solver.factorizations"])))

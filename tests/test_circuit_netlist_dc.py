@@ -212,3 +212,45 @@ class TestDcSweep:
         ckt.resistor("r1", "a", "0", 1e3)
         with pytest.raises(TypeError):
             dc_sweep(ckt, "r1", [1.0])
+
+
+class TestEngineCacheLifetime:
+    """The per-circuit DC and batch engine caches are keyed weakly on
+    the circuit; nothing an engine holds may reference the circuit back,
+    or no cache entry would ever die."""
+
+    def test_engines_die_with_their_circuit(self, tech90):
+        import gc
+
+        from repro.circuit import batch, dc
+        from repro.circuits import differential_pair
+
+        gc.collect()
+        baseline = (len(dc._ENGINES), len(batch._BATCH_ENGINES))
+        fx = differential_pair(tech90)
+        circuit = fx.circuit
+        vcm = circuit["vinp"].spec.dc_value()
+        dc_operating_point(circuit)
+        dc_sweep(circuit, "vinp", np.linspace(vcm - 0.1, vcm + 0.1, 5),
+                 batch=True)
+        assert len(dc._ENGINES) == baseline[0] + 1
+        assert len(batch._BATCH_ENGINES) == baseline[1] + 1
+        del fx, circuit
+        gc.collect()
+        assert (len(dc._ENGINES), len(batch._BATCH_ENGINES)) == baseline
+
+    def test_replicas_rebind_to_themselves(self, tech90):
+        # Circuits copied for parallel workers carry their own binding
+        # token, so a replica never mistakes the original's bindings for
+        # its own (and vice versa).
+        from repro.circuits import differential_pair
+        from repro.parallel import clone_fixture
+
+        fx = differential_pair(tech90)
+        reference = dc_operating_point(fx.circuit).x
+        clone = clone_fixture(fx)
+        assert clone.circuit._binding is not fx.circuit._binding
+        for element in clone.circuit.elements:
+            assert element.bound_by is clone.circuit._binding
+        np.testing.assert_array_equal(
+            dc_operating_point(clone.circuit).x, reference)

@@ -649,6 +649,11 @@ class TestCliTrace:
         assert {"run", "chunk", "sample", "analysis", "solve.dc"} <= names
         assert trace.meta["command"] == "mc"
         assert trace.metrics["counters"]["engine.samples"] == 8
+        # Every DC solve names the Newton loop that served it.
+        counters = trace.metrics["counters"]
+        kernels = sum(v for k, v in counters.items()
+                      if k.startswith("solver.dc.kernel."))
+        assert kernels == counters["solver.dc.solves"] > 0
 
         code = main(["trace", str(trace_path)])
         assert code == 0
@@ -656,6 +661,7 @@ class TestCliTrace:
         assert "trace summary" in out
         assert "top time sinks" in out
         assert "DC convergence" in out
+        assert "newton loop" in out
 
     def test_mc_heartbeat_on_stderr(self, capsys):
         code = main(["mc", "--samples", "8"])
