@@ -144,11 +144,6 @@ def collect_phase_breakdowns(repeats: int = 3) -> dict:
 
         HighSigmaLinearOracle().run("is.screened")
 
-    def transient_ring_batched():
-        from repro.circuit import batched_transient
-
-        batched_transient(ring.circuit, 4, t_stop=0.5e-9, dt=5e-12)
-
     def dc_sweep_sparse():
         from repro.circuit import dc_sweep
 
@@ -167,7 +162,6 @@ def collect_phase_breakdowns(repeats: int = 3) -> dict:
         "dc_operating_point": lambda: dc_operating_point(mirror.circuit),
         "transient_ring": lambda: transient(ring.circuit,
                                             t_stop=0.5e-9, dt=5e-12),
-        "transient_ring_batched": transient_ring_batched,
         "dc_sweep_sparse": dc_sweep_sparse,
         "mc_yield_sample": mc_sample,
         "mc_yield_batched": mc_sample_batched,

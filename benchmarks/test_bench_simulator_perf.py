@@ -10,8 +10,6 @@ numbers, not as mysteriously slower experiment benches:
 * one Monte-Carlo yield sample (sampling + sweep-based metric);
 * the same sample on the batched ensemble engine (sweep points as
   lanes of one Newton loop — see ``repro.circuit.batch``);
-* the ring transient as a 4-lane lockstep batch (the per-die cost the
-  batched transient MC / aging modes pay — ``batched_transient``);
 * a DC sweep over a system large enough to route through the sparse
   (CSC/splu) factorisation path instead of dense LAPACK;
 * compact-model evaluation (drain_current + linearize).
@@ -58,21 +56,6 @@ def test_perf_transient_ring(benchmark, tech90):
 
     result = benchmark(run)
     assert result.states.shape[0] == 101
-
-
-def test_perf_transient_ring_batched(benchmark, tech90):
-    # The transient_ring workload solved for four identical dies as one
-    # lockstep batch — amortises assembly and factorisation per step.
-    from repro.circuit import batched_transient
-
-    fx = ring_oscillator(tech90, n_stages=3)
-
-    def run():
-        return batched_transient(fx.circuit, 4, t_stop=0.5e-9, dt=5e-12)
-
-    results = benchmark(run)
-    assert len(results) == 4
-    assert results[0].states.shape[0] == 101
 
 
 def _sparse_ladder(n_rungs=96, r_ohms=1e3, vdd_v=1.2):

@@ -34,8 +34,12 @@ import numpy as np
 
 from repro.parallel import FailureLedger
 
-#: Manifest schema version.
-MC_CHECKPOINT_SCHEMA = 1
+#: Manifest schema version.  Bump when the manifest layout changes or
+#: when chunks saved by older code hold different bits than the current
+#: code computes for the same run (2: transient specs under
+#: ``batch_size`` run the scalar integrator, not the removed lockstep
+#: one), so a resume never splices old and new chunks.
+MC_CHECKPOINT_SCHEMA = 2
 
 MANIFEST_NAME = "manifest.json"
 CHUNKS_NAME = "chunks.npz"

@@ -17,10 +17,8 @@ loop over the whole ensemble:
   :class:`~repro.circuit.mosfet.MosfetGroup`: every MOSFET of every
   lane is evaluated in ONE ``(B, 7, n)`` finite-difference model pass,
   reusing the scalar group's folded constants and scatter plans (with
-  per-lane offsets), in either *uniform* mode (all lanes share the
-  live device parameters — sweeps) or *per-lane* mode
-  (:meth:`~BatchMosfetGroup.load_lane` snapshots one die's sampled
-  parameters into a lane — dies-as-lanes ensembles);
+  per-lane offsets); every lane sees the live device parameters, so
+  lanes differ only in their sweep-source values;
 * :meth:`BatchDcEngine.solve` — batched LAPACK via ``np.linalg.solve``
   on the stacked systems with per-lane convergence masks: converged
   lanes freeze while stragglers iterate, non-finite or singular lanes
@@ -78,9 +76,8 @@ _EMPTY_X = np.zeros(0)
 class BatchUnsupportedError(TypeError):
     """The circuit cannot be solved on the batched path.
 
-    Raised when a lane-parameter snapshot hits an unsupported pattern
-    (per-lane :class:`MosfetParams` object swaps).  Circuits with
-    non-MOSFET nonlinear elements never raise — ``dc_sweep`` silently
+    Raised by :class:`BatchDcEngine` for circuits with non-MOSFET
+    nonlinear elements.  ``dc_sweep`` never raises it — it silently
     stays on the scalar path for them (see :func:`can_batch`).
     """
 
@@ -196,19 +193,9 @@ class BatchMosfetGroup:
     * the 7-point FD stencil pass runs on ``(B, 7, n)`` buffers — one
       vectorized sweep over B lanes × n devices × 7 bias points;
     * the *dynamic* per-device parameters (threshold offset, body
-      factor, current factor, CLM) either broadcast from the scalar
-      group (**uniform mode** — every lane sees the live circuit, the
-      right thing for sweeps where only a source value differs) or come
-      from per-lane snapshots written by :meth:`load_lane` (**per-lane
-      mode** — a dies-as-lanes ensemble where each lane carries one
-      sampled die's mismatch/degradation).
-
-    Static folded constants (φ, slope factors, mobility denominators…)
-    derive from the frozen :class:`MosfetParams` objects and are shared
-    across lanes; :meth:`load_lane` guards that assumption and raises
-    :class:`BatchUnsupportedError` when a lane swapped params objects
-    (mismatch sampling and aging never do — they write ``variation`` /
-    ``degradation``, which is exactly the per-lane dynamic set).
+      factor, current factor, CLM) broadcast from the scalar group —
+      every lane sees the live circuit, the right thing for sweeps
+      where only a source value differs.
     """
 
     def __init__(self, group: MosfetGroup, n_lanes: int):
@@ -225,9 +212,6 @@ class BatchMosfetGroup:
         self._b_idx = (lane_b[:, None] + group._b_idx[None, :]).ravel()
         self._a_keep = group._a_keep
         self._b_keep = group._b_keep
-        # Per-lane dynamic parameters; None = uniform broadcast mode.
-        self._lane_dyn: Optional[dict] = None
-        self._lane_params: Optional[list] = None
         # Work buffers — the whole iteration runs in these.
         self._xe = np.zeros((n_lanes, size + 1))  # trailing col = ground
         self._B = [np.empty((n_lanes, 7, n)) for _ in range(5)]
@@ -248,112 +232,6 @@ class BatchMosfetGroup:
         # Compiled stamp kernel (lane-batched entry point), when built.
         lib = _ckernel.load()
         self._ck_fn = None if lib is None else lib.repro_stamp_mosfets_batch
-
-    @property
-    def lane_mode(self) -> bool:
-        """True when per-lane parameter snapshots are active."""
-        return self._lane_dyn is not None
-
-    def set_uniform(self) -> None:
-        """Return to uniform mode: all lanes share the live parameters."""
-        self._lane_dyn = None
-        self._lane_params = None
-
-    def load_lane(self, lane: int) -> None:
-        """Snapshot the circuit's CURRENT effective device parameters
-        (mismatch + degradation, including gate leaks) into ``lane``.
-
-        Dies-as-lanes flow: assign a die's variation with the sampler,
-        call ``load_lane(k)``, repeat for each lane, then solve the
-        whole ensemble at once.
-        """
-        if not 0 <= lane < self.n_lanes:
-            raise IndexError(f"lane {lane} out of range 0..{self.n_lanes - 1}")
-        g = self.group
-        g.refresh()
-        vt0p, gamma, c0, lam = g.dynamic_arrays()
-        params = [m.params for m in g.mosfets]
-        if self._lane_dyn is None:
-            B, n = self.n_lanes, self.n_devices
-            self._lane_dyn = {
-                "vt0p": np.tile(vt0p, (B, 1)),
-                "gamma": np.tile(gamma, (B, 1)),
-                "c0": np.tile(c0, (B, 1)),
-                "lam": np.tile(lam, (B, 1)),
-                "leak": np.zeros((B, n)),
-                "pos": np.full((B, n), 0.5),
-            }
-            self._lane_params = params
-        elif any(a is not b for a, b in zip(params, self._lane_params)):
-            raise BatchUnsupportedError(
-                "per-lane MosfetParams object swaps are not batchable — "
-                "static model constants are shared across lanes")
-        dyn = self._lane_dyn
-        dyn["vt0p"][lane] = vt0p
-        dyn["gamma"][lane] = gamma
-        dyn["c0"][lane] = c0
-        dyn["lam"][lane] = lam
-        dyn["leak"][lane] = [m.degradation.gate_leak_s for m in g.mosfets]
-        dyn["pos"][lane] = [m.degradation.bd_spot_position for m in g.mosfets]
-
-    def _dynamic(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                np.ndarray]:
-        """(vt0p, gamma, c0, lam) broadcastable to ``(B, 7, n)``."""
-        dyn = self._lane_dyn
-        if dyn is None:
-            vt0p, gamma, c0, lam = self.group.dynamic_arrays()
-            return (vt0p[None, None, :], gamma[None, None, :],
-                    c0[None, None, :], lam[None, None, :])
-        return (dyn["vt0p"][:, None, :], dyn["gamma"][:, None, :],
-                dyn["c0"][:, None, :], dyn["lam"][:, None, :])
-
-    def _dynamic_bn(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                   np.ndarray]:
-        """(vt0p, gamma, c0, lam) broadcastable to ``(B, n)``."""
-        dyn = self._lane_dyn
-        if dyn is None:
-            return self.group.dynamic_arrays()
-        return dyn["vt0p"], dyn["gamma"], dyn["c0"], dyn["lam"]
-
-    def stamp_gate_leaks(self, bst: BatchStamper) -> None:
-        """Stamp the linear post-BD gate-leak paths (per-lane mode).
-
-        In uniform mode the leaks are part of the shared scalar base
-        (see :meth:`BatchDcEngine.stamp_base`), so this only runs for
-        dies-as-lanes ensembles where leak values differ per lane.
-        """
-        dyn = self._lane_dyn
-        if dyn is None or not np.any(dyn["leak"] > 0.0):
-            return
-        g = self.group
-        for j in range(self.n_devices):
-            leak = dyn["leak"][:, j]
-            if not np.any(leak > 0.0):
-                continue
-            pos = dyn["pos"][:, j]
-            d, gg, s = g.d[j], g.g[j], g.s[j]
-            bst.conductance(gg, d, leak * pos)
-            bst.conductance(gg, s, leak * (1.0 - pos))
-
-    def stamp_gate_leaks_lane(self, st: Stamper, lane: int) -> None:
-        """Stamp ONE lane's post-BD gate-leak paths into a scalar stamper.
-
-        The batched transient integrator assembles its base system lane
-        by lane (each lane's companion models read that lane's state),
-        so it needs the scalar-shaped variant of
-        :meth:`stamp_gate_leaks`.  Uniform mode defers to the live
-        scalar group.
-        """
-        dyn = self._lane_dyn
-        if dyn is None:
-            self.group.stamp_gate_leaks(st)
-            return
-        leak = dyn["leak"][lane]
-        pos = dyn["pos"][lane]
-        g = self.group
-        for j in np.flatnonzero(leak > 0.0):
-            st.conductance(g.g[j], g.d[j], leak[j] * pos[j])
-            st.conductance(g.g[j], g.s[j], leak[j] * (1.0 - pos[j]))
 
     def stamp(self, bst: BatchStamper, X: np.ndarray) -> None:
         """Stamp every lane's linearized channels at guesses ``X (B,n)``.
@@ -378,17 +256,14 @@ class BatchMosfetGroup:
 
         Same closed forms as :meth:`_stamp_analytic`; the C loop
         replaces ~40 ufunc dispatches on small ``(B, 4, n)`` tensors,
-        which dominate the per-iteration cost for the few-lane batches
-        the lockstep transient integrator runs.  Dynamic parameters are
-        fetched per call (they are reallocated by ``refresh`` in
-        uniform mode and rewritten by ``load_lane`` in lane mode);
-        ``dyn_stride`` tells the kernel whether they carry a lane axis.
+        which dominate the per-iteration cost of small batches.  The
+        dynamic parameters are the scalar group's, shared by every
+        lane (``dyn_stride`` 0).
         """
         g = self.group
         xe = self._xe
         xe[:, :-1] = X
-        vt0p, gamma, c0, lam = self._dynamic_bn()
-        stride = self.n_devices if self._lane_dyn is not None else 0
+        vt0p, gamma, c0, lam = g.dynamic_arrays()
         self._ck_fn(
             self.n_lanes, self.n_devices, g.size,
             xe.ctypes.data, g._nodes_c.ctypes.data, g.sign.ctypes.data,
@@ -397,7 +272,7 @@ class BatchMosfetGroup:
             g._inv_nphit.ctypes.data, g._theta_nphit.ctypes.data,
             g._inv_ns2.ctypes.data, g._inv_s2.ctypes.data,
             g._theta_eff.ctypes.data, c0.ctypes.data, lam.ctypes.data,
-            stride, _CLM_SMOOTH_V,
+            0, _CLM_SMOOTH_V,
             bst.a.ctypes.data, bst.b.ctypes.data)
 
     def _stamp_analytic(self, bst: BatchStamper, X: np.ndarray) -> None:
@@ -406,8 +281,8 @@ class BatchMosfetGroup:
         Lane-axis mirror of :meth:`MosfetGroup._stamp_analytic`: the
         four transcendental arguments stack into one ``(B, 4, n)``
         buffer so a single ``logaddexp`` dispatch covers lf/ln(1+eᵘ)/
-        lr/CLM for the whole ensemble, and dynamic parameters come from
-        per-lane snapshots (lane mode) or the live circuit (uniform).
+        lr/CLM for the whole ensemble; dynamic parameters come from the
+        live circuit.
         """
         g = self.group
         xe = self._xe
@@ -419,7 +294,7 @@ class BatchMosfetGroup:
         vg_n = VN[:, 0, :]
         vd_n = VN[:, 1, :]
         vb_n = VN[:, 2, :]
-        vt0p, gamma, c0, lam = self._dynamic_bn()
+        vt0p, gamma, c0, lam = g.dynamic_arrays()
         w = self._wn
         # Body effect: sq = √(φ − clamp(vbs)); gmb vanishes past the clamp.
         unclamped = np.less(vb_n, g._phi_cap, out=self._mask)
@@ -509,7 +384,8 @@ class BatchMosfetGroup:
         np.add(tmp[:, None, :], g._off_d[None, :, :], out=B1)
         np.multiply(sign, vbs, out=tmp)
         np.add(tmp[:, None, :], g._off_b[None, :, :], out=B2)
-        vt0p, gamma, c0, lam = self._dynamic()
+        vt0p, gamma, c0, lam = (a[None, None, :]
+                                for a in g.dynamic_arrays())
         # Threshold with body effect → B2 becomes ov = vgs − vt.
         np.minimum(B2, g._phi_cap, out=B2)
         np.subtract(g._phi, B2, out=B2)
@@ -605,13 +481,10 @@ class BatchDcEngine:
             element.stamp_dc(st, _EMPTY_X)
         scalar_group = self.scalar.mosfet_group
         if scalar_group is not None:
-            if self.group is not None and not self.group.lane_mode:
-                scalar_group.stamp_gate_leaks(st)
+            scalar_group.stamp_gate_leaks(st)
             scalar_group.refresh()
         self.base.broadcast_from(st)
         self.base.add_gmin(self.n_nodes, gmin)
-        if self.group is not None and self.group.lane_mode:
-            self.group.stamp_gate_leaks(self.base)
         for element, values in lane_sources:
             values = np.asarray(values, dtype=float) * element.scale
             if isinstance(element, VoltageSource):

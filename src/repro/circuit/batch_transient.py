@@ -1,48 +1,21 @@
-"""Batched transient integration: one time grid, many dies.
+"""Per-lane transient ensembles: many parameter variants of one circuit.
 
-A transient-dominated Monte-Carlo or aging ensemble integrates hundreds
-of *nearly identical* circuits over the SAME fixed output grid — only
-per-device parameters (mismatch, degradation) differ between dies.  The
-scalar integrator pays the full per-step Python dispatch for each of
-them; this module advances all dies in lockstep, one batched Newton
-solve (:meth:`~repro.circuit.batch.BatchDcEngine.solve`) per grid step:
-
-* every lane carries its own element states and its own DC operating
-  point at t = 0 (solved through the scalar ladder, exactly like the
-  scalar path);
-* the solution-independent base of each step is assembled per lane
-  (linear companions read per-lane state), the MOSFET channels go
-  through the lane-batched analytic model pass;
-* step rejection is *masked*: lanes whose Newton solve fails — or whose
-  LTE proxy exceeds ``lte_rtol`` — are halved as a sub-batch while the
-  healthy lanes keep their accepted step, mirroring the scalar
-  integrator's recursive halving per lane;
-* lanes that exhaust the halving budget leave the batch and are re-run
-  start-to-finish through the scalar :func:`~repro.circuit.transient.
-  transient` — its full robustness ladder and its
-  :class:`~repro.circuit.mna.ConvergenceReport` error semantics are
-  preserved verbatim for stragglers.
-
-Batched and scalar answers agree within Newton/integration tolerance:
-same companion models, same grid, same stopping criteria — only the
-damped iteration paths differ.
-
-Telemetry: each batched integration emits a ``solve.transient.batch``
-span (lanes, steps, per-lane fallbacks) and feeds the
-``solver.transient.batch.*`` counters; straggler re-runs nest as
-ordinary ``solve.transient`` spans.
+:func:`batched_transient` integrates ``n_lanes`` variants of a circuit
+(one per ``configure(lane)`` call) through the scalar
+:func:`~repro.circuit.transient.transient`, lane by lane, so every lane
+is bit-identical to a plain ``transient()`` under that lane's
+configuration.  ``batch_size`` batches DC sweeps only; transient dies
+always take the scalar integrator, because a lockstep batched
+integrator measured slower per lane than this loop (see
+``docs/performance.md``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional
 
-import numpy as np
-
-from repro import telemetry
-from repro.circuit.batch import BatchDcEngine, batch_engine, can_batch
-from repro.circuit.dc import NewtonOptions, dc_operating_point
-from repro.circuit.mna import ConvergenceError, Stamper
+from repro.circuit.dc import NewtonOptions
+from repro.circuit.mna import ConvergenceError
 from repro.circuit.netlist import Circuit
 from repro.circuit.transient import (
     DEFAULT_MAX_STEP_HALVINGS,
@@ -52,7 +25,7 @@ from repro.circuit.transient import (
 )
 
 #: ``configure(lane)`` callback: mutate the circuit to lane ``lane``'s
-#: per-die parameters (variation/degradation) before it is snapshotted.
+#: per-die parameters (variation/degradation) before it is integrated.
 LaneConfigurator = Callable[[int], None]
 
 
@@ -64,109 +37,21 @@ def batched_transient(circuit: Circuit, n_lanes: int, t_stop: float,
                       max_step_halvings: int = DEFAULT_MAX_STEP_HALVINGS,
                       lte_rtol: Optional[float] = None,
                       quarantine: bool = False):
-    """Integrate ``n_lanes`` parameter variants of ``circuit`` in lockstep.
+    """Integrate ``n_lanes`` parameter variants of ``circuit``.
 
     ``configure(k)`` (when given) mutates the circuit to lane ``k``'s
-    per-die parameters; the lane-batched MOSFET group snapshots each
-    configuration, so after the setup loop the lanes are independent.
-    Without it every lane integrates the live circuit (useful only for
-    testing — the answers are identical).
-
-    Returns a list of per-lane :class:`TransientResult` in lane order.
-    A lane the batch cannot carry (Newton failure or LTE rejection
-    ``max_step_halvings`` deep, or an injected fallback) is re-run
-    through the scalar integrator under its own configuration — worst
-    case this degenerates to exactly the scalar ensemble, including its
-    :class:`~repro.circuit.mna.ConvergenceError` /
-    :class:`~repro.circuit.mna.ConvergenceReport` semantics.
+    per-die parameters before lane ``k`` is integrated; without it every
+    lane integrates the live circuit.  Returns a list of per-lane
+    :class:`TransientResult` in lane order; a lane that fails raises its
+    :class:`~repro.circuit.mna.ConvergenceError`.
 
     With ``quarantine=True`` the return value is ``(results, errors)``:
-    a lane whose scalar fallback ALSO fails gets ``None`` in ``results``
-    and its exception in ``errors`` instead of aborting the ensemble.
+    a failing lane gets ``None`` in ``results`` and its exception in
+    ``errors`` instead of aborting the ensemble.
     """
-    from repro import faultinject, resilience
-
     _validate_transient_args(t_stop, dt, method, max_step_halvings)
     if n_lanes < 1:
         raise ValueError(f"n_lanes must be positive, got {n_lanes}")
-    if not can_batch(circuit):
-        raise TypeError("circuit has non-MOSFET nonlinear elements; "
-                        "use the scalar transient() per lane")
-    if not resilience.allows("batch"):
-        # Breaker quarantined the batched engine: integrate the lanes
-        # one by one through the scalar path, same return contract.
-        return _scalar_ensemble(
-            circuit, n_lanes, t_stop, dt, configure=configure,
-            method=method, options=options,
-            max_step_halvings=max_step_halvings, lte_rtol=lte_rtol,
-            quarantine=quarantine)
-    opts = options if options is not None else NewtonOptions()
-    engine = batch_engine(circuit, n_lanes)
-    forced = set(faultinject.active_batch_fallback_lanes(circuit, n_lanes))
-    corrupt = set(faultinject.active_corrupt_batch_lanes(circuit, n_lanes))
-
-    session = telemetry.active()
-    span_ctx = telemetry.NULL_SPAN if session is None else \
-        session.tracer.span("solve.transient.batch", lanes=n_lanes,
-                            t_stop=t_stop, dt=dt, method=method)
-    with span_ctx as sp:
-        runner = _BatchTransientRun(circuit, engine, t_stop, dt, method,
-                                    opts, max_step_halvings, lte_rtol)
-        runner.setup(configure, forced)
-        if corrupt:
-            # Chaos scenario: poisoned lanes go non-finite on the first
-            # grid step, leave the batch, and are re-run start to finish
-            # through the scalar fallback below.
-            runner.X[sorted(corrupt)] = np.nan
-        if runner.alive.any():
-            runner.integrate()
-        results: List[Optional[TransientResult]] = runner.collect()
-        stragglers = np.flatnonzero(~runner.alive)
-        organic = [int(k) for k in stragglers if int(k) not in forced]
-        if n_lanes >= 2 and 2 * len(organic) >= n_lanes:
-            resilience.record_failure(
-                "batch", "%d/%d transient lanes fell back to the scalar "
-                "integrator" % (len(organic), n_lanes))
-        elif not organic:
-            resilience.record_success("batch")
-        if session is not None:
-            sp.set(steps=runner.n_steps, iterations=runner.iterations,
-                   fallback_lanes=int(stragglers.size),
-                   step_rejections=runner.rejections["newton"]
-                   + runner.rejections["lte"])
-            metrics = session.metrics
-            metrics.inc("solver.transient.batch.solves")
-            metrics.inc("solver.transient.batch.lanes", n_lanes)
-            metrics.inc("solver.transient.batch.steps", runner.n_steps)
-            metrics.inc("solver.transient.batch.fallback_lanes",
-                        int(stragglers.size))
-            metrics.inc("solver.factorizations", runner.factorizations)
-        # Scalar fallback: re-run each straggler start-to-finish under
-        # its own configuration through the full robustness ladder.
-        errors: List[Optional[BaseException]] = [None] * n_lanes
-        for lane in stragglers:
-            if configure is not None:
-                configure(int(lane))
-            try:
-                results[lane] = transient(
-                    circuit, t_stop, dt, method=method, options=options,
-                    max_step_halvings=max_step_halvings, lte_rtol=lte_rtol)
-            except ConvergenceError as exc:
-                if not quarantine:
-                    raise
-                errors[lane] = exc
-    if quarantine:
-        return results, errors
-    return results
-
-
-def _scalar_ensemble(circuit: Circuit, n_lanes: int, t_stop: float,
-                     dt: float, *, configure: Optional[LaneConfigurator],
-                     method: str, options: Optional[NewtonOptions],
-                     max_step_halvings: int, lte_rtol: Optional[float],
-                     quarantine: bool):
-    """Per-lane scalar integration with :func:`batched_transient`'s
-    return contract — the degraded path when the batch breaker is open."""
     results: List[Optional[TransientResult]] = [None] * n_lanes
     errors: List[Optional[BaseException]] = [None] * n_lanes
     for lane in range(n_lanes):
@@ -183,201 +68,3 @@ def _scalar_ensemble(circuit: Circuit, n_lanes: int, t_stop: float,
     if quarantine:
         return results, errors
     return results
-
-
-class _BatchTransientRun:
-    """State of one lockstep integration (setup → grid loop → collect)."""
-
-    def __init__(self, circuit: Circuit, engine: BatchDcEngine,
-                 t_stop: float, dt: float, method: str,
-                 opts: NewtonOptions, max_step_halvings: int,
-                 lte_rtol: Optional[float]):
-        self.circuit = circuit
-        self.engine = engine
-        self.t_stop, self.dt, self.method = t_stop, dt, method
-        self.opts = opts
-        self.max_step_halvings = max_step_halvings
-        self.lte_rtol = lte_rtol
-        self.B = engine.n_lanes
-        self.size = engine.size
-        self.n_steps = int(round(t_stop / dt))
-        self.elements = circuit.elements
-        self.linear_idx = [i for i, e in enumerate(self.elements)
-                           if not e.nonlinear]
-        # can_batch guarantees the only nonlinear elements are MOSFETs,
-        # which the lane-batched group stamps — nothing else to do per
-        # Newton iteration.
-        self.lane_states: List[List[dict]] = []
-        self.alive = np.zeros(self.B, dtype=bool)
-        # step*dt per sample, bit-identical to the scalar grid.
-        self.times = np.arange(self.n_steps + 1) * dt
-        self.states = np.empty((self.B, self.n_steps + 1, self.size))
-        self._scratch = Stamper(self.size)
-        self._all_lanes = np.arange(self.B)
-        self._lane_mask = np.empty(self.B, dtype=bool)
-        self.iterations = 0
-        self.factorizations = 0
-        self.rejections = {"newton": 0, "lte": 0}
-
-    # ------------------------------------------------------------------
-    def setup(self, configure: Optional[LaneConfigurator],
-              forced: Sequence[int]) -> None:
-        """Configure, snapshot and DC-solve every lane.
-
-        Each lane's t = 0 point is the scalar ladder's operating point
-        under that lane's configuration — identical to what the scalar
-        path would produce — and seeds both the lane's element states
-        and its first Newton guess.
-        """
-        engine = self.engine
-        X0 = np.empty((self.B, self.size))
-        for lane in range(self.B):
-            if configure is not None:
-                configure(lane)
-            op = dc_operating_point(self.circuit, options=self.opts)
-            X0[lane] = op.x
-            if engine.group is not None and configure is not None:
-                engine.group.load_lane(lane)
-            states = [dict() for _ in self.elements]
-            for element, state in zip(self.elements, states):
-                element.init_state(op.x, state)
-            self.lane_states.append(states)
-            self.alive[lane] = lane not in forced
-        self.X = X0
-        self.states[:, 0, :] = X0
-
-    # ------------------------------------------------------------------
-    def _assemble_base(self, lanes: np.ndarray, X_from: np.ndarray,
-                       t_to: float, dt_loc: float) -> None:
-        """Per-lane base: linear companions + gate leaks + gmin.
-
-        Linear elements are lane-invariant by the batched engine's
-        contract (only MOSFET parameters vary per die), but their
-        *companion models* read per-lane state and per-lane ``x_from``,
-        so the base is stamped lane by lane with a scalar stamper.
-        """
-        engine = self.engine
-        st = self._scratch
-        for lane in lanes:
-            states = self.lane_states[lane]
-            x_from = X_from[lane]
-            st.clear()
-            for i in self.linear_idx:
-                self.elements[i].stamp_transient(st, x_from, states[i],
-                                                 t_to, dt_loc, self.method)
-            if engine.group is not None:
-                engine.group.stamp_gate_leaks_lane(st, int(lane))
-            st.add_gmin(engine.n_nodes, self.opts.gmin)
-            engine.base.a[lane] = st.a
-            engine.base.b[lane] = st.b
-
-    def _solve(self, lanes: np.ndarray, X0: np.ndarray
-               ) -> Tuple[np.ndarray, np.ndarray]:
-        """One masked batched Newton solve restricted to ``lanes``."""
-        if lanes.size == self.B:
-            skip = self._all_lanes[:0]
-        else:
-            mask = self._lane_mask
-            mask[:] = True
-            mask[lanes] = False
-            skip = self._all_lanes[mask]
-        X_sol, conv, iters, fact = self.engine.solve(X0, self.opts,
-                                                     skip_lanes=skip)
-        self.iterations += int(iters[lanes].max(initial=0))
-        self.factorizations += fact
-        return X_sol, conv
-
-    def _commit(self, lanes: np.ndarray, X_new: np.ndarray, t_to: float,
-                dt_loc: float) -> None:
-        for lane in lanes:
-            states = self.lane_states[lane]
-            x = X_new[lane]
-            for element, state in zip(self.elements, states):
-                element.update_state(x, state, t_to, dt_loc, self.method)
-
-    # ------------------------------------------------------------------
-    def _advance(self, lanes: np.ndarray, X_from: np.ndarray, t0: float,
-                 t1: float, depth: int, check_lte: bool,
-                 X_pred: Optional[np.ndarray]) -> np.ndarray:
-        """Advance ``lanes`` over [t0, t1], masked halving on rejection.
-
-        Mirrors the scalar integrator's ``advance`` per lane: a lane
-        whose solve fails (after the retry-from-``x_from`` of a seeded
-        solve) or whose LTE proxy rejects is re-integrated as two half
-        steps on a shrinking sub-batch; ``max_step_halvings`` deep it
-        leaves the batch for the scalar fallback.  Element states commit
-        on acceptance, per lane.
-        """
-        dt_loc = t1 - t0
-        self._assemble_base(lanes, X_from, t1, dt_loc)
-        X0 = X_from.copy()
-        if X_pred is not None:
-            X0[lanes] = X_pred[lanes]
-        X_sol, conv = self._solve(lanes, X0)
-        if X_pred is not None:
-            retry = lanes[~conv[lanes]]
-            if retry.size:
-                X_sol2, conv2 = self._solve(retry, X_from.copy())
-                X_sol[retry] = X_sol2[retry]
-                conv[retry] = conv2[retry]
-        failed = lanes[~conv[lanes]]
-        accepted = lanes[conv[lanes]]
-        self.rejections["newton"] += int(failed.size)
-        if (check_lte and X_pred is not None
-                and depth < self.max_step_halvings and accepted.size):
-            nn = self.engine.n_nodes
-            scale = np.maximum(np.abs(X_sol[accepted, :nn]), 1.0)
-            lte = np.max(np.abs(X_sol[accepted, :nn]
-                                - X_pred[accepted, :nn]) / scale, axis=1)
-            bad = ~(lte <= self.lte_rtol)  # NaN rejects too
-            self.rejections["lte"] += int(np.count_nonzero(bad))
-            failed = np.concatenate((failed, accepted[bad]))
-            accepted = accepted[~bad]
-        X_out = X_from.copy()
-        X_out[accepted] = X_sol[accepted]
-        self._commit(accepted, X_sol, t1, dt_loc)
-        if failed.size:
-            if depth >= self.max_step_halvings:
-                self.alive[failed] = False
-            else:
-                # Sub-steps skip the LTE check — halving is the remedy,
-                # and skipping guarantees termination (scalar parity).
-                t_mid = 0.5 * (t0 + t1)
-                X_mid = self._advance(failed, X_from, t0, t_mid,
-                                      depth + 1, False, None)
-                still = failed[self.alive[failed]]
-                if still.size:
-                    X_half = self._advance(still, X_mid, t_mid, t1,
-                                           depth + 1, False, None)
-                    X_out[still] = X_half[still]
-        return X_out
-
-    def integrate(self) -> None:
-        """The lockstep grid loop over every still-batched lane."""
-        X = self.X
-        X_prev: Optional[np.ndarray] = None
-        check_lte = self.lte_rtol is not None
-        for step in range(1, self.n_steps + 1):
-            lanes = np.flatnonzero(self.alive)
-            if lanes.size == 0:
-                break
-            t = step * self.dt
-            pred = None
-            if X_prev is not None:
-                pred = 2.0 * X - X_prev
-            X_prev = X
-            X = self._advance(lanes, X, t - self.dt, t, 0, check_lte, pred)
-            live = np.flatnonzero(self.alive)
-            self.states[live, step, :] = X[live]
-
-    def collect(self) -> List[Optional[TransientResult]]:
-        """Per-lane results (``None`` placeholders for stragglers)."""
-        results: List[Optional[TransientResult]] = []
-        for lane in range(self.B):
-            if self.alive[lane]:
-                results.append(TransientResult(
-                    circuit=self.circuit, times=self.times.copy(),
-                    states=self.states[lane].copy()))
-            else:
-                results.append(None)
-        return results

@@ -890,9 +890,9 @@ class MosfetGroup:
         """``(vt0p, gamma, c0, lam)`` — the per-device folded parameters
         that depend on variation/degradation (rewritten in place by
         each :meth:`refresh`).  These are exactly what differs between two
-        sampled dies of one topology, which is why the batched engine
-        (:class:`repro.circuit.batch.BatchMosfetGroup`) snapshots them
-        per lane while sharing every params-derived static constant.
+        sampled dies of one topology; the batched engine
+        (:class:`repro.circuit.batch.BatchMosfetGroup`) shares them across
+        its lanes together with every params-derived static constant.
         The arrays are live references, not copies."""
         return self._vt0p, self._gamma, self._c0, self._lam
 

@@ -202,9 +202,10 @@ def _mc_workload(args, tech):
     """Build the (fixture, spec, spec_text) triple for ``mc --workload``.
 
     ``offset`` is the §2 differential-pair DC demo; ``ring`` is a
-    transient-dominated 3-stage ring-oscillator swing spec that
-    exercises the batched lockstep transient integrator when
-    ``--batch-size`` is given.
+    transient-dominated 3-stage ring-oscillator swing spec.  Its dies
+    always run the scalar transient integrator: ``--batch-size``
+    batches DC sweeps only, so ring output is the same with or
+    without it.
     """
     from repro.core import Specification, transient_specification
 
@@ -894,11 +895,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--backend", default="auto",
                       choices=("auto", "serial", "thread", "process"))
     p_mc.add_argument("--batch-size", type=int, default=None, metavar="B",
-                      help="solve up to B dies as lanes of one batched "
-                           "Newton ensemble (DC sweeps for the offset "
-                           "workload, lockstep transient for ring); "
-                           "sampled variates and pass/fail verdicts are "
-                           "unchanged")
+                      help="solve up to B sweep points as lanes of one "
+                           "batched Newton ensemble (DC sweeps; transient "
+                           "specs run the scalar integrator); sampled "
+                           "variates and pass/fail verdicts are unchanged")
     p_mc.add_argument("--workload", default="offset",
                       choices=("offset", "ring"),
                       help="offset: DC input-referred offset of a "
@@ -982,9 +982,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_hs.add_argument("--backend", default="auto",
                       choices=("auto", "serial", "thread", "process"))
     p_hs.add_argument("--batch-size", type=int, default=None, metavar="B",
-                      help="solve up to B routed samples as lanes of one "
-                           "batched ensemble; variates, weights and "
-                           "verdicts are unchanged")
+                      help="solve up to B sweep points as lanes of one "
+                           "batched Newton ensemble (DC sweeps; transient "
+                           "specs run the scalar integrator); variates, "
+                           "weights and verdicts are unchanged")
     p_hs.add_argument("--chunk-size", type=int, default=32, metavar="N",
                       help="samples per work chunk (default 32)")
     p_hs.add_argument("--shift-sigma", type=float, default=None,

@@ -30,8 +30,7 @@ import numpy as np
 from repro import telemetry, units
 from repro.aging.base import AgingMechanism, DeviceStress, MechanismState
 from repro.circuit.dc import DcSolution, dc_operating_point
-from repro.circuit.netlist import Circuit
-from repro.circuit.transient import TransientResult, transient
+from repro.circuit.transient import transient
 from repro.circuits.references import CircuitFixture
 from repro.parallel import ParallelMap, replicate, spawn_seed_sequences
 
@@ -181,8 +180,13 @@ class ReliabilitySimulator:
                            t_stop=profile.transient_t_stop_s,
                            dt=profile.transient_dt_s,
                            method=profile.transient_method)
-        return _transient_stresses(self.fixture.circuit, result,
-                                   profile.temperature_k)
+        stresses = {}
+        for device in self.fixture.circuit.mosfets:
+            bias = result.device_bias(device.name)
+            stresses[device.name] = DeviceStress.from_waveforms(
+                bias["vgs"], bias["vds"], bias["ids"],
+                temperature_k=profile.temperature_k)
+        return stresses
 
     def extract_stresses(self, profile: MissionProfile
                          ) -> Dict[str, DeviceStress]:
@@ -229,9 +233,8 @@ class ReliabilitySimulator:
         extracted stresses (honouring the duty-cycle phases) and re-apply
         the accumulated degradation to the devices.
 
-        This is the degrade half of the simulate→stress→degrade loop,
-        shared by :meth:`run` and the batched ensemble driver (which
-        extracts the stresses of many dies in one lockstep transient).
+        This is the degrade half of the simulate→stress→degrade loop
+        that :meth:`run` drives epoch by epoch.
         """
         devices = self.fixture.circuit.mosfets
         if profile.phases is None:
@@ -315,18 +318,6 @@ class ReliabilitySimulator:
                            device_delta_vt_v=delta_vt)
 
 
-def _transient_stresses(circuit: Circuit, result: TransientResult,
-                        temperature_k: float) -> Dict[str, DeviceStress]:
-    """Per-device waveform stresses from one transient record."""
-    stresses = {}
-    for device in circuit.mosfets:
-        bias = result.device_bias(device.name)
-        stresses[device.name] = DeviceStress.from_waveforms(
-            bias["vgs"], bias["vds"], bias["ids"],
-            temperature_k=temperature_k)
-    return stresses
-
-
 def aging_ensemble(fixture: CircuitFixture,
                    mechanisms: Sequence[AgingMechanism],
                    profile: MissionProfile,
@@ -337,8 +328,7 @@ def aging_ensemble(fixture: CircuitFixture,
                    jobs: int = 1,
                    backend: str = "auto",
                    include_ler: bool = False,
-                   quarantine: bool = False,
-                   batch_size: Optional[int] = None):
+                   quarantine: bool = False):
     """Monte-Carlo aging: mission trajectories over sampled mismatch.
 
     The paper's §2 and §3 interact — a die's time-zero mismatch shifts
@@ -359,17 +349,6 @@ def aging_ensemble(fixture: CircuitFixture,
     ensemble, and the :class:`~repro.parallel.FailureLedger` records the
     sample index and diagnostics.  The default (``False``) keeps the
     historical contract: a plain report list, failures propagate.
-
-    ``batch_size`` (transient stress mode only) runs the dies of each
-    slab in LOCKSTEP: every epoch's stress-extraction transient
-    advances up to ``batch_size`` dies as lanes of one batched
-    integration (:func:`~repro.circuit.batch_transient.
-    batched_transient`) instead of die-by-die.  The sampled variates
-    are bit-identical to a scalar run (each die keeps its own spawned
-    seed and draw order) and the extracted stresses agree within
-    solver tolerance; lanes the batch cannot carry fall back to the
-    scalar integrator with its full error semantics.  Requires
-    ``jobs=1`` — the lockstep driver is already the parallelism.
     """
     from repro.core.yield_analysis import QUARANTINE_ERRORS
     from repro.faultinject import set_current_sample
@@ -377,18 +356,6 @@ def aging_ensemble(fixture: CircuitFixture,
 
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
-    if batch_size is not None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1 (or None)")
-        if profile.stress_mode != "transient":
-            raise ValueError(
-                "batch_size requires stress_mode='transient' (the batched "
-                "driver accelerates the per-epoch stress transients)")
-        if jobs != 1:
-            raise ValueError("batch_size requires jobs=1")
-        return _aging_ensemble_batched(
-            fixture, mechanisms, profile, metrics, tech, n_samples,
-            seed, batch_size, include_ler, quarantine)
     seeds = spawn_seed_sequences(seed, n_samples)
 
     def run_sample(task) -> AgingReport:
@@ -459,161 +426,3 @@ def aging_ensemble(fixture: CircuitFixture,
         resilience.supervisor().drain_into(ledger)
         ledger.dedupe_run_level()
         return reports, ledger
-
-
-def _aging_ensemble_batched(fixture: CircuitFixture,
-                            mechanisms: Sequence[AgingMechanism],
-                            profile: MissionProfile,
-                            metrics: Dict[str, MetricFn],
-                            tech,
-                            n_samples: int,
-                            seed: int,
-                            batch_size: int,
-                            include_ler: bool,
-                            quarantine: bool):
-    """Dies-as-lanes aging ensemble (see :func:`aging_ensemble`).
-
-    One private fixture replica hosts every die: per slab of up to
-    ``batch_size`` dies, the mission epochs run in LOCKSTEP — each die's
-    variation + accumulated degradation is snapshotted into a lane, one
-    batched transient extracts all stresses, then each die's mechanisms
-    advance independently.  The simulate→stress→degrade semantics per
-    die are identical to the scalar path; only the integration is
-    shared.
-    """
-    from repro.circuit.batch_transient import batched_transient
-    from repro.core.yield_analysis import QUARANTINE_ERRORS
-    from repro.faultinject import set_current_sample
-    from repro.variability.sampler import MismatchSampler
-
-    from repro import resilience
-
-    fx, _ = replicate((fixture, ()))
-    circuit = fx.circuit
-    devices = circuit.mosfets
-    # Resource guard: the lockstep epochs keep a (B, steps+1, n) state
-    # history per transient — re-admit the slab size under the ceiling.
-    circuit.compile()
-    batch_size = resilience.admit_lanes(
-        min(batch_size, n_samples), circuit.n_unknowns,
-        where="aging-ensemble")
-    seeds = spawn_seed_sequences(seed, n_samples)
-    epoch_ends = profile.epoch_times_s()
-    times = np.concatenate(([0.0], epoch_ends))
-    session = telemetry.active()
-    reports: List[Optional[AgingReport]] = [None] * n_samples
-    failures: List[Tuple[int, BaseException]] = []
-
-    run_ctx = telemetry.NULL_SPAN if session is None else \
-        session.tracer.span("run", kind="aging-ensemble",
-                            n_samples=n_samples, jobs=1,
-                            batch_size=batch_size)
-    with run_ctx:
-        for slab_start in range(0, n_samples, batch_size):
-            slab = list(range(slab_start,
-                              min(slab_start + batch_size, n_samples)))
-            B = len(slab)
-            # Sample every die's variation in index order — the same
-            # per-die seed streams (and thus variates) as a scalar run.
-            variations: List[list] = []
-            sims: List[ReliabilitySimulator] = []
-            for index in slab:
-                rng = np.random.default_rng(seeds[index])
-                sampler = MismatchSampler(tech, rng,
-                                          include_ler=include_ler)
-                set_current_sample(index)
-                try:
-                    sampler.assign(circuit)
-                finally:
-                    set_current_sample(None)
-                variations.append([m.variation for m in devices])
-                sims.append(ReliabilitySimulator(fx, replicate(
-                    list(mechanisms))))
-                if session is not None:
-                    session.metrics.inc("engine.samples")
-
-            def configure(j: int) -> None:
-                # Lane j's die: its sampled variation plus whatever
-                # degradation its mechanisms have accumulated so far.
-                for m, v in zip(devices, variations[j]):
-                    m.variation = v
-                sims[j]._apply_degradation()
-
-            trajectories = [{name: np.empty(len(times)) for name in metrics}
-                            for _ in slab]
-            delta_vt = [{d.name: np.zeros(len(times)) for d in devices}
-                        for _ in slab]
-            for j in range(B):
-                configure(j)
-                for name, fn in metrics.items():
-                    trajectories[j][name][0] = fn(fx)
-
-            alive = [True] * B
-            t_prev = 0.0
-            for k, t_end in enumerate(epoch_ends, start=1):
-                live = [j for j in range(B) if alive[j]]
-                if not live:
-                    break
-                dt = t_end - t_prev
-                if session is not None:
-                    session.metrics.inc("engine.aging_epochs")
-                with telemetry.span("aging.epoch", epoch=k,
-                                    t_end_s=float(t_end), lanes=len(live)):
-                    try:
-                        results, errors = batched_transient(
-                            circuit, len(live),
-                            profile.transient_t_stop_s,
-                            profile.transient_dt_s,
-                            configure=lambda i: configure(live[i]),
-                            method=profile.transient_method,
-                            quarantine=True)
-                    except QUARANTINE_ERRORS:
-                        # A lane's t=0 operating point failed; retry the
-                        # slab die-by-die so only the bad die is lost.
-                        results, errors = [], []
-                        for j in live:
-                            try:
-                                configure(j)
-                                sim_result = transient(
-                                    circuit, profile.transient_t_stop_s,
-                                    profile.transient_dt_s,
-                                    method=profile.transient_method)
-                                results.append(sim_result)
-                                errors.append(None)
-                            except QUARANTINE_ERRORS as exc:
-                                results.append(None)
-                                errors.append(exc)
-                    for i, j in enumerate(live):
-                        if errors[i] is not None:
-                            if not quarantine:
-                                raise errors[i]
-                            alive[j] = False
-                            failures.append((slab[j], errors[i]))
-                            continue
-                        configure(j)
-                        stresses = _transient_stresses(
-                            circuit, results[i], profile.temperature_k)
-                        sims[j].apply_epoch(profile, dt, stresses)
-                        for device in devices:
-                            delta_vt[j][device.name][k] = \
-                                sims[j].total_delta_vt(device.name)
-                        for name, fn in metrics.items():
-                            trajectories[j][name][k] = fn(fx)
-                t_prev = t_end
-            for j, index in enumerate(slab):
-                if alive[j]:
-                    reports[index] = AgingReport(
-                        times_s=times.copy(), metrics=trajectories[j],
-                        device_delta_vt_v=delta_vt[j])
-    if not quarantine:
-        return [r for r in reports]
-
-    from repro.parallel import FailureLedger
-
-    ledger = FailureLedger()
-    for index, exc in failures:
-        ledger.add(index, exc, label="mission")
-    resilience.supervisor().drain_into(ledger)
-    ledger.dedupe_run_level()
-    ledger.sort()
-    return reports, ledger

@@ -29,13 +29,13 @@ proposal ``q = ½N(+μ) + ½N(−μ)`` so both failure lobes are seen.
 through :class:`repro.parallel.ParallelMap` (serial/thread/process
 backends, bit-identical for any ``jobs``), with the Monte-Carlo
 engine's checkpoint/resume, quarantine, deadline-budget and telemetry
-machinery (``highsigma.*`` spans and metrics).  ``batch_size=`` routes
-evaluation through the batched accelerators: DC-metric extractors run
-under :func:`repro.circuit.batch.batched_sweeps` (sweep points as
-lanes of one :class:`~repro.circuit.batch.BatchDcEngine` ensemble) and
-transient specs advance samples-as-lanes through
-:func:`repro.circuit.batch_transient.batched_transient`; slabs honour
-:func:`repro.resilience.admit_lanes`.
+machinery (``highsigma.*`` spans and metrics).  ``batch_size=`` runs
+DC-metric extractors under :func:`repro.circuit.batch.batched_sweeps`
+(sweep points as lanes of one :class:`~repro.circuit.batch.
+BatchDcEngine` ensemble, slabs honouring
+:func:`repro.resilience.admit_lanes`); transient specs always run the
+scalar integrator, so their values are bit-identical with or without
+it.
 
 **Surrogate screening.**  A numpy-only polynomial/RBF ridge regressor
 (:class:`Surrogate`) is trained on the fully-solved pilot chunks and
@@ -75,7 +75,7 @@ import numpy as np
 
 from repro import resilience, telemetry
 from repro.checkpoint import CheckpointError, McCheckpointStore, RunInterrupted
-from repro.circuit.batch import batched_sweeps, can_batch
+from repro.circuit.batch import batched_sweeps
 from repro.circuit.dc import warm_start
 from repro.circuit.mna import ConvergenceError, SingularCircuitError
 from repro.circuit.mosfet import DeviceVariation
@@ -84,7 +84,6 @@ from repro.core.yield_analysis import (
     QUARANTINE_ERRORS,
     SampleEvaluationError,
     Specification,
-    TransientSpecification,
     _accel_manifest,
 )
 from repro.faultinject import set_current_sample
@@ -854,9 +853,8 @@ class HighSigmaYield:
         per device — in ``circuit.mosfets`` order — one shifted-normal
         ΔV_T draw followed by one nominal :meth:`MismatchSampler.
         sample_device` draw for the β/γ factors.  Evaluation never
-        consumes the generator, so scalar, ``batched_sweeps`` and
-        samples-as-lanes transient paths produce bit-identical variates
-        and weights.
+        consumes the generator, so the scalar and ``batched_sweeps``
+        paths produce bit-identical variates and weights.
         """
         ((start, stop), seed_seq, trace, t_enqueued, batch_size, budget,
          proposal, surrogate) = task
@@ -999,38 +997,18 @@ class HighSigmaYield:
 
         DC-metric specs evaluate under :func:`batched_sweeps` when
         ``batch_size`` is set (the extractor's internal sweeps become
-        lanes of one :class:`BatchDcEngine` ensemble); transient specs
-        advance the masked samples-as-lanes through
-        :func:`batched_transient`.  Slab sizes honour
-        :func:`resilience.admit_lanes`.
+        lanes of one :class:`BatchDcEngine` ensemble, slab sizes
+        honouring :func:`resilience.admit_lanes`); transient specs run
+        the scalar integrator either way.
         """
         circuit = fixture.circuit
         spec = self.spec
         indices = np.flatnonzero(solve_mask)
-
-        def configure(k: int) -> None:
-            for j, device in enumerate(devices):
-                device.variation = DeviceVariation(
-                    delta_vt_v=float(x_volts[k, j]),
-                    beta_factor=float(beta[k, j]),
-                    gamma_factor=float(gamma[k, j]))
-
-        def quarantine(k: int, exc: BaseException) -> None:
-            name = type(exc).__name__
-            failure_counts[name] = failure_counts.get(name, 0) + 1
-            ledger.add(start + int(k), exc, label=spec.name, attempts=1)
-
         if batch_size:
             circuit.compile()
             batch_size = resilience.admit_lanes(
                 min(batch_size, max(1, len(indices))), circuit.n_unknowns,
                 where="highsigma-chunk")
-        if (batch_size and isinstance(spec, TransientSpecification)
-                and can_batch(circuit) and resilience.allows("batch")):
-            self._solve_transient_batched(
-                fixture, start, indices, configure, quarantine, values,
-                batch_size, budget)
-            return
         sweep_ctx = batched_sweeps(batch_size) if batch_size \
             else telemetry.NULL_SPAN
         with warm_start(circuit), sweep_ctx:
@@ -1038,55 +1016,24 @@ class HighSigmaYield:
                 if budget is not None:
                     budget.check("sample %d" % (start + k))
                 set_current_sample(start + int(k))
-                configure(int(k))
+                for j, device in enumerate(devices):
+                    device.variation = DeviceVariation(
+                        delta_vt_v=float(x_volts[k, j]),
+                        beta_factor=float(beta[k, j]),
+                        gamma_factor=float(gamma[k, j]))
                 with telemetry.span("sample", index=start + int(k),
                                     kind="highsigma"):
                     try:
                         values[k] = float(spec.extractor(fixture))
                     except QUARANTINE_ERRORS as exc:
                         values[k] = float("nan")
-                        quarantine(int(k), exc)
+                        name = type(exc).__name__
+                        failure_counts[name] = failure_counts.get(name, 0) + 1
+                        ledger.add(start + int(k), exc, label=spec.name,
+                                   attempts=1)
                     except Exception as exc:
                         raise SampleEvaluationError(start + int(k),
                                                     spec.name, exc) from exc
-
-    def _solve_transient_batched(self, fixture: CircuitFixture, start: int,
-                                 indices: np.ndarray, configure, quarantine,
-                                 values: np.ndarray, batch_size: int,
-                                 budget: Optional[DeadlineBudget]) -> None:
-        """Samples-as-lanes lockstep transient over the solve set."""
-        from repro.circuit.batch_transient import batched_transient
-
-        circuit = fixture.circuit
-        spec = self.spec
-        max_steps = max(1, int(round(spec.t_stop_s / spec.dt_s)))
-        batch_size = resilience.admit_lanes(
-            batch_size, circuit.n_unknowns, n_steps=max_steps,
-            where="highsigma-transient-chunk")
-        for pos in range(0, len(indices), batch_size):
-            slab = [int(k) for k in indices[pos:pos + batch_size]]
-            if budget is not None:
-                budget.check("sample %d" % (start + slab[0]))
-            results, errors = batched_transient(
-                circuit, len(slab), spec.t_stop_s, spec.dt_s,
-                configure=lambda j: configure(slab[j]),
-                method=spec.method, lte_rtol=spec.lte_rtol,
-                quarantine=True)
-            for j, k in enumerate(slab):
-                set_current_sample(start + k)
-                if errors[j] is not None:
-                    values[k] = float("nan")
-                    quarantine(k, errors[j])
-                    continue
-                configure(k)
-                try:
-                    values[k] = float(spec.metric(results[j], fixture))
-                except QUARANTINE_ERRORS as exc:
-                    values[k] = float("nan")
-                    quarantine(k, exc)
-                except Exception as exc:
-                    raise SampleEvaluationError(start + k, spec.name,
-                                                exc) from exc
 
     # -- adaptive refinement -------------------------------------------
     @staticmethod

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro import resilience, telemetry
 from repro.checkpoint import CheckpointError, McCheckpointStore, RunInterrupted
-from repro.circuit.batch import batched_sweeps, can_batch
+from repro.circuit.batch import batched_sweeps
 from repro.circuit.dc import warm_start
 from repro.circuit.mna import ConvergenceError, SingularCircuitError
 from repro.circuit.transient import TransientResult, transient
@@ -169,12 +169,10 @@ class _TransientExtractor:
 class TransientSpecification(Specification):
     """A pass/fail criterion computed from a transient record.
 
-    The metric maps ``(TransientResult, fixture) → float``; the scalar
-    path runs one :func:`~repro.circuit.transient.transient` per die,
-    while ``MonteCarloYield(batch_size=)`` advances the dies of each
-    chunk in lockstep through the batched integrator
-    (:func:`~repro.circuit.batch_transient.batched_transient`) — the
-    transient-dominated analogue of the batched DC sweep.  Build with
+    The metric maps ``(TransientResult, fixture) → float``; every die
+    runs one scalar :func:`~repro.circuit.transient.transient`, with or
+    without ``batch_size`` (which batches DC sweeps only), so a
+    transient spec gives the same bits either way.  Build with
     :func:`transient_specification`.
     """
 
@@ -371,7 +369,8 @@ class MonteCarloYield:
         a spec extractor performs solves its points as lanes of one
         batched Newton ensemble.  The sampler draw order is untouched —
         variates are bit-identical to a scalar run — and the solved
-        metrics agree within Newton tolerance.
+        metrics agree within Newton tolerance.  Transient specs always
+        run the scalar integrator, so their values are bit-identical.
 
         ``profile`` (process backend only — the parent's sampler cannot
         see this worker) runs the chunk under a private
@@ -401,14 +400,6 @@ class MonteCarloYield:
             circuit.compile()
             batch_size = resilience.admit_lanes(
                 min(batch_size, n), circuit.n_unknowns, where="mc-chunk")
-        if (batch_size and self.specs
-                and all(isinstance(s, TransientSpecification)
-                        for s in self.specs)
-                and can_batch(circuit)
-                and resilience.allows("batch")):
-            return self._evaluate_chunk_transient_batched(
-                start, stop, fixture, sampler, trace, t_enqueued,
-                batch_size, budget)
         values = {s.name: np.full(n, np.nan) for s in self.specs}
         spec_passes = {s.name: np.zeros(n, dtype=bool) for s in self.specs}
         passes = np.zeros(n, dtype=bool)
@@ -477,123 +468,6 @@ class MonteCarloYield:
                             tsession.metrics.observe(
                                 "engine.sample_duration_s",
                                 time.perf_counter() - t_sample)
-            finally:
-                set_current_sample(None)
-            resilience.supervisor().drain_into(ledger)
-            payload = {"start": start, "stop": stop, "values": values,
-                       "spec_passes": spec_passes, "passes": passes,
-                       "failure_counts": failure_counts,
-                       "ledger": ledger.to_list()}
-            if tsession is not None:
-                payload["telemetry"] = tsession.export()
-            return payload
-
-    def _evaluate_chunk_transient_batched(self, start: int, stop: int,
-                                          fixture: CircuitFixture,
-                                          sampler: MismatchSampler,
-                                          trace: bool, t_enqueued: float,
-                                          batch_size: int,
-                                          budget: Optional[DeadlineBudget]
-                                          = None) -> dict:
-        """Dies-as-lanes evaluation of an all-transient-spec chunk.
-
-        Per slab of up to ``batch_size`` dies: the sampler assigns every
-        die's variation first (same calls in the same order as the
-        scalar loop, so the variates are bit-identical), then each
-        spec's transient advances the whole slab in lockstep through
-        :func:`~repro.circuit.batch_transient.batched_transient`.
-        Lanes the batch cannot carry fall back to the scalar
-        integrator; dies whose fallback also fails are quarantined as
-        NaN with full diagnostics — the same degraded-result contract
-        as the scalar chunk.  RetryPolicy (if any) is not consulted on
-        this path; persistent per-die failures quarantine directly.
-        """
-        from repro.circuit.batch_transient import batched_transient
-
-        n = stop - start
-        circuit = fixture.circuit
-        # The lockstep integrator also keeps the whole (B, steps+1, n)
-        # state history — re-admit the slab size with that included.
-        max_steps = max(int(round(s.t_stop_s / s.dt_s)) for s in self.specs)
-        batch_size = resilience.admit_lanes(
-            batch_size, circuit.n_unknowns, n_steps=max_steps,
-            where="mc-transient-chunk")
-        devices = circuit.mosfets
-        values = {s.name: np.full(n, np.nan) for s in self.specs}
-        spec_passes = {s.name: np.zeros(n, dtype=bool) for s in self.specs}
-        passes = np.zeros(n, dtype=bool)
-        failure_counts: Dict[str, int] = {}
-        ledger = FailureLedger()
-        with telemetry.worker_session(trace, f"c{start}.") as tsession:
-            if tsession is not None:
-                queue_wait_s = max(0.0, time.time() - t_enqueued)
-                tsession.metrics.inc("engine.chunks")
-                tsession.metrics.inc("engine.samples", n)
-                tsession.metrics.observe("engine.queue_wait_s", queue_wait_s)
-                chunk_ctx = tsession.tracer.span(
-                    "chunk", start=start, stop=stop,
-                    worker=telemetry.worker_label(),
-                    queue_wait_s=round(queue_wait_s, 6),
-                    batched="transient")
-            else:
-                chunk_ctx = telemetry.NULL_SPAN
-            try:
-                with chunk_ctx:
-                    for slab0 in range(0, n, batch_size):
-                        if budget is not None:
-                            budget.check("sample %d" % (start + slab0))
-                        dies = list(range(slab0,
-                                          min(slab0 + batch_size, n)))
-                        variations = []
-                        for k in dies:
-                            set_current_sample(start + k)
-                            sampler.assign(circuit, self.placements)
-                            variations.append(
-                                [m.variation for m in devices])
-
-                        def configure(j: int) -> None:
-                            for m, v in zip(devices, variations[j]):
-                                m.variation = v
-
-                        slab_ok = np.ones(len(dies), dtype=bool)
-                        for spec in self.specs:
-                            results, errors = batched_transient(
-                                circuit, len(dies), spec.t_stop_s,
-                                spec.dt_s, configure=configure,
-                                method=spec.method,
-                                lte_rtol=spec.lte_rtol, quarantine=True)
-                            for j, k in enumerate(dies):
-                                set_current_sample(start + k)
-                                if errors[j] is not None:
-                                    value = float("nan")
-                                    name = type(errors[j]).__name__
-                                    failure_counts[name] = \
-                                        failure_counts.get(name, 0) + 1
-                                    ledger.add(start + k, errors[j],
-                                               label=spec.name, attempts=1)
-                                else:
-                                    configure(j)
-                                    try:
-                                        value = float(
-                                            spec.metric(results[j],
-                                                        fixture))
-                                    except QUARANTINE_ERRORS as exc:
-                                        value = float("nan")
-                                        name = type(exc).__name__
-                                        failure_counts[name] = \
-                                            failure_counts.get(name, 0) + 1
-                                        ledger.add(start + k, exc,
-                                                   label=spec.name,
-                                                   attempts=1)
-                                    except Exception as exc:
-                                        raise SampleEvaluationError(
-                                            start + k, spec.name,
-                                            exc) from exc
-                                values[spec.name][k] = value
-                                ok = spec.passes(value)
-                                spec_passes[spec.name][k] = ok
-                                slab_ok[j] = slab_ok[j] and ok
-                        passes[dies] = slab_ok
             finally:
                 set_current_sample(None)
             resilience.supervisor().drain_into(ledger)
@@ -705,8 +579,9 @@ class MonteCarloYield:
         point-by-point.  Sampler draws are untouched (variates stay
         bit-identical for the same ``seed``/``chunk_size``), and solved
         metrics agree with a scalar run within Newton tolerance — the
-        per-die pass/fail verdicts match.  Composes with any
-        ``jobs``/``backend`` choice.
+        per-die pass/fail verdicts match.  Transient specs always run
+        the scalar integrator, bit-identical with or without
+        ``batch_size``.  Composes with any ``jobs``/``backend`` choice.
 
         ``budget`` (seconds, or a prepared
         :class:`~repro.resilience.DeadlineBudget`) bounds the run's

@@ -192,8 +192,8 @@ _CORRUPT_BATCH_LANES: "weakref.WeakKeyDictionary[Circuit, Set[int]]" = \
 
 
 def corrupt_batch_lanes(circuit: Circuit, lanes: Iterable[int]) -> None:
-    """NaN-poison the given lanes' seed in every batched solve on
-    ``circuit`` (DC slabs and lockstep transients)."""
+    """NaN-poison the given lanes' seed in every batched DC-sweep slab
+    solved on ``circuit``."""
     _CORRUPT_BATCH_LANES[circuit] = _as_set(lanes)
     _emit_injected("corrupt-batch-lane", lanes=sorted(_as_set(lanes)))
 

@@ -51,7 +51,6 @@ MAX_DEPTH = 64
 PHASE_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("repro.circuit.dc", "solve.dc"),
     ("repro.circuit.mna", "linear-algebra"),
-    ("repro.circuit.batch_transient", "solve.transient.batch"),
     ("repro.circuit.transient", "solve.transient"),
     ("repro.circuit.batch", "solve.dc.batch"),
     ("repro.circuit.mosfet", "model-eval"),

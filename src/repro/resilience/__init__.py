@@ -2,11 +2,11 @@
 
 The paper's §5.2 argument — nanometer systems stay dependable by
 monitoring themselves and adapting knobs in the field, not by
-over-design — applied to the simulator itself.  PR 6 added three
-accelerated paths (runtime-compiled C stamp kernel, scipy ``splu``
-sparse solves, lane-batched Newton/lockstep-transient) that can each
-fail in ways the proven numpy/scalar ladder cannot; this package makes
-every such failure a *recorded degradation* instead of a crash:
+over-design — applied to the simulator itself.  Three accelerated
+paths (runtime-compiled C stamp kernel, scipy ``splu`` sparse solves,
+lane-batched Newton for DC sweeps) can each fail in ways the proven
+numpy/scalar ladder cannot; this package makes every such failure a
+*recorded degradation* instead of a crash:
 
 * :class:`~repro.resilience.capabilities.CapabilityRegistry` probes
   each accelerator once at startup and records why it is or is not

@@ -108,7 +108,7 @@ def _probe_dgesv() -> Tuple[bool, str, bool]:
 def _probe_batch() -> Tuple[bool, str, bool]:
     if kill_switch_set("batch"):
         return False, "disabled by REPRO_NO_BATCH", False
-    return True, "lane-batched Newton (DC sweeps, MC, transient)", False
+    return True, "lane-batched Newton (DC sweeps)", False
 
 
 _PROBES: Dict[str, Callable[[], Tuple[bool, str, bool]]] = {

@@ -1,9 +1,8 @@
 """Resource guard: bound batched-slab memory before allocating it.
 
-The batched engines allocate dense ``(B, n, n)`` matrix slabs (two of
-them: the stamped base and the Newton workspace) plus ``(B, n)`` vector
-sets, and the lockstep transient additionally keeps the whole
-``(B, n_steps + 1, n)`` state history.  On a large circuit an
+The batched DC engine allocates dense ``(B, n, n)`` matrix slabs (two
+of them: the stamped base and the Newton workspace) plus ``(B, n)``
+vector sets.  On a large circuit an
 over-enthusiastic ``batch_size`` turns into a multi-GiB allocation and
 an OOM kill — the one failure mode a circuit breaker cannot catch,
 because the process is already dead.
@@ -47,22 +46,16 @@ def memory_ceiling_bytes() -> Optional[int]:
     return mb * 1024 * 1024
 
 
-def slab_bytes(n_lanes: int, size: int, n_steps: int = 0) -> int:
+def slab_bytes(n_lanes: int, size: int) -> int:
     """Estimated float64 footprint of one batched slab.
 
     Two ``(B, n, n)`` matrix stacks (stamped base + factorization
-    workspace), ``_VECTORS_PER_LANE`` dense ``(B, n)`` vectors, and —
-    for the lockstep transient — the ``(B, n_steps + 1, n)`` state
-    history.
+    workspace) and ``_VECTORS_PER_LANE`` dense ``(B, n)`` vectors.
     """
-    per_lane = 2 * size * size + _VECTORS_PER_LANE * size
-    if n_steps > 0:
-        per_lane += (n_steps + 1) * size
-    return 8 * n_lanes * per_lane
+    return 8 * n_lanes * (2 * size * size + _VECTORS_PER_LANE * size)
 
 
-def admit_lanes(n_lanes: int, size: int, n_steps: int = 0,
-                where: str = "") -> int:
+def admit_lanes(n_lanes: int, size: int, where: str = "") -> int:
     """Largest power-of-two fraction of ``n_lanes`` whose slab fits the
     memory ceiling (always at least 1 — a single lane is the scalar
     fallback's footprint and must be allowed through).
@@ -75,7 +68,7 @@ def admit_lanes(n_lanes: int, size: int, n_steps: int = 0,
     if ceiling is None:
         return n_lanes
     admitted = n_lanes
-    while admitted > 1 and slab_bytes(admitted, size, n_steps) > ceiling:
+    while admitted > 1 and slab_bytes(admitted, size) > ceiling:
         admitted //= 2
     if admitted != n_lanes:
         from repro import resilience
@@ -84,7 +77,7 @@ def admit_lanes(n_lanes: int, size: int, n_steps: int = 0,
             n_lanes, admitted,
             "%s: (%d,%d,%d) slab %.1f MiB over %.0f MiB ceiling"
             % (where or "batch", n_lanes, size, size,
-               slab_bytes(n_lanes, size, n_steps) / 1048576.0,
+               slab_bytes(n_lanes, size) / 1048576.0,
                ceiling / 1048576.0),
-            dedupe=(where, n_lanes, admitted, size, n_steps))
+            dedupe=(where, n_lanes, admitted, size))
     return admitted

@@ -67,10 +67,12 @@ __all__ = [
     "parse_job_spec",
 ]
 
-#: Bump when the job-spec layout or result envelopes change shape; part
-#: of every cache key so stale cache entries can never be replayed into
-#: a newer protocol.
-SPEC_SCHEMA = 1
+#: Bump when the job-spec layout or result envelopes change shape, or
+#: when the same request now computes different bits (2: transient
+#: specs under ``batch_size`` run the scalar integrator); part of every
+#: cache key so stale cache entries can never be replayed into a newer
+#: protocol.
+SPEC_SCHEMA = 2
 
 ANALYSES = ("op", "mc", "corners", "aging", "highsigma", "verify")
 BACKENDS = ("auto", "serial", "thread", "process")

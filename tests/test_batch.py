@@ -3,8 +3,7 @@
 The contract under test: batched and scalar solves iterate to the same
 fixed point with the same stopping criterion, so their answers agree
 within a small multiple of the Newton tolerance — across the circuits
-library, under forced lane fallback, in dies-as-lanes per-lane mode,
-and end-to-end through ``MonteCarloYield(batch_size=)`` on every
+library, under forced lane fallback, and end-to-end through ``MonteCarloYield(batch_size=)`` on every
 backend.  The multiple is no longer a blanket 10x: each circuit class
 carries the measured factor documented in
 ``repro.verify.differential.BATCH_AGREEMENT_FACTORS`` (worst observed
@@ -18,15 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import faultinject, telemetry
-from repro.circuit import (
-    BatchUnsupportedError,
-    NewtonOptions,
-    batch_engine,
-    batched_sweeps,
-    can_batch,
-    dc_operating_point,
-    dc_sweep,
-)
+from repro.circuit import batched_sweeps, can_batch, dc_sweep
 from repro.circuits import (
     beta_multiplier_reference,
     differential_pair,
@@ -36,10 +27,9 @@ from repro.circuits import (
     simple_current_mirror,
 )
 from repro.core import MonteCarloYield, Specification
-from repro.variability.sampler import MismatchSampler
 from repro.verify.differential import BATCH_AGREEMENT_FACTORS, batch_state_bound
 
-#: Dies-as-lanes / forced-fallback paths re-enter the scalar ladder from
+#: Forced-fallback paths re-enter the scalar ladder from
 #: a pilot-seeded start, so they get the differential pair's sweep
 #: factor with the same measured headroom (worst observed ~4e-6x).
 _LANE_FACTOR = BATCH_AGREEMENT_FACTORS["differential_pair"]
@@ -221,49 +211,6 @@ class TestLaneFallback:
             dc_sweep(fx.circuit, "vinp",
                      np.linspace(vcm - 0.1, vcm + 0.1, 5), batch=True)
         assert excinfo.value.report is not None
-
-
-# ----------------------------------------------------------------------
-# Dies-as-lanes: per-lane parameter snapshots
-# ----------------------------------------------------------------------
-class TestDiesAsLanes:
-    def test_load_lane_matches_per_die_scalar(self, tech90):
-        fx = differential_pair(tech90)
-        n_lanes = 4
-        engine = batch_engine(fx.circuit, n_lanes)
-        assert engine.group is not None
-        sampler = MismatchSampler(tech90, np.random.default_rng(42))
-        dies = []
-        for lane in range(n_lanes):
-            sampler.assign(fx.circuit)
-            dies.append({m.name: m.variation
-                         for m in fx.circuit.mosfets})
-            engine.group.load_lane(lane)
-        assert engine.group.lane_mode
-        opts = NewtonOptions()
-        pilot = dc_operating_point(fx.circuit)
-        engine.stamp_base(opts.gmin)
-        X0 = np.tile(pilot.x, (n_lanes, 1))
-        X, converged, iters, _ = engine.solve(X0, opts)
-        assert converged.all()
-        assert (iters > 0).all()
-        for lane in range(n_lanes):
-            for m in fx.circuit.mosfets:
-                m.variation = dies[lane][m.name]
-            reference = dc_operating_point(fx.circuit)
-            _assert_states_close(X[lane], reference.x, _LANE_FACTOR, opts)
-
-    def test_params_object_swap_raises(self, tech90):
-        from dataclasses import replace
-
-        fx = differential_pair(tech90)
-        engine = batch_engine(fx.circuit, 2)
-        engine.group.set_uniform()
-        engine.group.load_lane(0)
-        device = fx.circuit.mosfets[0]
-        device.params = replace(device.params)
-        with pytest.raises(BatchUnsupportedError):
-            engine.group.load_lane(1)
 
 
 # ----------------------------------------------------------------------

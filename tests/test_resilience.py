@@ -319,11 +319,6 @@ class TestBatchChaos:
 # Resource guard
 # ----------------------------------------------------------------------
 class TestResourceGuard:
-    def test_slab_bytes_accounts_for_history(self):
-        base = slab_bytes(4, 10)
-        with_history = slab_bytes(4, 10, n_steps=100)
-        assert with_history == base + 8 * 4 * 101 * 10
-
     def test_admit_lanes_halves_under_ceiling(self, monkeypatch):
         monkeypatch.setenv("REPRO_MEM_CEILING_MB", "1")
         # 64 lanes of a 256-unknown circuit is ~64 MiB of matrix slab.

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.checkpoint import (
+    MC_CHECKPOINT_SCHEMA,
     CheckpointError,
     McCheckpointStore,
     RunInterrupted,
@@ -568,6 +569,28 @@ class TestCheckpointResume:
         assert list(loaded) == [0]
         assert np.array_equal(loaded[0]["values"]["s"], np.zeros(8))
         assert len(ledger) == 0
+
+    def test_schema_1_checkpoint_refused(self, tmp_path, capsys):
+        # Schema-1 chunks of transient specs under batch_size came from
+        # the removed lockstep integrator and hold different bits.
+        import json
+
+        from repro.cli import main
+
+        ckpt = tmp_path / "ck"
+        argv = ["mc", "--workload", "ring", "--samples", "8", "--seed", "1",
+                "--batch-size", "4", "--quiet", "--checkpoint", str(ckpt)]
+        assert main(argv) == 0
+        manifest_path = ckpt / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        assert manifest["schema"] == MC_CHECKPOINT_SCHEMA == 2
+        manifest["schema"] = 1
+        atomic_write_json(manifest_path, manifest)
+        with pytest.raises(CheckpointError, match="schema 1"):
+            McCheckpointStore(ckpt).load({})
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == 2
+        assert "checkpoint refused" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
