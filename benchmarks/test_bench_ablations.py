@@ -153,7 +153,7 @@ def ablation_estimator(n_budget=250):
     from scipy.stats import norm
 
     from repro.circuits import differential_pair, input_referred_offset_v
-    from repro.core import ImportanceSampler, MonteCarloYield, Specification
+    from repro.core import HighSigmaYield, MonteCarloYield, Specification
 
     tech = get_node("90nm")
     w, l = 4e-6, 0.4e-6
@@ -167,8 +167,9 @@ def ablation_estimator(n_budget=250):
     analytic = 2.0 * norm.sf(k)
     mc = MonteCarloYield(fx, [spec], tech).run(n_samples=n_budget, seed=9)
     mc_estimate = 1.0 - mc.yield_fraction
-    sampler = ImportanceSampler(fx, spec, tech)
-    is_result = sampler.estimate(n_samples=n_budget, shift_sigma=k, seed=9)
+    is_result = HighSigmaYield(fx, spec, tech).run(
+        n_samples=n_budget, shift_sigma=k, seed=9, adapt=False,
+        surrogate=None)
     return analytic, mc_estimate, is_result
 
 

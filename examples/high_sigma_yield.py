@@ -11,7 +11,7 @@ Run:  python examples/high_sigma_yield.py
 from scipy.stats import norm
 
 from repro.circuits import differential_pair, input_referred_offset_v
-from repro.core import ImportanceSampler, MonteCarloYield, Specification
+from repro.core import HighSigmaYield, MonteCarloYield, Specification
 from repro.technology import get_node
 from repro.variability import PelgromModel
 
@@ -42,12 +42,13 @@ def main():
 
     # Importance sampling at the same budget.
     print("\nmean-shift importance sampling, 300 samples:")
-    sampler = ImportanceSampler(fx, spec, tech)
-    direction = sampler.probe_direction()
+    engine = HighSigmaYield(fx, spec, tech)
+    direction = engine.probe_direction()
     print("  probed shift direction:",
           {k_: round(v, 3) for k_, v in direction.items()})
-    result = sampler.estimate(n_samples=300, shift_sigma=k,
-                              direction=direction, seed=5)
+    # Plain mean-shift IS: no adaptive pilot, no surrogate screening.
+    result = engine.run(n_samples=300, shift_sigma=k, direction=direction,
+                        seed=5, adapt=False, surrogate=None)
     print(f"  failing draws under the shifted law: "
           f"{result.n_failures_observed}/300")
     print(f"  P_fail = {result.failure_probability:.2e} "

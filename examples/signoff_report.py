@@ -23,7 +23,7 @@ from repro.circuit import dc_operating_point
 from repro.circuits import simple_current_mirror
 from repro.core import (
     CornerAnalysis,
-    ImportanceSampler,
+    HighSigmaYield,
     MissionProfile,
     MonteCarloYield,
     ReliabilitySimulator,
@@ -80,8 +80,8 @@ def main():
                          ])))
 
     # --- high-sigma tail ----------------------------------------------------
-    sampler = ImportanceSampler(fx, spec, tech)
-    tail = sampler.estimate(n_samples=200, shift_sigma=4.0, seed=3)
+    tail = HighSigmaYield(fx, spec, tech).run(
+        n_samples=200, shift_sigma=4.0, seed=3, adapt=False, surrogate=None)
     print(render_section("high-sigma tail (importance sampling)",
                          render_key_values([
                              ("P(out of spec)",

@@ -223,15 +223,12 @@ class McCheckpointStore:
                 f"checkpoint schema {manifest.get('schema')!r} not supported")
         for key, expected in expected_params.items():
             found = manifest.get(key)
-            if key == "accel":
-                # Accelerator/batch configuration: pre-resilience
-                # checkpoints (PR < 7) did not record it — accept them
-                # as-is.  A recorded mismatch is refused with the exact
-                # knobs that differ, because splicing chunks solved by
-                # different accelerator paths silently breaks the
-                # bit-identical-resume guarantee.
-                if found is None:
-                    continue
+            if key == "accel" and isinstance(found, dict):
+                # Accelerator/batch configuration: a mismatch is refused
+                # with the exact knobs that differ, because splicing
+                # chunks solved by different accelerator paths silently
+                # breaks the bit-identical-resume guarantee.  A missing
+                # record falls through to the generic mismatch below.
                 if found != expected:
                     keys = sorted(set(found) | set(expected))
                     diffs = ", ".join(

@@ -30,8 +30,6 @@ from repro.core.emc_analysis import EmcAnalyzer, SusceptibilityMap
 from repro.core.importance import (
     HighSigmaResult,
     HighSigmaYield,
-    ImportanceResult,
-    ImportanceSampler,
     Surrogate,
     SurrogateConfig,
     normal_ppf,
@@ -71,8 +69,6 @@ __all__ = [
     "EmcAnalyzer",
     "HighSigmaResult",
     "HighSigmaYield",
-    "ImportanceResult",
-    "ImportanceSampler",
     "Surrogate",
     "SurrogateConfig",
     "normal_ppf",

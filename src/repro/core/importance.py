@@ -26,16 +26,16 @@ magnitude).  Symmetric two-bound specs use the two-component mixture
 proposal ``q = ½N(+μ) + ½N(−μ)`` so both failure lobes are seen.
 
 **Throughput.**  Samples are evaluated in seed-deterministic chunks
-through :class:`repro.parallel.ParallelMap` (serial/thread/process
-backends, bit-identical for any ``jobs``), with the Monte-Carlo
-engine's checkpoint/resume, quarantine, deadline-budget and telemetry
-machinery (``highsigma.*`` spans and metrics).  ``batch_size=`` runs
-DC-metric extractors under :func:`repro.circuit.batch.batched_sweeps`
-(sweep points as lanes of one :class:`~repro.circuit.batch.
-BatchDcEngine` ensemble, slabs honouring
-:func:`repro.resilience.admit_lanes`); transient specs always run the
-scalar integrator, so their values are bit-identical with or without
-it.
+by the shared :func:`repro.runner.run_chunks` driver (serial/thread/
+process backends, bit-identical for any ``jobs``; checkpoint/resume,
+deadline budgets and telemetry, with ``highsigma.*`` spans and
+metrics) — the pilot and main stages are two stages of one driver
+run.  ``batch_size=`` runs DC-metric extractors under
+:func:`repro.circuit.batch.batched_sweeps` (sweep points as lanes of
+one :class:`~repro.circuit.batch.BatchDcEngine` ensemble, slabs
+honouring :func:`repro.resilience.admit_lanes`); transient specs
+always run the scalar integrator, so their values are bit-identical
+with or without it.
 
 **Surrogate screening.**  A numpy-only polynomial/RBF ridge regressor
 (:class:`Surrogate`) is trained on the fully-solved pilot chunks and
@@ -55,9 +55,6 @@ known tail probability *and* an exactly derived estimator variance
 at shift ``s``), and the ``test_perf_highsigma_sram`` benchmark gated
 on full-solver-calls-per-estimate in ``scripts/check_regression.py``.
 
-The legacy serial :class:`ImportanceSampler` is kept as the scalar
-reference implementation the engine is differentially tested against.
-
 Only the ΔV_T coordinates are shifted; current-factor and body-factor
 variations are drawn from their NOMINAL distribution, so they need no
 weight term.
@@ -66,15 +63,13 @@ weight term.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import resilience, telemetry
-from repro.checkpoint import CheckpointError, McCheckpointStore, RunInterrupted
 from repro.circuit.batch import batched_sweeps
 from repro.circuit.dc import warm_start
 from repro.circuit.mna import ConvergenceError, SingularCircuitError
@@ -84,18 +79,16 @@ from repro.core.yield_analysis import (
     QUARANTINE_ERRORS,
     SampleEvaluationError,
     Specification,
-    _accel_manifest,
 )
 from repro.faultinject import set_current_sample
 from repro.parallel import (
     FailureLedger,
-    FailureRecord,
-    ParallelMap,
     chunk_ranges,
     clone_fixture,
     spawn_seed_sequences,
 )
-from repro.resilience import BudgetExpiredError, DeadlineBudget
+from repro.resilience import DeadlineBudget
+from repro.runner import accel_manifest, run_chunks
 from repro.technology.node import TechnologyNode
 from repro.variability.sampler import MismatchSampler
 
@@ -160,7 +153,7 @@ def _acklam_ppf(p: float) -> float:
 def normal_ppf(p: float) -> float:
     """Inverse standard-normal CDF: scipy when present, Acklam otherwise.
 
-    The fallback keeps :attr:`ImportanceResult.sigma_level` (and every
+    The fallback keeps :attr:`HighSigmaResult.sigma_level` (and every
     report built on it) rendering on the no-accelerator CI leg, where
     ``scipy.stats`` is deliberately absent.
     """
@@ -183,29 +176,6 @@ def sigma_level_from_probability(p_fail: float) -> float:
 # ----------------------------------------------------------------------
 # Results
 # ----------------------------------------------------------------------
-@dataclass
-class ImportanceResult:
-    """Outcome of a (scalar reference) importance-sampling run."""
-
-    failure_probability: float
-    """Unbiased estimate of P(spec violated)."""
-
-    standard_error: float
-    """Standard error of the estimate."""
-
-    effective_samples: float
-    """Kish effective sample size (Σw)²/Σw² of the weight population."""
-
-    n_samples: int
-    n_failures_observed: int
-    """Raw count of failing draws under the shifted distribution."""
-
-    @property
-    def sigma_level(self) -> float:
-        """Equivalent one-sided Gaussian sigma of the failure rate."""
-        return sigma_level_from_probability(self.failure_probability)
-
-
 @dataclass
 class HighSigmaResult:
     """Outcome of a :class:`HighSigmaYield` run.
@@ -597,193 +567,6 @@ class Surrogate:
 
 
 # ----------------------------------------------------------------------
-# Shared probing / clearing helpers
-# ----------------------------------------------------------------------
-def _evaluate_spec(spec: Specification, fixture: CircuitFixture) -> float:
-    try:
-        return float(spec.extractor(fixture))
-    except (ConvergenceError, SingularCircuitError, ValueError):
-        return float("nan")
-
-
-def _clear_variations(devices) -> None:
-    for device in devices:
-        device.variation = DeviceVariation()
-
-
-def _probe_direction(fixture: CircuitFixture, spec: Specification,
-                     sigmas: Dict[str, float],
-                     probe_sigma: float = 3.0) -> Dict[str, float]:
-    """Coordinate-probe a unit shift direction toward failure.
-
-    Perturbs each device's ΔV_T by ``probe_sigma``·σ in turn and keeps
-    the normalized sensitivity of the metric toward the NEAREST failing
-    bound.  Deterministic (no RNG).  The shared fixture is mutated
-    during probing and cleared in a ``finally`` — an extractor that
-    raises mid-probe must not leave stale ΔV_T on it.
-    """
-    devices = fixture.circuit.mosfets
-    try:
-        _clear_variations(devices)
-        nominal = _evaluate_spec(spec, fixture)
-        if math.isnan(nominal):
-            raise ValueError("nominal evaluation failed — fixture broken?")
-        # Which bound is closest to the nominal value?
-        candidates = []
-        if spec.upper is not None:
-            candidates.append((abs(spec.upper - nominal), +1.0))
-        if spec.lower is not None:
-            candidates.append((abs(nominal - spec.lower), -1.0))
-        _, toward = min(candidates)
-
-        direction: Dict[str, float] = {}
-        for device in devices:
-            _clear_variations(devices)
-            device.variation = DeviceVariation(
-                delta_vt_v=probe_sigma * sigmas[device.name])
-            moved = _evaluate_spec(spec, fixture)
-            if math.isnan(moved):
-                sensitivity = 0.0
-            else:
-                sensitivity = (moved - nominal) / probe_sigma
-            direction[device.name] = toward * sensitivity
-    finally:
-        _clear_variations(devices)
-    norm = math.sqrt(sum(v * v for v in direction.values()))
-    if norm == 0.0:
-        raise ValueError("metric insensitive to every device — "
-                         "cannot find a shift direction")
-    return {k: v / norm for k, v in direction.items()}
-
-
-# ----------------------------------------------------------------------
-# Scalar reference implementation (kept for differential testing)
-# ----------------------------------------------------------------------
-class ImportanceSampler:
-    """Serial mean-shift IS over per-device ΔV_T space.
-
-    The scalar reference :class:`HighSigmaYield` is differentially
-    tested against; prefer the engine for anything beyond a few hundred
-    samples.
-    """
-
-    def __init__(self, fixture: CircuitFixture, spec: Specification,
-                 tech: TechnologyNode, include_ler: bool = False):
-        self.fixture = fixture
-        self.spec = spec
-        self.tech = tech
-        self.include_ler = include_ler
-        self._devices = fixture.circuit.mosfets
-        if not self._devices:
-            raise ValueError("fixture has no MOSFETs to vary")
-
-    def _sigmas(self, sampler: MismatchSampler) -> Dict[str, float]:
-        return {d.name: sampler.sigma_single_vt_v(d.params.w_m, d.params.l_m)
-                for d in self._devices}
-
-    def _evaluate(self) -> float:
-        return _evaluate_spec(self.spec, self.fixture)
-
-    def _clear(self) -> None:
-        _clear_variations(self._devices)
-
-    # ------------------------------------------------------------------
-    def probe_direction(self, probe_sigma: float = 3.0) -> Dict[str, float]:
-        """Coordinate-probe a unit shift direction toward failure.
-
-        The fixture is cleared in a ``finally`` even when the extractor
-        raises — probing must never leave stale ΔV_T on the shared
-        fixture (regression-tested).
-        """
-        sampler = MismatchSampler(self.tech, np.random.default_rng(0),
-                                  include_ler=self.include_ler)
-        return _probe_direction(self.fixture, self.spec,
-                                self._sigmas(sampler), probe_sigma)
-
-    # ------------------------------------------------------------------
-    def estimate(self, n_samples: int, shift_sigma: float,
-                 direction: Optional[Dict[str, float]] = None,
-                 seed: int = 0, two_sided: bool = True) -> ImportanceResult:
-        """Run the serial IS estimate.
-
-        ``shift_sigma`` is the mean-shift magnitude in per-device sigmas
-        along ``direction`` (probed automatically when omitted).  Rule of
-        thumb: shift to roughly the sigma level you expect to measure.
-
-        With ``two_sided=True`` (default) the proposal is the symmetric
-        two-component mixture ``q = ½N(+μ) + ½N(−μ)`` — the right choice
-        for symmetric specs (|offset| < limit), whose failure region has
-        lobes on BOTH sides of nominal.  A single shift would only see
-        one lobe and report half the probability.
-        """
-        if n_samples <= 0:
-            raise ValueError("n_samples must be positive")
-        if shift_sigma < 0.0:
-            raise ValueError("shift must be non-negative")
-        if direction is None:
-            direction = self.probe_direction()
-        rng = np.random.default_rng(seed)
-        sampler = MismatchSampler(self.tech, rng,
-                                  include_ler=self.include_ler)
-        sigmas = self._sigmas(sampler)
-        mus = {name: shift_sigma * direction.get(name, 0.0) * sigmas[name]
-               for name in sigmas}
-
-        weights = np.empty(n_samples)
-        fails = np.zeros(n_samples, dtype=bool)
-        try:
-            for k in range(n_samples):
-                side = 1.0
-                if two_sided and rng.random() < 0.5:
-                    side = -1.0
-                # Gaussian log-density terms, dropping the common
-                # normalisation (it cancels in every ratio).
-                log_p = 0.0       # nominal density at x
-                log_q_pos = 0.0   # component shifted by +μ
-                log_q_neg = 0.0   # component shifted by −μ
-                for device in self._devices:
-                    sigma = sigmas[device.name]
-                    mu = side * mus[device.name]
-                    x = rng.normal(mu, sigma)
-                    inv2s2 = 1.0 / (2.0 * sigma * sigma)
-                    log_p -= x * x * inv2s2
-                    mu0 = mus[device.name]
-                    log_q_pos -= (x - mu0) ** 2 * inv2s2
-                    log_q_neg -= (x + mu0) ** 2 * inv2s2
-                    base = sampler.sample_device(device.params.w_m,
-                                                 device.params.l_m)
-                    device.variation = DeviceVariation(
-                        delta_vt_v=x,
-                        beta_factor=base.beta_factor,
-                        gamma_factor=base.gamma_factor)
-                if two_sided:
-                    m = max(log_q_pos, log_q_neg)
-                    log_q = m + math.log(
-                        0.5 * math.exp(log_q_pos - m)
-                        + 0.5 * math.exp(log_q_neg - m))
-                else:
-                    log_q = log_q_pos
-                weights[k] = math.exp(log_p - log_q)
-                value = self._evaluate()
-                fails[k] = not self.spec.passes(value)
-        finally:
-            self._clear()
-
-        contributions = weights * fails
-        p_fail = float(np.mean(contributions))
-        std_err = float(np.std(contributions, ddof=1) / math.sqrt(n_samples))
-        sum_w = float(np.sum(weights))
-        ess = sum_w * sum_w / float(np.sum(weights ** 2))
-        return ImportanceResult(
-            failure_probability=p_fail,
-            standard_error=std_err,
-            effective_samples=ess,
-            n_samples=n_samples,
-            n_failures_observed=int(np.sum(fails)),
-        )
-
-
-# ----------------------------------------------------------------------
 # The high-sigma engine
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -829,9 +612,61 @@ class HighSigmaYield:
                 for d in self.fixture.circuit.mosfets}
 
     def probe_direction(self, probe_sigma: float = 3.0) -> Dict[str, float]:
-        """Coordinate-probed unit shift direction (deterministic)."""
-        return _probe_direction(self.fixture, self.spec, self._sigmas(),
-                                probe_sigma)
+        """Coordinate-probe a unit shift direction toward failure.
+
+        Perturbs each device's ΔV_T by ``probe_sigma``·σ in turn and
+        keeps the normalized sensitivity of the metric toward the
+        NEAREST failing bound.  Deterministic (no RNG).  The engine's
+        fixture is mutated during probing and cleared in a ``finally``
+        — an extractor that raises mid-probe must not leave stale ΔV_T
+        on it.
+        """
+        spec, fixture = self.spec, self.fixture
+        sigmas = self._sigmas()
+        devices = fixture.circuit.mosfets
+
+        def evaluate() -> float:
+            try:
+                return float(spec.extractor(fixture))
+            except (ConvergenceError, SingularCircuitError, ValueError):
+                return float("nan")
+
+        def clear() -> None:
+            for device in devices:
+                device.variation = DeviceVariation()
+
+        try:
+            clear()
+            nominal = evaluate()
+            if math.isnan(nominal):
+                raise ValueError(
+                    "nominal evaluation failed — fixture broken?")
+            # Which bound is closest to the nominal value?
+            candidates = []
+            if spec.upper is not None:
+                candidates.append((abs(spec.upper - nominal), +1.0))
+            if spec.lower is not None:
+                candidates.append((abs(nominal - spec.lower), -1.0))
+            _, toward = min(candidates)
+
+            direction: Dict[str, float] = {}
+            for device in devices:
+                clear()
+                device.variation = DeviceVariation(
+                    delta_vt_v=probe_sigma * sigmas[device.name])
+                moved = evaluate()
+                if math.isnan(moved):
+                    sensitivity = 0.0
+                else:
+                    sensitivity = (moved - nominal) / probe_sigma
+                direction[device.name] = toward * sensitivity
+        finally:
+            clear()
+        norm = math.sqrt(sum(v * v for v in direction.values()))
+        if norm == 0.0:
+            raise ValueError("metric insensitive to every device — "
+                             "cannot find a shift direction")
+        return {k: v / norm for k, v in direction.items()}
 
     def _proposal(self, direction: Dict[str, float], shift_sigma: float,
                   two_sided: bool) -> _Proposal:
@@ -856,8 +691,7 @@ class HighSigmaYield:
         consumes the generator, so the scalar and ``batched_sweeps``
         paths produce bit-identical variates and weights.
         """
-        ((start, stop), seed_seq, trace, t_enqueued, batch_size, budget,
-         proposal, surrogate) = task
+        (start, stop), seed_seq, batch_size, budget, proposal, surrogate = task
         n = stop - start
         fixture = clone_fixture(self.fixture)
         circuit = fixture.circuit
@@ -916,76 +750,46 @@ class HighSigmaYield:
 
         failure_counts: Dict[str, int] = {}
         ledger = FailureLedger()
-        audit_mismatches = 0
-        with telemetry.worker_session(trace, f"h{start}.") as tsession:
-            if tsession is not None:
-                queue_wait_s = max(0.0, time.time() - t_enqueued)
-                tsession.metrics.inc("highsigma.chunks")
-                tsession.metrics.inc("highsigma.samples", n)
-                tsession.metrics.inc("highsigma.full_solves",
-                                     int(np.sum(solve_mask)))
-                tsession.metrics.inc("highsigma.screened",
-                                     int(n - np.sum(solve_mask)))
-                tsession.metrics.inc("highsigma.audits",
-                                     int(np.sum(audit)))
-                tsession.metrics.observe("engine.queue_wait_s",
-                                         queue_wait_s)
-                chunk_ctx = tsession.tracer.span(
-                    "chunk", kind="highsigma", start=start, stop=stop,
-                    worker=telemetry.worker_label(),
-                    full_solves=int(np.sum(solve_mask)),
-                    queue_wait_s=round(queue_wait_s, 6))
-            else:
-                chunk_ctx = telemetry.NULL_SPAN
-            try:
-                with chunk_ctx:
-                    self._solve_samples(
-                        fixture, devices, start, z * sig, beta, gamma,
-                        solve_mask, values, failure_counts, ledger,
-                        batch_size, budget)
-            finally:
-                set_current_sample(None)
-                _clear_variations(devices)
-            if surrogate is not None:
-                solved_idx = np.flatnonzero(solve_mask)
-                for k in solved_idx:
-                    if not audit[k] or not np.isfinite(values[k]):
-                        continue
-                    predicted = self.spec.passes(float(predictions[k]))
-                    actual = self.spec.passes(float(values[k]))
-                    if predicted != actual:
-                        audit_mismatches += 1
-                if tsession is not None and audit_mismatches:
-                    tsession.metrics.inc("highsigma.audit_mismatches",
-                                         audit_mismatches)
-                    tsession.tracer.event("highsigma.audit_mismatch",
-                                          chunk_start=start,
-                                          count=audit_mismatches)
-            resilience.supervisor().drain_into(ledger)
-            fails = np.array([not self.spec.passes(float(v))
-                              for v in values])
-            payload = {
-                "start": start, "stop": stop,
-                "values": {"value": values, "weight": weights,
-                           "solved": solve_mask.astype(float),
-                           **{f"z{j}": z[:, j].copy() for j in range(d)},
-                           **{f"b{j}": beta[:, j].copy()
-                              for j in range(d)},
-                           **{f"g{j}": gamma[:, j].copy()
-                              for j in range(d)}},
-                "spec_passes": {"value": ~fails,
-                                "weight": np.ones(n, dtype=bool),
-                                "solved": solve_mask.copy(),
-                                **{f"{ch}{j}": np.ones(n, dtype=bool)
-                                   for ch in ("z", "b", "g")
-                                   for j in range(d)}},
-                "passes": ~fails,
-                "failure_counts": failure_counts,
-                "ledger": ledger.to_list(),
-            }
-            if tsession is not None:
-                payload["telemetry"] = tsession.export()
-            return payload
+        tsession = telemetry.active()
+        if tsession is not None:
+            tsession.metrics.inc("highsigma.chunks")
+            tsession.metrics.inc("highsigma.samples", n)
+            tsession.metrics.inc("highsigma.full_solves",
+                                 int(np.sum(solve_mask)))
+            tsession.metrics.inc("highsigma.screened",
+                                 int(n - np.sum(solve_mask)))
+            tsession.metrics.inc("highsigma.audits", int(np.sum(audit)))
+        self._solve_samples(fixture, devices, start, z * sig, beta, gamma,
+                            solve_mask, values, failure_counts, ledger,
+                            batch_size, budget)
+        if surrogate is not None and tsession is not None:
+            audit_mismatches = sum(
+                1 for k in np.flatnonzero(audit & np.isfinite(values))
+                if self.spec.passes(float(predictions[k]))
+                != self.spec.passes(float(values[k])))
+            if audit_mismatches:
+                tsession.metrics.inc("highsigma.audit_mismatches",
+                                     audit_mismatches)
+                telemetry.event("highsigma.audit_mismatch",
+                                chunk_start=start, count=audit_mismatches)
+        fails = np.array([not self.spec.passes(float(v)) for v in values])
+        return {
+            "start": start, "stop": stop,
+            "values": {"value": values, "weight": weights,
+                       "solved": solve_mask.astype(float),
+                       **{f"z{j}": z[:, j].copy() for j in range(d)},
+                       **{f"b{j}": beta[:, j].copy() for j in range(d)},
+                       **{f"g{j}": gamma[:, j].copy() for j in range(d)}},
+            "spec_passes": {"value": ~fails,
+                            "weight": np.ones(n, dtype=bool),
+                            "solved": solve_mask.copy(),
+                            **{f"{ch}{j}": np.ones(n, dtype=bool)
+                               for ch in ("z", "b", "g")
+                               for j in range(d)}},
+            "passes": ~fails,
+            "failure_counts": failure_counts,
+            "ledger": ledger.to_list(),
+        }
 
     def _solve_samples(self, fixture: CircuitFixture, devices,
                        start: int, x_volts: np.ndarray, beta: np.ndarray,
@@ -1200,17 +1004,16 @@ class HighSigmaYield:
         (only the direction refines).  ``two_sided=None`` follows the
         spec: mixtures for two-bound specs, single shift otherwise.
 
-        ``checkpoint``/``resume``/``budget``/``progress`` follow the
-        Monte-Carlo engine's contract (atomic chunk persistence,
-        partial results on expiry, ``RunInterrupted`` carrying the
-        final checkpoint).
+        ``checkpoint``/``resume``/``checkpoint_every``/``budget``/
+        ``progress`` follow the Monte-Carlo engine's contract — both
+        engines run on :func:`repro.runner.run_chunks` (atomic chunk
+        persistence, partial results on expiry, ``RunInterrupted``
+        carrying the final checkpoint).
         """
         if n_samples <= 0:
             raise ValueError("n_samples must be positive")
         if shift_sigma is not None and shift_sigma < 0.0:
             raise ValueError("shift must be non-negative")
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be at least 1")
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be at least 1 (or None)")
         if isinstance(surrogate, str):
@@ -1245,18 +1048,6 @@ class HighSigmaYield:
         n_pilot = ranges[n_pilot_chunks - 1][1] if n_pilot_chunks else 0
 
         proposal0 = self._proposal(direction, shift_sigma, two_sided)
-        session = telemetry.active()
-        mapper = ParallelMap(backend=backend, n_jobs=jobs)
-        t_start = time.time()
-        trace = session is not None
-
-        run_ctx = telemetry.NULL_SPAN if session is None else \
-            session.tracer.span(
-                "run", kind="high-sigma", n_samples=n_samples, jobs=jobs,
-                backend=backend, chunk_size=chunk_size, seed=seed,
-                batch_size=batch_size, shift_sigma=shift_sigma,
-                surrogate=surrogate.kind if surrogate else "off")
-        store = McCheckpointStore(checkpoint) if checkpoint else None
         n_devices = len(self.fixture.circuit.mosfets)
         channel_names = (["value", "weight", "solved"]
                          + [f"{ch}{j}" for ch in ("z", "b", "g")
@@ -1270,157 +1061,65 @@ class HighSigmaYield:
             "direction": {k: float(v) for k, v in sorted(direction.items())},
             "surrogate": surrogate.to_dict() if surrogate else None,
             "n_pilot_chunks": n_pilot_chunks,
-            "accel": _accel_manifest(batch_size),
+            "accel": accel_manifest(batch_size),
         }
+        # What the pilot decides; assemble reads it, so a run stopped
+        # at any point reports the proposal it actually sampled.
+        final_direction = dict(direction)
+        final_shift = shift_sigma
+        frozen: Optional[Surrogate] = None
 
-        with run_ctx as run_span:
-            run_span_id = None if session is None else run_span.span_id
-            completed: Dict[int, dict] = {}
-            metrics_acc = telemetry.MetricsRegistry()
-            if store is not None:
-                if resume:
-                    if not store.exists():
-                        raise CheckpointError(
-                            "resume requested but no checkpoint at "
-                            f"{checkpoint}")
-                    completed, _ = store.load(run_params)
-                    restored = store.load_metrics()
-                    metrics_acc.merge(restored)
-                    if session is not None:
-                        session.metrics.merge(restored)
-                elif store.exists():
-                    store.load(run_params)  # validates it is OUR run
-                    raise CheckpointError(
-                        f"checkpoint already exists at {checkpoint}; pass "
-                        "resume=True to continue it or remove the "
-                        "directory")
-            done = sum(c["stop"] - c["start"] for c in completed.values())
-            since_save = [0]
+        def tasks(chunk_ids: range, proposal: _Proposal) -> dict:
+            return {cid: (ranges[cid], seeds[cid], batch_size, budget,
+                          proposal, frozen) for cid in chunk_ids}
 
-            def absorb(chunk: dict) -> None:
-                nonlocal done
-                payload = chunk.pop("telemetry", None)
-                if payload is not None:
-                    metrics_acc.merge(payload.get("metrics"))
-                if session is not None:
-                    session.merge_worker(payload, run_span_id)
-                done += chunk["stop"] - chunk["start"]
-                if progress is not None:
-                    progress({"done": done, "total": n_samples,
-                              "elapsed_s": time.time() - t_start})
+        def stages():
+            nonlocal final_direction, final_shift, frozen
+            # Stage 1: pilot (always fully solved).
+            with telemetry.span("highsigma.pilot", chunks=n_pilot_chunks):
+                pilot = yield tasks(range(n_pilot_chunks), proposal0)
+            proposal1 = proposal0
+            if pilot and adapt:
+                refined, final_shift = self._refine(
+                    pilot, proposal0, shift_sigma, refine_magnitude)
+                if refined is not None:
+                    final_direction = refined
+                    proposal1 = self._proposal(refined, final_shift,
+                                               two_sided)
+                    telemetry.event("highsigma.direction_refined",
+                                    shift_sigma=round(final_shift, 4))
+            if pilot and surrogate is not None:
+                def stack(prefix: str) -> np.ndarray:
+                    return np.vstack([
+                        np.column_stack([c["values"][f"{prefix}{j}"]
+                                         for j in range(n_devices)])
+                        for c in pilot])
 
-            def save() -> None:
-                if store is not None:
-                    store.save(run_params, completed,
-                               metrics=metrics_acc.snapshot())
+                y = np.concatenate([c["values"]["value"] for c in pilot])
+                frozen = Surrogate.fit(surrogate, stack("z"), y,
+                                       B=stack("b"), G=stack("g"))
+                if frozen is not None:
+                    telemetry.event(
+                        "highsigma.surrogate_trained",
+                        **{k: (round(v, 8) if isinstance(v, float) else v)
+                           for k, v in frozen.info().items()})
+                else:
+                    telemetry.event("highsigma.surrogate_underdetermined")
+            # Stage 2: main, under the refined proposal + surrogate.
+            yield tasks(range(n_pilot_chunks, len(ranges)), proposal1)
 
-            def run_stage(chunk_ids: List[int], proposal: _Proposal,
-                          frozen: Optional[Surrogate]) -> None:
-                pending = [
-                    (cid, (ranges[cid], seeds[cid], trace, time.time(),
-                           batch_size, budget, proposal, frozen))
-                    for cid in chunk_ids if cid not in completed]
-                if not pending:
-                    return
-                for pidx, chunk in mapper.map_completed(
-                        self._evaluate_chunk,
-                        [task for _, task in pending], deadline=budget):
-                    absorb(chunk)
-                    completed[pending[pidx][0]] = chunk
-                    since_save[0] += 1
-                    if store is not None \
-                            and since_save[0] >= checkpoint_every:
-                        save()
-                        since_save[0] = 0
+        def assemble(chunks: List[dict], partial: bool) -> HighSigmaResult:
+            return self._assemble(n_samples, chunks, final_shift,
+                                  final_direction, two_sided, n_pilot,
+                                  frozen, partial=partial)
 
-            final_direction = dict(direction)
-            final_shift = shift_sigma
-            frozen_surrogate: Optional[Surrogate] = None
-            try:
-                # Stage 1: pilot (always fully solved).
-                with telemetry.span("highsigma.pilot",
-                                    chunks=n_pilot_chunks):
-                    run_stage(list(range(n_pilot_chunks)), proposal0, None)
-                proposal1 = proposal0
-                if n_pilot_chunks:
-                    pilot = [completed[cid] for cid in
-                             range(n_pilot_chunks)]
-                    if adapt:
-                        refined, final_shift = self._refine(
-                            pilot, proposal0, shift_sigma,
-                            refine_magnitude)
-                        if refined is not None:
-                            final_direction = refined
-                            proposal1 = self._proposal(
-                                refined, final_shift, two_sided)
-                            telemetry.event(
-                                "highsigma.direction_refined",
-                                shift_sigma=round(final_shift, 4))
-                    if surrogate is not None:
-                        d = len(self.fixture.circuit.mosfets)
-
-                        def stack(prefix: str) -> np.ndarray:
-                            return np.vstack([
-                                np.column_stack(
-                                    [c["values"][f"{prefix}{j}"]
-                                     for j in range(d)])
-                                for c in pilot])
-
-                        y = np.concatenate(
-                            [c["values"]["value"] for c in pilot])
-                        frozen_surrogate = Surrogate.fit(
-                            surrogate, stack("z"), y,
-                            B=stack("b"), G=stack("g"))
-                        if frozen_surrogate is not None:
-                            telemetry.event(
-                                "highsigma.surrogate_trained",
-                                **{k: (round(v, 8)
-                                       if isinstance(v, float) else v)
-                                   for k, v in
-                                   frozen_surrogate.info().items()})
-                        else:
-                            telemetry.event(
-                                "highsigma.surrogate_underdetermined")
-                # Stage 2: main, under the refined proposal + surrogate.
-                run_stage(list(range(n_pilot_chunks, len(ranges))),
-                          proposal1, frozen_surrogate)
-            except BudgetExpiredError as exc:
-                save()
-                partial = self._assemble(
-                    n_samples, list(completed.values()), final_shift,
-                    final_direction, two_sided, n_pilot,
-                    frozen_surrogate, partial=True)
-                if store is not None:
-                    raise RunInterrupted(
-                        "wall-clock budget expired with "
-                        f"{len(completed)}/{len(ranges)} chunks complete; "
-                        f"checkpoint written to {checkpoint}",
-                        checkpoint_path=Path(checkpoint),
-                        partial_result=partial, reason="budget") from exc
-                partial.ledger.records.append(FailureRecord(
-                    index=-1, label="resilience:budget",
-                    exception_type=type(exc).__name__, message=str(exc),
-                    attempts=0, convergence_report=None))
-                partial.ledger.dedupe_run_level()
-                partial.ledger.sort()
-                return partial
-            except (KeyboardInterrupt, SystemExit) as exc:
-                if store is None:
-                    raise
-                save()
-                partial = self._assemble(
-                    n_samples, list(completed.values()), final_shift,
-                    final_direction, two_sided, n_pilot,
-                    frozen_surrogate, partial=True)
-                raise RunInterrupted(
-                    f"run interrupted with {len(completed)}/{len(ranges)} "
-                    f"chunks complete; checkpoint written to {checkpoint}",
-                    checkpoint_path=Path(checkpoint),
-                    partial_result=partial) from exc
-            except BaseException:
-                save()
-                raise
-            save()
-            return self._assemble(
-                n_samples, list(completed.values()), final_shift,
-                final_direction, two_sided, n_pilot, frozen_surrogate)
+        return run_chunks(
+            self._evaluate_chunk, stages(), assemble, kind="high-sigma",
+            n_samples=n_samples, run_params=run_params, jobs=jobs,
+            backend=backend, checkpoint=checkpoint, resume=resume,
+            checkpoint_every=checkpoint_every, budget=budget,
+            progress=progress,
+            span_attrs={"chunk_size": chunk_size, "seed": seed,
+                        "batch_size": batch_size, "shift_sigma": shift_sigma,
+                        "surrogate": surrogate.kind if surrogate
+                        else "off"})

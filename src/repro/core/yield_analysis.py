@@ -27,7 +27,6 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro import resilience, telemetry
-from repro.checkpoint import CheckpointError, McCheckpointStore, RunInterrupted
 from repro.circuit.batch import batched_sweeps
 from repro.circuit.dc import warm_start
 from repro.circuit.mna import ConvergenceError, SingularCircuitError
@@ -36,8 +35,6 @@ from repro.circuits.references import CircuitFixture
 from repro.faultinject import WorkerKilledError, set_current_sample
 from repro.parallel import (
     FailureLedger,
-    FailureRecord,
-    ParallelMap,
     RetryPolicy,
     SampleTimeoutError,
     call_resilient,
@@ -45,7 +42,8 @@ from repro.parallel import (
     clone_fixture,
     spawn_seed_sequences,
 )
-from repro.resilience import BudgetExpiredError, DeadlineBudget
+from repro.resilience import DeadlineBudget
+from repro.runner import accel_manifest, run_chunks
 from repro.technology.node import TechnologyNode
 from repro.variability.sampler import MismatchSampler, Placement
 
@@ -64,28 +62,6 @@ EXPECTED_EVALUATION_ERRORS = (ConvergenceError, SingularCircuitError,
 #: resilience-layer outcomes (timeout, simulated worker death).
 QUARANTINE_ERRORS = EXPECTED_EVALUATION_ERRORS + (SampleTimeoutError,
                                                   WorkerKilledError)
-
-
-def _accel_manifest(batch_size: Optional[int]) -> dict:
-    """Accelerator configuration that affects bit-identity of results.
-
-    Persisted in the checkpoint manifest so a ``--resume`` under a
-    different configuration fails loudly (exit 2) instead of silently
-    splicing chunks solved by different code paths.  The C kernel and
-    the numpy stamping agree only to final-ulp rounding, the batched
-    engines take different damped-iteration paths than the scalar
-    ladder — close enough for physics, not for bit-identity.
-    """
-    from repro.circuit import _ckernel, mna
-    from repro.circuit.mosfet import jacobian_mode
-
-    return {
-        "batch_size": batch_size,
-        "ckernel": bool(_ckernel.available()),
-        "sparse": bool(mna.sparse_available()),
-        "sparse_min_size": int(mna.sparse_min_size()),
-        "jacobians": jacobian_mode(),
-    }
 
 
 class SampleEvaluationError(RuntimeError):
@@ -337,10 +313,8 @@ class MonteCarloYield:
     def _evaluate_chunk(self, task: Tuple[Tuple[int, int],
                                           np.random.SeedSequence,
                                           Optional[RetryPolicy],
-                                          bool, float,
                                           Optional[int],
-                                          Optional[DeadlineBudget],
-                                          bool]) -> dict:
+                                          Optional[DeadlineBudget]]) -> dict:
         """Evaluate one chunk of samples on a private fixture replica.
 
         The chunk is fully self-contained: it clones the fixture, seeds
@@ -349,20 +323,14 @@ class MonteCarloYield:
         only on (chunk bounds, chunk seed) — not on the worker that ran
         it or on any other chunk.  That is what makes ``jobs=N``
         bit-identical to ``jobs=1`` and checkpointed resumes
-        bit-identical to uninterrupted runs.
+        bit-identical to uninterrupted runs.  It runs inside
+        :func:`repro.runner.run_chunks`, which adds the telemetry,
+        profiling and checkpoint plumbing.
 
         Failures in :data:`QUARANTINE_ERRORS` become NaN samples with a
         :class:`~repro.parallel.FailureRecord` (carrying the solver's
         convergence report); a configured :class:`RetryPolicy` retries
         each evaluation with timeout/backoff before quarantining.
-
-        When ``trace`` is set the chunk collects telemetry into a
-        private :func:`~repro.telemetry.worker_session` (span tree
-        ``chunk → sample → analysis → solve.*`` plus solver metrics)
-        and ships the exported payload back under the ``"telemetry"``
-        key — same transport as the results, so the process backend
-        needs no side channel.  ``t_enqueued`` (epoch) dates the task's
-        submission; the gap to chunk start is recorded as queue wait.
 
         ``batch_size`` (when set) evaluates the chunk under
         :func:`~repro.circuit.batch.batched_sweeps`: every ``dc_sweep``
@@ -371,23 +339,8 @@ class MonteCarloYield:
         variates are bit-identical to a scalar run — and the solved
         metrics agree within Newton tolerance.  Transient specs always
         run the scalar integrator, so their values are bit-identical.
-
-        ``profile`` (process backend only — the parent's sampler cannot
-        see this worker) runs the chunk under a private
-        :func:`~repro.obs.profiler.worker_profile` sampler and ships
-        the stack payload back under the ``"profile"`` key, the same
-        transport as telemetry.  Sampling only *reads* frames, so the
-        numeric payload is bit-identical with profiling on or off.
         """
-        if len(task) > 7 and task[7]:
-            from repro.obs.profiler import worker_profile
-
-            with worker_profile(True) as prof:
-                payload = self._evaluate_chunk(task[:7] + (False,))
-            payload["profile"] = prof.snapshot()
-            return payload
-        (start, stop), seed_seq, retry, trace, t_enqueued, batch_size, \
-            budget = task[:7]
+        (start, stop), seed_seq, retry, batch_size, budget = task
         n = stop - start
         fixture = clone_fixture(self.fixture)
         circuit = fixture.circuit
@@ -410,89 +363,56 @@ class MonteCarloYield:
         direct = retry is None or (retry.max_attempts == 1
                                    and retry.timeout_s is None)
         attempts = 1 if direct else retry.max_attempts
-        with telemetry.worker_session(trace, f"c{start}.") as tsession:
-            if tsession is not None:
-                queue_wait_s = max(0.0, time.time() - t_enqueued)
-                tsession.metrics.inc("engine.chunks")
-                tsession.metrics.inc("engine.samples", n)
-                tsession.metrics.observe("engine.queue_wait_s", queue_wait_s)
-                chunk_ctx = tsession.tracer.span(
-                    "chunk", start=start, stop=stop,
-                    worker=telemetry.worker_label(),
-                    queue_wait_s=round(queue_wait_s, 6))
-            else:
-                chunk_ctx = telemetry.NULL_SPAN
-            sweep_ctx = batched_sweeps(batch_size) if batch_size else \
-                telemetry.NULL_SPAN
-            try:
-                with chunk_ctx, warm_start(circuit), sweep_ctx:
-                    for k in range(n):
-                        if budget is not None:
-                            budget.check("sample %d" % (start + k))
-                        set_current_sample(start + k)
-                        t_sample = time.perf_counter()
-                        with telemetry.span("sample", index=start + k):
-                            sampler.assign(circuit, self.placements)
-                            sample_ok = True
-                            for spec in self.specs:
-                                with telemetry.span("analysis",
-                                                    spec=spec.name) as a_sp:
-                                    try:
-                                        if direct:
-                                            value = float(
-                                                spec.extractor(fixture))
-                                        else:
-                                            value = call_resilient(
-                                                lambda _s=spec:
-                                                float(_s.extractor(fixture)),
-                                                retry,
-                                                retry_on=QUARANTINE_ERRORS)
-                                    except QUARANTINE_ERRORS as exc:
-                                        value = float("nan")
-                                        name = type(exc).__name__
-                                        failure_counts[name] = \
-                                            failure_counts.get(name, 0) + 1
-                                        ledger.add(start + k, exc,
-                                                   label=spec.name,
-                                                   attempts=attempts)
-                                        a_sp.set(quarantined=name)
-                                    except Exception as exc:
-                                        raise SampleEvaluationError(
-                                            start + k, spec.name, exc) from exc
-                                values[spec.name][k] = value
-                                ok = spec.passes(value)
-                                spec_passes[spec.name][k] = ok
-                                sample_ok = sample_ok and ok
-                            passes[k] = sample_ok
-                        if tsession is not None:
-                            tsession.metrics.observe(
-                                "engine.sample_duration_s",
-                                time.perf_counter() - t_sample)
-            finally:
-                set_current_sample(None)
-            resilience.supervisor().drain_into(ledger)
-            payload = {"start": start, "stop": stop, "values": values,
-                       "spec_passes": spec_passes, "passes": passes,
-                       "failure_counts": failure_counts,
-                       "ledger": ledger.to_list()}
-            if tsession is not None:
-                payload["telemetry"] = tsession.export()
-            return payload
-
-    @staticmethod
-    def _absorb_profile(chunk: dict) -> None:
-        """Fold a worker chunk's stack samples into the ambient profiler.
-
-        Popped (like the telemetry payload) before the chunk reaches the
-        checkpoint store — profiles are observability, not results.
-        """
-        payload = chunk.pop("profile", None)
-        if payload:
-            from repro.obs.profiler import active as profiler_active
-
-            prof = profiler_active()
-            if prof is not None:
-                prof.absorb(payload)
+        tsession = telemetry.active()
+        if tsession is not None:
+            tsession.metrics.inc("engine.chunks")
+            tsession.metrics.inc("engine.samples", n)
+        sweep_ctx = batched_sweeps(batch_size) if batch_size else \
+            telemetry.NULL_SPAN
+        with warm_start(circuit), sweep_ctx:
+            for k in range(n):
+                if budget is not None:
+                    budget.check("sample %d" % (start + k))
+                set_current_sample(start + k)
+                t_sample = time.perf_counter()
+                with telemetry.span("sample", index=start + k):
+                    sampler.assign(circuit, self.placements)
+                    sample_ok = True
+                    for spec in self.specs:
+                        with telemetry.span("analysis",
+                                            spec=spec.name) as a_sp:
+                            try:
+                                if direct:
+                                    value = float(spec.extractor(fixture))
+                                else:
+                                    value = call_resilient(
+                                        lambda _s=spec:
+                                        float(_s.extractor(fixture)),
+                                        retry, retry_on=QUARANTINE_ERRORS)
+                            except QUARANTINE_ERRORS as exc:
+                                value = float("nan")
+                                name = type(exc).__name__
+                                failure_counts[name] = \
+                                    failure_counts.get(name, 0) + 1
+                                ledger.add(start + k, exc, label=spec.name,
+                                           attempts=attempts)
+                                a_sp.set(quarantined=name)
+                            except Exception as exc:
+                                raise SampleEvaluationError(
+                                    start + k, spec.name, exc) from exc
+                        values[spec.name][k] = value
+                        ok = spec.passes(value)
+                        spec_passes[spec.name][k] = ok
+                        sample_ok = sample_ok and ok
+                    passes[k] = sample_ok
+                if tsession is not None:
+                    tsession.metrics.observe(
+                        "engine.sample_duration_s",
+                        time.perf_counter() - t_sample)
+        return {"start": start, "stop": stop, "values": values,
+                "spec_passes": spec_passes, "passes": passes,
+                "failure_counts": failure_counts,
+                "ledger": ledger.to_list()}
 
     def _assemble(self, n_samples: int, chunks: List[dict],
                   partial: bool = False) -> YieldResult:
@@ -597,174 +517,25 @@ class MonteCarloYield:
         """
         if n_samples <= 0:
             raise ValueError("n_samples must be positive")
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be at least 1")
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be at least 1 (or None)")
         if budget is not None and not isinstance(budget, DeadlineBudget):
             budget = DeadlineBudget.after(budget)
         ranges = chunk_ranges(n_samples, chunk_size)
         seeds = spawn_seed_sequences(seed, len(ranges))
-        session = telemetry.active()
-        t_enqueued = time.time()
-        mapper = ParallelMap(backend=backend, n_jobs=jobs)
-        # Chunk-level profiling only under the process backend: serial/
-        # thread chunks run in this process, where the ambient sampler
-        # already sees them — a second sampler would double-count.
-        from repro.obs.profiler import active as profiler_active
-
-        profile_chunks = (profiler_active() is not None
-                          and mapper.backend == "process")
-        tasks = [(bounds, seed_seq, retry, session is not None, t_enqueued,
-                  batch_size, budget, profile_chunks)
-                 for bounds, seed_seq in zip(ranges, seeds)]
-
-        run_ctx = telemetry.NULL_SPAN if session is None else \
-            session.tracer.span("run", kind="mc-yield", n_samples=n_samples,
-                                jobs=jobs, backend=backend,
-                                chunk_size=chunk_size, seed=seed,
-                                batch_size=batch_size)
-        with run_ctx as run_span:
-            run_span_id = None if session is None else run_span.span_id
-            if checkpoint is not None:
-                return self._run_checkpointed(
-                    n_samples, tasks, mapper, Path(checkpoint), resume,
-                    checkpoint_every, seed, chunk_size, progress, session,
-                    run_span_id, batch_size, budget)
-            if session is None and progress is None and budget is None:
-                chunks = mapper.map(self._evaluate_chunk, tasks)
-                for chunk in chunks:
-                    self._absorb_profile(chunk)
-                return self._assemble(n_samples, chunks)
-            chunks = []
-            done = 0
-            try:
-                for _, chunk in mapper.map_completed(
-                        self._evaluate_chunk, tasks, deadline=budget):
-                    if session is not None:
-                        session.merge_worker(chunk.pop("telemetry", None),
-                                             run_span_id)
-                    self._absorb_profile(chunk)
-                    chunks.append(chunk)
-                    done += chunk["stop"] - chunk["start"]
-                    if progress is not None:
-                        progress({"done": done, "total": n_samples,
-                                  "elapsed_s": time.time() - t_enqueued})
-            except BudgetExpiredError as exc:
-                # Deadline hit without a checkpoint: hand back whatever
-                # finished, visibly degraded, instead of raising away
-                # completed work.
-                partial = self._assemble(n_samples, chunks, partial=True)
-                partial.ledger.records.append(FailureRecord(
-                    index=-1, label="resilience:budget",
-                    exception_type=type(exc).__name__,
-                    message=str(exc), attempts=0, convergence_report=None))
-                partial.ledger.dedupe_run_level()
-                partial.ledger.sort()
-                return partial
-            return self._assemble(n_samples, chunks)
-
-    def _run_checkpointed(self, n_samples: int, tasks: List[tuple],
-                          mapper: ParallelMap, checkpoint: Path,
-                          resume: bool, checkpoint_every: int,
-                          seed: int, chunk_size: int,
-                          progress: Optional[Callable[[dict], None]] = None,
-                          session: Optional[telemetry.TelemetrySession]
-                          = None,
-                          run_span_id: Optional[str] = None,
-                          batch_size: Optional[int] = None,
-                          budget: Optional[DeadlineBudget] = None
-                          ) -> YieldResult:
-        """Incremental evaluation with atomic chunk-granular persistence.
-
-        A private :class:`~repro.telemetry.MetricsRegistry` accumulates
-        this run's solver/engine counters; every checkpoint save
-        persists its snapshot in the manifest, and a resume restores
-        the snapshot into both the accumulator and the live session —
-        counters (solves, retries, quarantines…) carry across
-        interruptions instead of resetting.
-        """
-        store = McCheckpointStore(checkpoint)
+        tasks = {cid: (bounds, seed_seq, retry, batch_size, budget)
+                 for cid, (bounds, seed_seq) in enumerate(zip(ranges, seeds))}
         run_params = {"kind": "mc-yield", "seed": seed,
                       "n_samples": n_samples, "chunk_size": chunk_size,
                       "spec_names": [s.name for s in self.specs],
-                      "accel": _accel_manifest(batch_size)}
-        metrics_acc = telemetry.MetricsRegistry()
-        completed: Dict[int, dict] = {}
-        if resume:
-            if not store.exists():
-                raise CheckpointError(
-                    f"resume requested but no checkpoint at {checkpoint}")
-            completed, _ = store.load(run_params)
-            restored_metrics = store.load_metrics()
-            metrics_acc.merge(restored_metrics)
-            if session is not None:
-                session.metrics.merge(restored_metrics)
-        elif store.exists():
-            # Refuse to silently clobber an existing checkpoint the
-            # caller did not ask to resume.
-            store.load(run_params)  # validates it is OUR run at least
-            raise CheckpointError(
-                f"checkpoint already exists at {checkpoint}; pass "
-                f"resume=True to continue it or remove the directory")
-        pending = [(cid, task) for cid, task in enumerate(tasks)
-                   if cid not in completed]
-        since_save = 0
-        done = sum(c["stop"] - c["start"] for c in completed.values())
-        t_start = time.time()
-
-        def absorb(chunk: dict) -> None:
-            # Strip the telemetry payload BEFORE the chunk reaches the
-            # store — traces are ephemeral, checkpoints are results.
-            nonlocal done
-            payload = chunk.pop("telemetry", None)
-            if payload is not None:
-                metrics_acc.merge(payload.get("metrics"))
-            if session is not None:
-                session.merge_worker(payload, run_span_id)
-            self._absorb_profile(chunk)
-            done += chunk["stop"] - chunk["start"]
-            if progress is not None:
-                progress({"done": done, "total": n_samples,
-                          "elapsed_s": time.time() - t_start})
-
-        try:
-            for pending_index, chunk in mapper.map_completed(
-                    self._evaluate_chunk, [task for _, task in pending],
-                    deadline=budget):
-                absorb(chunk)
-                completed[pending[pending_index][0]] = chunk
-                since_save += 1
-                if since_save >= checkpoint_every:
-                    store.save(run_params, completed,
-                               metrics=metrics_acc.snapshot())
-                    since_save = 0
-        except BudgetExpiredError as exc:
-            store.save(run_params, completed,
-                       metrics=metrics_acc.snapshot())
-            partial = self._assemble(n_samples, list(completed.values()),
-                                     partial=True)
-            raise RunInterrupted(
-                f"wall-clock budget expired with {len(completed)}/"
-                f"{len(tasks)} chunks complete; checkpoint written to "
-                f"{checkpoint}",
-                checkpoint_path=checkpoint,
-                partial_result=partial, reason="budget") from exc
-        except (KeyboardInterrupt, SystemExit) as exc:
-            store.save(run_params, completed,
-                       metrics=metrics_acc.snapshot())
-            partial = self._assemble(n_samples, list(completed.values()),
-                                     partial=True)
-            raise RunInterrupted(
-                f"run interrupted with {len(completed)}/{len(tasks)} chunks "
-                f"complete; checkpoint written to {checkpoint}",
-                checkpoint_path=checkpoint,
-                partial_result=partial) from exc
-        except BaseException:
-            # Persist whatever finished before propagating the failure —
-            # a crashed run resumes from its last good chunk.
-            store.save(run_params, completed,
-                       metrics=metrics_acc.snapshot())
-            raise
-        store.save(run_params, completed, metrics=metrics_acc.snapshot())
-        return self._assemble(n_samples, list(completed.values()))
+                      "accel": accel_manifest(batch_size)}
+        return run_chunks(
+            self._evaluate_chunk, tasks,
+            lambda chunks, partial: self._assemble(n_samples, chunks,
+                                                   partial),
+            kind="mc-yield", n_samples=n_samples, run_params=run_params,
+            jobs=jobs, backend=backend, checkpoint=checkpoint,
+            resume=resume, checkpoint_every=checkpoint_every,
+            budget=budget, progress=progress,
+            span_attrs={"chunk_size": chunk_size, "seed": seed,
+                        "batch_size": batch_size})

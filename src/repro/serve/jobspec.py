@@ -18,14 +18,17 @@ The module also owns the two hashes the service lives on:
 * :func:`cache_key` — the content address of a request's *result*,
   built on :func:`repro.obs.runlog.content_hash` over (analysis,
   canonical netlist hash, tech, params, seed, batch size, capability
-  flags).  Execution knobs that are proven not to change results —
+  flags, accelerator configuration).  Execution knobs that are proven
+  not to change results —
   ``jobs``, ``backend``, ``priority``, ``timeout_s`` — are deliberately
   excluded: the engines are bit-identical across worker counts and
   backends (the PR 1 determinism contract), so a thread-backend replay
-  of a process-backend request is a legitimate cache hit.  ``batch_size``
-  and the capability flags stay in the key because they select between
-  accelerated paths whose results are only equal to tolerance, not to
-  the bit (see ``_accel_manifest`` in the yield engine).
+  of a process-backend request is a legitimate cache hit.  ``batch_size``,
+  the capability flags and :func:`repro.runner.accel_manifest` (the
+  fingerprint checkpoints are validated against: C kernel, sparse
+  threshold, FD vs analytic Jacobians) stay in the key because they
+  select between accelerated paths whose results are only equal to
+  tolerance, not to the bit.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from repro.circuit.mosfet import Mosfet
 from repro.circuit.netlist import Circuit
 from repro.circuit.parser import NetlistError, parse_netlist
 from repro.obs.runlog import content_hash
+from repro.runner import accel_manifest
 
 __all__ = [
     "ANALYSES",
@@ -330,8 +334,11 @@ def cache_key(spec: JobSpec, capabilities: Optional[dict] = None) -> str:
     """Content address of the request's *result* (see module docstring).
 
     Same key ⇒ the engines' determinism contract guarantees the same
-    bits; different params/seed/netlist/tech/batch/capabilities ⇒
-    different key.
+    bits; different params/seed/netlist/tech/batch/capabilities or
+    accelerator configuration ⇒ different key.  The accelerator
+    configuration is read when the key is computed, so two daemons
+    sharing a cache directory under different ``REPRO_FD_JACOBIANS``
+    or ``REPRO_SPARSE_MIN_SIZE`` never serve each other's results.
     """
     payload = {
         "schema": SPEC_SCHEMA,
@@ -342,5 +349,6 @@ def cache_key(spec: JobSpec, capabilities: Optional[dict] = None) -> str:
         "seed": spec.seed,
         "batch_size": spec.batch_size,
         "capabilities": dict(capabilities or {}),
+        "accel": accel_manifest(spec.batch_size),
     }
     return content_hash(payload, length=CACHE_KEY_LENGTH)

@@ -306,7 +306,8 @@ class Tracer:
     """Records spans and point events into an in-memory buffer.
 
     ``id_prefix`` namespaces span ids so worker buffers merge into the
-    parent without collisions (chunk tracers use ``c<start>.``).
+    parent without collisions (chunk tracers use
+    ``<run span id>/c<chunk id>.``, unique across runs in one session).
     """
 
     def __init__(self, id_prefix: str = ""):

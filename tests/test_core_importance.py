@@ -1,4 +1,8 @@
-"""Unit tests for high-sigma importance sampling."""
+"""High-sigma importance sampling on the differential pair.
+
+Plain mean-shift IS through :class:`HighSigmaYield` with adaptation and
+surrogate screening off, checked against the analytic pair-offset tail.
+"""
 
 import math
 
@@ -10,7 +14,7 @@ scipy_stats = pytest.importorskip(
 norm = scipy_stats.norm
 
 from repro.circuits import differential_pair, input_referred_offset_v
-from repro.core import ImportanceSampler, MonteCarloYield, Specification
+from repro.core import HighSigmaYield, MonteCarloYield, Specification
 from repro.variability import PelgromModel
 
 
@@ -31,26 +35,31 @@ def pair_setup():
     return tech, fx, sigma_pair
 
 
+def plain_is(engine, **kwargs):
+    """Mean-shift IS along the probed direction, no pilot, no surrogate."""
+    return engine.run(adapt=False, surrogate=None, **kwargs)
+
+
 class TestProbeDirection:
     def test_direction_is_unit_norm(self, pair_setup):
         tech, fx, sigma = pair_setup
-        sampler = ImportanceSampler(fx, offset_spec(3 * sigma), tech)
-        direction = sampler.probe_direction()
+        engine = HighSigmaYield(fx, offset_spec(3 * sigma), tech)
+        direction = engine.probe_direction()
         norm2 = sum(v * v for v in direction.values())
         assert norm2 == pytest.approx(1.0)
 
     def test_input_pair_dominates_direction(self, pair_setup):
         tech, fx, sigma = pair_setup
-        sampler = ImportanceSampler(fx, offset_spec(3 * sigma), tech)
-        direction = sampler.probe_direction()
+        engine = HighSigmaYield(fx, offset_spec(3 * sigma), tech)
+        direction = engine.probe_direction()
         # The offset is set by the input pair; its components dominate.
         pair_mag = abs(direction["m1"]) + abs(direction["m2"])
         assert pair_mag > 0.9
 
     def test_pair_components_opposite_sign(self, pair_setup):
         tech, fx, sigma = pair_setup
-        sampler = ImportanceSampler(fx, offset_spec(3 * sigma), tech)
-        direction = sampler.probe_direction()
+        engine = HighSigmaYield(fx, offset_spec(3 * sigma), tech)
+        direction = engine.probe_direction()
         assert direction["m1"] * direction["m2"] < 0.0
 
 
@@ -60,8 +69,8 @@ class TestEstimate:
         tech, fx, sigma = pair_setup
         k = 3.0
         spec = offset_spec(k * sigma)
-        sampler = ImportanceSampler(fx, spec, tech)
-        result = sampler.estimate(n_samples=400, shift_sigma=k, seed=7)
+        engine = HighSigmaYield(fx, spec, tech)
+        result = plain_is(engine, n_samples=400, shift_sigma=k, seed=7)
         analytic = 2.0 * norm.sf(k)
         assert result.failure_probability == pytest.approx(analytic, rel=0.5)
         assert result.n_failures_observed > 50  # shifted sampling works
@@ -73,8 +82,8 @@ class TestEstimate:
         spec = offset_spec(k * sigma)
         mc = MonteCarloYield(fx, [spec], tech).run(n_samples=200, seed=3)
         assert mc.yield_fraction == 1.0  # plain MC is blind here
-        sampler = ImportanceSampler(fx, spec, tech)
-        result = sampler.estimate(n_samples=300, shift_sigma=k, seed=3)
+        engine = HighSigmaYield(fx, spec, tech)
+        result = plain_is(engine, n_samples=300, shift_sigma=k, seed=3)
         analytic = 2.0 * norm.sf(k)
         assert result.failure_probability > 0.0
         assert result.failure_probability == pytest.approx(analytic, rel=0.7)
@@ -83,22 +92,22 @@ class TestEstimate:
     def test_zero_shift_degenerates_to_plain_mc(self, pair_setup):
         tech, fx, sigma = pair_setup
         spec = offset_spec(5 * sigma)
-        sampler = ImportanceSampler(fx, spec, tech)
-        result = sampler.estimate(n_samples=100, shift_sigma=0.0, seed=1)
+        engine = HighSigmaYield(fx, spec, tech)
+        result = plain_is(engine, n_samples=100, shift_sigma=0.0, seed=1)
         # All weights are exactly 1 under zero shift.
         assert result.effective_samples == pytest.approx(100.0)
         assert result.failure_probability == 0.0  # too rare for plain MC
 
     def test_variations_cleared_after_run(self, pair_setup):
         tech, fx, sigma = pair_setup
-        sampler = ImportanceSampler(fx, offset_spec(3 * sigma), tech)
-        sampler.estimate(n_samples=20, shift_sigma=3.0, seed=0)
+        engine = HighSigmaYield(fx, offset_spec(3 * sigma), tech)
+        plain_is(engine, n_samples=20, shift_sigma=3.0, seed=0)
         assert all(m.variation.delta_vt_v == 0.0 for m in fx.circuit.mosfets)
 
     def test_input_validation(self, pair_setup):
         tech, fx, sigma = pair_setup
-        sampler = ImportanceSampler(fx, offset_spec(3 * sigma), tech)
+        engine = HighSigmaYield(fx, offset_spec(3 * sigma), tech)
         with pytest.raises(ValueError):
-            sampler.estimate(n_samples=0, shift_sigma=3.0)
+            plain_is(engine, n_samples=0, shift_sigma=3.0)
         with pytest.raises(ValueError):
-            sampler.estimate(n_samples=10, shift_sigma=-1.0)
+            plain_is(engine, n_samples=10, shift_sigma=-1.0)

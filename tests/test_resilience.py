@@ -475,19 +475,21 @@ class TestCheckpointAccelManifest:
                         checkpoint=ckpt, resume=True)
         assert result.n_evaluated == 8
 
-    def test_pre_accel_manifest_still_resumes(self, tech90, tmp_path):
+    def test_manifest_without_accel_refused(self, tech90, tmp_path):
+        # Every schema-2 manifest records the accelerator configuration;
+        # one without it cannot prove bit-identity and is refused.
         import json
         fx = differential_pair(tech90)
         mc = MonteCarloYield(fx, [offset_spec()], tech90)
-        ckpt = tmp_path / "legacy"
+        ckpt = tmp_path / "edited"
         self._interrupt_run(mc, ckpt)
         manifest_path = ckpt / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        del manifest["accel"]  # a checkpoint written before PR 7
+        del manifest["accel"]
         manifest_path.write_text(json.dumps(manifest))
-        result = mc.run(n_samples=8, seed=13, chunk_size=2,
-                        checkpoint=ckpt, resume=True)
-        assert result.n_evaluated == 8
+        with pytest.raises(CheckpointError, match="accel"):
+            mc.run(n_samples=8, seed=13, chunk_size=2,
+                   checkpoint=ckpt, resume=True)
 
 
 # ----------------------------------------------------------------------

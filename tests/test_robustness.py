@@ -522,20 +522,6 @@ class TestCheckpointResume:
             engine.run(n_samples=32, seed=1, chunk_size=8, checkpoint=ckpt,
                        resume=True)
 
-    def test_existing_checkpoint_not_clobbered_without_resume(
-            self, tech90, tmp_path):
-        ckpt = tmp_path / "ck"
-        engine = self._engine(tech90)
-        engine.run(n_samples=16, seed=1, chunk_size=8, checkpoint=ckpt)
-        with pytest.raises(CheckpointError, match="resume"):
-            engine.run(n_samples=16, seed=1, chunk_size=8, checkpoint=ckpt)
-
-    def test_resume_without_checkpoint_refused(self, tech90, tmp_path):
-        with pytest.raises(CheckpointError, match="no checkpoint"):
-            self._engine(tech90).run(n_samples=16, seed=1,
-                                     checkpoint=tmp_path / "absent",
-                                     resume=True)
-
     def test_corrupt_manifest_refused(self, tech90, tmp_path):
         ckpt = tmp_path / "ck"
         engine = self._engine(tech90)

@@ -1,0 +1,222 @@
+"""The run contract every chunked engine keeps, checked on each engine.
+
+Both :class:`MonteCarloYield` and :class:`HighSigmaYield` run on
+:func:`repro.runner.run_chunks`; each case below is parametrized over
+the two engines:
+
+* serial, thread and process runs give the same bits;
+* a Ctrl-C on a checkpointed run resumes to the same bits;
+* an expired budget without a checkpoint returns a partial result
+  carrying a ``resilience:budget`` ledger record;
+* an expired budget with a checkpoint raises ``RunInterrupted`` with
+  ``reason="budget"``, and its resume gives the same bits;
+* an existing checkpoint is refused without ``resume``, ``resume``
+  without a checkpoint is refused, and a resume under another seed or
+  ``batch_size`` is refused.
+
+The high-sigma case uses the analytic linear-tail engine with a
+surrogate, so a resume must also replay the pilot, the refined
+proposal and the surrogate fit exactly.
+"""
+
+import time
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+import pytest
+
+from repro.checkpoint import CheckpointError, RunInterrupted
+from repro.circuits import differential_pair, input_referred_offset_v
+from repro.core import (
+    HighSigmaYield,
+    MonteCarloYield,
+    Specification,
+    SurrogateConfig,
+)
+from repro.faultinject import current_sample, interrupting_extractor
+from repro.technology import get_node
+from repro.verify.oracles import HighSigmaLinearOracle
+
+
+@dataclass(frozen=True)
+class _Slow:
+    """Picklable extractor wrapper that sleeps inside every sample."""
+
+    base: Callable
+    delay_s: float
+
+    def __call__(self, fixture) -> float:
+        if current_sample() is not None:
+            time.sleep(self.delay_s)
+        return self.base(fixture)
+
+
+class _Case:
+    """One engine under the contract: build, run, compare."""
+
+    name: str
+    #: A sample whose extractor call is certain (interrupt target).
+    interrupt_on: int
+    #: Per-sample sleep that lets a 0.25 s budget finish a chunk or
+    #: two, never the whole run.
+    delay_s: float
+
+    def slow(self, extractor: Callable) -> _Slow:
+        return _Slow(extractor, self.delay_s)
+
+    def engine(self, wrap: Callable = lambda f: f):
+        raise NotImplementedError
+
+    def run(self, engine, **kwargs):
+        raise NotImplementedError
+
+    def bits(self, result) -> dict:
+        raise NotImplementedError
+
+    def assert_identical(self, a, b) -> None:
+        bits_a, bits_b = self.bits(a), self.bits(b)
+        assert bits_a.keys() == bits_b.keys()
+        for key in bits_a:
+            np.testing.assert_array_equal(bits_a[key], bits_b[key],
+                                          err_msg=key)
+
+
+class _MonteCarlo(_Case):
+    name = "mc"
+    interrupt_on = 13
+    delay_s = 0.02
+
+    def __init__(self):
+        self.tech = get_node("90nm")
+        self.fixture = differential_pair(self.tech)
+
+    def engine(self, wrap=lambda f: f):
+        spec = Specification("offset", wrap(input_referred_offset_v),
+                             lower=-5e-3, upper=5e-3)
+        return MonteCarloYield(self.fixture, [spec], self.tech)
+
+    def run(self, engine, **kwargs):
+        kwargs.setdefault("seed", 3)
+        return engine.run(n_samples=24, chunk_size=4, **kwargs)
+
+    def bits(self, result):
+        return {"values": result.values["offset"],
+                "passes": result.passes,
+                "spec_passes": result.spec_passes["offset"],
+                "ledger": result.ledger.quarantined_indices(),
+                "failure_counts": sorted(result.failure_counts.items())}
+
+
+class _HighSigma(_Case):
+    name = "highsigma"
+    # An audit sample of the main stage: always fully solved.
+    interrupt_on = 96
+    # The 32 pilot samples alone outlast the budget.
+    delay_s = 0.01
+
+    def __init__(self):
+        self.base = HighSigmaLinearOracle(k_sigma=3.0)._engine()
+
+    def engine(self, wrap=lambda f: f):
+        spec = self.base.spec
+        return HighSigmaYield(
+            self.base.fixture,
+            Specification(spec.name, wrap(spec.extractor), spec.lower,
+                          spec.upper),
+            self.base.tech)
+
+    def run(self, engine, **kwargs):
+        kwargs.setdefault("seed", 3)
+        return engine.run(n_samples=128, chunk_size=16,
+                          surrogate=SurrogateConfig(train_samples=32),
+                          **kwargs)
+
+    def bits(self, result):
+        return {"values": result.values, "weights": result.weights,
+                "fails": result.fails, "solved": result.solved,
+                "shift_sigma": result.shift_sigma,
+                "direction": sorted(result.direction.items()),
+                "audits": (result.audit_count, result.audit_mismatches),
+                "ledger": result.ledger.quarantined_indices()}
+
+
+@pytest.fixture(scope="module", params=[_MonteCarlo, _HighSigma],
+                ids=lambda cls: cls.name)
+def case(request):
+    return request.param()
+
+
+@pytest.fixture(scope="module")
+def reference(case):
+    return case.run(case.engine())
+
+
+class TestRunContract:
+    def test_backends_bit_identical(self, case, reference):
+        engine = case.engine()
+        for backend in ("serial", "thread", "process"):
+            result = case.run(engine, jobs=2, backend=backend)
+            case.assert_identical(result, reference)
+            assert not result.is_degraded
+
+    def test_interrupt_then_resume_bit_identical(self, case, reference,
+                                                 tmp_path):
+        ckpt = tmp_path / "ck"
+        interrupted = case.engine(lambda f: interrupting_extractor(
+            f, interrupt_on=case.interrupt_on))
+        with pytest.raises(RunInterrupted) as excinfo:
+            case.run(interrupted, checkpoint=ckpt)
+        stop = excinfo.value
+        assert stop.reason == "interrupt"
+        assert stop.checkpoint_path == ckpt
+        partial = stop.partial_result
+        assert 0 < partial.n_evaluated < partial.n_samples
+        assert partial.is_degraded
+        resumed = case.run(case.engine(), checkpoint=ckpt, resume=True)
+        case.assert_identical(resumed, reference)
+        assert not resumed.is_degraded
+
+    def test_budget_without_checkpoint_returns_partial(self, case):
+        result = case.run(case.engine(case.slow), budget=0.25)
+        assert result.is_degraded
+        assert result.n_evaluated < result.n_samples
+        assert any(r.label == "resilience:budget"
+                   for r in result.ledger.records)
+
+    def test_budget_with_checkpoint_interrupts_then_resumes(
+            self, case, reference, tmp_path):
+        ckpt = tmp_path / "ck"
+        with pytest.raises(RunInterrupted) as excinfo:
+            case.run(case.engine(case.slow), checkpoint=ckpt,
+                     budget=0.25)
+        stop = excinfo.value
+        assert stop.reason == "budget"
+        assert stop.checkpoint_path == ckpt
+        assert stop.partial_result.n_evaluated \
+            < stop.partial_result.n_samples
+        resumed = case.run(case.engine(), checkpoint=ckpt, resume=True)
+        case.assert_identical(resumed, reference)
+
+    def test_existing_checkpoint_refused_without_resume(self, case,
+                                                        tmp_path):
+        ckpt = tmp_path / "ck"
+        engine = case.engine()
+        case.run(engine, checkpoint=ckpt)
+        with pytest.raises(CheckpointError, match="resume"):
+            case.run(engine, checkpoint=ckpt)
+
+    def test_resume_without_checkpoint_refused(self, case, tmp_path):
+        with pytest.raises(CheckpointError, match="no checkpoint"):
+            case.run(case.engine(), checkpoint=tmp_path / "absent",
+                     resume=True)
+
+    def test_mismatched_resume_refused(self, case, tmp_path):
+        ckpt = tmp_path / "ck"
+        engine = case.engine()
+        case.run(engine, checkpoint=ckpt)
+        with pytest.raises(CheckpointError, match="seed"):
+            case.run(engine, checkpoint=ckpt, resume=True, seed=4)
+        with pytest.raises(CheckpointError,
+                           match="accelerator configuration mismatch"):
+            case.run(engine, checkpoint=ckpt, resume=True, batch_size=4)
