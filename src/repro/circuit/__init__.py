@@ -44,6 +44,7 @@ from repro.circuit.dc import (
     dc_operating_point,
     dc_sweep,
     newton_solve,
+    sweep_voltages,
 )
 from repro.circuit.elements import (
     Capacitor,
@@ -140,6 +141,7 @@ __all__ = [
     "parse_netlist",
     "parse_value",
     "sparse_mode",
+    "sweep_voltages",
     "transient",
     "write_netlist",
 ]

@@ -16,7 +16,11 @@ entry points into a small C shared library at first use:
   per iteration it copies the constant base system, calls the stamp
   pass above, solves with LAPACK ``dgesv`` and applies the damping,
   NaN/Inf guard and convergence test — one foreign call per solve
-  instead of ~15 numpy and ctypes calls per iteration.
+  instead of ~15 numpy and ctypes calls per iteration;
+* ``repro_sweep_dense`` — a whole voltage-source DC sweep (see
+  :func:`repro.circuit.dc.dc_sweep`): per point it writes the swept
+  value into the base system's branch row, forms the secant predictor
+  and runs ``repro_newton_dense`` — one foreign call per sweep.
 
 The Newton loop is **bit-identical** to the Python loop it replaces,
 not merely close: ``dgesv`` is the very routine scipy's f2py wrapper
@@ -177,7 +181,8 @@ typedef struct {
         *theta_nphit, *inv_ns2, *inv_s2, *theta_eff, *c0, *lam;
     double clm_v;
     double *xe, *a, *bv;
-    const double *base_a, *base_b;
+    const double *base_a;
+    double *base_b;
     double *lu, *x_new, *abs_delta;
     int *ipiv;
     repro_dgesv_fn dgesv;
@@ -257,6 +262,43 @@ int repro_newton_dense(repro_newton_args *w, double *x, long n_nodes,
             return REPRO_NEWTON_CONVERGED;
     }
     return REPRO_NEWTON_MAX_ITER;
+}
+
+/* DC sweep of one voltage source over points [start, n_points), row i
+ * of the (n_points, size) X receiving point i's solution and iters[i]
+ * its Newton iterations.  Mirrors the point loop of dc.dc_sweep: the
+ * source's branch row of the base RHS gets 0.0 + scale * values[i]
+ * (what stamping it into a cleared base gives; nothing else writes that
+ * row), and the initial guess is the secant predictor
+ * 2.0 * X[i-1] - X[i-2] as numpy rounds it, X[0] for point 1, and
+ * whatever the caller left in X[0] for point 0.  Stops at the first
+ * point that does not converge and returns its index (n_points when
+ * all converge); the caller replays that point through the fallback
+ * ladder and resumes at the next one. */
+long repro_sweep_dense(repro_newton_args *w, double *X,
+                       const double *values, long start, long n_points,
+                       long branch_row, double scale, long *iters,
+                       long n_nodes, long max_iter, double damping_v,
+                       double reltol, double vtol)
+{
+    long size = w->size;
+    for (long i = start; i < n_points; i++) {
+        double *x = X + i * size;
+        if (i >= 2) {
+            const double *x1 = x - size, *x2 = x - 2 * size;
+            for (long j = 0; j < size; j++)
+                x[j] = 2.0 * x1[j] - x2[j];
+        } else if (i == 1) {
+            memcpy(x, X, (size_t) size * sizeof(double));
+        }
+        w->base_b[branch_row] = 0.0 + scale * values[i];
+        int status = repro_newton_dense(w, x, n_nodes, max_iter, damping_v,
+                                        reltol, vtol);
+        if (status != REPRO_NEWTON_CONVERGED)
+            return i;
+        iters[i] = w->iterations;
+    }
+    return n_points;
 }
 """
 
@@ -395,6 +437,11 @@ def _compile() -> Optional[ctypes.CDLL]:
     nfn.restype = ctypes.c_int
     nfn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
                     ctypes.c_long] + [ctypes.c_double] * 3
+    sfn = lib.repro_sweep_dense
+    sfn.restype = ctypes.c_long
+    sfn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] * 3 + \
+        [ctypes.c_double, ctypes.c_void_p, ctypes.c_long, ctypes.c_long] + \
+        [ctypes.c_double] * 3
     return lib
 
 
@@ -426,6 +473,21 @@ def newton_dense(block: NewtonArgs, x, n_nodes: int, max_iterations: int,
     return _lib.repro_newton_dense(
         ctypes.addressof(block), x.ctypes.data, n_nodes, max_iterations,
         damping_v, reltol, vtol)
+
+
+def sweep_dense(block: NewtonArgs, X, values, start: int, branch_row: int,
+                scale: float, iterations, n_nodes: int, max_iterations: int,
+                damping_v: float, reltol: float, vtol: float) -> int:
+    """Run ``repro_sweep_dense`` on ``block`` over points ``start..``
+    of the float64 ``values``, writing solutions into the C-ordered
+    float64 ``X`` and Newton iterations into the int64 ``iterations``;
+    returns the index of the first point that did not converge
+    (``len(values)`` when all did).  Callers gate on :func:`active`
+    first."""
+    return _lib.repro_sweep_dense(
+        ctypes.addressof(block), X.ctypes.data, values.ctypes.data, start,
+        len(values), branch_row, scale, iterations.ctypes.data, n_nodes,
+        max_iterations, damping_v, reltol, vtol)
 
 
 def available() -> bool:

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.circuit import _ckernel
-from repro.circuit.elements import CurrentSource, VoltageSource
+from repro.circuit.elements import CurrentSource, DcSpec, VoltageSource
 from repro.circuit.mna import (
     ConvergenceError,
     ConvergenceReport,
@@ -267,6 +267,24 @@ class DcSolution:
     def all_device_ops(self) -> dict:
         """Operating points of every MOSFET, keyed by name."""
         return {m.name: m.operating_point(self.x) for m in self.circuit.mosfets}
+
+
+def sweep_voltages(solutions: Sequence[DcSolution],
+                   node_names: Sequence[str]) -> np.ndarray:
+    """Voltages [V] of ``node_names`` at every point of a sweep, as a
+    ``(len(node_names), len(solutions))`` array — the same floats as
+    :meth:`DcSolution.voltage`, with one node lookup per name instead
+    of one per point."""
+    out = np.zeros((len(node_names), len(solutions)))
+    if not solutions:
+        return out
+    circuit = solutions[0].circuit
+    stacked = np.array([s.x for s in solutions])
+    for row, name in enumerate(node_names):
+        index = circuit.node(name)
+        if index >= 0:
+            out[row] = stacked[:, index]
+    return out
 
 
 def _stamp_dc_factory(circuit: Circuit) -> Callable[[Stamper, np.ndarray], None]:
@@ -699,6 +717,10 @@ def dc_sweep(circuit: Circuit, source_name: str,
     enclosing :func:`~repro.circuit.batch.batched_sweeps` context.
     Circuits the batched engine does not support (non-MOSFET nonlinear
     elements) silently stay on the scalar path.
+
+    A scalar voltage-source sweep that the compiled Newton loop can
+    serve runs all of its points in one call into the compiled kernel
+    (see :func:`_compiled_sweep`), bit-identical to the point loop.
     """
     element = circuit[source_name]
     if not isinstance(element, (VoltageSource, CurrentSource)):
@@ -717,26 +739,139 @@ def dc_sweep(circuit: Circuit, source_name: str,
         if resilience.allows("batch"):
             return _batch.batched_dc_sweep(circuit, source_name, values,
                                            options, max_lanes=max_lanes)
-    from repro.circuit.elements import DcSpec  # local import to avoid cycle noise
-
     original_spec = element.spec
+    try:
+        if isinstance(element, VoltageSource) and len(values):
+            solutions = _compiled_sweep(circuit, element, values, options)
+            if solutions is not None:
+                return solutions
+        return _point_sweep(circuit, element, values, options)
+    finally:
+        element.spec = original_spec
+
+
+def _secant_guess(x_guess: Optional[np.ndarray],
+                  x_prev: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """Initial guess of a sweep point from the solutions of the two
+    points before it (``None`` where there is no such point)."""
+    if x_prev is None:
+        return x_guess
+    # Secant predictor: extrapolating the last two solutions lands close
+    # enough that Newton typically needs one fewer iteration per point
+    # than plain continuation.
+    return 2.0 * x_guess - x_prev
+
+
+def _point_sweep(circuit: Circuit, element, values,
+                 options: Optional[NewtonOptions]) -> List[DcSolution]:
+    """The sweep as one :func:`dc_operating_point` call per point."""
     solutions: List[DcSolution] = []
     x_guess: Optional[np.ndarray] = None
     x_prev: Optional[np.ndarray] = None
-    try:
-        for value in values:
-            element.spec = DcSpec(float(value))
-            if x_prev is not None:
-                # Secant predictor: extrapolating the last two solutions
-                # lands close enough that Newton typically needs one
-                # fewer iteration per point than plain continuation.
-                x0 = 2.0 * x_guess - x_prev
-            else:
-                x0 = x_guess
-            solution = dc_operating_point(circuit, x0=x0, options=options)
-            solutions.append(solution)
-            x_prev = x_guess
-            x_guess = solution.x
-    finally:
-        element.spec = original_spec
+    for value in values:
+        element.spec = DcSpec(float(value))
+        solution = dc_operating_point(
+            circuit, x0=_secant_guess(x_guess, x_prev), options=options)
+        solutions.append(solution)
+        x_prev = x_guess
+        x_guess = solution.x
     return solutions
+
+
+def _compiled_sweep(circuit: Circuit, element: VoltageSource, values,
+                    options: Optional[NewtonOptions]
+                    ) -> Optional[List[DcSolution]]:
+    """The sweep as one call into the compiled kernel, or None when the
+    compiled Newton loop cannot serve it (see
+    :meth:`MosfetGroup.newton_args`).
+
+    The base system and the group's parameters are stamped once per
+    sweep instead of once per point; the kernel rewrites the source's
+    branch row of the base RHS per point, which is all that stamping
+    the next value would change.  A point plain Newton cannot solve is
+    replayed through :func:`dc_operating_point` (the full ladder) from
+    the same initial guess and warm-start seed the point loop gives it,
+    and the kernel resumes at the next point — solutions, errors,
+    ``engine.last_x`` and every ``solver.dc.*`` metric are exactly the
+    point loop's.  The kernel capability is checked once per sweep, so
+    a breaker veto raised during a sweep takes effect at the next one.
+
+    Telemetry: one ``solve.dc.sweep`` span (points, iterations of the
+    kernel-solved points, fallback_points); replayed points nest inside
+    it as ordinary ``solve.dc`` spans.
+    """
+    engine = dc_engine(circuit)
+    group = engine.newton_group
+    vals = np.ascontiguousarray(values, dtype=np.float64)
+    if group is None or vals.ndim != 1:
+        return None
+    opts = options if options is not None else NewtonOptions()
+    ws = engine.workspace
+    base = ws.base
+    n_nodes = engine.n_nodes
+
+    def stamp_base() -> None:
+        base.clear()
+        engine.stamp_base(base)
+        base.add_gmin(n_nodes, opts.gmin)
+
+    element.spec = DcSpec(float(vals[0]))
+    stamp_base()  # refreshes the group, so the capability check is live
+    block = group.newton_args(ws)
+    if block is None:
+        return None
+    n = len(vals)
+    X = np.zeros((n, engine.size))
+    if engine.warm_start_enabled and engine.last_x is not None:
+        X[0] = engine.last_x
+    iters = np.zeros(n, dtype=np.int64)
+    branch_row = element.branches[0]
+    session = telemetry.active()
+    span_ctx = telemetry.NULL_SPAN if session is None else \
+        session.tracer.span("solve.dc.sweep", points=n)
+    fallback_points = 0
+    kernel_iterations = 0
+    with span_ctx as sp:
+        try:
+            start = 0
+            while True:
+                stop = _ckernel.sweep_dense(
+                    block, X, vals, start, branch_row, element.scale, iters,
+                    n_nodes, opts.max_iterations, opts.damping_v,
+                    opts.reltol, opts.vtol)
+                if stop > start:
+                    solved = iters[start:stop].tolist()
+                    kernel_iterations += sum(solved)
+                    if session is not None:
+                        _record_kernel_solves(session.metrics, solved)
+                    if engine.warm_start_enabled:
+                        engine.last_x = X[stop - 1].copy()
+                if stop == n:
+                    break
+                # Replay the point through the ladder, then re-stamp the
+                # base the ladder's own solves overwrote.
+                element.spec = DcSpec(float(vals[stop]))
+                x0 = _secant_guess(X[stop - 1] if stop >= 1 else None,
+                                   X[stop - 2] if stop >= 2 else None)
+                X[stop] = dc_operating_point(circuit, x0=x0,
+                                             options=options).x
+                fallback_points += 1
+                stamp_base()
+                start = stop + 1
+        finally:
+            sp.set(iterations=kernel_iterations,
+                   fallback_points=fallback_points)
+    return [DcSolution(circuit, x) for x in X]
+
+
+def _record_kernel_solves(metrics, iterations: List[int]) -> None:
+    """The ``solver.dc.*`` metrics :func:`dc_operating_point` records
+    for each of these plain-Newton compiled solves, in one go."""
+    count = len(iterations)
+    metrics.inc("solver.dc.solves", count)
+    metrics.inc("solver.dc.strategy.newton", count)
+    metrics.inc("solver.factorizations", sum(iterations))
+    metrics.inc("solver.dc.jacobian." + jacobian_mode(), count)
+    metrics.inc("solver.dc.kernel.compiled", count)
+    metrics.observe_many("solver.dc.newton_iterations", iterations,
+                         telemetry.ITERATION_BUCKETS)

@@ -866,8 +866,9 @@ class MosfetGroup:
         (not built, vetoed, kill switch), FD Jacobians are forced, the
         workspace solves sparse, or LAPACK ``dgesv`` is unavailable.
 
-        Checked per solve, so a breaker veto takes effect at the next
-        solve; the block itself is built once per (group, workspace)."""
+        Checked per solve (per sweep for a compiled DC sweep), so a
+        breaker veto takes effect at the next solve or sweep; the block
+        itself is built once per (group, workspace)."""
         if self._ck_args is None or _FD_JACOBIANS[0] \
                 or ws.st.plan is not None or not _ckernel.active() \
                 or _mna._dgesv is None:

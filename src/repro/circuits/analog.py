@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from repro.circuit.ac import ac_analysis
-from repro.circuit.dc import dc_operating_point, dc_sweep
+from repro.circuit.dc import dc_operating_point, dc_sweep, sweep_voltages
 from repro.circuit.mosfet import Mosfet
 from repro.circuit.netlist import Circuit
 from repro.circuits.references import CircuitFixture
@@ -152,7 +152,7 @@ def comparator_threshold_v(fixture: CircuitFixture,
     vdd = ckt["vdd"].spec.dc_value()
     vins = np.linspace(vcm - search_range_v, vcm + search_range_v, n_points)
     sols = dc_sweep(ckt, "vinp", vins)
-    douts = np.array([s.voltage(fixture.nodes["dout"]) for s in sols])
+    douts, = sweep_voltages(sols, (fixture.nodes["dout"],))
     above = douts > vdd / 2.0
     flips = np.where(above[:-1] != above[1:])[0]
     if flips.size == 0:
@@ -178,21 +178,15 @@ def input_referred_offset_v(fixture: CircuitFixture,
     ckt = fixture.circuit
     vcm = fixture.meta["vcm_v"]
     if "outn" in fixture.nodes:
-        out_hi, out_lo = fixture.nodes["outp"], fixture.nodes["outn"]
-
-        def imbalance(sol) -> float:
-            return sol.voltage(out_hi) - sol.voltage(out_lo)
+        balanced = (fixture.nodes["outp"], fixture.nodes["outn"])
     else:
-        out = fixture.nodes["out"]
         # Balance target: mirror node voltage equals output voltage.
-        mirror = fixture.nodes["mirror"]
-
-        def imbalance(sol) -> float:
-            return sol.voltage(out) - sol.voltage(mirror)
+        balanced = (fixture.nodes["out"], fixture.nodes["mirror"])
 
     vins = np.linspace(vcm - search_range_v, vcm + search_range_v, n_points)
     sols = dc_sweep(ckt, "vinp", vins)
-    errors = np.array([imbalance(s) for s in sols])
+    v_hi, v_lo = sweep_voltages(sols, balanced)
+    errors = v_hi - v_lo
     sign_change = np.where(np.diff(np.sign(errors)) != 0)[0]
     if sign_change.size == 0:
         raise ValueError("no balance point within the search range; "

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.circuit.dc import dc_sweep
+from repro.circuit.dc import dc_sweep, sweep_voltages
 from repro.circuit.mosfet import Mosfet
 from repro.circuit.netlist import Circuit
 from repro.circuit.waveform import Waveform
@@ -151,7 +151,7 @@ def vtc(fixture: CircuitFixture, n_points: int = 101) -> tuple:
     tech_vdd = ckt["vdd"].spec.dc_value()
     vins = np.linspace(0.0, tech_vdd, n_points)
     sols = dc_sweep(ckt, "vin", vins)
-    vouts = np.array([s.voltage(fixture.nodes["out"]) for s in sols])
+    vouts, = sweep_voltages(sols, (fixture.nodes["out"],))
     return vins, vouts
 
 
@@ -268,7 +268,7 @@ def sram_hold_butterfly(fixture: CircuitFixture,
     probe.voltage_source("vprobe", "q", "0", 0.0)
     vins = np.linspace(0.0, vdd, n_points)
     sols = dc_sweep(probe, "vprobe", vins)
-    vqb = np.array([s.voltage("qb") for s in sols])
+    vqb, = sweep_voltages(sols, ("qb",))
     return vins, vqb
 
 

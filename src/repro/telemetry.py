@@ -67,8 +67,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, \
-    Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, \
+    Sequence, Tuple, Union
 
 #: Trace-file schema version (bump when the JSONL layout changes).
 TRACE_SCHEMA = 1
@@ -131,6 +131,13 @@ class MetricsRegistry:
         edge land in the overflow bucket.  The bounds of the *first*
         observation stick — later calls may omit them.
         """
+        self.observe_many(name, (value,), bounds)
+
+    def observe_many(self, name: str, values: Iterable[float],
+                     bounds: Sequence[float] = TIME_BUCKETS_S) -> None:
+        """Record every one of ``values`` into histogram ``name``, in
+        order, under one lock — the same snapshot as one :meth:`observe`
+        call per value."""
         with self._lock:
             hist = self._histograms.get(name)
             if hist is None:
@@ -138,11 +145,13 @@ class MetricsRegistry:
                         "counts": [0] * (len(bounds) + 1),
                         "sum": 0.0, "count": 0, "max": float("-inf")}
                 self._histograms[name] = hist
-            hist["counts"][bisect.bisect_left(hist["bounds"], value)] += 1
-            hist["sum"] += value
-            hist["count"] += 1
-            if value > hist["max"]:
-                hist["max"] = value
+            edges, counts = hist["bounds"], hist["counts"]
+            for value in values:
+                counts[bisect.bisect_left(edges, value)] += 1
+                hist["sum"] += value
+                hist["count"] += 1
+                if value > hist["max"]:
+                    hist["max"] = value
 
     def reset(self) -> None:
         """Drop every metric (a fresh registry)."""

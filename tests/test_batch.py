@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import faultinject, telemetry
-from repro.circuit import batched_sweeps, can_batch, dc_sweep
+from repro.circuit import _ckernel, batched_sweeps, can_batch, dc_sweep
 from repro.circuits import (
     beta_multiplier_reference,
     differential_pair,
@@ -33,6 +33,10 @@ from repro.verify.differential import BATCH_AGREEMENT_FACTORS, batch_state_bound
 #: a pilot-seeded start, so they get the differential pair's sweep
 #: factor with the same measured headroom (worst observed ~4e-6x).
 _LANE_FACTOR = BATCH_AGREEMENT_FACTORS["differential_pair"]
+
+#: Scalar voltage-source sweeps run as one compiled call (one
+#: ``solve.dc.sweep`` span) when the compiled Newton loop is usable.
+COMPILED_SWEEPS = _ckernel.available() and _ckernel.dgesv_pointer() is not None
 
 
 def _assert_states_close(x_batch, x_scalar, factor, options=None):
@@ -107,7 +111,11 @@ class TestBatchedSweepCorpus:
             dc_sweep(fx.circuit, "vin", [0.5], batch=True)
         names = [r["name"] for r in sess.tracer.export_records()]
         assert "solve.dc.batch" not in names
-        assert "solve.dc" in names
+        # The scalar sweep: one compiled-sweep span, or one per-point
+        # solve span without the compiled Newton loop.
+        expected = "solve.dc.sweep" if COMPILED_SWEEPS \
+            else "solve.dc"
+        assert names == [expected]
 
     @settings(max_examples=8, deadline=None)
     @given(start=st.floats(0.0, 0.3), span=st.floats(0.1, 0.9),

@@ -12,6 +12,7 @@ from repro.circuit import (
     dc_sweep,
     is_ground,
     newton_solve,
+    sweep_voltages,
 )
 
 
@@ -205,6 +206,21 @@ class TestDcSweep:
         ids = [-s.source_current("vd") for s in sols]
         assert all(b >= a - 1e-12 for a, b in zip(ids, ids[1:]))
         assert ids[-1] > 1e-5
+
+    def test_sweep_voltages_match_per_point_reads(self, tech90):
+        ckt = Circuit("iv")
+        ckt.voltage_source("vg", "g", "0", 0.9)
+        ckt.voltage_source("vd", "d", "0", 0.0)
+        ckt.resistor("rd", "d", "x", 1e3)
+        ckt.mosfet(Mosfet.from_technology("m1", "x", "g", "0", "0", tech90,
+                                          "n", w_m=1e-6, l_m=0.09e-6))
+        sols = dc_sweep(ckt, "vd", np.linspace(0.0, 1.2, 7))
+        names = ("x", "0", "d")
+        got = sweep_voltages(sols, names)
+        assert got.shape == (3, 7)
+        expected = np.array([[s.voltage(n) for s in sols] for n in names])
+        np.testing.assert_array_equal(got, expected)
+        assert sweep_voltages([], names).shape == (3, 0)
 
     def test_sweep_rejects_non_source(self, tech90):
         ckt = Circuit("s")

@@ -1,10 +1,11 @@
-"""Differential tests of the compiled damped-Newton loop.
+"""Differential tests of the compiled damped-Newton loop and sweep.
 
 ``newton_solve(..., group=)`` runs the whole iteration of a dense
-all-MOSFET system in one call into the compiled kernel.  It must be
-bit-identical to the Python loop — same iterates, same iteration
-counts, same errors — and must hand solves back to the Python loop
-whenever one of its preconditions goes away.
+all-MOSFET system in one call into the compiled kernel, and a scalar
+voltage-source ``dc_sweep`` runs all of its points in one call.  Both
+must be bit-identical to the Python loop — same iterates, same
+iteration counts and metrics, same errors — and must hand solves back
+to the Python loop whenever one of their preconditions goes away.
 """
 
 import json
@@ -25,7 +26,7 @@ from repro.circuit import (
     transient,
 )
 from repro.circuit import mna
-from repro.circuit.dc import dc_engine
+from repro.circuit.dc import dc_engine, warm_start
 from repro.circuit.mosfet import Mosfet, MosfetGroup, fd_jacobians
 from repro.circuits import differential_pair, ring_oscillator, sram_cell, \
     sram_read_butterfly
@@ -38,17 +39,20 @@ pytestmark = pytest.mark.skipif(
 
 
 class _LoopCounter:
-    """Counts calls into the compiled Newton loop."""
+    """Counts calls into the compiled Newton loop and compiled sweep."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
-        real = _ckernel.newton_dense
+        for name in ("newton_dense", "sweep_dense"):
+            monkeypatch.setattr(_ckernel, name, self._counted(
+                getattr(_ckernel, name)))
 
+    def _counted(self, real):
         def counted(*args, **kwargs):
             self.calls += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(_ckernel, "newton_dense", counted)
+        return counted
 
 
 def _run(monkeypatch, fn, python_loop: bool):
@@ -75,6 +79,25 @@ def _iterations(metrics) -> float:
     return metrics.counter("solver.factorizations")
 
 
+def _counters(metrics) -> dict:
+    """The counter snapshot with the ``solver.dc.kernel.<loop>`` tally —
+    the one counter that must differ between the two loops — folded
+    into a single ``solver.dc.kernel`` count."""
+    counters = metrics.snapshot()["counters"]
+    kernel = [counters.pop(name) for name in list(counters)
+              if name.startswith("solver.dc.kernel.")]
+    if kernel:
+        counters["solver.dc.kernel"] = sum(kernel)
+    return counters
+
+
+def _assert_same_metrics(m_c, m_p, label=""):
+    assert _counters(m_c) == _counters(m_p), label
+    hist = "solver.dc.newton_iterations"
+    assert m_c.snapshot()["histograms"][hist] \
+        == m_p.snapshot()["histograms"][hist], label
+
+
 def _error_payload(exc) -> str:
     """Everything an error carries, NaN-safe for equality."""
     report = exc.report.to_dict() if getattr(exc, "report", None) else None
@@ -96,6 +119,7 @@ class TestBitIdentical:
             python, m_p = _run(monkeypatch, sweep, python_loop=True)
             np.testing.assert_array_equal(compiled, python, err_msg=name)
             assert _iterations(m_c) == _iterations(m_p) > 0, name
+            _assert_same_metrics(m_c, m_p, name)
 
     def test_ring_transient(self, tech90, monkeypatch):
         fx = ring_oscillator(tech90, n_stages=3)
@@ -107,6 +131,7 @@ class TestBitIdentical:
         python, m_p = _run(monkeypatch, ring, python_loop=True)
         np.testing.assert_array_equal(compiled, python)
         assert _iterations(m_c) == _iterations(m_p) > 0
+        _assert_same_metrics(m_c, m_p)
 
     def test_sram_butterfly(self, tech90, monkeypatch):
         fx = sram_cell(tech90)
@@ -118,6 +143,115 @@ class TestBitIdentical:
         python, m_p = _run(monkeypatch, butterfly, python_loop=True)
         np.testing.assert_array_equal(compiled, python)
         assert _iterations(m_c) == _iterations(m_p) > 0
+        _assert_same_metrics(m_c, m_p)
+
+
+class TestCompiledSweep:
+    """The compiled sweep around points plain Newton cannot solve."""
+
+    @staticmethod
+    def _ota(tech90):
+        from repro.circuits import five_transistor_ota
+
+        circuit = five_transistor_ota(tech90).circuit
+        vcm = circuit["vinp"].spec.dc_value()
+        return circuit, np.linspace(vcm - 0.1, vcm + 0.1, 11)
+
+    def test_some_points_fall_back_to_the_ladder(self, tech90,
+                                                 monkeypatch):
+        # Four iterations are too few for some points from their
+        # predictor: those take the ladder, the others stay compiled.
+        circuit, values = self._ota(tech90)
+        opts = NewtonOptions(max_iterations=4)
+        spans = []
+
+        def sweep():
+            x = np.array([s.x for s in dc_sweep(circuit, "vinp", values,
+                                                opts, batch=False)])
+            spans.append(telemetry.active().tracer.export_records())
+            return x
+
+        compiled, m_c = _run(monkeypatch, sweep, python_loop=False)
+        python, m_p = _run(monkeypatch, sweep, python_loop=True)
+        np.testing.assert_array_equal(compiled, python)
+        _assert_same_metrics(m_c, m_p)
+        strategies = m_c.counters_with_prefix("solver.dc.strategy.")
+        fallbacks = sum(strategies.values()) - strategies["newton"]
+        assert 0 < fallbacks and strategies["newton"] > 0
+        sweeps = [r for r in spans[0] if r["name"] == "solve.dc.sweep"]
+        assert len(sweeps) == 1
+        attrs = sweeps[0]["attrs"]
+        assert attrs["points"] == len(values)
+        assert attrs["fallback_points"] == fallbacks
+        # The kernel's own iterations; replayed points count on their
+        # own spans.
+        replayed = [r for r in spans[0] if r["name"] == "solve.dc"]
+        assert len(replayed) == fallbacks
+        assert all(r["parent"] == sweeps[0]["id"] for r in replayed)
+        assert attrs["iterations"] + sum(
+            r["attrs"]["iterations"] for r in replayed) == _iterations(m_c)
+        # Python-loop sweeps emit per-point spans only.
+        assert not [r for r in spans[1] if r["name"] == "solve.dc.sweep"]
+
+    def test_ladder_failure_mid_sweep(self, tech90, monkeypatch):
+        # Warm-started from a converged point, three iterations carry
+        # the first points; later ones exhaust the whole ladder.
+        circuit, values = self._ota(tech90)
+        opts = NewtonOptions(max_iterations=3)
+        original = circuit["vinp"].spec
+
+        def sweep():
+            with warm_start(circuit) as engine:
+                dc_sweep(circuit, "vinp", values[:1], batch=False)
+                try:
+                    dc_sweep(circuit, "vinp", values, opts, batch=False)
+                except ConvergenceError as exc:
+                    return exc, engine.last_x.copy()
+            raise AssertionError("the sweep should have failed")
+
+        (exc_c, last_c), m_c = _run(monkeypatch, sweep, python_loop=False)
+        (exc_p, last_p), m_p = _run(monkeypatch, sweep, python_loop=True)
+        assert _error_payload(exc_c) == _error_payload(exc_p)
+        np.testing.assert_array_equal(last_c, last_p)
+        _assert_same_metrics(m_c, m_p)
+        assert m_c.counter("solver.dc.failures") == 1
+        assert m_c.counter("solver.dc.strategy.newton") > 1
+        assert circuit["vinp"].spec is original
+
+    def test_strided_and_listed_values(self, tech90, monkeypatch):
+        # The kernel reads the values through a raw pointer: a strided
+        # view or a plain list must sweep the same points.
+        circuit, values = self._ota(tech90)
+        for swept in (values[::2], values[::2].tolist()):
+            def sweep():
+                return np.array([s.x for s in dc_sweep(
+                    circuit, "vinp", swept, batch=False)])
+
+            compiled, m_c = _run(monkeypatch, sweep, python_loop=False)
+            python, m_p = _run(monkeypatch, sweep, python_loop=True)
+            np.testing.assert_array_equal(compiled, python)
+            _assert_same_metrics(m_c, m_p)
+
+    def test_warm_start_carries_across_sweeps(self, tech90, monkeypatch):
+        fx = differential_pair(tech90)
+        circuit = fx.circuit
+
+        def sweeps():
+            with warm_start(circuit) as engine:
+                first = [s.x for s in dc_sweep(
+                    circuit, "vinp", np.linspace(0.5, 0.6, 5), batch=False)]
+                carried = engine.last_x.copy()
+                second = [s.x for s in dc_sweep(
+                    circuit, "vinp", np.linspace(0.6, 0.7, 5), batch=False)]
+                return np.array(first + [carried] + second
+                                + [engine.last_x])
+
+        compiled, m_c = _run(monkeypatch, sweeps, python_loop=False)
+        python, m_p = _run(monkeypatch, sweeps, python_loop=True)
+        np.testing.assert_array_equal(compiled, python)
+        _assert_same_metrics(m_c, m_p)
+        # The carried seed is the first sweep's last solution.
+        np.testing.assert_array_equal(compiled[5], compiled[4])
 
 
 class TestFailurePathsIdentical:
@@ -160,37 +294,58 @@ class TestFailurePathsIdentical:
 
 
 class TestFallbackRules:
-    def test_veto_mid_sweep_switches_next_solve(self, tech90, monkeypatch):
+    def test_veto_mid_sweep_switches_next_sweep(self, tech90, monkeypatch):
+        # The capability check runs once per sweep: a veto raised while
+        # a sweep is in the kernel takes effect at the next sweep.
         fx = differential_pair(tech90)
         circuit = fx.circuit
         values = np.linspace(0.5, 0.7, 9)
-        reference = np.array([s.x for s in dc_sweep(
-            circuit, "vinp", values, batch=False)])
-        calls = []
-        real = _ckernel.newton_dense
 
-        def newton_dense(*args):
-            # The breaker quarantines the kernel after the second solve.
-            calls.append(None)
-            status = real(*args)
-            if len(calls) == 2:
-                _ckernel.set_veto(True)
-            return status
-
-        monkeypatch.setattr(_ckernel, "newton_dense", newton_dense)
-        try:
-            got = np.array([s.x for s in dc_sweep(
+        def sweep():
+            return np.array([s.x for s in dc_sweep(
                 circuit, "vinp", values, batch=False)])
-            assert len(calls) == 2
+
+        reference = sweep()
+        counter = _LoopCounter(monkeypatch)
+        counted = _ckernel.sweep_dense
+
+        def sweep_dense(*args):
+            # The breaker quarantines the kernel mid-sweep.
+            _ckernel.set_veto(True)
+            return counted(*args)
+
+        monkeypatch.setattr(_ckernel, "sweep_dense", sweep_dense)
+        try:
+            during = sweep()
+            assert counter.calls == 1
+            after = sweep()
+            assert counter.calls == 1
         finally:
             _ckernel.set_veto(False)
-        # The vetoed solves also lose the compiled stamp pass, so they
-        # agree with the kernel's answers to Newton tolerance only.
-        np.testing.assert_array_equal(got[:2], reference[:2])
-        np.testing.assert_allclose(got, reference, rtol=0, atol=1e-6)
-        # Lifting the veto brings the compiled loop back.
-        dc_operating_point(circuit)
-        assert len(calls) == 3
+        np.testing.assert_array_equal(during, reference)
+        # The vetoed sweep also loses the compiled stamp pass, so it
+        # agrees with the kernel's answers to Newton tolerance only.
+        np.testing.assert_allclose(after, reference, rtol=0, atol=1e-6)
+        # Lifting the veto brings the compiled sweep back.
+        monkeypatch.setattr(_ckernel, "sweep_dense", counted)
+        np.testing.assert_array_equal(sweep(), reference)
+        assert counter.calls == 2
+
+    def test_current_source_sweep_uses_point_loop(self, tech90,
+                                                  monkeypatch):
+        fx = differential_pair(tech90)
+        sweeps, solves = [], []
+        for name, calls in (("sweep_dense", sweeps),
+                            ("newton_dense", solves)):
+            real = getattr(_ckernel, name)
+            monkeypatch.setattr(
+                _ckernel, name,
+                lambda *a, _real=real, _calls=calls:
+                    _calls.append(None) or _real(*a))
+        itail = fx.circuit["itail"].spec.dc_value()
+        dc_sweep(fx.circuit, "itail", np.linspace(0.9, 1.1, 5) * itail,
+                 batch=False)
+        assert not sweeps and len(solves) == 5
 
     def test_veto_mid_transient_switches_next_step(self, tech90,
                                                    monkeypatch):

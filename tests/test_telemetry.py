@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.circuit import ConvergenceError, dc_operating_point, transient
+from repro.circuit import ConvergenceError, _ckernel, dc_operating_point, \
+    transient
 from repro.circuits import differential_pair, input_referred_offset_v
 from repro.cli import main
 from repro.core import MonteCarloYield, Specification
@@ -36,6 +37,11 @@ from repro.telemetry import (
     profile_phases,
     read_trace,
 )
+
+
+#: Scalar voltage-source sweeps run as one compiled call (one
+#: ``solve.dc.sweep`` span) when the compiled Newton loop is usable.
+COMPILED_SWEEPS = _ckernel.available() and _ckernel.dgesv_pointer() is not None
 
 
 def _offset(fixture) -> float:
@@ -78,6 +84,21 @@ class TestMetricsRegistry:
         hist = reg.snapshot()["histograms"]["it"]
         assert sum(hist["counts"]) == 5
         assert hist["counts"][-1] == 1  # 1000 overflows the last edge
+
+    def test_observe_many_equals_observe_sequence(self):
+        values = [3, 1, 0.25, 2, 1000, 7, 3]
+        one, many = MetricsRegistry(), MetricsRegistry()
+        one.observe("it", 5, ITERATION_BUCKETS)
+        many.observe("it", 5, ITERATION_BUCKETS)
+        for value in values:
+            one.observe("it", value)
+        many.observe_many("it", values)
+        # Also on a histogram the batch call creates.
+        for value in values:
+            one.observe("new", value, ITERATION_BUCKETS)
+        many.observe_many("new", values, ITERATION_BUCKETS)
+        assert many.snapshot() == one.snapshot()
+        assert many.snapshot()["histograms"]["it"]["count"] == 8
 
     def test_snapshot_merge_roundtrip(self):
         a, b = MetricsRegistry(), MetricsRegistry()
@@ -315,7 +336,14 @@ class TestEngineTelemetry:
         assert counts["chunk"] == 2  # 48 samples / DEFAULT_CHUNK_SIZE
         assert counts["sample"] == 48
         assert counts["analysis"] == 48
-        assert counts["solve.dc"] > 48
+        # One DC sweep per sample: a single compiled-sweep span (no
+        # point of this run needs the ladder), or per-point solve spans
+        # without the compiled Newton loop.
+        if COMPILED_SWEEPS:
+            assert counts["solve.dc.sweep"] == 48
+            assert "solve.dc" not in counts
+        else:
+            assert counts["solve.dc"] > 48
         # one connected tree: every parent id resolves
         ids = {s["id"] for s in spans}
         assert all(s["parent"] in ids for s in spans
@@ -646,7 +674,12 @@ class TestCliTrace:
         trace = read_trace(trace_path)
         trace.validate()
         names = {s["name"] for s in trace.spans}
-        assert {"run", "chunk", "sample", "analysis", "solve.dc"} <= names
+        assert {"run", "chunk", "sample", "analysis"} <= names
+        # Each sample's sweep: compiled, or point by point without the
+        # compiled Newton loop.
+        sweep_span = "solve.dc.sweep" if COMPILED_SWEEPS \
+            else "solve.dc"
+        assert sweep_span in names
         assert trace.meta["command"] == "mc"
         assert trace.metrics["counters"]["engine.samples"] == 8
         # Every DC solve names the Newton loop that served it.
