@@ -4,7 +4,7 @@ dense Newton loop.
 The vectorized :class:`~repro.circuit.mosfet.MosfetGroup` pays one numpy
 ufunc dispatch (~0.7 µs) per arithmetic step; on the tiny analog cells
 this library solves (3–20 devices) that dispatch — not the arithmetic —
-is the entire cost of a Newton iteration.  This module compiles two
+is the entire cost of a Newton iteration.  This module compiles four
 entry points into a small C shared library at first use:
 
 * ``repro_stamp_mosfets[_batch]`` — the analytic model pass (same
@@ -20,7 +20,13 @@ entry points into a small C shared library at first use:
 * ``repro_sweep_dense`` — a whole voltage-source DC sweep (see
   :func:`repro.circuit.dc.dc_sweep`): per point it writes the swept
   value into the base system's branch row, forms the secant predictor
-  and runs ``repro_newton_dense`` — one foreign call per sweep.
+  and runs ``repro_newton_dense`` — one foreign call per sweep;
+* ``repro_transient_dense`` — the grid steps of a fixed-step transient
+  (see :func:`repro.circuit.transient.transient`): per step it writes
+  the capacitor companions and source values, replays the step's base
+  system from a stamp tape, forms the two-point predictor, runs
+  ``repro_newton_dense``, applies the LTE test and commits the
+  capacitor state — one foreign call per transient.
 
 The Newton loop is **bit-identical** to the Python loop it replaces,
 not merely close: ``dgesv`` is the very routine scipy's f2py wrapper
@@ -300,6 +306,117 @@ long repro_sweep_dense(repro_newton_args *w, double *X,
     }
     return n_points;
 }
+
+/* The base system and capacitor history of one transient, as
+ * repro_transient_dense replays them.  The base is a stamp tape: entry
+ * e adds sign[e] * value[slot[e]] to A[index[e]] (index < size*size) or
+ * to b[index[e] - size*size], in the order Python stamps the linear
+ * companions, the gate leaks and gmin, so every entry sums its terms in
+ * the same order.  Slots 2k and 2k+1 hold capacitor k's geq and ieq,
+ * the next n_sources slots the source values of the step (row `step` of
+ * source_values), the rest constants.  TransientArgs there must mirror
+ * this layout. */
+typedef struct {
+    long n_entries;
+    const long *index, *slot;
+    const double *sign;
+    double *value;
+    long n_caps;
+    const long *cap_plus, *cap_minus;  /* node index, -1 for ground */
+    const double *cap_c;
+    double *cap_v, *cap_i;
+    long n_sources;
+    const double *source_values;
+    double dt, lte_rtol;
+    long trapezoidal, check_lte;
+} repro_transient_args;
+
+/* Grid steps [start, n_steps] of a fixed-step transient, row `step` of
+ * the (n_steps + 1, size) X receiving its solution and iters[step] its
+ * Newton iterations.  Mirrors a clean step of transient._transient_impl:
+ * t = step * dt, dt_loc = t - (t - dt) as `advance` computes it, the
+ * capacitor companions (trapezoidal or backward Euler) and source
+ * values written into the value slots, the tape replayed into the
+ * cleared base, Newton from the two-point predictor 2.0 * X[step-1] -
+ * X[step-2] (from X[0] at step 1), the LTE test and the capacitor
+ * state commit.  Stops at the first step that does not converge or
+ * fails the LTE test and returns its index (n_steps + 1 when all pass),
+ * leaving the capacitor state at the end of the step before; the
+ * caller replays that step through its halving logic and resumes at
+ * the next one. */
+long repro_transient_dense(repro_newton_args *w, repro_transient_args *t,
+                           double *X, long start, long n_steps, long *iters,
+                           long n_nodes, long max_iter, double damping_v,
+                           double reltol, double vtol)
+{
+    long size = w->size, nn = size * size;
+    double *base_a = (double *) w->base_a, *base_b = w->base_b;
+    double *value = t->value, *source_slots = value + 2 * t->n_caps;
+    for (long step = start; step <= n_steps; step++) {
+        double time = (double) step * t->dt;
+        double dt_loc = time - (time - t->dt);
+        double *x = X + step * size;
+        const double *x1 = x - size;
+        for (long k = 0; k < t->n_caps; k++) {
+            double c = t->cap_c[k], geq;
+            if (t->trapezoidal) {
+                geq = 2.0 * c / dt_loc;
+                value[2 * k + 1] = geq * t->cap_v[k] + t->cap_i[k];
+            } else {
+                geq = c / dt_loc;
+                value[2 * k + 1] = geq * t->cap_v[k];
+            }
+            value[2 * k] = geq;
+        }
+        memcpy(source_slots, t->source_values + step * t->n_sources,
+               (size_t) t->n_sources * sizeof(double));
+        memset(base_a, 0, (size_t) nn * sizeof(double));
+        memset(base_b, 0, (size_t) size * sizeof(double));
+        for (long e = 0; e < t->n_entries; e++) {
+            long i = t->index[e];
+            double v = t->sign[e] * value[t->slot[e]];
+            if (i < nn)
+                base_a[i] += v;
+            else
+                base_b[i - nn] += v;
+        }
+        if (step >= 2) {
+            const double *x2 = x1 - size;
+            for (long j = 0; j < size; j++)
+                x[j] = 2.0 * x1[j] - x2[j];
+        } else {
+            memcpy(x, x1, (size_t) size * sizeof(double));
+        }
+        int status = repro_newton_dense(w, x, n_nodes, max_iter, damping_v,
+                                        reltol, vtol);
+        if (status != REPRO_NEWTON_CONVERGED)
+            return step;
+        if (t->check_lte && step >= 2) {
+            const double *x2 = x1 - size;
+            for (long j = 0; j < n_nodes; j++) {
+                double scale = fabs(x[j]);
+                if (scale < 1.0)
+                    scale = 1.0;
+                double err = fabs(x[j] - (2.0 * x1[j] - x2[j])) / scale;
+                if (!(err <= t->lte_rtol))  /* NaN rejects too */
+                    return step;
+            }
+        }
+        iters[step] = w->iterations;
+        for (long k = 0; k < t->n_caps; k++) {
+            long a = t->cap_plus[k], b = t->cap_minus[k];
+            double v_new = (a >= 0 ? x[a] : 0.0) - (b >= 0 ? x[b] : 0.0);
+            double c = t->cap_c[k];
+            if (t->trapezoidal)
+                t->cap_i[k] = (2.0 * c / dt_loc) * (v_new - t->cap_v[k])
+                    - t->cap_i[k];
+            else
+                t->cap_i[k] = (c / dt_loc) * (v_new - t->cap_v[k]);
+            t->cap_v[k] = v_new;
+        }
+    }
+    return n_steps + 1;
+}
 """
 
 _DISABLED = os.environ.get("REPRO_NO_CKERNEL", "") not in ("", "0")
@@ -329,6 +446,23 @@ class NewtonArgs(ctypes.Structure):
                 + [("clm_v", ctypes.c_double)]
                 + [(name, ctypes.c_void_p) for name in _BUF_FIELDS]
                 + [("iterations", ctypes.c_long)])
+
+
+class TransientArgs(ctypes.Structure):
+    """ctypes mirror of the C ``repro_transient_args`` block (same field
+    order); every pointer field holds a raw address."""
+
+    _fields_ = ([("n_entries", ctypes.c_long)]
+                + [(name, ctypes.c_void_p)
+                   for name in ("index", "slot", "sign", "value")]
+                + [("n_caps", ctypes.c_long)]
+                + [(name, ctypes.c_void_p) for name in
+                   ("cap_plus", "cap_minus", "cap_c", "cap_v", "cap_i")]
+                + [("n_sources", ctypes.c_long),
+                   ("source_values", ctypes.c_void_p),
+                   ("dt", ctypes.c_double), ("lte_rtol", ctypes.c_double),
+                   ("trapezoidal", ctypes.c_long),
+                   ("check_lte", ctypes.c_long)])
 
 
 _dgesv_address: list = []
@@ -442,6 +576,10 @@ def _compile() -> Optional[ctypes.CDLL]:
     sfn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] * 3 + \
         [ctypes.c_double, ctypes.c_void_p, ctypes.c_long, ctypes.c_long] + \
         [ctypes.c_double] * 3
+    tfn = lib.repro_transient_dense
+    tfn.restype = ctypes.c_long
+    tfn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] * 2 + \
+        [ctypes.c_void_p] + [ctypes.c_long] * 2 + [ctypes.c_double] * 3
     return lib
 
 
@@ -488,6 +626,21 @@ def sweep_dense(block: NewtonArgs, X, values, start: int, branch_row: int,
         ctypes.addressof(block), X.ctypes.data, values.ctypes.data, start,
         len(values), branch_row, scale, iterations.ctypes.data, n_nodes,
         max_iterations, damping_v, reltol, vtol)
+
+
+def transient_dense(block: NewtonArgs, tape: TransientArgs, X, start: int,
+                    iterations, n_nodes: int, max_iterations: int,
+                    damping_v: float, reltol: float, vtol: float) -> int:
+    """Run ``repro_transient_dense`` on ``block`` and ``tape`` over grid
+    steps ``start..`` of the C-ordered float64 ``X`` (one row per grid
+    time, row 0 the initial state), writing each step's Newton
+    iterations into the int64 ``iterations``; returns the index of the
+    first step that did not pass (``len(X)`` when all did).  Callers
+    gate on :func:`active` first."""
+    return _lib.repro_transient_dense(
+        ctypes.addressof(block), ctypes.addressof(tape), X.ctypes.data,
+        start, len(X) - 1, iterations.ctypes.data, n_nodes, max_iterations,
+        damping_v, reltol, vtol)
 
 
 def available() -> bool:

@@ -135,11 +135,14 @@ class PwlSpec(SourceSpec):
         times = [p[0] for p in self.points]
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("PWL times must be strictly increasing")
+        # The interpolation tables, built once (the dataclass is frozen;
+        # not fields, so equality, hashing and repr ignore them).
+        object.__setattr__(self, "_times", np.array(times, dtype=float))
+        object.__setattr__(self, "_values", np.array(
+            [p[1] for p in self.points], dtype=float))
 
     def value(self, t: float) -> float:
-        times = [p[0] for p in self.points]
-        values = [p[1] for p in self.points]
-        return float(np.interp(t, times, values))
+        return float(np.interp(t, self._times, self._values))
 
 
 def _as_spec(value: Union[float, SourceSpec]) -> SourceSpec:
@@ -291,7 +294,6 @@ class Capacitor(TwoTerminal):
 
     def stamp_transient(self, st: Stamper, x: np.ndarray, state: dict,
                         t: float, dt: float, method: str) -> None:
-        a, b = self.nodes
         c = self.capacitance
         v_prev = state["v"]
         if method == "trapezoidal":
@@ -300,6 +302,10 @@ class Capacitor(TwoTerminal):
         else:  # backward euler
             geq = c / dt
             ieq = geq * v_prev
+        self._stamp_companion(st, geq, ieq)
+
+    def _stamp_companion(self, st: Stamper, geq, ieq) -> None:
+        a, b = self.nodes
         st.conductance(a, b, geq)
         # Companion current source pushing current INTO n+ (history term).
         st.current(a, ieq)

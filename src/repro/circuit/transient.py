@@ -28,6 +28,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro import telemetry
+from repro.circuit import _ckernel
 from repro.circuit.dc import (
     DcSolution,
     NewtonOptions,
@@ -37,7 +38,12 @@ from repro.circuit.dc import (
     label_unknown,
     newton_solve,
 )
-from repro.circuit.elements import VoltageSource
+from repro.circuit.elements import (
+    Capacitor,
+    CurrentSource,
+    Resistor,
+    VoltageSource,
+)
 from repro.circuit.mna import (
     ConvergenceError,
     ConvergenceReport,
@@ -126,8 +132,151 @@ def _validate_transient_args(t_stop: float, dt: float, method: str,
         raise ValueError("t_stop and dt must be positive")
     if dt > t_stop:
         raise ValueError("dt exceeds t_stop")
+    # The output grid is n·dt: a t_stop between grid points would end
+    # the run silently at the nearest one instead.
+    if abs(round(t_stop / dt) * dt - t_stop) > 1e-9 * t_stop:
+        raise ValueError(f"t_stop={t_stop:g}s is not a whole number of "
+                         f"dt={dt:g}s steps")
     if max_step_halvings < 0:
         raise ValueError("max_step_halvings must be non-negative")
+
+
+class _Slot:
+    """A per-step value of the stamp tape: value slot ``slot`` times
+    ``sign`` (negation flips the sign, as stamps negate values)."""
+
+    __slots__ = ("slot", "sign")
+
+    def __init__(self, slot: int, sign: float = 1.0):
+        self.slot = slot
+        self.sign = sign
+
+    def __neg__(self) -> "_Slot":
+        return _Slot(self.slot, -self.sign)
+
+
+class _TapeRecorder:
+    """Stamper lookalike that records a step's base system as a stamp
+    tape: where each stamp lands (a flat index into ``A``, then ``b``),
+    which value slot it adds and with which sign.  Plain numbers get a
+    constant slot each; :class:`_Slot` values are the per-step ones.
+    The composite stamps are :class:`Stamper`'s own, so element stamps
+    land exactly where they would in the real base."""
+
+    conductance = Stamper.conductance
+    current = Stamper.current
+    branch_voltage = Stamper.branch_voltage
+
+    def __init__(self, size: int, n_dynamic: int):
+        self.size = size
+        self.index: List[int] = []
+        self.slot: List[int] = []
+        self.sign: List[float] = []
+        self.values: List[float] = [0.0] * n_dynamic
+
+    def _add(self, index: int, value) -> None:
+        if not isinstance(value, _Slot):
+            self.values.append(float(value))
+            value = _Slot(len(self.values) - 1)
+        self.index.append(index)
+        self.slot.append(value.slot)
+        self.sign.append(value.sign)
+
+    def matrix(self, row: int, col: int, value) -> None:
+        if row >= 0 and col >= 0:
+            self._add(row * self.size + col, value)
+
+    def rhs(self, row: int, value) -> None:
+        if row >= 0:
+            self._add(self.size * self.size + row, value)
+
+    def add_gmin(self, n_nodes: int, gmin: float) -> None:
+        for node in range(n_nodes):
+            self.matrix(node, node, gmin)
+
+
+#: The linear elements the compiled step loop stamps from a tape.
+_TAPE_ELEMENTS = (Resistor, Capacitor, VoltageSource, CurrentSource)
+
+
+class _StepTape:
+    """The per-transient input of the compiled step loop
+    (:func:`repro.circuit._ckernel.transient_dense`): the stamp tape of
+    the base system, the capacitor history and the source values of
+    every grid time.
+
+    The tape records the linear elements in element order, then the
+    gate leaks, then gmin — the order in which ``stamp_base`` and
+    ``add_gmin`` sum into each base entry.  Source values are
+    precomputed with each source's own ``source_value(t)`` at the grid
+    times the Python loop stamps them at."""
+
+    def __init__(self, linear_pairs, group, size: int, n_nodes: int,
+                 gmin: float, n_steps: int, dt: float, method: str,
+                 lte_rtol: Optional[float], max_step_halvings: int):
+        self.caps = [(e, s) for e, s in linear_pairs
+                     if type(e) is Capacitor]
+        sources = [e for e, _ in linear_pairs
+                   if type(e) in (VoltageSource, CurrentSource)]
+        n_caps = len(self.caps)
+        rec = _TapeRecorder(size, 2 * n_caps + len(sources))
+        n_cap = n_source = 0
+        for element, state in linear_pairs:
+            kind = type(element)
+            if kind is Capacitor:
+                element._stamp_companion(rec, _Slot(2 * n_cap),
+                                         _Slot(2 * n_cap + 1))
+                n_cap += 1
+            elif kind is Resistor:
+                element.stamp_transient(rec, _NO_X, state, 0.0, dt, method)
+            else:
+                element._stamp(rec, _Slot(2 * n_caps + n_source))
+                n_source += 1
+        if group is not None:
+            group.stamp_gate_leaks(rec)
+        rec.add_gmin(n_nodes, gmin)
+        self.source_values = np.zeros((n_steps + 1, len(sources)))
+        for step in range(1, n_steps + 1):
+            t = step * dt  # the Python float the step loop stamps at
+            self.source_values[step] = [e.source_value(t) for e in sources]
+        self.index = np.array(rec.index, dtype=np.int64)
+        self.slot = np.array(rec.slot, dtype=np.int64)
+        self.sign = np.array(rec.sign)
+        self.value = np.array(rec.values)
+        nodes = np.array([e.nodes for e, _ in self.caps],
+                         dtype=np.int64).reshape(n_caps, 2)
+        self.cap_plus = np.ascontiguousarray(nodes[:, 0])
+        self.cap_minus = np.ascontiguousarray(nodes[:, 1])
+        self.cap_c = np.array([e.capacitance for e, _ in self.caps])
+        self.cap_v = np.zeros(n_caps)
+        self.cap_i = np.zeros(n_caps)
+        self.load()
+        check_lte = lte_rtol is not None and max_step_halvings > 0
+        tape = (self.index, self.slot, self.sign, self.value)
+        caps = (self.cap_plus, self.cap_minus, self.cap_c, self.cap_v,
+                self.cap_i)
+        self.args = _ckernel.TransientArgs(
+            len(self.index), *(array.ctypes.data for array in tape),
+            n_caps, *(array.ctypes.data for array in caps),
+            len(sources), self.source_values.ctypes.data, dt,
+            lte_rtol if check_lte else 0.0, method == "trapezoidal",
+            check_lte)
+
+    def load(self) -> None:
+        """Read the capacitor history from the element state dicts."""
+        for k, (_, state) in enumerate(self.caps):
+            self.cap_v[k] = state["v"]
+            self.cap_i[k] = state["i"]
+
+    def store(self) -> None:
+        """Write the capacitor history back into the element state
+        dicts, for a step the Python loop replays."""
+        for k, (_, state) in enumerate(self.caps):
+            state["v"] = float(self.cap_v[k])
+            state["i"] = float(self.cap_i[k])
+
+
+_NO_X = np.zeros(0)
 
 
 def _transient_impl(circuit: Circuit, t_stop: float, dt: float,
@@ -150,6 +299,16 @@ def _transient_impl(circuit: Circuit, t_stop: float, dt: float,
     solution scale) exceeds the tolerance is also halved — rejection by
     accuracy, not just by convergence.  ``lte_rtol=None`` (default)
     disables the accuracy check.
+
+    When the compiled Newton loop serves the step solves and every
+    linear element is a resistor, capacitor or independent source, the
+    grid steps run in one call into the compiled kernel
+    (:class:`_StepTape`), bit-identical to the step loop below; a step
+    the kernel rejects is replayed through that loop.
+
+    Returns ``(result, rejections, iterations, fallback_steps)``;
+    ``fallback_steps`` counts the replayed steps, or is ``None`` when
+    the Python step loop ran the whole transient.
     """
     _validate_transient_args(t_stop, dt, method, max_step_halvings)
 
@@ -282,29 +441,59 @@ def _transient_impl(circuit: Circuit, t_stop: float, dt: float,
         return x_new
 
     n_steps = int(round(t_stop / dt))
-    times = np.empty(n_steps + 1)
+    times = np.arange(n_steps + 1) * dt  # step * dt, as the loop steps
     states = np.empty((n_steps + 1, size))
-    times[0] = 0.0
     states[0] = x
-    x_prev_grid: Optional[np.ndarray] = None
+    iterations = np.zeros(n_steps + 1, dtype=np.int64)
 
-    iterations_total = 0
-    for step in range(1, n_steps + 1):
+    def python_step(step: int) -> None:
+        """Grid step ``step`` through :func:`advance`, from the rows of
+        ``states`` before it."""
         t = step * dt
+        x_from = states[step - 1]
         # Two-point linear extrapolation: the Newton seed for the step
         # and (with lte_rtol) the LTE reference.
         predicted = None
-        if x_prev_grid is not None:
-            predicted = 2.0 * x - x_prev_grid
-        x_prev_grid = x
+        if step >= 2:
+            predicted = 2.0 * x_from - states[step - 2]
         stats.iterations = 0
-        x = advance(x, t - dt, t, 0, lte_rtol is not None, predicted)
-        iterations_total += stats.iterations
-        times[step] = t
-        states[step] = x
+        states[step] = advance(x_from, t - dt, t, 0, lte_rtol is not None,
+                               predicted)
+        iterations[step] = stats.iterations
+
+    # The compiled step loop serves what the compiled Newton loop serves
+    # when the base system is a stamp tape of R/C/V/I elements; the
+    # capability is checked once per transient.
+    block = newton_group.newton_args(ws) if newton_group is not None \
+        else None
+    tape = None
+    if block is not None and opts.gmin >= 0.0 \
+            and all(type(e) in _TAPE_ELEMENTS for e, _ in linear_pairs):
+        tape = _StepTape(linear_pairs, group, size, n_nodes, opts.gmin,
+                         n_steps, dt, method, lte_rtol, max_step_halvings)
+    fallback_steps = 0
+    if tape is None:
+        for step in range(1, n_steps + 1):
+            python_step(step)
+    else:
+        start = 1
+        while start <= n_steps:
+            stop = _ckernel.transient_dense(
+                block, tape.args, states, start, iterations, n_nodes,
+                opts.max_iterations, opts.damping_v, opts.reltol, opts.vtol)
+            if stop > n_steps:
+                break
+            # A rejected step: replay it through advance (retries,
+            # halving, errors) from the kernel's state, then resume.
+            tape.store()
+            python_step(stop)
+            tape.load()
+            fallback_steps += 1
+            start = stop + 1
 
     result = TransientResult(circuit=circuit, times=times, states=states)
-    return result, rejections, iterations_total
+    return (result, rejections, int(iterations.sum()),
+            fallback_steps if tape is not None else None)
 
 
 def transient(circuit: Circuit, t_stop: float, dt: float,
@@ -339,7 +528,7 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
                              method=method) as sp:
         metrics = session.metrics
         try:
-            result, rejections, iterations = _transient_impl(
+            result, rejections, iterations, fallback_steps = _transient_impl(
                 circuit, t_stop, dt, method, initial_op, options,
                 max_step_halvings, lte_rtol)
         except ConvergenceError as exc:
@@ -353,8 +542,11 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
         rejected = rejections["newton"] + rejections["lte"]
         sp.set(steps=n_steps, iterations=iterations,
                step_rejections=rejected,
-               max_halving_depth=rejections["max_depth"])
+               max_halving_depth=rejections["max_depth"],
+               fallback_steps=fallback_steps or 0)
         metrics.inc("solver.transient.solves")
+        metrics.inc("solver.transient.kernel." + (
+            "python" if fallback_steps is None else "compiled"))
         metrics.inc("solver.transient.steps", n_steps)
         metrics.inc("solver.transient.step_rejections", rejected)
         metrics.inc("solver.transient.lte_rejections", rejections["lte"])

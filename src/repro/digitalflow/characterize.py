@@ -164,7 +164,10 @@ def characterize_cell(fixture: CircuitFixture, tech: TechnologyNode,
                 window = sim_window_s if sim_window_s else max(
                     4e-9, 20.0 * slew + t_start)
                 dt = min(slew / 20.0, window / 400.0)
-                result = transient(circuit, t_stop=window, dt=dt)
+                # End on the grid point nearest the window: transient()
+                # takes only whole numbers of steps.
+                n_steps = max(1, round(window / dt))
+                result = transient(circuit, t_stop=n_steps * dt, dt=dt)
                 t_in, _ = measure_edge(result.voltage(input_node), vdd,
                                        rising=rising_input,
                                        t_after=0.5 * t_start)

@@ -160,6 +160,14 @@ def render_highsigma_result(result, spec_text: str = "") -> str:
     return body
 
 
+def _loop_tally(counters: dict, prefix: str) -> str:
+    """``"compiled 12, python 3"`` from the ``<prefix><loop>`` counters
+    (empty when there are none)."""
+    return ", ".join(f"{name[len(prefix):]} {int(count)}"
+                     for name, count in sorted(counters.items())
+                     if name.startswith(prefix))
+
+
 def render_trace_summary(trace, top: int = 8) -> str:
     """Render a :class:`~repro.telemetry.TraceData` into the ``repro
     trace`` report.
@@ -234,12 +242,9 @@ def render_trace_summary(trace, top: int = 8) -> str:
             extra.append(("newton iterations / solve",
                           f"mean {hist['sum'] / hist['count']:.1f}, "
                           f"max {hist['max']:.0f}"))
-        kernels = sorted((name[len("solver.dc.kernel."):], int(count))
-                         for name, count in counters.items()
-                         if name.startswith("solver.dc.kernel."))
-        if kernels:
-            extra.append(("newton loop", ", ".join(
-                f"{kernel} {count}" for kernel, count in kernels)))
+        loops = _loop_tally(counters, "solver.dc.kernel.")
+        if loops:
+            extra.append(("newton loop", loops))
         if counters.get("solver.factorizations"):
             extra.append(("matrix factorizations",
                           int(counters["solver.factorizations"])))
@@ -258,6 +263,9 @@ def render_trace_summary(trace, top: int = 8) -> str:
                   int(counters.get("solver.transient.step_rejections", 0))),
                  ("LTE rejections",
                   int(counters.get("solver.transient.lte_rejections", 0)))]
+        loops = _loop_tally(counters, "solver.transient.kernel.")
+        if loops:
+            pairs.append(("step loop", loops))
         sections.append(render_section("transient",
                                        render_key_values(pairs)))
 

@@ -67,6 +67,19 @@ class TestSourceSpecs:
         assert spec.value(1.5) == pytest.approx(2.0)
         assert spec.value(5.0) == pytest.approx(2.0)  # clamped
 
+    def test_pwl_tables_match_list_interpolation(self):
+        # The tables built once at construction interpolate exactly as
+        # np.interp over freshly built lists does, ints included.
+        points = ((0, 0), (1e-9, 1.2), (2.5e-9, 1.2), (3e-9, -0.3),
+                  (7e-9, 1))
+        spec = PwlSpec(points=points)
+        times = [p[0] for p in points]
+        values = [p[1] for p in points]
+        for t in np.linspace(-1e-9, 8e-9, 97).tolist() + times:
+            assert spec.value(t) == float(np.interp(t, times, values))
+        assert spec == PwlSpec(points=points)
+        assert hash(spec) == hash(PwlSpec(points=points))
+
     def test_pwl_rejects_unordered(self):
         with pytest.raises(ValueError):
             PwlSpec(points=((1.0, 0.0), (0.5, 1.0)))

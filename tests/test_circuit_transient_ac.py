@@ -1,5 +1,6 @@
 """Unit tests for transient and AC analyses."""
 
+import importlib
 import math
 
 import numpy as np
@@ -37,6 +38,28 @@ class TestTransientBasics:
             transient(ckt, t_stop=1e-9, dt=1e-6)
         with pytest.raises(ValueError):
             transient(ckt, t_stop=1e-6, dt=1e-9, method="euler")
+
+    @pytest.mark.parametrize("dt", [0.6e-9, 0.7e-9, 0.3e-9])
+    def test_rejects_t_stop_off_the_grid(self, dt, monkeypatch):
+        # A t_stop between grid points used to end the run at the
+        # nearest one (1.2, 0.7 and 0.9 ns here); it is refused before
+        # the operating point is solved.
+        tran = importlib.import_module("repro.circuit.transient")
+
+        def no_dc(*args, **kwargs):
+            raise AssertionError("argument errors must not cost a DC solve")
+
+        monkeypatch.setattr(tran, "dc_operating_point", no_dc)
+        with pytest.raises(ValueError, match="whole number"):
+            transient(rc_circuit(), t_stop=1e-9, dt=dt)
+
+    def test_t_stop_on_the_grid_to_rounding(self):
+        # 0.3 ns / 5 ps and 1 µs / 10 ns are not exact in binary; they
+        # are whole step counts to rounding and keep working.
+        res = transient(rc_circuit(), t_stop=0.3e-9, dt=5e-12)
+        assert len(res.times) == 61
+        res = transient(rc_circuit(), t_stop=1e-6, dt=1e-8)
+        assert res.times[-1] == pytest.approx(1e-6)
 
     def test_starts_from_dc_solution(self):
         ckt = rc_circuit(source=SineSpec(offset=0.5, amplitude=0.2,

@@ -91,6 +91,15 @@ class TestCharacterization:
         slow = characterize_cell(fx, tech90, SLEWS, LOADS)
         assert np.all(slow.delay_s > nominal.delay_s)
 
+    def test_slews_off_the_window_grid(self, tech90):
+        # 60 ps and 150 ps slews step 3 ps and 7.5 ps: the 4 ns window
+        # is not a whole number of either, and the run ends on the grid
+        # point nearest it.
+        fx = inverter(tech90, load_c_f=2e-15)
+        table = characterize_cell(fx, tech90, [60e-12, 150e-12], LOADS)
+        assert np.all(np.isfinite(table.delay_s))
+        assert np.all(np.diff(table.delay_s, axis=0) > 0.0)
+
     def test_grid_validation(self, tech90):
         fx = inverter(tech90)
         with pytest.raises(ValueError, match="2x2"):

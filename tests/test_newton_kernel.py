@@ -39,11 +39,11 @@ pytestmark = pytest.mark.skipif(
 
 
 class _LoopCounter:
-    """Counts calls into the compiled Newton loop and compiled sweep."""
+    """Counts calls into the compiled Newton loop, sweep and transient."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
-        for name in ("newton_dense", "sweep_dense"):
+        for name in ("newton_dense", "sweep_dense", "transient_dense"):
             monkeypatch.setattr(_ckernel, name, self._counted(
                 getattr(_ckernel, name)))
 
@@ -80,14 +80,16 @@ def _iterations(metrics) -> float:
 
 
 def _counters(metrics) -> dict:
-    """The counter snapshot with the ``solver.dc.kernel.<loop>`` tally —
-    the one counter that must differ between the two loops — folded
-    into a single ``solver.dc.kernel`` count."""
+    """The counter snapshot with the ``solver.<dc|transient>.kernel.<loop>``
+    tallies — the counters that must differ between the two loops —
+    each folded into a single ``solver.<dc|transient>.kernel`` count."""
     counters = metrics.snapshot()["counters"]
-    kernel = [counters.pop(name) for name in list(counters)
-              if name.startswith("solver.dc.kernel.")]
-    if kernel:
-        counters["solver.dc.kernel"] = sum(kernel)
+    for analysis in ("dc", "transient"):
+        prefix = f"solver.{analysis}.kernel."
+        kernel = [counters.pop(name) for name in list(counters)
+                  if name.startswith(prefix)]
+        if kernel:
+            counters[prefix[:-1]] = sum(kernel)
     return counters
 
 
@@ -347,29 +349,40 @@ class TestFallbackRules:
                  batch=False)
         assert not sweeps and len(solves) == 5
 
-    def test_veto_mid_transient_switches_next_step(self, tech90,
-                                                   monkeypatch):
-        # The group refreshes once per transient, not per step: the
-        # per-solve capability check alone must catch the veto.
+    def test_veto_mid_transient_switches_next_transient(self, tech90,
+                                                        monkeypatch):
+        # The capability check runs once per transient: a veto raised
+        # while a transient is in the kernel takes effect at the next.
         fx = ring_oscillator(tech90, n_stages=3)
-        reference = transient(fx.circuit, 0.3e-9, 5e-12).states
-        calls = []
-        real = _ckernel.newton_dense
 
-        def newton_dense(*args):
-            calls.append(None)
-            status = real(*args)
-            if len(calls) == 5:
-                _ckernel.set_veto(True)
-            return status
+        def ring():
+            return transient(fx.circuit, 0.3e-9, 5e-12).states
 
-        monkeypatch.setattr(_ckernel, "newton_dense", newton_dense)
+        reference = ring()
+        counter = _LoopCounter(monkeypatch)
+        counted = _ckernel.transient_dense
+
+        def transient_dense(*args):
+            # The breaker quarantines the kernel mid-transient.
+            _ckernel.set_veto(True)
+            return counted(*args)
+
+        monkeypatch.setattr(_ckernel, "transient_dense", transient_dense)
         try:
-            got = transient(fx.circuit, 0.3e-9, 5e-12).states
-            assert len(calls) == 5
+            during = ring()
+            assert counter.calls == 2  # the operating point, the steps
+            after = ring()
+            assert counter.calls == 2
         finally:
             _ckernel.set_veto(False)
-        np.testing.assert_allclose(got, reference, rtol=0, atol=1e-6)
+        np.testing.assert_array_equal(during, reference)
+        # The vetoed transient also loses the compiled stamp pass, so it
+        # agrees with the kernel's answers to Newton tolerance only.
+        np.testing.assert_allclose(after, reference, rtol=0, atol=1e-6)
+        # Lifting the veto brings the compiled transient back.
+        monkeypatch.setattr(_ckernel, "transient_dense", counted)
+        np.testing.assert_array_equal(ring(), reference)
+        assert counter.calls == 4
 
     def test_no_dgesv_uses_python_loop(self, tech90, monkeypatch):
         fx = differential_pair(tech90)
