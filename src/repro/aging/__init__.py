@@ -9,30 +9,24 @@
   Eq 4 with Blech/bamboo/via corrections on a resistive wire graph (§3.4);
 * shared plumbing in :mod:`repro.aging.base` (:class:`DeviceStress`,
   :func:`power_law_advance`, the :class:`AgingMechanism` interface).
+
+Exports resolve lazily (:mod:`repro._lazy`), so networkx loads with
+:mod:`repro.aging.electromigration` on first access, not with the
+package.
 """
 
-from repro.aging.base import (
-    AgingMechanism,
-    DeviceStress,
-    MechanismState,
-    power_law_advance,
-)
-from repro.aging.electromigration import (
-    ElectromigrationModel,
-    InterconnectNetwork,
-    SegmentReport,
-    WireSegment,
-)
-from repro.aging.hci import HciModel
-from repro.aging.nbti import NbtiModel, RelaxationParams
-from repro.aging.tddb import (
-    BreakdownEvent,
-    BreakdownMode,
-    TddbModel,
-    weibit,
-    weibull_cdf,
-    weibull_quantile,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("AgingMechanism", "DeviceStress", "MechanismState",
+             "power_law_advance"),
+    "electromigration": ("ElectromigrationModel", "InterconnectNetwork",
+                         "SegmentReport", "WireSegment"),
+    "hci": ("HciModel",),
+    "nbti": ("NbtiModel", "RelaxationParams"),
+    "tddb": ("BreakdownEvent", "BreakdownMode", "TddbModel", "weibit",
+             "weibull_cdf", "weibull_quantile"),
+})
 
 __all__ = [
     "AgingMechanism",

@@ -57,11 +57,14 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import shutil
 import subprocess
+import sys
 import tempfile
-from typing import Optional
+from typing import List, Optional
 
 _C_SOURCE = r"""
 #include <math.h>
@@ -465,6 +468,50 @@ class TransientArgs(ctypes.Structure):
                    ("check_lte", ctypes.c_long)])
 
 
+def scipy_subpackage(*parts: str) -> Optional[List[str]]:
+    """Search locations of the scipy subpackage ``scipy.<parts>``, or
+    None when scipy is not an installed package holding it.
+
+    Read from import specs alone: no scipy code runs, so asking whether
+    ``scipy.sparse.linalg`` is there costs microseconds where importing
+    it costs a tenth of a second.  A ``scipy.py`` module shadowing the
+    package has no search locations and answers None."""
+    try:
+        spec = importlib.util.find_spec("scipy")
+    except (ImportError, ValueError):
+        return None
+    locations = spec.submodule_search_locations if spec else None
+    for part in parts:
+        if not locations:
+            return None
+        spec = importlib.machinery.PathFinder.find_spec(part, locations)
+        locations = spec.submodule_search_locations if spec else None
+    return list(locations) if locations else None
+
+
+def _cython_lapack():
+    """``scipy.linalg.cython_lapack``, loaded by spec from scipy's
+    package directory so ``scipy/linalg/__init__`` (a quarter second:
+    the whole linalg namespace and its array-api shim) never runs; the
+    plain import on any failure.  Either way it is the one extension
+    module, so its capsules hold the same pointers."""
+    name = "scipy.linalg.cython_lapack"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    try:
+        found = importlib.machinery.PathFinder.find_spec(
+            "cython_lapack", scipy_subpackage("linalg") or [])
+        spec = importlib.util.spec_from_file_location(name, found.origin)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    except Exception:
+        from scipy.linalg import cython_lapack
+
+        return cython_lapack
+
+
 _dgesv_address: list = []
 
 
@@ -474,9 +521,7 @@ def dgesv_pointer() -> Optional[int]:
     ``dgesv`` wrapper calls — or None without scipy."""
     if not _dgesv_address:
         try:
-            from scipy.linalg import cython_lapack
-
-            capsule = cython_lapack.__pyx_capi__["dgesv"]
+            capsule = _cython_lapack().__pyx_capi__["dgesv"]
             api = ctypes.pythonapi
             get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
                 ("PyCapsule_GetName", api))

@@ -22,18 +22,50 @@ from typing import Iterator, List, Optional
 import numpy as np
 
 from repro import telemetry
+from repro.circuit import _ckernel
 
-try:
-    from scipy.linalg.lapack import dgesv as _dgesv
-except ImportError:  # pragma: no cover - scipy is a hard dep elsewhere
-    _dgesv = None
+# scipy's solvers bind on first use, not at import: importing
+# scipy.linalg or scipy.sparse costs a quarter second, and the compiled
+# Newton loop that serves most solves needs neither (it reaches LAPACK
+# through ``_ckernel.dgesv_pointer``).  ``_UNBOUND`` marks a routine not
+# looked up yet; None marks one that is not importable (a failed bind
+# sets it, and tests set it to force the numpy fallback).
+_UNBOUND = object()
+_dgesv = _UNBOUND
+_csc_matrix = _UNBOUND
+_splu = _UNBOUND
 
-try:
-    from scipy.sparse import csc_matrix as _csc_matrix
-    from scipy.sparse.linalg import splu as _splu
-except ImportError:  # pragma: no cover - scipy is a hard dep elsewhere
-    _csc_matrix = None
-    _splu = None
+
+def _bind_dgesv():
+    """Bind scipy's f2py ``dgesv`` (None when not importable)."""
+    global _dgesv
+    try:
+        from scipy.linalg.lapack import dgesv
+    except ImportError:
+        dgesv = None
+    _dgesv = dgesv
+    return dgesv
+
+
+def _bind_sparse() -> None:
+    """Bind ``csc_matrix``/``splu`` (None when not importable)."""
+    global _csc_matrix, _splu
+    try:
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
+    except ImportError:
+        csc_matrix = splu = None
+    _csc_matrix, _splu = csc_matrix, splu
+
+
+def dgesv_available() -> bool:
+    """Whether scipy's LAPACK ``dgesv`` serves dense solves; answered
+    from the compiled loop's ``dgesv`` pointer until a solve binds the
+    f2py wrapper, so probing imports no scipy.linalg."""
+    if _dgesv is _UNBOUND:
+        return _ckernel.dgesv_pointer() is not None
+    return _dgesv is not None
+
 
 #: Below this system size the dense LAPACK path wins: `splu` pays ~100 µs
 #: of scipy overhead per factorization, dgesv on a 64-unknown dense
@@ -112,11 +144,22 @@ def forced_singular_remaining() -> int:
     return _forced_singular[0]
 
 
+_sparse_installed: List[bool] = []
+
+
 def sparse_available() -> bool:
-    """Whether scipy's sparse LU path can be used at all."""
-    if _SPARSE_DISABLED:
+    """Whether scipy's sparse LU path can be used at all; answered from
+    import specs (looked up once: every DC engine build asks) until a
+    :class:`SparsityPlan` binds ``splu``, so probing imports no
+    scipy.sparse."""
+    if _SPARSE_DISABLED or _csc_matrix is None or _splu is None:
         return False
-    return _csc_matrix is not None and _splu is not None
+    if _csc_matrix is _UNBOUND or _splu is _UNBOUND:
+        if not _sparse_installed:
+            _sparse_installed.append(
+                _ckernel.scipy_subpackage("sparse", "linalg") is not None)
+        return _sparse_installed[0]
+    return True
 
 
 class CoordinateRecorder:
@@ -208,6 +251,8 @@ class SparsityPlan:
     """
 
     def __init__(self, size: int, rows, cols):
+        if _splu is _UNBOUND or _csc_matrix is _UNBOUND:
+            _bind_sparse()
         if not sparse_available():  # pragma: no cover - scipy is present
             raise RuntimeError("scipy.sparse is not available")
         rows = np.asarray(rows, dtype=np.int64)
@@ -370,8 +415,11 @@ class Stamper:
         # Calling LAPACK ``dgesv`` directly skips ~4 µs of np.linalg
         # dispatch per solve — material on the Newton inner loop.  The
         # complex (AC) path keeps the numpy front end.
-        if _dgesv is not None and self.a.dtype == np.float64:
-            _, _, x, info = _dgesv(self.a, self.b)
+        dgesv = _dgesv
+        if dgesv is _UNBOUND:
+            dgesv = _bind_dgesv()
+        if dgesv is not None and self.a.dtype == np.float64:
+            _, _, x, info = dgesv(self.a, self.b)
             if info == 0:
                 if sparse_exc is not None:
                     self._report_sparse_failure(sparse_exc)

@@ -9,52 +9,34 @@
 * :mod:`repro.core.lifetime` — parametric + TDDB competing-risk
   lifetime estimation;
 * :class:`EmcAnalyzer` — §4 susceptibility scans and immunity curves.
+
+Exports resolve lazily (:mod:`repro._lazy`): importing the package runs
+no engine module, and ``from repro.core import MonteCarloYield`` loads
+the yield engine alone.
 """
 
-from repro.core.aging_simulator import (
-    AgingReport,
-    MissionPhase,
-    MissionProfile,
-    ReliabilitySimulator,
-    aging_ensemble,
-)
-from repro.core.breakdown_sim import (
-    BreakdownSample,
-    BreakdownSimulator,
-    BreakdownSurvival,
-)
-from repro.core.corners import CornerAnalysis, CornerResult, PvtPoint
-from repro.core.guardband import GuardbandReport, guardband_analysis
-from repro.core.sweeps import SweepResult, crossover, sweep
-from repro.core.emc_analysis import EmcAnalyzer, SusceptibilityMap
-from repro.core.importance import (
-    HighSigmaResult,
-    HighSigmaYield,
-    Surrogate,
-    SurrogateConfig,
-    normal_ppf,
-    normal_sf,
-    sigma_level_from_probability,
-)
-from repro.core.lifetime import (
-    LifetimeEstimator,
-    LifetimeSummary,
-    combined_survival,
-    mission_survival_probability,
-    reliability_yield,
-    tddb_survival_fn,
-    time_to_spec_violation,
-)
-from repro.core.yield_analysis import (
-    QUARANTINE_ERRORS,
-    MonteCarloYield,
-    SampleEvaluationError,
-    Specification,
-    TransientSpecification,
-    YieldResult,
-    transient_specification,
-    wilson_interval,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "aging_simulator": ("AgingReport", "MissionPhase", "MissionProfile",
+                        "ReliabilitySimulator", "aging_ensemble"),
+    "breakdown_sim": ("BreakdownSample", "BreakdownSimulator",
+                      "BreakdownSurvival"),
+    "corners": ("CornerAnalysis", "CornerResult", "PvtPoint"),
+    "guardband": ("GuardbandReport", "guardband_analysis"),
+    "sweeps": ("SweepResult", "crossover", "sweep"),
+    "emc_analysis": ("EmcAnalyzer", "SusceptibilityMap"),
+    "importance": ("HighSigmaResult", "HighSigmaYield", "Surrogate",
+                   "SurrogateConfig", "normal_ppf", "normal_sf",
+                   "sigma_level_from_probability"),
+    "lifetime": ("LifetimeEstimator", "LifetimeSummary", "combined_survival",
+                 "mission_survival_probability", "reliability_yield",
+                 "tddb_survival_fn", "time_to_spec_violation"),
+    "yield_analysis": ("QUARANTINE_ERRORS", "MonteCarloYield",
+                       "SampleEvaluationError", "Specification",
+                       "TransientSpecification", "YieldResult",
+                       "transient_specification", "wilson_interval"),
+})
 
 __all__ = [
     "AgingReport",

@@ -23,16 +23,20 @@ layer above, making runs observable *across* time and processes:
 
 Everything here is stdlib-only and best-effort: a broken registry
 disk, occupied port, or dead sampler degrades observability, never
-the analysis.
+the analysis.  Exports resolve lazily (:mod:`repro._lazy`), so a run
+without ``--metrics-port`` never loads the HTTP exposition server.
 """
 
-from repro.obs.diff import attribute_regression, diff_phases, diff_runs
-from repro.obs.profiler import (SamplingProfiler, phase_breakdown, profiling,
-                                top_sinks)
-from repro.obs.promexp import (MetricsExporter, parse_exposition,
-                               render_exposition)
-from repro.obs.runlog import (RunLogError, RunRegistry, capability_flags,
-                              record_run, runs_enabled)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "diff": ("attribute_regression", "diff_phases", "diff_runs"),
+    "profiler": ("SamplingProfiler", "phase_breakdown", "profiling",
+                 "top_sinks"),
+    "promexp": ("MetricsExporter", "parse_exposition", "render_exposition"),
+    "runlog": ("RunLogError", "RunRegistry", "capability_flags",
+               "record_run", "runs_enabled"),
+})
 
 __all__ = [
     "MetricsExporter",

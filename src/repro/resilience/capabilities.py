@@ -90,7 +90,7 @@ def _probe_sparse() -> Tuple[bool, str, bool]:
 
     if kill_switch_set("sparse"):
         return False, "disabled by REPRO_NO_SPARSE", False
-    if mna._csc_matrix is None or mna._splu is None:
+    if not mna.sparse_available():
         return False, "scipy.sparse not importable; dense solves", False
     return (True, "scipy splu for >=%d unknowns" % mna.sparse_min_size(),
             False)
@@ -99,7 +99,7 @@ def _probe_sparse() -> Tuple[bool, str, bool]:
 def _probe_dgesv() -> Tuple[bool, str, bool]:
     from repro.circuit import mna
 
-    if mna._dgesv is None:
+    if not mna.dgesv_available():
         return (False, "scipy.linalg.lapack not importable; "
                 "np.linalg.solve", False)
     return True, "LAPACK dgesv dense fast path", False

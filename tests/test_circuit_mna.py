@@ -1,8 +1,6 @@
 """Unit tests for the MNA stamper and solvers."""
 
 import builtins
-import importlib
-import sys
 
 import numpy as np
 import pytest
@@ -132,8 +130,8 @@ class TestDgesvFallback:
             st.solve()
 
     def test_import_error_leaves_none(self, monkeypatch):
-        """Reimporting mna with scipy's LAPACK blocked sets _dgesv=None
-        and the module still solves via the numpy path."""
+        """With scipy's LAPACK blocked, the first solve binds _dgesv to
+        None and still solves via the numpy path."""
         real_import = builtins.__import__
 
         def blocked(name, *args, **kwargs):
@@ -142,27 +140,13 @@ class TestDgesvFallback:
             return real_import(name, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "__import__", blocked)
-        monkeypatch.delitem(sys.modules, "repro.circuit.mna")
-        try:
-            fresh = importlib.import_module("repro.circuit.mna")
-            assert fresh._dgesv is None
-            st = fresh.Stamper(3)
-            st.conductance(0, 1, 1e-3)
-            st.conductance(1, -1, 1e-3)
-            st.branch_voltage(0, -1, 2, rhs=1.0)
-            assert st.solve()[1] == pytest.approx(0.5)
-        finally:
-            # Restore the real module object for everyone else — both
-            # the sys.modules entry and the package attribute the
-            # reimport rebound (`from repro.circuit import mna` resolves
-            # through the latter).
-            sys.modules["repro.circuit.mna"] = mna_module
-            import repro.circuit
-            repro.circuit.mna = mna_module
+        monkeypatch.setattr(mna_module, "_dgesv", mna_module._UNBOUND)
+        assert _divider_stamper().solve()[1] == pytest.approx(0.5)
+        assert mna_module._dgesv is None
+        assert not mna_module.dgesv_available()
 
 
-@pytest.mark.skipif(mna_module._csc_matrix is None
-                    or mna_module._splu is None,
+@pytest.mark.skipif(not mna_module.sparse_available(),
                     reason="sparse path needs scipy.sparse")
 class TestSparsityPlan:
     def _plan_for(self, st):
