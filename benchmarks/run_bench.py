@@ -188,11 +188,7 @@ def collect_highsigma_quality(n_samples: int = 4096) -> dict:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     import functools
 
-    from repro.circuits import (
-        sram_cell,
-        sram_read_butterfly,
-        static_noise_margin,
-    )
+    from repro.circuits import sram_cell
     from repro.core import (
         HighSigmaYield,
         MonteCarloYield,
@@ -200,14 +196,11 @@ def collect_highsigma_quality(n_samples: int = 4096) -> dict:
         SurrogateConfig,
     )
     from repro.technology import get_node
-
-    def snm_metric(fixture, n_points=41):
-        v_probe, v_resp = sram_read_butterfly(fixture, n_points=n_points)
-        return static_noise_margin(v_probe, v_resp)
+    from repro.workloads import sram_snm
 
     tech = get_node("65nm")
     fixture = sram_cell(tech, cell_ratio=1.2)
-    extractor = functools.partial(snm_metric)
+    extractor = functools.partial(sram_snm)
     # Place the bound 5 fitted sigmas below the fitted mean (decoupled
     # calibration seed), mirroring `repro highsigma --sigma-target 5`.
     cal = MonteCarloYield(

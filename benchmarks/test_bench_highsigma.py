@@ -22,6 +22,7 @@ acceptance-scale numbers (4096 samples at sigma >= 5) are collected by
 import functools
 
 from repro.core import HighSigmaYield, Specification, SurrogateConfig
+from repro.workloads import sram_snm
 
 from conftest import fmt, print_table
 
@@ -36,19 +37,13 @@ TRAIN_SAMPLES = 128
 SNM_POINTS = 41
 
 
-def _snm_metric(fixture, n_points=SNM_POINTS):
-    from repro.circuits import sram_read_butterfly, static_noise_margin
-
-    v_probe, v_resp = sram_read_butterfly(fixture, n_points=n_points)
-    return static_noise_margin(v_probe, v_resp)
-
-
 def _engine(tech65):
     from repro.circuits import sram_cell
 
     fixture = sram_cell(tech65, cell_ratio=1.2)
     spec = Specification("read_snm",
-                         functools.partial(_snm_metric),
+                         functools.partial(sram_snm,
+                                           n_points=SNM_POINTS),
                          lower=SNM_MIN_V)
     return HighSigmaYield(fixture, spec, tech65)
 

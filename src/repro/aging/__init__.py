@@ -19,7 +19,7 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "base": ("AgingMechanism", "DeviceStress", "MechanismState",
-             "power_law_advance"),
+             "degradation_outlook", "power_law_advance"),
     "electromigration": ("ElectromigrationModel", "InterconnectNetwork",
                          "SegmentReport", "WireSegment"),
     "hci": ("HciModel",),
@@ -42,6 +42,7 @@ __all__ = [
     "SegmentReport",
     "TddbModel",
     "WireSegment",
+    "degradation_outlook",
     "power_law_advance",
     "weibit",
     "weibull_cdf",

@@ -138,3 +138,32 @@ class AgingMechanism:
         """Fold this mechanism's accumulated damage into
         ``device.degradation`` (additive ΔV_T, multiplicative factors)."""
         raise NotImplementedError
+
+
+def degradation_outlook(tech, years: float = 10.0,
+                        temp_c: float = 105.0) -> dict:
+    """A node's wear-out after ``years`` of DC stress at ``temp_c``:
+    NBTI and worst-case HCI threshold shifts [V] of an n device, TDDB
+    characteristic life at the nominal field and EM MTTF at J_max
+    [years] — the ``repro aging`` table and the serve ``aging`` job."""
+    from repro.aging.electromigration import ElectromigrationModel
+    from repro.aging.hci import HciModel
+    from repro.aging.nbti import NbtiModel
+    from repro.aging.tddb import TddbModel
+
+    hot = units.celsius_to_kelvin(temp_c)
+    lifetime = units.years_to_seconds(years)
+    field = tech.nominal_oxide_field()
+    device = Mosfet.from_technology(
+        "m", "d", "g", "s", "b", tech, "n",
+        w_m=max(1e-6, 4 * tech.wmin_m), l_m=tech.lmin_m)
+    em = ElectromigrationModel(tech.aging)
+    return {
+        "nbti_dvt_v": NbtiModel(tech.aging).delta_vt_v(field, hot, lifetime),
+        "hci_dvt_v": HciModel(tech.aging).delta_vt_v(
+            device, tech.vdd / 2, tech.vdd, hot, lifetime),
+        "tddb_eta_years": units.seconds_to_years(
+            TddbModel(tech.aging).characteristic_life_s(field, 1.0)),
+        "em_mttf_years": units.seconds_to_years(
+            em.black_mttf_s(tech.interconnect.j_max_a_per_m2, hot)),
+    }

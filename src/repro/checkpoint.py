@@ -8,8 +8,8 @@ finishes **bit-identical** to an uninterrupted run under the same seed.
 
 Format: a checkpoint is a *directory* holding
 
-* ``manifest.json`` — run identity (seed, sample count, chunk size,
-  spec names), the ids of completed chunks, per-chunk failure counts,
+* ``manifest.json`` — run identity (seed, chunk grid, specs, node,
+  circuit hash), the ids of completed chunks, per-chunk failure counts,
   the serialised :class:`~repro.parallel.FailureLedger` and the run's
   cumulative :class:`~repro.telemetry.MetricsRegistry` snapshot (so a
   resumed run's solver/engine counters continue instead of resetting);
@@ -36,10 +36,10 @@ from repro.parallel import FailureLedger
 
 #: Manifest schema version.  Bump when the manifest layout changes or
 #: when chunks saved by older code hold different bits than the current
-#: code computes for the same run (2: transient specs under
-#: ``batch_size`` run the scalar integrator, not the removed lockstep
-#: one), so a resume never splices old and new chunks.
-MC_CHECKPOINT_SCHEMA = 2
+#: code computes for the same run (2: batched transient specs run the
+#: scalar integrator; 3: :func:`repro.runner.run_identity` joins the
+#: manifest), so a resume never splices old and new chunks.
+MC_CHECKPOINT_SCHEMA = 3
 
 MANIFEST_NAME = "manifest.json"
 CHUNKS_NAME = "chunks.npz"
@@ -207,8 +207,8 @@ class McCheckpointStore:
 
         Raises :class:`CheckpointError` when the manifest does not
         match ``expected_params`` — resuming a different run (other
-        seed, sample count, chunk size or specs) would silently corrupt
-        the statistics, so it is refused outright.
+        seed, sample count, chunk size, specs, node or circuit) would
+        silently corrupt the statistics, so it is refused outright.
         """
         if not self.exists():
             raise CheckpointError(f"no checkpoint at {self.path}")

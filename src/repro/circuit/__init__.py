@@ -33,6 +33,7 @@ from repro.circuit.batch_transient import batched_transient
 from repro.circuit.hierarchy import clone_element, flatten_instance_names, instantiate
 from repro.circuit.parser import (
     NetlistError,
+    canonical_cards,
     format_value,
     parse_netlist,
     parse_value,
@@ -128,6 +129,7 @@ __all__ = [
     "batched_sweeps",
     "batched_transient",
     "can_batch",
+    "canonical_cards",
     "clone_element",
     "dc_operating_point",
     "fd_jacobians",

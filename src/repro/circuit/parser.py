@@ -338,25 +338,50 @@ def _need(positional: List[str], count: int, line_no: int, line: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _spec_to_text(spec: SourceSpec) -> str:
+def _spec_to_text(spec: SourceSpec, fmt=format_value) -> str:
     if isinstance(spec, DcSpec):
-        return format_value(spec.level)
+        return fmt(spec.level)
     if isinstance(spec, SineSpec):
-        return (f"sin({format_value(spec.offset)} "
-                f"{format_value(spec.amplitude)} "
-                f"{format_value(spec.frequency_hz)} "
-                f"{format_value(spec.delay_s)} "
-                f"{format_value(spec.phase_rad)})")
+        return (f"sin({fmt(spec.offset)} {fmt(spec.amplitude)} "
+                f"{fmt(spec.frequency_hz)} {fmt(spec.delay_s)} "
+                f"{fmt(spec.phase_rad)})")
     if isinstance(spec, PulseSpec):
-        return (f"pulse({format_value(spec.v1)} {format_value(spec.v2)} "
-                f"{format_value(spec.delay_s)} {format_value(spec.rise_s)} "
-                f"{format_value(spec.fall_s)} {format_value(spec.width_s)} "
-                f"{format_value(spec.period_s)})")
+        return (f"pulse({fmt(spec.v1)} {fmt(spec.v2)} {fmt(spec.delay_s)} "
+                f"{fmt(spec.rise_s)} {fmt(spec.fall_s)} "
+                f"{fmt(spec.width_s)} {fmt(spec.period_s)})")
     if isinstance(spec, PwlSpec):
-        flat = " ".join(f"{format_value(t)} {format_value(v)}"
-                        for t, v in spec.points)
+        flat = " ".join(f"{fmt(t)} {fmt(v)}" for t, v in spec.points)
         return f"pwl({flat})"
     raise TypeError(f"cannot serialize source spec {type(spec).__name__}")
+
+
+def _card(element, fmt) -> str:
+    """An element's netlist card after its name; numbers through ``fmt``."""
+    if isinstance(element, Resistor):
+        value = fmt(element.resistance)
+    elif isinstance(element, Capacitor):
+        value = fmt(element.capacitance)
+        if element.v_initial is not None:
+            value += f" ic={fmt(element.v_initial)}"
+    elif isinstance(element, Inductor):
+        value = fmt(element.inductance)
+    elif isinstance(element, (VoltageSource, CurrentSource)):
+        value = _spec_to_text(element.spec, fmt)
+        if element.ac_mag:
+            value += f" ac={fmt(element.ac_mag)}"
+    elif isinstance(element, Diode):
+        value = f"is={fmt(element.i_sat)} n={fmt(element.ideality)}"
+    elif isinstance(element, Vccs):
+        value = fmt(element.gm)
+    elif isinstance(element, Vcvs):
+        value = fmt(element.gain)
+    elif isinstance(element, Mosfet):
+        p = element.params
+        value = f"{p.polarity} w={fmt(p.w_m)} l={fmt(p.l_m)}"
+    else:
+        raise TypeError(
+            f"cannot serialize element {type(element).__name__}")
+    return " ".join([*element.node_names, value])
 
 
 def write_netlist(circuit: Circuit) -> str:
@@ -366,41 +391,19 @@ def write_netlist(circuit: Circuit) -> str:
     NOT embedded (pass the same node back to ``parse_netlist``).
     """
     lines = [circuit.title or "untitled circuit"]
-    for element in circuit.elements:
-        n = element.node_names
-        if isinstance(element, Resistor):
-            lines.append(f"{element.name} {n[0]} {n[1]} "
-                         f"{format_value(element.resistance)}")
-        elif isinstance(element, Capacitor):
-            card = (f"{element.name} {n[0]} {n[1]} "
-                    f"{format_value(element.capacitance)}")
-            if element.v_initial is not None:
-                card += f" ic={format_value(element.v_initial)}"
-            lines.append(card)
-        elif isinstance(element, Inductor):
-            lines.append(f"{element.name} {n[0]} {n[1]} "
-                         f"{format_value(element.inductance)}")
-        elif isinstance(element, (VoltageSource, CurrentSource)):
-            card = f"{element.name} {n[0]} {n[1]} {_spec_to_text(element.spec)}"
-            if element.ac_mag:
-                card += f" ac={format_value(element.ac_mag)}"
-            lines.append(card)
-        elif isinstance(element, Diode):
-            lines.append(f"{element.name} {n[0]} {n[1]} "
-                         f"is={element.i_sat:g} n={element.ideality:g}")
-        elif isinstance(element, Vccs):
-            lines.append(f"{element.name} {n[0]} {n[1]} {n[2]} {n[3]} "
-                         f"{format_value(element.gm)}")
-        elif isinstance(element, Vcvs):
-            lines.append(f"{element.name} {n[0]} {n[1]} {n[2]} {n[3]} "
-                         f"{format_value(element.gain)}")
-        elif isinstance(element, Mosfet):
-            p = element.params
-            lines.append(f"{element.name} {n[0]} {n[1]} {n[2]} {n[3]} "
-                         f"{p.polarity} w={format_value(p.w_m)} "
-                         f"l={format_value(p.l_m)}")
-        else:
-            raise TypeError(
-                f"cannot serialize element {type(element).__name__}")
+    lines += [f"{e.name} {_card(e, format_value)}" for e in circuit.elements]
     lines.append(".end")
     return "\n".join(lines) + "\n"
+
+
+def canonical_cards(circuit: Circuit) -> List[str]:
+    """One normalised card per element, sorted: a circuit's content.
+
+    A card is the element type, the lowercased name (SPICE element
+    cards are case-insensitive) and the writer's card with ``repr``
+    numbers (exact, unlike the writer's 6 digits); node names keep
+    their case and the title — documentation, not electricity — is out.
+    """
+    return sorted(f"{type(e).__name__.lower()} {e.name.lower()} "
+                  f"{_card(e, lambda v: repr(float(v)))}"
+                  for e in circuit.elements)

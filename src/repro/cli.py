@@ -177,67 +177,23 @@ def _cmd_tran(args: argparse.Namespace) -> int:
     return 0
 
 
-def _offset_extractor(fixture) -> float:
-    """Input-referred offset metric for the ``mc`` command.
+def _workload(name: str, args: argparse.Namespace, tech, **overrides):
+    """Resolve registry workload ``name`` from the flags named like its
+    params; ``overrides`` replace flag values."""
+    from repro import workloads
 
-    Module-level (not a lambda) so the ``process`` backend can pickle
-    the yield engine's chunk tasks.
-    """
-    from repro.circuits import input_referred_offset_v
-
-    return input_referred_offset_v(fixture)
-
-
-def _ring_swing_metric(result, fixture) -> float:
-    """Stage-1 output swing of the ring workload (peak minus trough).
-
-    Module-level so the ``process`` backend can pickle the transient
-    specification that carries it.
-    """
-    wave = result.voltage(fixture.nodes["stage1"])
-    return float(wave.peak() - wave.trough())
+    params = {key: getattr(args, key)
+              for key in workloads.WORKLOADS[name].params
+              if hasattr(args, key)}
+    params.update(overrides)
+    return workloads.resolve(name, params, tech)
 
 
-def _mc_workload(args, tech):
-    """Build the (fixture, spec, spec_text) triple for ``mc --workload``.
-
-    ``offset`` is the §2 differential-pair DC demo; ``ring`` is a
-    transient-dominated 3-stage ring-oscillator swing spec.  Its dies
-    always run the scalar transient integrator: ``--batch-size``
-    batches DC sweeps only, so ring output is the same with or
-    without it.
-    """
-    from repro.core import Specification, transient_specification
-
-    if args.workload == "ring":
-        from repro.circuits import ring_oscillator
-
-        fx = ring_oscillator(tech, n_stages=3)
-        lower = args.swing_min_v if args.swing_min_v is not None \
-            else 0.5 * tech.vdd
-        spec = transient_specification(
-            "swing", _ring_swing_metric, t_stop_s=args.ring_tstop,
-            dt_s=args.ring_dt, lower=lower)
-        spec_text = f"stage-1 swing > {lower:g} V"
-        return fx, spec, spec_text
-
-    from repro.circuits import differential_pair
-
-    limit_v = args.limit_mv * units.MILLI
-    fx = differential_pair(tech, w_m=args.w_um * units.MICRO,
-                           l_m=args.l_um * units.MICRO)
-    spec = Specification("offset", _offset_extractor,
-                         lower=-limit_v, upper=limit_v)
-    spec_text = f"|offset| < {args.limit_mv:g} mV"
-    return fx, spec, spec_text
-
-
-def _print_mc_result(result, args, tech, spec_text, partial=False) -> None:
+def _mc_body(result, args, spec_text: str, partial: bool) -> str:
     """Render a (possibly partial/degraded) yield result."""
     from repro.report import render_failure_ledger
 
     lo, hi = result.confidence_interval()
-    partial = partial or result.n_evaluated < result.n_samples
     rows = [
         ("samples", f"{result.n_samples} (jobs={args.jobs}, "
                     f"backend={args.backend})"),
@@ -246,18 +202,12 @@ def _print_mc_result(result, args, tech, spec_text, partial=False) -> None:
     if partial:
         rows.append(("evaluated", f"{result.n_evaluated} of "
                                   f"{result.n_samples} (PARTIAL)"))
-    if args.workload == "ring":
-        try:
-            rows.append(("swing sigma",
-                         f"{result.sigma('swing') * 1e3:.2f} mV"))
-        except ValueError:
-            rows.append(("swing sigma", "n/a (too few valid samples)"))
-    else:
-        try:
-            rows.append(("offset sigma",
-                         f"{result.sigma('offset') * 1e3:.2f} mV"))
-        except ValueError:
-            rows.append(("offset sigma", "n/a (too few valid samples)"))
+    metric = next(iter(result.values))  # the workload's one spec
+    try:
+        rows.append((f"{metric} sigma",
+                     f"{result.sigma(metric) * 1e3:.2f} mV"))
+    except ValueError:
+        rows.append((f"{metric} sigma", "n/a (too few valid samples)"))
     rows += [
         ("yield", f"{result.yield_fraction * 100:.1f} %"),
         ("95% CI", f"[{lo * 100:.1f}, {hi * 100:.1f}] %"
@@ -272,14 +222,7 @@ def _print_mc_result(result, args, tech, spec_text, partial=False) -> None:
     ledger_text = render_failure_ledger(result.ledger)
     if ledger_text:
         body = body + "\n\n" + ledger_text
-    if args.workload == "ring":
-        title = ("Monte-Carlo swing yield: 3-stage ring oscillator, "
-                 + tech.name)
-    else:
-        title = "Monte-Carlo offset yield: differential pair, " + tech.name
-    if partial:
-        title += " [INTERRUPTED]"
-    print(render_section(title, body))
+    return body
 
 
 def _mc_heartbeat(session, stream, state: Optional[dict] = None,
@@ -329,23 +272,74 @@ def _session_phases(session) -> dict:
     return aggregate_spans(spans)
 
 
-def _record_mc_run(args, session, *, outcome: str, exit_code: int,
-                   t_start: float, ledger=None, profile=None) -> None:
-    """Write the run-registry record for one ``mc`` invocation."""
-    from repro.obs.profiler import phase_breakdown
+def _run_recorded(args, command: str, workload, config: dict, session,
+                  t_start: float, run, body, finish) -> int:
+    """Run an engine (``run()``) under the exit-code contract; return
+    the exit code.  ``body(result, partial)`` renders a result (a
+    stopped run's before the stop reason and resume hint), ``finish()``
+    writes the trace; every outcome leaves a run-registry record whose
+    ``config`` is the command's knobs plus the shared ones below."""
+    from repro.checkpoint import CheckpointError, RunInterrupted
     from repro.obs.runlog import capability_flags, ledger_digest, record_run
 
-    config = {"tech": args.tech, "workload": args.workload,
+    config = {"tech": args.tech, "workload": workload.fingerprint,
               "samples": args.samples, "jobs": args.jobs,
               "backend": args.backend, "batch_size": args.batch_size,
-              "limit_mv": args.limit_mv, "retries": args.retries}
-    record_run("mc", config, outcome=outcome, exit_code=exit_code,
-               seed=args.seed, capabilities=capability_flags(),
-               metrics=session.metrics.snapshot(),
-               phases=_session_phases(session),
-               ledger=ledger_digest(ledger),
-               profile=phase_breakdown(profile) if profile else None,
-               t_start=t_start)
+              **config}
+
+    def show(result, partial: bool) -> None:
+        title = f"{workload.title}, {workload.tech.name}"
+        partial = partial or result.n_evaluated < result.n_samples
+        print(render_section(title + (" [INTERRUPTED]" if partial else ""),
+                             body(result, partial)))
+
+    def record(outcome: str, code: int, ledger=None) -> None:
+        profile = None
+        if session.profile:
+            from repro.obs.profiler import phase_breakdown
+
+            profile = phase_breakdown(session.profile)
+        record_run(command, config, outcome=outcome, exit_code=code,
+                   seed=args.seed, capabilities=capability_flags(),
+                   metrics=session.metrics.snapshot(),
+                   phases=_session_phases(session),
+                   ledger=ledger_digest(ledger), profile=profile,
+                   t_start=t_start)
+
+    try:
+        result = run()
+    except CheckpointError as exc:
+        # Refused resume (identity or accelerator-config mismatch):
+        # nothing has been computed; exit degraded with the reason.
+        if not args.quiet:
+            sys.stderr.write("\n")
+        print(f"checkpoint refused: {exc}", file=sys.stderr)
+        record("refused", 2)
+        return 2
+    except RunInterrupted as exc:
+        # The engine has already written the final checkpoint; report
+        # the partial result.  Exit 130 for SIGINT, 2 for a clean
+        # degraded stop on an expired --budget.
+        if not args.quiet:
+            sys.stderr.write("\n")
+        finish()
+        if exc.partial_result is not None:
+            show(exc.partial_result, True)
+        budgeted = getattr(exc, "reason", "interrupt") == "budget"
+        label = "budget expired" if budgeted else "interrupted"
+        print(f"{label}: {exc}", file=sys.stderr)
+        print(f"resume with: repro {command} --checkpoint "
+              f"{exc.checkpoint_path} --resume --samples "
+              f"{args.samples} --seed {args.seed}", file=sys.stderr)
+        code = 2 if budgeted else 130
+        record("budget" if budgeted else "interrupted", code,
+               getattr(exc.partial_result, "ledger", None))
+        return code
+    finish()
+    code = 2 if result.is_degraded else 0
+    record("degraded" if result.is_degraded else "ok", code, result.ledger)
+    show(result, False)
+    return code
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
@@ -353,13 +347,14 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     import time
 
     from repro import telemetry
-    from repro.checkpoint import CheckpointError, RunInterrupted
     from repro.core import MonteCarloYield
     from repro.parallel import RetryPolicy
     from repro.technology import get_node
 
     tech = get_node(args.tech)
-    fx, spec, spec_text = _mc_workload(args, tech)
+    workload = _workload(args.workload, args, tech)
+    fx = workload.fixture()
+    spec, spec_text = workload.spec()
     retry = None
     if args.retries > 1 or args.timeout is not None:
         retry = RetryPolicy(max_attempts=args.retries,
@@ -421,97 +416,47 @@ def _cmd_mc(args: argparse.Namespace) -> int:
                     if not args.quiet:
                         print(f"profile: {count} stacks -> "
                               f"{args.profile_out}", file=sys.stderr)
-            if args.trace:
-                count = session.write_trace(args.trace)
-                if not args.quiet:
-                    print(f"trace: {count} records -> {args.trace}",
-                          file=sys.stderr)
+            _write_trace(args, session)
 
-        try:
-            result = MonteCarloYield(fx, [spec], tech).run(
+        def run():
+            return MonteCarloYield(fx, [spec], tech).run(
                 n_samples=args.samples, seed=args.seed, jobs=args.jobs,
                 backend=args.backend, retry=retry,
                 checkpoint=args.checkpoint, resume=args.resume,
                 progress=progress, batch_size=args.batch_size,
                 budget=args.budget)
-        except CheckpointError as exc:
-            # Refused resume (identity or accelerator-config mismatch):
-            # nothing has been computed; exit degraded with the reason.
-            if progress is not None and not args.quiet:
-                sys.stderr.write("\n")
-            print(f"checkpoint refused: {exc}", file=sys.stderr)
-            _record_mc_run(args, session, outcome="refused", exit_code=2,
-                           t_start=t_start)
-            return 2
-        except RunInterrupted as exc:
-            # The engine has already written the final checkpoint;
-            # report the partial result.  Exit 130 for SIGINT, 2 for a
-            # clean degraded stop on an expired --budget.
-            if progress is not None and not args.quiet:
-                sys.stderr.write("\n")
-            finish_observability()
-            if exc.partial_result is not None:
-                _print_mc_result(exc.partial_result, args, tech,
-                                 spec_text, partial=True)
-            budgeted = getattr(exc, "reason", "interrupt") == "budget"
-            label = "budget expired" if budgeted else "interrupted"
-            print(f"{label}: {exc}", file=sys.stderr)
-            print(f"resume with: repro mc --checkpoint "
-                  f"{exc.checkpoint_path} --resume --samples "
-                  f"{args.samples} --seed {args.seed}", file=sys.stderr)
-            code = 2 if budgeted else 130
-            _record_mc_run(
-                args, session, outcome="budget" if budgeted else
-                "interrupted", exit_code=code, t_start=t_start,
-                ledger=getattr(exc.partial_result, "ledger", None),
-                profile=session.profile)
-            return code
-        finish_observability()
-        code = 2 if result.is_degraded else 0
-        _record_mc_run(args, session,
-                       outcome="degraded" if result.is_degraded else "ok",
-                       exit_code=code, t_start=t_start,
-                       ledger=result.ledger, profile=session.profile)
-    _print_mc_result(result, args, tech, spec_text)
-    return code
+
+        return _run_recorded(
+            args, "mc", workload,
+            {"limit_mv": args.limit_mv, "retries": args.retries},
+            session, t_start, run,
+            lambda r, partial: _mc_body(r, args, spec_text, partial),
+            finish_observability)
 
 
-def _sram_snm_extractor(fixture, n_points: int = 41) -> float:
-    """Read static-noise-margin metric for the ``highsigma`` command.
-
-    Module-level (bound via :func:`functools.partial`) so the
-    ``process`` backend can pickle the engine's chunk tasks.
-    """
-    from repro.circuits import sram_read_butterfly, static_noise_margin
-
-    v_probe, v_resp = sram_read_butterfly(fixture, n_points=n_points)
-    return static_noise_margin(v_probe, v_resp)
+def _write_trace(args, session) -> None:
+    if args.trace:
+        count = session.write_trace(args.trace)
+        if not args.quiet:
+            print(f"trace: {count} records -> {args.trace}",
+                  file=sys.stderr)
 
 
 def _highsigma_workload(args, tech):
-    """Build the (fixture, spec, spec_text) triple for ``highsigma``.
-
-    The workload is the classic high-sigma problem: read-stability SNM
-    of a 6T SRAM cell under threshold mismatch.  The spec bound comes
-    from ``--snm-min-mv`` when given; otherwise a short nominal-seed
-    Monte-Carlo calibration places it ``--sigma-target`` fitted sigmas
+    """The ``sram`` workload for ``highsigma`` and its fixture.  The
+    spec bound is ``--snm-min-mv``, or, without it, a short
+    nominal-seed Monte-Carlo places it ``--sigma-target`` fitted sigmas
     below the fitted mean, so the true failure rate lands near the
-    sigma level the run is meant to resolve.
-    """
-    import functools
+    sigma level the run is meant to resolve."""
+    workload = _workload("sram", args, tech)
+    fx = workload.fixture()
+    if args.snm_min_mv is None:
+        from repro.core import MonteCarloYield, Specification
 
-    from repro.circuits import sram_cell
-    from repro.core import MonteCarloYield, Specification
-
-    fx = sram_cell(tech, cell_ratio=args.cell_ratio)
-    extractor = functools.partial(_sram_snm_extractor,
-                                  n_points=args.snm_points)
-    if args.snm_min_mv is not None:
-        lower = args.snm_min_mv * units.MILLI
-    else:
         # Calibrate on a decoupled seed so the bound is not fitted to
         # the very variates the estimate will reuse.
-        probe_spec = Specification("read_snm", extractor, lower=-1.0)
+        spec, _ = workload.spec()
+        probe_spec = Specification(spec.name, spec.extractor, lower=-1.0)
         cal = MonteCarloYield(fx, [probe_spec], tech).run(
             n_samples=args.calibrate_samples, seed=args.seed + 7919)
         mean = cal.mean("read_snm")
@@ -523,47 +468,17 @@ def _highsigma_workload(args, tech):
                   f"{args.calibrate_samples} samples -> bound "
                   f"{lower * 1e3:.1f} mV "
                   f"({args.sigma_target:g} sigma)", file=sys.stderr)
-    spec = Specification("read_snm", extractor, lower=lower)
-    spec_text = f"read SNM > {lower * 1e3:.1f} mV"
-    return fx, spec, spec_text
-
-
-def _record_highsigma_run(args, session, *, outcome: str, exit_code: int,
-                          t_start: float, ledger=None) -> None:
-    """Write the run-registry record for one ``highsigma`` invocation."""
-    from repro.obs.runlog import capability_flags, ledger_digest, record_run
-
-    config = {"tech": args.tech, "samples": args.samples,
-              "jobs": args.jobs, "backend": args.backend,
-              "batch_size": args.batch_size, "surrogate": args.surrogate,
-              "shift_sigma": args.shift_sigma,
-              "sigma_target": args.sigma_target}
-    record_run("highsigma", config, outcome=outcome, exit_code=exit_code,
-               seed=args.seed, capabilities=capability_flags(),
-               metrics=session.metrics.snapshot(),
-               phases=_session_phases(session),
-               ledger=ledger_digest(ledger),
-               t_start=t_start)
-
-
-def _print_highsigma_result(result, args, tech, spec_text,
-                            partial=False) -> None:
-    from repro.report import render_highsigma_result
-
-    body = render_highsigma_result(result, spec_text)
-    title = f"High-sigma read-SNM yield: 6T SRAM cell, {tech.name}"
-    if partial or result.n_evaluated < result.n_samples:
-        title += " [INTERRUPTED]"
-    print(render_section(title, body))
+        workload = _workload("sram", args, tech,
+                             snm_min_mv=lower / units.MILLI)
+    return workload, fx
 
 
 def _cmd_highsigma(args: argparse.Namespace) -> int:
-    import contextlib
     import time
 
     from repro import telemetry
-    from repro.checkpoint import CheckpointError, RunInterrupted
     from repro.core import HighSigmaYield, SurrogateConfig
+    from repro.report import render_highsigma_result
     from repro.technology import get_node
 
     if args.resume and not args.checkpoint:
@@ -581,64 +496,30 @@ def _cmd_highsigma(args: argparse.Namespace) -> int:
             "backend": args.backend,
             "surrogate": args.surrogate}
     t_start = time.time()
-    with contextlib.ExitStack() as stack:
-        session = stack.enter_context(telemetry.session(meta=meta))
+    with telemetry.session(meta=meta) as session:
         # The calibration MC (when it runs) shares the session so its
         # solver activity lands in the same trace.
-        fx, spec, spec_text = _highsigma_workload(args, tech)
+        workload, fx = _highsigma_workload(args, tech)
+        spec, spec_text = workload.spec()
         progress = None if args.quiet else \
             _mc_heartbeat(session, sys.stderr, label="hs")
-        engine = HighSigmaYield(fx, spec, tech)
+        config = {"surrogate": args.surrogate,
+                  "shift_sigma": args.shift_sigma,
+                  "sigma_target": args.sigma_target}
 
-        def finish_observability() -> None:
-            if args.trace:
-                count = session.write_trace(args.trace)
-                if not args.quiet:
-                    print(f"trace: {count} records -> {args.trace}",
-                          file=sys.stderr)
-
-        try:
-            result = engine.run(
+        def run():
+            return HighSigmaYield(fx, spec, tech).run(
                 n_samples=args.samples, shift_sigma=args.shift_sigma,
                 seed=args.seed, jobs=args.jobs, backend=args.backend,
                 chunk_size=args.chunk_size, batch_size=args.batch_size,
                 surrogate=surrogate, checkpoint=args.checkpoint,
                 resume=args.resume, progress=progress,
                 budget=args.budget)
-        except CheckpointError as exc:
-            if progress is not None:
-                sys.stderr.write("\n")
-            print(f"checkpoint refused: {exc}", file=sys.stderr)
-            _record_highsigma_run(args, session, outcome="refused",
-                                  exit_code=2, t_start=t_start)
-            return 2
-        except RunInterrupted as exc:
-            if progress is not None:
-                sys.stderr.write("\n")
-            finish_observability()
-            if exc.partial_result is not None:
-                _print_highsigma_result(exc.partial_result, args, tech,
-                                        spec_text, partial=True)
-            budgeted = getattr(exc, "reason", "interrupt") == "budget"
-            label = "budget expired" if budgeted else "interrupted"
-            print(f"{label}: {exc}", file=sys.stderr)
-            print(f"resume with: repro highsigma --checkpoint "
-                  f"{exc.checkpoint_path} --resume --samples "
-                  f"{args.samples} --seed {args.seed}", file=sys.stderr)
-            code = 2 if budgeted else 130
-            _record_highsigma_run(
-                args, session, outcome="budget" if budgeted else
-                "interrupted", exit_code=code, t_start=t_start,
-                ledger=getattr(exc.partial_result, "ledger", None))
-            return code
-        finish_observability()
-        code = 2 if result.is_degraded else 0
-        _record_highsigma_run(
-            args, session,
-            outcome="degraded" if result.is_degraded else "ok",
-            exit_code=code, t_start=t_start, ledger=result.ledger)
-    _print_highsigma_result(result, args, tech, spec_text)
-    return code
+
+        return _run_recorded(
+            args, "highsigma", workload, config, session, t_start, run,
+            lambda r, partial: render_highsigma_result(r, spec_text),
+            lambda: _write_trace(args, session))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -770,34 +651,16 @@ def _cmd_runs(args: argparse.Namespace) -> int:
 
 
 def _cmd_aging(args: argparse.Namespace) -> int:
-    from repro.aging import (
-        ElectromigrationModel,
-        HciModel,
-        NbtiModel,
-        TddbModel,
-    )
-    from repro.circuit import Mosfet
+    from repro.aging import degradation_outlook
     from repro.technology import get_node
 
     tech = get_node(args.name)
-    hot = units.celsius_to_kelvin(105.0)
-    ten_years = units.years_to_seconds(10.0)
-    nbti = NbtiModel(tech.aging)
-    hci = HciModel(tech.aging)
-    tddb = TddbModel(tech.aging)
-    em = ElectromigrationModel(tech.aging)
-    device = Mosfet.from_technology(
-        "m", "d", "g", "s", "b", tech, "n",
-        w_m=max(1e-6, 4 * tech.wmin_m), l_m=tech.lmin_m)
+    out = degradation_outlook(tech)
     rows = [
-        ("NBTI dVT, 10yr DC @105C",
-         f"{nbti.delta_vt_v(tech.nominal_oxide_field(), hot, ten_years) * 1e3:.1f} mV"),
-        ("HCI dVT, 10yr worst-case DC",
-         f"{hci.delta_vt_v(device, tech.vdd / 2, tech.vdd, hot, ten_years) * 1e3:.1f} mV"),
-        ("TDDB eta @ nominal field",
-         f"{units.seconds_to_years(tddb.characteristic_life_s(tech.nominal_oxide_field(), 1.0)):.1f} years"),
-        ("EM MTTF @ J_max, 105C",
-         f"{units.seconds_to_years(em.black_mttf_s(tech.interconnect.j_max_a_per_m2, hot)):.1f} years"),
+        ("NBTI dVT, 10yr DC @105C", f"{out['nbti_dvt_v'] * 1e3:.1f} mV"),
+        ("HCI dVT, 10yr worst-case DC", f"{out['hci_dvt_v'] * 1e3:.1f} mV"),
+        ("TDDB eta @ nominal field", f"{out['tddb_eta_years']:.1f} years"),
+        ("EM MTTF @ J_max, 105C", f"{out['em_mttf_years']:.1f} years"),
     ]
     print(render_section(f"10-year degradation outlook: {tech.name}",
                          render_key_values(rows)))

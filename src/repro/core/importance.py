@@ -88,7 +88,7 @@ from repro.parallel import (
     spawn_seed_sequences,
 )
 from repro.resilience import DeadlineBudget
-from repro.runner import accel_manifest, run_chunks
+from repro.runner import accel_manifest, run_chunks, run_identity
 from repro.technology.node import TechnologyNode
 from repro.variability.sampler import MismatchSampler
 
@@ -1062,6 +1062,7 @@ class HighSigmaYield:
             "surrogate": surrogate.to_dict() if surrogate else None,
             "n_pilot_chunks": n_pilot_chunks,
             "accel": accel_manifest(batch_size),
+            **run_identity(self.fixture, [self.spec], self.tech),
         }
         # What the pilot decides; assemble reads it, so a run stopped
         # at any point reports the proposal it actually sampled.

@@ -43,7 +43,7 @@ from repro.parallel import (
     spawn_seed_sequences,
 )
 from repro.resilience import DeadlineBudget
-from repro.runner import accel_manifest, run_chunks
+from repro.runner import accel_manifest, run_chunks, run_identity
 from repro.technology.node import TechnologyNode
 from repro.variability.sampler import MismatchSampler, Placement
 
@@ -528,7 +528,8 @@ class MonteCarloYield:
         run_params = {"kind": "mc-yield", "seed": seed,
                       "n_samples": n_samples, "chunk_size": chunk_size,
                       "spec_names": [s.name for s in self.specs],
-                      "accel": accel_manifest(batch_size)}
+                      "accel": accel_manifest(batch_size),
+                      **run_identity(self.fixture, self.specs, self.tech)}
         return run_chunks(
             self._evaluate_chunk, tasks,
             lambda chunks, partial: self._assemble(n_samples, chunks,

@@ -38,6 +38,7 @@ still handed back, so a resumed run derives the same later stages.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -77,6 +78,29 @@ def accel_manifest(batch_size: Optional[int]) -> dict:
         "sparse_min_size": int(mna.sparse_min_size()),
         "jacobians": jacobian_mode(),
     }
+
+
+def run_identity(fixture, specs, tech) -> dict:
+    """What a run computes on, for the checkpoint manifest: the node,
+    each spec's bounds (plus a transient spec's integration settings
+    and a :func:`functools.partial` extractor's keywords) and a hash of
+    the template circuit's :func:`~repro.circuit.parser.canonical_cards`
+    — so a resume never splices chunks of two different runs."""
+    from repro.circuit.parser import canonical_cards
+    from repro.obs.runlog import content_hash
+
+    def identity(spec) -> dict:
+        entry = {"name": spec.name, "bounds": [spec.lower, spec.upper]}
+        if hasattr(spec, "t_stop_s"):
+            entry["transient"] = [spec.t_stop_s, spec.dt_s, spec.method,
+                                  spec.lte_rtol]
+        if isinstance(spec.extractor, functools.partial):
+            entry["keywords"] = {key: repr(value) for key, value
+                                 in sorted(spec.extractor.keywords.items())}
+        return entry
+
+    return {"tech": tech.name, "specs": [identity(s) for s in specs],
+            "circuit": content_hash(canonical_cards(fixture.circuit))}
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,10 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.serve.jobspec import JobSpec, JobSpecError
+from repro.workloads import Param, WorkloadError
 
 __all__ = ["Job", "JobRunner", "OUTCOME_EXIT_CODES", "TERMINAL_STATES"]
 
@@ -155,48 +155,9 @@ class Job:
         return payload
 
 
-# ----------------------------------------------------------------------
-# Picklable spec extractors for netlist-defined workloads
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NodeVoltageExtractor:
-    """DC node-voltage metric on an arbitrary netlist.
-
-    A frozen module-level dataclass (not a closure) so the ``process``
-    backend can pickle the chunk tasks that carry it.
-    """
-
-    node: str
-
-    def __call__(self, fixture) -> float:
-        from repro.circuit.dc import dc_operating_point
-
-        return dc_operating_point(fixture.circuit).voltage(self.node)
-
-
-def _sram_snm_extractor(fixture, n_points: int = 41) -> float:
-    """Read-SNM metric (module-level for process-backend pickling)."""
-    from repro.circuits import sram_read_butterfly, static_noise_margin
-
-    v_probe, v_resp = sram_read_butterfly(fixture, n_points=n_points)
-    return static_noise_margin(v_probe, v_resp)
-
-
 def _param(params: dict, key: str, kind, default=None, minimum=None):
-    """Typed parameter fetch; violations refuse the job (400)."""
-    value = params.get(key, default)
-    if value is None:
-        return None
-    if kind is float and isinstance(value, int) \
-            and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or \
-            (kind is not bool and isinstance(value, bool)):
-        raise JobSpecError(f"param {key!r} must be {kind.__name__}")
-    if minimum is not None and value < minimum:
-        raise JobSpecError(f"param {key!r} must be >= {minimum}")
-    return value
+    """Typed analysis-param fetch; a bad value refuses the job."""
+    return Param(kind, default, minimum).check(key, params.get(key))
 
 
 class JobRunner:
@@ -258,7 +219,7 @@ class JobRunner:
                 with telemetry.span(f"serve.job.{spec.analysis}",
                                     job=job.id):
                     result, outcome = self._dispatch(job, budget)
-            except JobSpecError as exc:
+            except (JobSpecError, WorkloadError) as exc:
                 outcome, error = "refused", str(exc)
             except BudgetExpiredError as exc:
                 outcome, error = ("interrupted" if self.drain_event
@@ -341,108 +302,45 @@ class JobRunner:
     # -- fixtures through the session cache ---------------------------
     @contextmanager
     def _lease(self, job: Job, shared: bool = False):
-        """Lease the compiled fixture for a job's topology.
+        """Lease the compiled fixture for a job's workload (or, for op,
+        its netlist), keyed by the workload fingerprint.
 
         Monte-Carlo and high-sigma treat the fixture as a read-only
         template (every chunk clones it) and take a ``shared`` lease
-        held for the whole run, so same-topology read-only jobs overlap
+        held for the whole run, so same-workload read-only jobs overlap
         freely.  Callers that mutate in place (op's warm start, corners'
         serial PVT sweep) take the default exclusive lease, which the
         shared holders exclude — a concurrent mutator can never skew
         the parameters an MC chunk clones from.
         """
-        from repro.circuit.parser import parse_netlist
-        from repro.circuits.references import CircuitFixture
-        from repro.obs.runlog import content_hash
+        from repro.workloads import netlist_fixture
 
         spec = job.spec
-        tech = self._tech(spec)
-        if spec.netlist is not None:
-            key = (spec.netlist_hash, spec.tech)
-
-            def build():
-                circuit = parse_netlist(spec.netlist, tech)
-                return CircuitFixture(circuit=circuit)
+        if spec.workload is not None:
+            key, build = spec.workload.fingerprint, spec.workload.fixture
         else:
-            default_workload = ("sram" if spec.analysis == "highsigma"
-                                else "offset")
-            workload = _param(spec.params, "workload", str,
-                              default_workload)
-            knobs = {k: spec.params.get(k)
-                     for k in ("w_um", "l_um", "cell_ratio", "n_stages")
-                     if k in spec.params}
-            key = (f"builtin:{spec.analysis}:{workload}:"
-                   + content_hash(knobs), spec.tech)
+            key = ("netlist", spec.netlist_hash, spec.tech)
 
             def build():
-                return self._builtin_fixture(spec, tech, workload)
+                return netlist_fixture(spec.netlist, self._tech(spec))
         with self.sessions.lease(key, build, shared=shared) \
                 as (fixture, reused):
             job.session_reused = reused
             yield fixture, reused
 
-    def _builtin_fixture(self, spec: JobSpec, tech, workload: str):
-        from repro import units
-        from repro.circuits import (
-            differential_pair,
-            ring_oscillator,
-            sram_cell,
-        )
-
-        if workload == "offset":
-            w_um = _param(spec.params, "w_um", float, 4.0, minimum=0.01)
-            l_um = _param(spec.params, "l_um", float, 0.4, minimum=0.01)
-            return differential_pair(tech, w_m=w_um * units.MICRO,
-                                     l_m=l_um * units.MICRO)
-        if workload == "ring":
-            n_stages = _param(spec.params, "n_stages", int, 3, minimum=3)
-            return ring_oscillator(tech, n_stages=n_stages)
-        if workload == "sram":
-            ratio = _param(spec.params, "cell_ratio", float, 2.0,
-                           minimum=0.1)
-            return sram_cell(tech, cell_ratio=ratio)
-        raise JobSpecError(f"unknown workload {workload!r} "
-                           "(expected offset, ring, or sram)")
-
     # -- mc specs ------------------------------------------------------
-    def _mc_specs(self, job: Job, tech, fixture):
+    def _mc_specs(self, job: Job, fixture):
         """The spec list for an mc/corners job, fault-wrapped if asked."""
-        from repro import units
-        from repro.core import Specification
-
         spec = job.spec
         params = spec.params
-        if spec.netlist is not None:
-            node = _param(params, "node", str)
-            if not node:
-                raise JobSpecError(
-                    "netlist mc/corners needs params.node to measure")
+        workload = spec.workload
+        if workload.name == "node":
+            node = workload.params["node"]
             if node not in fixture.circuit.node_names:
                 raise JobSpecError(f"node {node!r} not in netlist "
                                    f"(nodes: "
                                    f"{sorted(fixture.circuit.node_names)})")
-            lower = _param(params, "lower", float)
-            upper = _param(params, "upper", float)
-            if lower is None and upper is None:
-                raise JobSpecError(
-                    "netlist mc/corners needs params.lower and/or "
-                    "params.upper bounds")
-            extractor = NodeVoltageExtractor(node)
-            metric = Specification(f"v({node})", extractor,
-                                   lower=lower, upper=upper)
-        else:
-            workload = _param(params, "workload", str, "offset")
-            if workload != "offset":
-                raise JobSpecError(
-                    f"workload {workload!r} has no mc/corners spec here; "
-                    "use the offset workload or send a netlist")
-            from repro.cli import _offset_extractor
-
-            limit_mv = _param(params, "limit_mv", float, 5.0, minimum=0.01)
-            limit_v = limit_mv * units.MILLI
-            extractor = _offset_extractor
-            metric = Specification("offset", extractor,
-                                   lower=-limit_v, upper=limit_v)
+        metric, _text = workload.spec()
         fault = params.get("fault")
         if fault is not None:
             if not self.chaos:
@@ -481,25 +379,24 @@ class JobRunner:
 
     def _run_mc(self, job: Job, budget) -> Tuple[dict, str]:
         from repro.core import MonteCarloYield
+        from repro.core.yield_analysis import DEFAULT_CHUNK_SIZE
 
         spec = job.spec
         tech = self._tech(spec)
         samples = _param(spec.params, "samples", int, 64, minimum=1)
         if samples > 65536:
             raise JobSpecError("param 'samples' capped at 65536 per job")
-        chunk_kwargs = {}
-        chunk_size = _param(spec.params, "chunk_size", int, minimum=1)
-        if chunk_size is not None:
-            chunk_kwargs["chunk_size"] = chunk_size
+        chunk_size = _param(spec.params, "chunk_size", int,
+                            DEFAULT_CHUNK_SIZE, minimum=1)
         checkpoint = self._checkpoint_dir(job)
         with self._lease(job, shared=True) as (fixture, _reused):
-            specs = self._mc_specs(job, tech, fixture)
+            specs = self._mc_specs(job, fixture)
             engine = MonteCarloYield(fixture, specs, tech)
             result = engine.run(
                 samples, seed=spec.seed, jobs=self._jobs_for(spec),
                 backend=spec.backend, batch_size=spec.batch_size,
                 checkpoint=checkpoint, progress=job.heartbeat,
-                budget=budget, **chunk_kwargs)
+                budget=budget, chunk_size=chunk_size)
         envelope = self._mc_envelope(spec, result)
         if result.n_evaluated < result.n_samples:
             return envelope, "budget"
@@ -542,7 +439,7 @@ class JobRunner:
         budget.check("serve.corners")
         vdd_source = _param(spec.params, "vdd_source", str, "vdd")
         with self._lease(job) as (fixture, _reused):
-            specs = self._mc_specs(job, tech, fixture)
+            specs = self._mc_specs(job, fixture)
             try:
                 analysis = CornerAnalysis(fixture, specs, tech,
                                           vdd_source_name=vdd_source)
@@ -570,50 +467,18 @@ class JobRunner:
         return envelope, "degraded" if result.is_degraded else "ok"
 
     def _run_aging(self, job: Job, budget) -> Tuple[dict, str]:
-        from repro import units
-        from repro.aging import (
-            ElectromigrationModel,
-            HciModel,
-            NbtiModel,
-            TddbModel,
-        )
-        from repro.circuit import Mosfet
+        from repro.aging import degradation_outlook
 
         spec = job.spec
-        tech = self._tech(spec)
         budget.check("serve.aging")
         years = _param(spec.params, "years", float, 10.0, minimum=0.001)
         temp_c = _param(spec.params, "temp_c", float, 105.0)
-        hot = units.celsius_to_kelvin(temp_c)
-        lifetime = units.years_to_seconds(years)
-        device = Mosfet.from_technology(
-            "m", "d", "g", "s", "b", tech, "n",
-            w_m=max(1e-6, 4 * tech.wmin_m), l_m=tech.lmin_m)
-        nbti = NbtiModel(tech.aging)
-        hci = HciModel(tech.aging)
-        tddb = TddbModel(tech.aging)
-        em = ElectromigrationModel(tech.aging)
-        envelope = {
-            "analysis": "aging",
-            "years": years,
-            "temp_c": temp_c,
-            "nbti_dvt_v": nbti.delta_vt_v(
-                tech.nominal_oxide_field(), hot, lifetime),
-            "hci_dvt_v": hci.delta_vt_v(
-                device, tech.vdd / 2, tech.vdd, hot, lifetime),
-            "tddb_eta_years": units.seconds_to_years(
-                tddb.characteristic_life_s(tech.nominal_oxide_field(),
-                                           1.0)),
-            "em_mttf_years": units.seconds_to_years(
-                em.black_mttf_s(tech.interconnect.j_max_a_per_m2, hot)),
-        }
+        envelope = {"analysis": "aging", "years": years, "temp_c": temp_c,
+                    **degradation_outlook(self._tech(spec), years, temp_c)}
         return envelope, "ok"
 
     def _run_highsigma(self, job: Job, budget) -> Tuple[dict, str]:
-        import functools
-
-        from repro import units
-        from repro.core import HighSigmaYield, Specification
+        from repro.core import HighSigmaYield
 
         spec = job.spec
         tech = self._tech(spec)
@@ -621,21 +486,12 @@ class JobRunner:
         samples = _param(params, "samples", int, 256, minimum=16)
         if samples > 65536:
             raise JobSpecError("param 'samples' capped at 65536 per job")
-        snm_min_mv = _param(params, "snm_min_mv", float, 80.0)
-        snm_points = _param(params, "snm_points", int, 21, minimum=5)
         shift_sigma = _param(params, "shift_sigma", float, minimum=0.0)
         surrogate = _param(params, "surrogate", str, "off")
         if surrogate not in ("off", "poly", "rbf"):
             raise JobSpecError(
                 "param surrogate must be off, poly, or rbf")
-        if job.spec.netlist is not None:
-            raise JobSpecError(
-                "highsigma serves the built-in SRAM read-SNM workload; "
-                "netlist-defined tail metrics are not supported yet")
-        extractor = functools.partial(_sram_snm_extractor,
-                                      n_points=snm_points)
-        metric = Specification("read_snm", extractor,
-                               lower=snm_min_mv * units.MILLI)
+        metric, _text = spec.workload.spec()
         checkpoint = self._checkpoint_dir(job)
         with self._lease(job, shared=True) as (fixture, _reused):
             engine = HighSigmaYield(fixture, metric, tech)

@@ -5,7 +5,8 @@ A job spec is the JSON body of ``POST /jobs``: which analysis to run
 (a netlist and/or analysis parameters), and how (seed, worker count,
 backend, batch size, timeout, priority).  Parsing is strict — unknown
 keys are rejected so a typo'd ``smaples`` refuses loudly instead of
-silently running the default sample count.
+silently running the default sample count, and a workload request
+that :func:`repro.workloads.resolve` refuses is a 400, not a job.
 
 The module also owns the two hashes the service lives on:
 
@@ -34,25 +35,10 @@ The module also owns the two hashes the service lives on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-from repro.circuit.elements import (
-    Capacitor,
-    CurrentSource,
-    DcSpec,
-    Diode,
-    Inductor,
-    PulseSpec,
-    PwlSpec,
-    Resistor,
-    SineSpec,
-    Vccs,
-    Vcvs,
-    VoltageSource,
-)
-from repro.circuit.mosfet import Mosfet
-from repro.circuit.netlist import Circuit
-from repro.circuit.parser import NetlistError, parse_netlist
+from repro import workloads
+from repro.circuit.parser import NetlistError, canonical_cards, parse_netlist
 from repro.obs.runlog import content_hash
 from repro.runner import accel_manifest
 
@@ -65,18 +51,17 @@ __all__ = [
     "JobSpec",
     "JobSpecError",
     "cache_key",
-    "canonical_cards",
     "canonical_netlist",
     "canonical_netlist_hash",
     "parse_job_spec",
 ]
 
 #: Bump when the job-spec layout or result envelopes change shape, or
-#: when the same request now computes different bits (2: transient
-#: specs under ``batch_size`` run the scalar integrator); part of every
-#: cache key so stale cache entries can never be replayed into a newer
-#: protocol.
-SPEC_SCHEMA = 2
+#: when the same request now computes different bits (2: batched
+#: transient specs run the scalar integrator; 3: new ``sram`` defaults);
+#: part of every cache key so stale cache entries can never be replayed
+#: into a newer protocol.
+SPEC_SCHEMA = 3
 
 ANALYSES = ("op", "mc", "corners", "aging", "highsigma", "verify")
 BACKENDS = ("auto", "serial", "thread", "process")
@@ -122,12 +107,16 @@ class JobSpec:
     priority: str = "normal"
     client: str = "anon"
     checkpoint: bool = False
+    workload: Optional[workloads.ResolvedWorkload] = None
+    """The checked workload of an mc/corners/highsigma job."""
 
     def to_config(self) -> dict:
         """The run-record ``config`` payload (netlist text elided)."""
         return {
             "analysis": self.analysis,
             "tech": self.tech,
+            "workload": (self.workload.fingerprint
+                         if self.workload is not None else None),
             "netlist_hash": self.netlist_hash,
             "params": dict(self.params),
             "jobs": self.jobs,
@@ -140,77 +129,6 @@ class JobSpec:
 # ----------------------------------------------------------------------
 # Canonical netlist hashing
 # ----------------------------------------------------------------------
-
-def _f(value: float) -> str:
-    """Full-precision float text.
-
-    ``repr`` round-trips every IEEE double, unlike the writer's ``%g``
-    (6 significant digits) — two parameter values that differ in the
-    7th digit must land in different cache entries.
-    """
-    return repr(float(value))
-
-
-def canonical_cards(circuit: Circuit) -> List[str]:
-    """One normalised text card per element, sorted.
-
-    Element names are lowercased (SPICE reads netlists case-insensitively
-    for element cards); node names keep their case (the parser treats
-    ``OUT`` and ``out`` as distinct nodes).  The title is excluded — it
-    is documentation, not electricity.
-    """
-    cards: List[str] = []
-    for element in circuit.elements:
-        name = element.name.lower()
-        nodes = list(element.node_names)
-        if isinstance(element, Resistor):
-            parts = ["r", name, *nodes, _f(element.resistance)]
-        elif isinstance(element, Capacitor):
-            parts = ["c", name, *nodes, _f(element.capacitance),
-                     "ic=" + (_f(element.v_initial)
-                              if element.v_initial is not None else "none")]
-        elif isinstance(element, Inductor):
-            parts = ["l", name, *nodes, _f(element.inductance)]
-        elif isinstance(element, (VoltageSource, CurrentSource)):
-            kind = "v" if isinstance(element, VoltageSource) else "i"
-            parts = [kind, name, *nodes, _canonical_spec(element.spec),
-                     "ac=" + _f(element.ac_mag or 0.0)]
-        elif isinstance(element, Diode):
-            parts = ["d", name, *nodes, "is=" + _f(element.i_sat),
-                     "n=" + _f(element.ideality)]
-        elif isinstance(element, Vccs):
-            parts = ["g", name, *nodes, _f(element.gm)]
-        elif isinstance(element, Vcvs):
-            parts = ["e", name, *nodes, _f(element.gain)]
-        elif isinstance(element, Mosfet):
-            p = element.params
-            parts = ["m", name, *nodes, p.polarity,
-                     "w=" + _f(p.w_m), "l=" + _f(p.l_m)]
-        else:
-            raise JobSpecError(
-                f"cannot canonicalise element {type(element).__name__}")
-        cards.append(" ".join(parts))
-    cards.sort()
-    return cards
-
-
-def _canonical_spec(spec) -> str:
-    if isinstance(spec, DcSpec):
-        return "dc " + _f(spec.level)
-    if isinstance(spec, SineSpec):
-        return " ".join(["sin", _f(spec.offset), _f(spec.amplitude),
-                         _f(spec.frequency_hz), _f(spec.delay_s),
-                         _f(spec.phase_rad)])
-    if isinstance(spec, PulseSpec):
-        return " ".join(["pulse", _f(spec.v1), _f(spec.v2),
-                         _f(spec.delay_s), _f(spec.rise_s), _f(spec.fall_s),
-                         _f(spec.width_s), _f(spec.period_s)])
-    if isinstance(spec, PwlSpec):
-        flat = " ".join(_f(t) + " " + _f(v) for t, v in spec.points)
-        return "pwl " + flat
-    raise JobSpecError(
-        f"cannot canonicalise source spec {type(spec).__name__}")
-
 
 def canonical_netlist(text: str, tech=None) -> str:
     """The canonical text form of a netlist (sorted cards, one per line)."""
@@ -321,13 +239,25 @@ def parse_job_spec(payload: Any) -> JobSpec:
     if analysis in ("mc", "corners", "highsigma", "aging"):
         _require(tech is not None,
                  f"{analysis} analysis requires a tech node")
+    workload = None
+    if analysis in ("mc", "corners", "highsigma"):
+        default = ("node" if netlist is not None
+                   else "sram" if analysis == "highsigma" else "offset")
+        try:
+            workload = workloads.resolve(
+                params.get("workload", default), params, tech_node,
+                analysis=analysis, netlist=netlist,
+                netlist_hash=netlist_hash)
+        except workloads.WorkloadError as exc:
+            raise JobSpecError(str(exc)) from exc
 
     return JobSpec(
         analysis=analysis, tech=tech, netlist=netlist,
         netlist_hash=netlist_hash, params=dict(params), seed=seed,
         jobs=jobs, backend=backend, batch_size=batch_size,
         timeout_s=float(timeout_s) if timeout_s is not None else None,
-        priority=priority, client=client, checkpoint=checkpoint)
+        priority=priority, client=client, checkpoint=checkpoint,
+        workload=workload)
 
 
 def cache_key(spec: JobSpec, capabilities: Optional[dict] = None) -> str:

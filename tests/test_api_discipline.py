@@ -2,12 +2,16 @@
 
 Production hygiene, enforced: public functions/classes/methods carry
 docstrings, ``__all__`` lists are sorted and resolvable, and the package
-imports cleanly without circular-import surprises.
+imports cleanly without circular-import surprises, and the serve
+daemon never reaches into the CLI (both build through
+:mod:`repro.workloads`).
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,7 @@ PACKAGES = [
     "repro.solutions",
     "repro.digitalflow",
     "repro.obs",
+    "repro.workloads",
 ]
 
 
@@ -106,3 +111,23 @@ class TestExports:
         pkg = importlib.import_module(pkg_name)
         exported = list(getattr(pkg, "__all__", []))
         assert len(exported) == len(set(exported))
+
+
+class TestLayering:
+    def test_serve_does_not_import_the_cli(self):
+        import repro.serve
+
+        offenders = []
+        for path in sorted(Path(repro.serve.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [
+                        f"{node.module}.{alias.name}" for alias in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(name == "repro.cli" or name.startswith("repro.cli.")
+                       for name in names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert not offenders, f"repro.serve imports repro.cli: {offenders}"

@@ -280,11 +280,11 @@ class TestProfiler:
 
     def test_profiling_does_not_change_results(self, tech90):
         from repro.circuits import differential_pair
-        from repro.cli import _offset_extractor
         from repro.core import MonteCarloYield, Specification
+        from repro.workloads import offset_extractor
 
         fx = differential_pair(tech90)
-        spec = Specification("offset", _offset_extractor,
+        spec = Specification("offset", offset_extractor,
                              lower=-5e-3, upper=5e-3)
         engine = MonteCarloYield(fx, [spec], tech90)
         plain = engine.run(n_samples=48, seed=9)

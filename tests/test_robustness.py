@@ -569,7 +569,7 @@ class TestCheckpointResume:
         assert main(argv) == 0
         manifest_path = ckpt / "manifest.json"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        assert manifest["schema"] == MC_CHECKPOINT_SCHEMA == 2
+        assert manifest["schema"] == MC_CHECKPOINT_SCHEMA == 3
         manifest["schema"] = 1
         atomic_write_json(manifest_path, manifest)
         with pytest.raises(CheckpointError, match="schema 1"):
@@ -703,10 +703,11 @@ class TestCliExitCodes:
 
     def test_degraded_run_exits_two(self, capsys, monkeypatch, tmp_path):
         import repro.cli as cli
+        import repro.workloads as workloads
 
         # Patch the offset extractor with a sample-targeted fault.
         monkeypatch.setattr(
-            cli, "_offset_extractor",
+            workloads, "offset_extractor",
             failing_extractor(_offset, fail_on=[1]))
         code = cli.main(["mc", "--samples", "8", "--seed", "1"])
         out = capsys.readouterr().out
@@ -737,9 +738,10 @@ class TestCliExitCodes:
     def test_interrupt_writes_checkpoint_and_exits_130(
             self, capsys, monkeypatch, tmp_path):
         import repro.cli as cli
+        import repro.workloads as workloads
 
         monkeypatch.setattr(
-            cli, "_offset_extractor",
+            workloads, "offset_extractor",
             interrupting_extractor(_offset, interrupt_on=40))
         ckpt = tmp_path / "ck"
         code = cli.main(["mc", "--samples", "64", "--seed", "3",
@@ -750,7 +752,7 @@ class TestCliExitCodes:
         assert "--resume" in captured.err
         assert (ckpt / "manifest.json").is_file()
 
-        monkeypatch.setattr(cli, "_offset_extractor", _offset)
+        monkeypatch.setattr(workloads, "offset_extractor", _offset)
         code = cli.main(["mc", "--samples", "64", "--seed", "3",
                          "--checkpoint", str(ckpt), "--resume"])
         assert code == 0

@@ -12,13 +12,17 @@ the two engines:
   ``reason="budget"``, and its resume gives the same bits;
 * an existing checkpoint is refused without ``resume``, ``resume``
   without a checkpoint is refused, and a resume under another seed or
-  ``batch_size`` is refused.
+  ``batch_size`` is refused;
+* through the CLI, a resume under another node, circuit, spec bound,
+  transient step or extractor keyword is refused (exit 2), and an
+  unchanged resume prints the same report.
 
 The high-sigma case uses the analytic linear-tail engine with a
 surrogate, so a resume must also replay the pilot, the refined
 proposal and the surrogate fit exactly.
 """
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -220,3 +224,58 @@ class TestRunContract:
         with pytest.raises(CheckpointError,
                            match="accelerator configuration mismatch"):
             case.run(engine, checkpoint=ckpt, resume=True, batch_size=4)
+
+
+# ----------------------------------------------------------------------
+# The checkpoint records what the run computes on, not only its seed
+# ----------------------------------------------------------------------
+
+_MC = ["mc", "--samples", "24", "--seed", "3"]
+_RING = ["mc", "--workload", "ring", "--samples", "8", "--seed", "3"]
+_HS = ["highsigma", "--samples", "64", "--seed", "3", "--snm-min-mv",
+       "66.7", "--train-samples", "32"]
+
+
+@pytest.mark.parametrize("base, changed", [
+    pytest.param(_MC, ["--tech", "45nm"], id="mc-tech"),
+    pytest.param(_MC, ["--w-um", "2"], id="mc-w-um"),
+    pytest.param(_MC, ["--limit-mv", "3"], id="mc-limit-mv"),
+    pytest.param(_RING, ["--ring-dt", "2e-12"], id="ring-dt"),
+    pytest.param(_HS, ["--tech", "90nm"], id="highsigma-tech"),
+    pytest.param(_HS, ["--snm-points", "21"], id="highsigma-snm-points"),
+    pytest.param(_HS, ["--snm-min-mv", "70"], id="highsigma-snm-min-mv"),
+])
+def test_cli_resume_refuses_another_configuration(base, changed, tmp_path,
+                                                  capsys):
+    from repro.cli import main
+
+    argv = base + ["--quiet", "--checkpoint", str(tmp_path / "ck")]
+    assert main(argv) == 0
+    reference = capsys.readouterr().out
+    assert main(argv + ["--resume"]) == 0
+    assert capsys.readouterr().out == reference
+    assert main(argv + ["--resume"] + changed) == 2
+    assert "checkpoint refused" in capsys.readouterr().err
+
+
+def _scaled_offset(fixture, scale: float) -> float:
+    return scale * input_referred_offset_v(fixture)
+
+
+def test_resume_refuses_other_extractor_keywords(tmp_path):
+    tech = get_node("90nm")
+    fixture = differential_pair(tech)
+
+    def engine(scale):
+        spec = Specification("offset",
+                             functools.partial(_scaled_offset, scale=scale),
+                             lower=-5e-3, upper=5e-3)
+        return MonteCarloYield(fixture, [spec], tech)
+
+    ckpt = tmp_path / "ck"
+    engine(1.0).run(n_samples=8, chunk_size=4, seed=3, checkpoint=ckpt)
+    with pytest.raises(CheckpointError, match="specs"):
+        engine(2.0).run(n_samples=8, chunk_size=4, seed=3,
+                        checkpoint=ckpt, resume=True)
+    engine(1.0).run(n_samples=8, chunk_size=4, seed=3, checkpoint=ckpt,
+                    resume=True)
