@@ -333,11 +333,13 @@ class DcEngine:
         #: ``topology_version``, since ``dc_engine`` rebuilds the engine
         #: exactly when the topology changes.
         self.sparsity_plan: Optional[SparsityPlan] = None
+        session = telemetry.active()
+        if session is not None:
+            session.metrics.inc("solver.dc.engine_builds")
         if sparse_available() and not sparse_vetoed() \
                 and self.size >= sparse_min_size():
             self.sparsity_plan = self._build_sparsity_plan(circuit)
             self.workspace.st.plan = self.sparsity_plan
-            session = telemetry.active()
             if session is not None:
                 session.metrics.inc("solver.sparse.plan_builds")
         #: When True, the previous solution seeds the next solve.

@@ -9,11 +9,14 @@ introduces jitter and eats noise margins (§4).
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.circuit.dc import dc_sweep, sweep_voltages
+from repro.circuit.dc import dc_operating_point, dc_sweep, sweep_voltages
+from repro.circuit.elements import DcSpec
 from repro.circuit.mosfet import Mosfet
 from repro.circuit.netlist import Circuit
 from repro.circuit.waveform import Waveform
@@ -251,21 +254,62 @@ def propagation_delay(vin: Waveform, vout: Waveform, vdd: float) -> float:
     return float(t_out - t_in)
 
 
+#: Probe circuits per SRAM base circuit: ``(topology_version, {kind:
+#: probe})``.  A probe is the base's elements with its own source (and
+#: resistor) appended after them, so the shared elements keep their
+#: node indices and ``Circuit.compile`` rebinds them to whichever
+#: circuit is solved.  Built once per base topology, a probe keeps its
+#: DC engine (``dc._ENGINES``) across calls; the engine's MOSFET group
+#: re-reads variation, degradation and params on every solve.
+_PROBES: "weakref.WeakKeyDictionary[Circuit, tuple]" = \
+    weakref.WeakKeyDictionary()
+_PROBES_LOCK = threading.Lock()
+
+#: kind → (title, forcing node or None for a source straight on ``q``).
+_PROBE_KINDS = {"butterfly": ("sram butterfly probe", None),
+                "write": ("write probe", "qf"),
+                "bistable": ("sram bistability probe", "qforce")}
+
+
+def _sram_probe(base: Circuit, kind: str, value: float = 0.0) -> Circuit:
+    """The cached ``kind`` probe of ``base``, its source set to ``value``.
+
+    ``butterfly`` drives ``q`` with ``vprobe``; ``write`` and
+    ``bistable`` force ``q`` through ``rforce`` (1 Ω) from ``vforce``.
+    """
+    with _PROBES_LOCK:
+        entry = _PROBES.get(base)
+        if entry is None or entry[0] != base.topology_version:
+            entry = (base.topology_version, {})
+            _PROBES[base] = entry
+        probe = entry[1].get(kind)
+        if probe is None:
+            title, node = _PROBE_KINDS[kind]
+            probe = Circuit(title)
+            for element in base.elements:
+                probe.add(element)
+            if node is None:
+                probe.voltage_source("vprobe", "q", "0", value)
+            else:
+                probe.voltage_source("vforce", node, "0", value)
+                probe.resistor("rforce", node, "q", 1.0)
+            entry[1][kind] = probe
+    probe["vprobe" if kind == "butterfly" else "vforce"].spec = DcSpec(value)
+    return probe
+
+
 def sram_hold_butterfly(fixture: CircuitFixture,
                         n_points: int = 81) -> tuple:
     """Hold-state butterfly data of the SRAM cell.
 
-    Sweeps a probe voltage on ``q`` and records the inverter response at
-    ``qb``, then vice versa (by symmetry, re-using the same curve with
-    axes swapped).  Returns ``(v_probe, vqb_response)``.
+    Sweeps an ideal probe source on ``q`` and records the inverter
+    response at ``qb``; the other half of the butterfly is the same
+    curve with axes swapped (by symmetry).  Returns
+    ``(v_probe, vqb_response)``.
     """
     base = fixture.circuit
     vdd = base["vdd"].spec.dc_value()
-    # Probe: drive q with a source through a tiny resistance.
-    probe = Circuit("sram butterfly probe")
-    for element in base.elements:
-        probe.add(element)
-    probe.voltage_source("vprobe", "q", "0", 0.0)
+    probe = _sram_probe(base, "butterfly")
     vins = np.linspace(0.0, vdd, n_points)
     sols = dc_sweep(probe, "vprobe", vins)
     vqb, = sweep_voltages(sols, ("qb",))
@@ -303,8 +347,6 @@ def sram_read_butterfly(fixture: CircuitFixture,
     is always smaller than the hold SNM — the classic read-stability
     hazard that mismatch (§2) and NBTI (§3.3) erode further.
     """
-    from repro.circuit.elements import DcSpec
-
     base = fixture.circuit
     vdd = base["vdd"].spec.dc_value()
     original_wl = base["vwl"].spec
@@ -323,21 +365,13 @@ def sram_write_trip_voltage(fixture: CircuitFixture,
     and find where q collapses.  A HIGHER trip voltage means an easier
     write (more write margin); ratio skews and degradation move it.
     """
-    from repro.circuit.dc import dc_operating_point, dc_sweep
-    from repro.circuit.elements import DcSpec
-
     base = fixture.circuit
     vdd = base["vdd"].spec.dc_value()
     originals = {name: base[name].spec for name in ("vwl", "vbl", "vblb")}
     try:
         # Hold q = 1 first (wordline low, force then release).
         base["vwl"].spec = DcSpec(0.0)
-        probe = Circuit("write probe")
-        for element in base.elements:
-            probe.add(element)
-        probe.voltage_source("vforce", "qf", "0", vdd)
-        probe.resistor("rforce", "qf", "q", 1.0)
-        forced = dc_operating_point(probe)
+        forced = dc_operating_point(_sram_probe(base, "write", vdd))
         base.compile()
         x0 = np.zeros(base.n_unknowns)
         for node_name in base.node_names:
@@ -367,18 +401,11 @@ def is_bistable(fixture: CircuitFixture, tolerance_v: float = 0.05) -> bool:
     failure": write each state by forcing ``q``, release, and check the
     cell stays there.
     """
-    from repro.circuit.dc import dc_operating_point
-
     base = fixture.circuit
     vdd = base["vdd"].spec.dc_value()
     for target in (0.0, vdd):
         # Force q to the target through a strong probe, solve...
-        probe = Circuit("sram bistability probe")
-        for element in base.elements:
-            probe.add(element)
-        probe.voltage_source("vforce", "qforce", "0", target)
-        probe.resistor("rforce", "qforce", "q", 1.0)
-        forced = dc_operating_point(probe)
+        forced = dc_operating_point(_sram_probe(base, "bistable", target))
         # ...then release: re-solve the bare cell seeded from the forced
         # node voltages (copied by name — the probe has extra unknowns).
         base.compile()

@@ -616,12 +616,12 @@ class HighSigmaYield:
 
         Perturbs each device's ΔV_T by ``probe_sigma``·σ in turn and
         keeps the normalized sensitivity of the metric toward the
-        NEAREST failing bound.  Deterministic (no RNG).  The engine's
-        fixture is mutated during probing and cleared in a ``finally``
-        — an extractor that raises mid-probe must not leave stale ΔV_T
-        on it.
+        NEAREST failing bound.  Deterministic (no RNG).  Probing runs on
+        a private replica of the engine's fixture: the fixture may be a
+        template shared with concurrent runs (serve jobs), which must
+        never see each other's ΔV_T.
         """
-        spec, fixture = self.spec, self.fixture
+        spec, fixture = self.spec, clone_fixture(self.fixture)
         sigmas = self._sigmas()
         devices = fixture.circuit.mosfets
 
@@ -635,33 +635,29 @@ class HighSigmaYield:
             for device in devices:
                 device.variation = DeviceVariation()
 
-        try:
-            clear()
-            nominal = evaluate()
-            if math.isnan(nominal):
-                raise ValueError(
-                    "nominal evaluation failed — fixture broken?")
-            # Which bound is closest to the nominal value?
-            candidates = []
-            if spec.upper is not None:
-                candidates.append((abs(spec.upper - nominal), +1.0))
-            if spec.lower is not None:
-                candidates.append((abs(nominal - spec.lower), -1.0))
-            _, toward = min(candidates)
+        clear()
+        nominal = evaluate()
+        if math.isnan(nominal):
+            raise ValueError("nominal evaluation failed — fixture broken?")
+        # Which bound is closest to the nominal value?
+        candidates = []
+        if spec.upper is not None:
+            candidates.append((abs(spec.upper - nominal), +1.0))
+        if spec.lower is not None:
+            candidates.append((abs(nominal - spec.lower), -1.0))
+        _, toward = min(candidates)
 
-            direction: Dict[str, float] = {}
-            for device in devices:
-                clear()
-                device.variation = DeviceVariation(
-                    delta_vt_v=probe_sigma * sigmas[device.name])
-                moved = evaluate()
-                if math.isnan(moved):
-                    sensitivity = 0.0
-                else:
-                    sensitivity = (moved - nominal) / probe_sigma
-                direction[device.name] = toward * sensitivity
-        finally:
+        direction: Dict[str, float] = {}
+        for device in devices:
             clear()
+            device.variation = DeviceVariation(
+                delta_vt_v=probe_sigma * sigmas[device.name])
+            moved = evaluate()
+            if math.isnan(moved):
+                sensitivity = 0.0
+            else:
+                sensitivity = (moved - nominal) / probe_sigma
+            direction[device.name] = toward * sensitivity
         norm = math.sqrt(sum(v * v for v in direction.values()))
         if norm == 0.0:
             raise ValueError("metric insensitive to every device — "

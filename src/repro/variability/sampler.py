@@ -59,6 +59,8 @@ class MismatchSampler:
         self.include_ler = include_ler
         self.ler = ler_model if ler_model is not None else LerModel.for_technology(tech)
         self.rng = rng if rng is not None else np.random.default_rng()
+        self._sigma_memo: Dict[Tuple[float, float],
+                               Tuple[float, float, float]] = {}
 
     # ------------------------------------------------------------------
     # Per-device sigmas
@@ -84,21 +86,35 @@ class MismatchSampler:
         gx, gy = self.rng.normal(0.0, s_vt_v_per_m, size=2)
         return float(gx), float(gy)
 
+    def _draw_sigmas(self, w_m: float, l_m: float
+                     ) -> Tuple[float, float, float]:
+        """``(σ(V_T) [V], σ(β)/β, σ(γ)/γ)`` the device draws use.
+
+        Geometry-only, so memoized per ``(w_m, l_m)``; an invalid
+        geometry raises and is never stored.
+        """
+        sigmas = self._sigma_memo.get((w_m, l_m))
+        if sigmas is None:
+            sigma_vt = self.sigma_single_vt_v(w_m, l_m)
+            sigma_beta = self.sigma_single_beta_fraction(w_m, l_m)
+            sigma_gamma_v = self.pelgrom.sigma_delta_gamma_v(w_m, l_m) / math.sqrt(2.0)
+            sigmas = self._sigma_memo[(w_m, l_m)] = (
+                sigma_vt, sigma_beta,
+                sigma_gamma_v / max(self.tech.gamma_body_sqrt_v, 1e-9))
+        return sigmas
+
     def sample_device(self, w_m: float, l_m: float,
                       placement: Optional[Placement] = None,
                       gradient_v_per_m: Tuple[float, float] = (0.0, 0.0),
                       ) -> DeviceVariation:
         """Draw one device's random offsets."""
-        sigma_vt = self.sigma_single_vt_v(w_m, l_m)
-        sigma_beta = self.sigma_single_beta_fraction(w_m, l_m)
-        sigma_gamma_v = self.pelgrom.sigma_delta_gamma_v(w_m, l_m) / math.sqrt(2.0)
+        sigma_vt, sigma_beta, gamma_rel_sigma = self._draw_sigmas(w_m, l_m)
         delta_vt = float(self.rng.normal(0.0, sigma_vt))
         if placement is not None:
             gx, gy = gradient_v_per_m
             delta_vt += gx * placement.x_m + gy * placement.y_m
         beta_factor = float(1.0 + self.rng.normal(0.0, sigma_beta))
         beta_factor = max(beta_factor, 0.05)
-        gamma_rel_sigma = sigma_gamma_v / max(self.tech.gamma_body_sqrt_v, 1e-9)
         gamma_factor = float(1.0 + self.rng.normal(0.0, gamma_rel_sigma))
         gamma_factor = max(gamma_factor, 0.05)
         return DeviceVariation(delta_vt_v=delta_vt, beta_factor=beta_factor,
@@ -119,10 +135,7 @@ class MismatchSampler:
         """
         if n_samples <= 0:
             raise ValueError("n_samples must be positive")
-        sigma_vt = self.sigma_single_vt_v(w_m, l_m)
-        sigma_beta = self.sigma_single_beta_fraction(w_m, l_m)
-        sigma_gamma_v = self.pelgrom.sigma_delta_gamma_v(w_m, l_m) / math.sqrt(2.0)
-        gamma_rel_sigma = sigma_gamma_v / max(self.tech.gamma_body_sqrt_v, 1e-9)
+        sigma_vt, sigma_beta, gamma_rel_sigma = self._draw_sigmas(w_m, l_m)
         delta_vt = self.rng.normal(0.0, sigma_vt, size=n_samples)
         beta = np.maximum(1.0 + self.rng.normal(0.0, sigma_beta, n_samples),
                           0.05)

@@ -255,6 +255,29 @@ class TestEngineCacheLifetime:
         gc.collect()
         assert (len(dc._ENGINES), len(batch._BATCH_ENGINES)) == baseline
 
+    def test_sram_probe_and_engines_die_with_the_fixture(self, tech90):
+        # The SRAM probe cache is keyed weakly on the cell's circuit and
+        # the probe holds only the cell's elements, so dropping the
+        # fixture frees the probe and both engines.
+        import gc
+        import weakref
+
+        from repro.circuit import dc
+        from repro.circuits import digital, sram_cell, sram_hold_butterfly
+
+        gc.collect()
+        baseline = (len(dc._ENGINES), len(digital._PROBES))
+        fx = sram_cell(tech90)
+        sram_hold_butterfly(fx, n_points=11)
+        dc_operating_point(fx.circuit)
+        probe = weakref.ref(digital._PROBES[fx.circuit][1]["butterfly"])
+        assert (len(dc._ENGINES), len(digital._PROBES)) == (
+            baseline[0] + 2, baseline[1] + 1)
+        del fx
+        gc.collect()
+        assert probe() is None
+        assert (len(dc._ENGINES), len(digital._PROBES)) == baseline
+
     def test_replicas_rebind_to_themselves(self, tech90):
         # Circuits copied for parallel workers carry their own binding
         # token, so a replica never mistakes the original's bindings for

@@ -856,6 +856,26 @@ class TestFixtureLeaseIsolation:
             assert mc_final["outcome"] == "ok"
             assert mc_final["result"] == reference
 
+    def test_concurrent_highsigma_jobs_match_serial(self):
+        # Jobs that differ only in seed share one SRAM template under a
+        # shared lease; the direction probe must not write ΔV_T on it,
+        # or one job's probe skews the other's direction.
+        def highsigma(seed):
+            return {"analysis": "highsigma", "tech": "65nm", "seed": seed,
+                    "backend": "serial",
+                    "params": {"workload": "sram", "samples": 32,
+                               "snm_points": 11, "snm_min_mv": 66.7,
+                               "surrogate": "off"}}
+
+        seeds = (5, 6)
+        with serving(workers=1) as (_app, client, _exit):
+            reference = [client.run(highsigma(s))["result"] for s in seeds]
+        with serving(workers=2) as (_app, client, _exit):
+            acks = [client.submit_ok(highsigma(s)) for s in seeds]
+            finals = [client.wait(ack["job_id"]) for ack in acks]
+        assert [f["outcome"] for f in finals] == ["ok", "ok"]
+        assert [f["result"] for f in finals] == reference
+
 
 # ----------------------------------------------------------------------
 # Concurrent-client soak (tentpole acceptance)
