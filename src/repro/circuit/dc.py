@@ -32,7 +32,13 @@ import numpy as np
 
 from repro import telemetry
 from repro.circuit import _ckernel
-from repro.circuit.elements import CurrentSource, DcSpec, VoltageSource
+from repro.circuit.elements import (
+    Capacitor,
+    CurrentSource,
+    DcSpec,
+    Resistor,
+    VoltageSource,
+)
 from repro.circuit.mna import (
     ConvergenceError,
     ConvergenceReport,
@@ -116,7 +122,9 @@ def newton_solve(stamp: Callable[[Stamper, np.ndarray], None], size: int,
                  workspace: Optional[NewtonWorkspace] = None,
                  stamp_base: Optional[Callable[[Stamper], None]] = None,
                  stats: Optional[NewtonStats] = None,
-                 group: Optional[MosfetGroup] = None) -> np.ndarray:
+                 group: Optional[MosfetGroup] = None,
+                 load_base: Optional[Callable[[float], bool]] = None
+                 ) -> np.ndarray:
     """Solve the nonlinear MNA system ``F(x) = 0`` by damped NR.
 
     ``stamp(st, x)`` must assemble the linearized system at guess ``x``.
@@ -136,6 +144,10 @@ def newton_solve(stamp: Callable[[Stamper, np.ndarray], None], size: int,
     then runs as one call into the compiled kernel
     (:func:`MosfetGroup.newton_args` says when it can) — bit-identical
     to the Python loop below, which serves every other case.
+
+    ``load_base(gmin)``, when given, may fill ``workspace.base`` from a
+    memo instead (:meth:`DcEngine.load_base`); it returns False when it
+    did not, and ``stamp_base`` stamps the base as usual.
     """
     opts = options if options is not None else NewtonOptions()
     x = np.zeros(size) if x0 is None else np.array(x0, dtype=float)
@@ -147,9 +159,10 @@ def newton_solve(stamp: Callable[[Stamper, np.ndarray], None], size: int,
     base: Optional[Stamper] = None
     if stamp_base is not None:
         base = ws.base
-        base.clear()
-        stamp_base(base)
-        base.add_gmin(n_nodes, opts.gmin)
+        if load_base is None or not load_base(opts.gmin):
+            base.clear()
+            stamp_base(base)
+            base.add_gmin(n_nodes, opts.gmin)
         block = group.newton_args(ws) if group is not None else None
         if block is not None:
             return _newton_compiled(block, x, n_nodes, opts, ws, stats)
@@ -297,6 +310,12 @@ def _stamp_dc_factory(circuit: Circuit) -> Callable[[Stamper, np.ndarray], None]
     return stamp
 
 
+#: The linear element types whose stamps the engine memoizes: exactly
+#: these (subclasses may stamp differently), so every value a stamp
+#: reads is one :meth:`DcEngine.linear_key` lists.
+MEMO_ELEMENTS = (Resistor, Capacitor, VoltageSource, CurrentSource)
+
+
 class DcEngine:
     """Per-circuit solver state: stamp plans, workspace, warm start.
 
@@ -307,6 +326,13 @@ class DcEngine:
     :class:`NewtonWorkspace` and the warm-start seed carried between
     consecutive operating-point solves (Monte-Carlo samples, sweep
     points, transient steps).
+
+    It also memoizes what a Monte-Carlo die that changes only MOSFET
+    parameters leaves alone: the stamped base of the compiled
+    plain-Newton rung (:meth:`load_base`) and the transient step tape
+    (``step_tape``, see :mod:`repro.circuit.transient`).  Both are keyed
+    by :meth:`linear_key`, the live values their stamps read, and die
+    with the engine.
     """
 
     def __init__(self, circuit: Circuit):
@@ -345,6 +371,39 @@ class DcEngine:
         #: When True, the previous solution seeds the next solve.
         self.warm_start_enabled = False
         self.last_x: Optional[np.ndarray] = None
+        # The memo key's inputs: None when a linear element is not
+        # exactly one of MEMO_ELEMENTS (then nothing is memoized).
+        self._memo_parts = None
+        if all(type(e) in MEMO_ELEMENTS for e in self.linear_elements):
+            self._memo_parts = (
+                [e for e in self.linear_elements if type(e) is Resistor],
+                [e for e in self.linear_elements if type(e) is Capacitor],
+                [e for e in self.linear_elements
+                 if type(e) in (VoltageSource, CurrentSource)],
+                mosfets)
+        #: The memoized base (linear stamps, gate leaks, gmin) of the
+        #: compiled plain-Newton rung, and the key it was stamped under.
+        self._base_memo: Optional[Stamper] = None
+        self._base_key = None
+        #: The last transient's step tape, or None (owned by
+        #: :mod:`repro.circuit.transient`; carries its own key).
+        self.step_tape = None
+
+    def linear_key(self) -> Optional[tuple]:
+        """The live values the linear stamps and gate leaks read — each
+        resistance and capacitance, each source's spec object and scale,
+        each MOSFET's ``gate_leak_s`` and ``bd_spot_position`` — or None
+        when some linear element is not exactly a
+        :data:`MEMO_ELEMENTS` type.  Equal keys stamp equal bases."""
+        parts = self._memo_parts
+        if parts is None:
+            return None
+        resistors, capacitors, sources, mosfets = parts
+        return ([r.resistance for r in resistors],
+                [c.capacitance for c in capacitors],
+                [(v.spec, v.scale) for v in sources],
+                [(d.gate_leak_s, d.bd_spot_position)
+                 for d in [m.degradation for m in mosfets]])
 
     def _build_sparsity_plan(self, circuit: Circuit) -> SparsityPlan:
         """Record the union of every stamp's matrix positions.
@@ -381,13 +440,50 @@ class DcEngine:
         solve).  Source scaling and gate-leak conductances are read at
         call time, so source stepping and aging updates land correctly;
         the MOSFET group re-reads effective parameters here too."""
+        self.stamp_linear(st)
+        group = self.mosfet_group
+        if group is not None:
+            group.refresh()
+
+    def stamp_linear(self, st: Stamper) -> None:
+        """The linear stamps and the gate leaks of :meth:`stamp_base`."""
         x_unused = _EMPTY_X
         for element in self.linear_elements:
             element.stamp_dc(st, x_unused)
         group = self.mosfet_group
         if group is not None:
             group.stamp_gate_leaks(st)
-            group.refresh()
+
+    def load_base(self, gmin: float) -> bool:
+        """For the compiled Newton loop: refresh the MOSFET group and
+        fill ``workspace.base`` with the base system plus ``gmin`` from
+        the memo, stamping the memo first when its key is stale.
+
+        Returns False, with the base untouched, when the engine
+        memoizes nothing (:meth:`linear_key` is None) or the compiled
+        loop cannot serve the solve — the Python loop always stamps its
+        own base."""
+        group = self.newton_group
+        if group is None or self._memo_parts is None:
+            return False
+        group.refresh()
+        if group.newton_args(self.workspace) is None:
+            return False
+        key = (self.linear_key(), gmin)
+        memo = self._base_memo
+        if memo is None or key != self._base_key:
+            if memo is None:
+                memo = self._base_memo = Stamper(self.size)
+            self._base_key = None  # a failed stamp leaves no stale key
+            memo.clear()
+            self.stamp_linear(memo)
+            memo.add_gmin(self.n_nodes, gmin)
+            self._base_key = key
+            session = telemetry.active()
+            if session is not None:
+                session.metrics.inc("solver.dc.base_builds")
+        self.workspace.base.load_from(memo)
+        return True
 
     def stamp_nonlinear(self, st: Stamper, x: np.ndarray) -> None:
         """Stamp the guess-dependent part only (called every iteration)."""
@@ -550,7 +646,7 @@ def _solve_ladder(circuit: Circuit, x0: Optional[np.ndarray],
     try:
         x = newton_solve(stamp, size, n_nodes, x0, opts,
                          workspace=ws, stamp_base=stamp_base, stats=stats,
-                         group=group)
+                         group=group, load_base=engine.load_base)
         if engine.warm_start_enabled:
             engine.last_x = x.copy()
         return DcSolution(circuit, x), "newton", stats.iterations
@@ -678,26 +774,26 @@ def dc_operating_point(circuit: Circuit,
             metrics.inc("solver.factorizations", iterations)
             raise
         sp.set(strategy=strategy, iterations=iterations)
-        metrics.inc("solver.dc.solves")
-        metrics.inc("solver.dc.strategy." + strategy)
-        metrics.inc("solver.factorizations", iterations)
-        # Analytic-vs-FD device-evaluation tally (one count per solve —
-        # the mode cannot change mid-solve).
-        metrics.inc("solver.dc.jacobian." + jacobian_mode())
-        # Which Newton loop served it (compiled kernel or Python).
+        # Which Newton loop served it (compiled kernel or Python), and
+        # the analytic-vs-FD device-evaluation tally (one count per
+        # solve — the mode cannot change mid-solve).
         group = engine.newton_group
         compiled = group is not None \
             and group.newton_args(engine.workspace) is not None
-        metrics.inc("solver.dc.kernel." + ("compiled" if compiled
-                                           else "python"))
+        counters = [("solver.dc.solves", 1),
+                    ("solver.dc.strategy." + strategy, 1),
+                    ("solver.factorizations", iterations),
+                    ("solver.dc.jacobian." + jacobian_mode(), 1),
+                    ("solver.dc.kernel." + ("compiled" if compiled
+                                            else "python"), 1)]
         if sparse:
             # Each Newton iteration refactorizes numerically while
             # reusing the cached symbolic plan.
-            metrics.inc("solver.sparse.solves")
-            metrics.inc("solver.sparse.factorizations", iterations)
-            metrics.inc("solver.sparse.plan_reuses", iterations)
-        metrics.observe("solver.dc.newton_iterations", iterations,
-                        telemetry.ITERATION_BUCKETS)
+            counters += [("solver.sparse.solves", 1),
+                         ("solver.sparse.factorizations", iterations),
+                         ("solver.sparse.plan_reuses", iterations)]
+        metrics.update(counters, "solver.dc.newton_iterations",
+                       ((iterations, 1),), telemetry.ITERATION_BUCKETS)
         return solution
 
 
@@ -842,10 +938,9 @@ def _compiled_sweep(circuit: Circuit, element: VoltageSource, values,
                     n_nodes, opts.max_iterations, opts.damping_v,
                     opts.reltol, opts.vtol)
                 if stop > start:
-                    solved = iters[start:stop].tolist()
-                    kernel_iterations += sum(solved)
                     if session is not None:
-                        _record_kernel_solves(session.metrics, solved)
+                        kernel_iterations += _record_kernel_solves(
+                            session.metrics, iters[start:stop])
                     if engine.warm_start_enabled:
                         engine.last_x = X[stop - 1].copy()
                 if stop == n:
@@ -866,14 +961,21 @@ def _compiled_sweep(circuit: Circuit, element: VoltageSource, values,
     return [DcSolution(circuit, x) for x in X]
 
 
-def _record_kernel_solves(metrics, iterations: List[int]) -> None:
+def _record_kernel_solves(metrics, iterations: np.ndarray) -> int:
     """The ``solver.dc.*`` metrics :func:`dc_operating_point` records
-    for each of these plain-Newton compiled solves, in one go."""
+    for each of these plain-Newton compiled solves, in one go: the
+    iteration histogram takes each distinct count once, with its
+    multiplicity.  Returns the iterations' total."""
     count = len(iterations)
-    metrics.inc("solver.dc.solves", count)
-    metrics.inc("solver.dc.strategy.newton", count)
-    metrics.inc("solver.factorizations", sum(iterations))
-    metrics.inc("solver.dc.jacobian." + jacobian_mode(), count)
-    metrics.inc("solver.dc.kernel.compiled", count)
-    metrics.observe_many("solver.dc.newton_iterations", iterations,
-                         telemetry.ITERATION_BUCKETS)
+    tally = np.bincount(iterations)
+    distinct = tally.nonzero()[0]
+    folded = list(zip(distinct.tolist(), tally[distinct].tolist()))
+    total = sum([value * times for value, times in folded])
+    metrics.update(
+        [("solver.dc.solves", count),
+         ("solver.dc.strategy.newton", count),
+         ("solver.factorizations", total),
+         ("solver.dc.jacobian." + jacobian_mode(), count),
+         ("solver.dc.kernel.compiled", count)],
+        "solver.dc.newton_iterations", folded, telemetry.ITERATION_BUCKETS)
+    return total

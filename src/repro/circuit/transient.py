@@ -195,10 +195,6 @@ class _TapeRecorder:
             self.matrix(node, node, gmin)
 
 
-#: The linear elements the compiled step loop stamps from a tape.
-_TAPE_ELEMENTS = (Resistor, Capacitor, VoltageSource, CurrentSource)
-
-
 class _StepTape:
     """The per-transient input of the compiled step loop
     (:func:`repro.circuit._ckernel.transient_dense`): the stamp tape of
@@ -209,11 +205,17 @@ class _StepTape:
     gate leaks, then gmin — the order in which ``stamp_base`` and
     ``add_gmin`` sum into each base entry.  Source values are
     precomputed with each source's own ``source_value(t)`` at the grid
-    times the Python loop stamps them at."""
+    times the Python loop stamps them at.
 
-    def __init__(self, linear_pairs, group, size: int, n_nodes: int,
+    Only the capacitor history belongs to one transient: the DC engine
+    keeps its last tape (``DcEngine.step_tape``) under ``key``, and a
+    transient with an equal key rebinds it (:meth:`bind`) instead of
+    recording a new one (see :func:`_step_tape`)."""
+
+    def __init__(self, key, linear_pairs, group, size: int, n_nodes: int,
                  gmin: float, n_steps: int, dt: float, method: str,
                  lte_rtol: Optional[float], max_step_halvings: int):
+        self.key = key
         self.caps = [(e, s) for e, s in linear_pairs
                      if type(e) is Capacitor]
         sources = [e for e, _ in linear_pairs
@@ -262,6 +264,13 @@ class _StepTape:
             lte_rtol if check_lte else 0.0, method == "trapezoidal",
             check_lte)
 
+    def bind(self, linear_pairs) -> None:
+        """Take the capacitor history of another transient's state
+        dicts (same elements, in the same order)."""
+        self.caps = [(e, s) for e, s in linear_pairs
+                     if type(e) is Capacitor]
+        self.load()
+
     def load(self) -> None:
         """Read the capacitor history from the element state dicts."""
         for k, (_, state) in enumerate(self.caps):
@@ -277,6 +286,34 @@ class _StepTape:
 
 
 _NO_X = np.zeros(0)
+
+
+def _step_tape(engine, linear_pairs, group, gmin: float, n_steps: int,
+               dt: float, method: str, lte_rtol: Optional[float],
+               max_step_halvings: int) -> Optional[_StepTape]:
+    """The step tape of this transient, or None when the engine's linear
+    elements are not all exactly R/C/V/I (``DcEngine.linear_key``).
+
+    The engine's last tape is rebound when its key — the transient's
+    arguments plus the live values the tape reads — is unchanged, as it
+    is between Monte-Carlo dies that change only MOSFET parameters;
+    otherwise a new tape is recorded and kept."""
+    live = engine.linear_key()
+    if live is None:
+        return None
+    key = (n_steps, dt, method, lte_rtol, max_step_halvings, gmin, live)
+    tape = engine.step_tape
+    if tape is not None and tape.key == key:
+        tape.bind(linear_pairs)
+        return tape
+    engine.step_tape = None  # a failed recording leaves no stale tape
+    tape = _StepTape(key, linear_pairs, group, engine.size, engine.n_nodes,
+                     gmin, n_steps, dt, method, lte_rtol, max_step_halvings)
+    engine.step_tape = tape
+    session = telemetry.active()
+    if session is not None:
+        session.metrics.inc("solver.transient.tape_builds")
+    return tape
 
 
 def _transient_impl(circuit: Circuit, t_stop: float, dt: float,
@@ -467,10 +504,9 @@ def _transient_impl(circuit: Circuit, t_stop: float, dt: float,
     block = newton_group.newton_args(ws) if newton_group is not None \
         else None
     tape = None
-    if block is not None and opts.gmin >= 0.0 \
-            and all(type(e) in _TAPE_ELEMENTS for e, _ in linear_pairs):
-        tape = _StepTape(linear_pairs, group, size, n_nodes, opts.gmin,
-                         n_steps, dt, method, lte_rtol, max_step_halvings)
+    if block is not None and opts.gmin >= 0.0:
+        tape = _step_tape(engine, linear_pairs, group, opts.gmin, n_steps,
+                          dt, method, lte_rtol, max_step_halvings)
     fallback_steps = 0
     if tape is None:
         for step in range(1, n_steps + 1):

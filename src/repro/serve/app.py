@@ -42,6 +42,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.obs.runlog import capability_flags
 from repro.serve.cache import EngineSessionCache, ResultCache
 from repro.serve.jobs import Job, JobRunner
 from repro.serve.jobspec import (
@@ -100,7 +101,6 @@ class ServeApp:
     """One daemon instance; also drivable in-process by tests."""
 
     def __init__(self, config: Optional[ServeConfig] = None):
-        from repro.obs.runlog import capability_flags
         from repro.telemetry import MetricsRegistry
 
         self.config = config or ServeConfig()
@@ -120,7 +120,11 @@ class ServeApp:
                                 goldens_dir=self.config.goldens_dir,
                                 lanes=self.config.workers,
                                 results=self.cache)
-        self.capabilities = capability_flags()
+        # The first read probes every capability: do it here, on the
+        # constructing thread, not in the first submit's executor
+        # thread, whose malloc arena would keep the probe's allocations
+        # (about 0.5 MB more peak RSS in a daemon).
+        self._flags = capability_flags()
         self.t_start = time.time()
         self.port: Optional[int] = None
         self._ids = itertools.count(1)
@@ -138,6 +142,17 @@ class ServeApp:
         self._stop_future: Optional[asyncio.Future] = None
         self._ready = threading.Event()
 
+    @property
+    def capabilities(self) -> dict:
+        """The capability flags a submit is keyed under, read live: a
+        breaker that trips during the daemon's life changes the key of
+        every later job.  Jobs share one read-only dict while the flags
+        hold (the daemon tracks up to ``max_jobs_tracked`` jobs)."""
+        flags = capability_flags()
+        if flags != self._flags:
+            self._flags = flags
+        return self._flags
+
     # ------------------------------------------------------------------
     # Synchronous core (worker/test facing)
     # ------------------------------------------------------------------
@@ -151,7 +166,8 @@ class ServeApp:
         except JobSpecError as exc:
             self.metrics.inc("serve.requests.refused")
             return 400, {"error": str(exc), "outcome": "refused"}
-        key = cache_key(spec, self.capabilities)
+        capabilities = self.capabilities
+        key = cache_key(spec, capabilities)
         if spec.analysis not in UNCACHED_ANALYSES:
             text = self.cache.get(key)
             if text is not None:
@@ -160,7 +176,7 @@ class ServeApp:
                            and result.get("degraded") else "ok")
                 return 200, {"cached": True, "cache_key": key,
                              "outcome": outcome, "result": result}
-        job = Job(f"j{next(self._ids):06d}", spec, key)
+        job = Job(f"j{next(self._ids):06d}", spec, key, capabilities)
         # The draining re-check and the enqueue share the state lock:
         # begin_drain flips the flag under the same lock before it
         # drains the queue, so a job either lands before the sweep

@@ -54,10 +54,16 @@ OUTCOME_EXIT_CODES = {
 class Job:
     """Server-side state of one submitted analysis request."""
 
-    def __init__(self, job_id: str, spec: JobSpec, cache_key: str):
+    def __init__(self, job_id: str, spec: JobSpec, cache_key: str,
+                 capabilities: Optional[dict] = None):
         self.id = job_id
         self.spec = spec
         self.cache_key = cache_key
+        #: The capability flags ``cache_key`` was computed under, and
+        #: the flags read when the job's analysis finished: a breaker
+        #: that trips in between makes them differ.
+        self.capabilities = capabilities
+        self.ran_under: Optional[dict] = None
         self.state = "queued"
         self.outcome: Optional[str] = None
         self.result: Optional[dict] = None
@@ -139,6 +145,8 @@ class Job:
             "outcome": self.outcome,
             "cached": self.cached,
             "cache_key": self.cache_key,
+            "capabilities": self.capabilities,
+            "ran_under": self.ran_under,
             "session_reused": self.session_reused,
             "progress": self.progress,
             "error": self.error,
@@ -203,6 +211,7 @@ class JobRunner:
     def execute(self, job: Job) -> None:
         from repro import telemetry
         from repro.checkpoint import CheckpointError, RunInterrupted
+        from repro.obs.runlog import capability_flags
         from repro.resilience import BudgetExpiredError
 
         spec = job.spec
@@ -234,11 +243,14 @@ class JobRunner:
             except Exception as exc:  # noqa: BLE001 — jobs never kill workers
                 outcome, error = "error", f"{type(exc).__name__}: {exc}"
             snapshot = tsession.metrics.snapshot()
+        flags = capability_flags()
+        job.ran_under = job.capabilities if flags == job.capabilities \
+            else flags
         self._account(job, outcome, snapshot)
         self._finalize(job, outcome, result, error)
 
     def _account(self, job: Job, outcome: str, snapshot: dict) -> None:
-        from repro.obs.runlog import capability_flags, record_run
+        from repro.obs.runlog import record_run
         from repro.telemetry import SERVE_LATENCY_BUCKETS_S
 
         self.metrics.merge(snapshot)
@@ -250,7 +262,7 @@ class JobRunner:
             record_run(f"serve.{job.spec.analysis}", job.spec.to_config(),
                        outcome=outcome,
                        exit_code=OUTCOME_EXIT_CODES.get(outcome, 1),
-                       seed=job.spec.seed, capabilities=capability_flags(),
+                       seed=job.spec.seed, capabilities=job.ran_under,
                        metrics=snapshot, t_start=job.t_start,
                        extra={"job_id": job.id,
                               "cache_key": job.cache_key})
@@ -261,8 +273,11 @@ class JobRunner:
 
         if outcome in ("ok", "degraded"):
             text = canonical_json(result)
+            # A result is published under the key of the flags it was
+            # keyed with only if it ran under the same flags.
             if self.results is not None \
-                    and job.spec.analysis not in UNCACHED_ANALYSES:
+                    and job.spec.analysis not in UNCACHED_ANALYSES \
+                    and job.ran_under == job.capabilities:
                 # Publish before the job turns terminal: a client that
                 # polls "done" and instantly resubmits must hit.
                 self.results.put(job.cache_key, text)

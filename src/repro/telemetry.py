@@ -139,12 +139,7 @@ class MetricsRegistry:
         order, under one lock — the same snapshot as one :meth:`observe`
         call per value."""
         with self._lock:
-            hist = self._histograms.get(name)
-            if hist is None:
-                hist = {"bounds": [float(b) for b in bounds],
-                        "counts": [0] * (len(bounds) + 1),
-                        "sum": 0.0, "count": 0, "max": float("-inf")}
-                self._histograms[name] = hist
+            hist = self._histogram(name, bounds)
             edges, counts = hist["bounds"], hist["counts"]
             for value in values:
                 counts[bisect.bisect_left(edges, value)] += 1
@@ -152,6 +147,45 @@ class MetricsRegistry:
                 hist["count"] += 1
                 if value > hist["max"]:
                     hist["max"] = value
+
+    def update(self, counters: Iterable[Tuple[str, Union[int, float]]],
+               histogram: Optional[str] = None,
+               folded: Iterable[Tuple[int, int]] = (),
+               bounds: Sequence[float] = TIME_BUCKETS_S) -> None:
+        """Add each ``(name, value)`` of ``counters``, in order, then
+        record ``folded`` — ``(value, times)`` pairs of *integer*
+        observations — into ``histogram``, all under one lock.
+
+        The snapshot is the one an :meth:`inc` per counter and an
+        :meth:`observe` per observation would leave, provided the
+        histogram holds integer observations only (as the Newton
+        iteration histograms do): then ``value * times`` is the exact
+        sum of ``times`` additions.
+        """
+        with self._lock:
+            registry = self._counters
+            for name, value in counters:
+                registry[name] = registry.get(name, 0) + value
+            if histogram is None:
+                return
+            hist = self._histogram(histogram, bounds)
+            edges, counts = hist["bounds"], hist["counts"]
+            for value, times in folded:
+                counts[bisect.bisect_left(edges, value)] += times
+                hist["sum"] += value * times
+                hist["count"] += times
+                if value > hist["max"]:
+                    hist["max"] = value
+
+    def _histogram(self, name: str, bounds: Sequence[float]) -> dict:
+        """Histogram ``name``, created with ``bounds`` (lock held)."""
+        hist = self._histograms.get(name)
+        if hist is None:
+            hist = {"bounds": [float(b) for b in bounds],
+                    "counts": [0] * (len(bounds) + 1),
+                    "sum": 0.0, "count": 0, "max": float("-inf")}
+            self._histograms[name] = hist
+        return hist
 
     def reset(self) -> None:
         """Drop every metric (a fresh registry)."""
@@ -236,18 +270,43 @@ class MetricsRegistry:
 # Spans
 # ----------------------------------------------------------------------
 class Span:
-    """One finished-on-exit trace span (open interval while active)."""
+    """One trace span, and the context manager that keeps it open.
 
-    __slots__ = ("name", "span_id", "parent_id", "t_start", "t_end", "attrs")
+    A span is buffered as this object when it closes; its JSONL record
+    is built only at export (:meth:`Tracer.export_records`), so opening
+    and closing one costs no lock and no dict."""
+
+    __slots__ = ("name", "span_id", "parent_id", "t_start", "t_end", "attrs",
+                 "_records", "_token")
 
     def __init__(self, name: str, span_id: str, parent_id: Optional[str],
-                 t_start: float, attrs: Optional[dict] = None):
+                 t_start: float, attrs: Optional[dict] = None,
+                 records: Optional[list] = None):
         self.name = name
         self.span_id = span_id
         self.parent_id = parent_id
         self.t_start = t_start
         self.t_end: Optional[float] = None
         self.attrs: dict = attrs if attrs is not None else {}
+        self._records = records
+        self._token = None
+
+    def __enter__(self) -> "Span":
+        self._token = _CURRENT_SPAN.set(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        _CURRENT_SPAN.reset(self._token)
+        if exc is not None and "error" not in self.attrs:
+            self.attrs["error"] = type(exc).__name__
+        self.t_end = time.time()
+        # Drop the buffer before joining it: a buffered span that still
+        # pointed at its buffer would make a reference cycle, and a
+        # dropped session's spans would wait for the cyclic collector.
+        records, self._records, self._token = self._records, None, None
+        if records is not None:
+            records.append(self)
+        return False
 
     def set(self, **attrs: Any) -> None:
         """Attach structured attributes to the span."""
@@ -289,30 +348,12 @@ _CURRENT_SPAN: ContextVar[Optional[Span]] = ContextVar(
     "repro_telemetry_span", default=None)
 
 
-class _SpanContext:
-    """Context manager that opens a child of the current span."""
-
-    __slots__ = ("_tracer", "_span", "_token")
-
-    def __init__(self, tracer: "Tracer", name: str, attrs: dict):
-        self._tracer = tracer
-        self._span = tracer._open(name, attrs)
-        self._token = None
-
-    def __enter__(self) -> Span:
-        self._token = _CURRENT_SPAN.set(self._span)
-        return self._span
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        _CURRENT_SPAN.reset(self._token)
-        if exc is not None and "error" not in self._span.attrs:
-            self._span.attrs["error"] = type(exc).__name__
-        self._tracer._close(self._span)
-        return False
-
-
 class Tracer:
     """Records spans and point events into an in-memory buffer.
+
+    The buffer holds finished :class:`Span` objects and event records
+    in finishing order; ``list.append`` and ``next`` on an
+    ``itertools.count`` are atomic, so threads record without a lock.
 
     ``id_prefix`` namespaces span ids so worker buffers merge into the
     parent without collisions (chunk tracers use
@@ -321,44 +362,35 @@ class Tracer:
 
     def __init__(self, id_prefix: str = ""):
         self.id_prefix = id_prefix
-        self._lock = threading.Lock()
-        self._records: List[dict] = []
+        self._records: list = []
         self._ids = itertools.count(1)
 
-    def span(self, name: str, **attrs: Any) -> _SpanContext:
+    def span(self, name: str, **attrs: Any) -> Span:
         """Open a span as a context manager (child of the current one)."""
-        return _SpanContext(self, name, attrs)
+        parent = _CURRENT_SPAN.get()
+        return Span(name, f"{self.id_prefix}{next(self._ids)}",
+                    parent.span_id if parent is not None else None,
+                    time.time(), attrs, self._records)
 
     def event(self, name: str, **attrs: Any) -> None:
         """Record a point-in-time event under the current span."""
         current = _CURRENT_SPAN.get()
-        record = {"type": "event", "name": name, "t": time.time(),
-                  "span": current.span_id if current is not None else None,
-                  "attrs": attrs}
-        with self._lock:
-            self._records.append(record)
+        self._records.append(
+            {"type": "event", "name": name, "t": time.time(),
+             "span": current.span_id if current is not None else None,
+             "attrs": attrs})
 
-    def _open(self, name: str, attrs: dict) -> Span:
-        parent = _CURRENT_SPAN.get()
-        with self._lock:
-            span_id = f"{self.id_prefix}{next(self._ids)}"
-        return Span(name, span_id,
-                    parent.span_id if parent is not None else None,
-                    time.time(), attrs)
-
-    def _close(self, span: Span) -> None:
-        span.t_end = time.time()
-        with self._lock:
-            self._records.append(span.to_dict())
+    def append(self, record: dict) -> None:
+        """Buffer an already-built span or event record."""
+        self._records.append(record)
 
     def export_records(self) -> List[dict]:
-        """The buffered span/event records (insertion order)."""
-        with self._lock:
-            return list(self._records)
+        """The buffered span/event records (finishing order)."""
+        return [record.to_dict() if type(record) is Span else record
+                for record in list(self._records)]
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
+        return len(self._records)
 
 
 def worker_label() -> str:
@@ -412,15 +444,11 @@ class TelemetrySession:
                         and record.get("parent") is None:
                     record = dict(record)
                     record["parent"] = parent_span_id
-                self._append(record)
+                self.tracer.append(record)
         else:
             for record in records:
-                self._append(record)
+                self.tracer.append(record)
         self.metrics.merge(payload.get("metrics"))
-
-    def _append(self, record: dict) -> None:
-        with self.tracer._lock:
-            self.tracer._records.append(record)
 
     # -- trace export --------------------------------------------------
     def write_trace(self, path: Union[str, Path]) -> int:

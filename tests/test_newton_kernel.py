@@ -79,12 +79,18 @@ def _iterations(metrics) -> float:
     return metrics.counter("solver.factorizations")
 
 
+#: Counters of what an engine builds once and reuses: the first of the
+#: two runs builds the circuit's engine, its memoized DC base and its
+#: step tape, and the second reuses them, whichever loop serves them.
+BUILD_COUNTERS = ("solver.dc.engine_builds", "solver.dc.base_builds",
+                  "solver.transient.tape_builds")
+
+
 def _solve_counters(metrics) -> dict:
-    """The counter snapshot without ``solver.dc.engine_builds``: the
-    first of the two runs builds the circuit's engine and the second
-    reuses it, whichever loop serves them."""
+    """The counter snapshot without the :data:`BUILD_COUNTERS`."""
     counters = metrics.snapshot()["counters"]
-    counters.pop("solver.dc.engine_builds", None)
+    for name in BUILD_COUNTERS:
+        counters.pop(name, None)
     return counters
 
 

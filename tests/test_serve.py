@@ -38,6 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuit import _ckernel
 from repro.obs import promexp, runlog
 from repro.obs.diff import diff_runs
 from repro.parallel import fair_share_jobs
@@ -611,10 +612,83 @@ class TestVerifyNeverCached:
                                        "params": {}})
         assert status == 202
         job = app.get_job(response["job_id"])
+        job.ran_under = job.capabilities
         app.runner._finalize(job, "ok",
                              {"analysis": "verify", "passed": True},
                              None)
         assert job.state == "done" and len(app.cache) == 0
+
+
+@pytest.mark.skipif(not _ckernel.available(),
+                    reason="trips the compiled kernel's breaker")
+class TestCapabilityFlagsPerSubmit:
+    """A breaker that trips during the daemon's life re-keys later
+    submits, and a result whose flags changed between keying and
+    finishing is not published under the stale key."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_supervisor(self):
+        from repro import resilience
+
+        resilience.reset_supervisor()
+        yield
+        resilience.reset_supervisor()
+
+    @staticmethod
+    def _trip_ckernel():
+        from repro import resilience
+
+        for _ in range(resilience.breaker_threshold()):
+            resilience.record_failure("ckernel", "injected")
+        assert not resilience.allows("ckernel")
+
+    @staticmethod
+    def _run(app, payload):
+        status, response = app.submit(payload)
+        assert status == 202, response
+        job = app.queue.get(timeout=1.0)
+        assert job.id == response["job_id"]
+        app.runner.execute(job)
+        assert job.outcome == "ok", job.error
+        return job
+
+    def test_trip_between_identical_submits_rekeys(self):
+        app = ServeApp(ServeConfig(record_runs=False))
+        payload = mc_spec(params={"samples": 4}, backend="serial")
+        first = self._run(app, payload)
+        assert first.capabilities["ckernel"] is True
+        assert first.ran_under == first.capabilities
+        assert app.cache.get(first.cache_key) == first.result_text
+        self._trip_ckernel()
+        status, response = app.submit(payload)
+        assert status == 202 and response["cached"] is False
+        assert response["cache_key"] != first.cache_key
+        second = app.queue.get(timeout=1.0)
+        app.runner.execute(second)
+        assert second.capabilities["ckernel"] is False
+        assert second.ran_under == second.capabilities
+        assert app.cache.get(second.cache_key) == second.result_text
+        # The trip is in the second result (a degraded run): served
+        # from the first key, it would have been lost.
+        assert second.result["degraded"] and not first.result["degraded"]
+        status, response = app.submit(payload)
+        assert status == 200 and response["cached"] is True
+        assert response["cache_key"] == second.cache_key
+
+    def test_trip_during_a_job_is_not_published(self):
+        app = ServeApp(ServeConfig(record_runs=False))
+        status, response = app.submit(
+            mc_spec(params={"samples": 4}, backend="serial"))
+        assert status == 202
+        job = app.queue.get(timeout=1.0)
+        self._trip_ckernel()
+        app.runner.execute(job)
+        assert job.outcome == "degraded" and job.state == "done"
+        assert job.result_text is not None
+        assert job.capabilities["ckernel"] is True
+        assert job.ran_under["ckernel"] is False
+        assert app.cache.get(job.cache_key) is None
+        assert len(app.cache) == 0
 
 
 class TestSubmitDrainAtomicity:
