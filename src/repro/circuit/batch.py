@@ -55,7 +55,7 @@ import numpy as np
 from repro import telemetry
 from repro.circuit import _ckernel
 from repro.circuit.dc import (
-    DcSolution,
+    DcSweep,
     NewtonOptions,
     dc_engine,
     dc_operating_point,
@@ -658,7 +658,7 @@ def batched_dc_sweep(circuit: Circuit, source_name: str,
                      values: Union[Sequence[float], np.ndarray],
                      options: Optional[NewtonOptions] = None,
                      max_lanes: int = DEFAULT_MAX_LANES
-                     ) -> List[DcSolution]:
+                     ) -> DcSweep:
     """Solve every sweep point as one lane of a batched ensemble.
 
     Per slab of up to ``max_lanes`` points: the first point is solved
@@ -689,26 +689,28 @@ def batched_dc_sweep(circuit: Circuit, source_name: str,
         min(max_lanes, max(1, len(vals))), circuit.n_unknowns,
         where="dc_sweep")
     original_spec = element.spec
-    solutions: List[DcSolution] = []
+    slabs: List[np.ndarray] = [np.zeros((0, circuit.n_unknowns))]
     x_carry: Optional[np.ndarray] = None
     try:
         for pos in range(0, len(vals), max_lanes):
             slab = vals[pos:pos + max_lanes]
-            slab_solutions, x_carry = _solve_slab(
+            X = _solve_slab(
                 circuit, element, slab, options, opts, x_carry,
                 faultinject.active_batch_fallback_lanes(circuit, len(slab)))
-            solutions.extend(slab_solutions)
+            slabs.append(X)
+            x_carry = X[-1]
     finally:
         element.spec = original_spec
-    return solutions
+    return DcSweep(circuit, np.concatenate(slabs))
 
 
 def _solve_slab(circuit: Circuit, element, slab: np.ndarray,
                 options: Optional[NewtonOptions], opts: NewtonOptions,
                 x_carry: Optional[np.ndarray],
                 skip_lanes: Sequence[int]
-                ) -> Tuple[List[DcSolution], np.ndarray]:
-    """One batched solve of ≤ max_lanes sweep points, with fallback."""
+                ) -> np.ndarray:
+    """One batched solve of ≤ max_lanes sweep points, with fallback;
+    returns the ``(points, unknowns)`` solutions."""
     from repro import faultinject, resilience
 
     B = len(slab)
@@ -772,5 +774,4 @@ def _solve_slab(circuit: Circuit, element, slab: np.ndarray,
                             telemetry.ITERATION_BUCKETS)
             metrics.observe("solver.dc.batch.lanes_per_solve", B,
                             telemetry.LANE_BUCKETS)
-    solutions = [DcSolution(circuit, X[k].copy()) for k in range(B)]
-    return solutions, solutions[-1].x
+    return X

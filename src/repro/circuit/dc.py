@@ -282,21 +282,45 @@ class DcSolution:
         return {m.name: m.operating_point(self.x) for m in self.circuit.mosfets}
 
 
-def sweep_voltages(solutions: Sequence[DcSolution],
-                   node_names: Sequence[str]) -> np.ndarray:
+class DcSweep(Sequence[DcSolution]):
+    """The solutions of a DC sweep as one ``(points, unknowns)`` array.
+
+    Row ``i`` of :attr:`x` is point ``i``'s MNA solution.  Indexing or
+    iterating builds a :class:`DcSolution` on that row only when asked;
+    :func:`sweep_voltages` reads node columns without building any.
+    """
+
+    __slots__ = ("circuit", "x")
+
+    def __init__(self, circuit: Circuit, x: np.ndarray):
+        self.circuit = circuit
+        self.x = x
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return DcSweep(self.circuit, self.x[index])
+        return DcSolution(self.circuit, self.x[index])
+
+    def __iter__(self):
+        circuit = self.circuit
+        return (DcSolution(circuit, x) for x in self.x)
+
+
+def sweep_voltages(sweep: DcSweep, node_names: Sequence[str]) -> np.ndarray:
     """Voltages [V] of ``node_names`` at every point of a sweep, as a
-    ``(len(node_names), len(solutions))`` array — the same floats as
-    :meth:`DcSolution.voltage`, with one node lookup per name instead
-    of one per point."""
-    out = np.zeros((len(node_names), len(solutions)))
-    if not solutions:
+    ``(len(node_names), len(sweep))`` array — the same floats as
+    :meth:`DcSolution.voltage`, read as columns of the sweep's array."""
+    out = np.zeros((len(node_names), len(sweep)))
+    if not len(sweep):
         return out
-    circuit = solutions[0].circuit
-    stacked = np.array([s.x for s in solutions])
+    circuit = sweep.circuit
     for row, name in enumerate(node_names):
         index = circuit.node(name)
         if index >= 0:
-            out[row] = stacked[:, index]
+            out[row] = sweep.x[:, index]
     return out
 
 
@@ -800,12 +824,13 @@ def dc_operating_point(circuit: Circuit,
 def dc_sweep(circuit: Circuit, source_name: str,
              values: Union[Sequence[float], np.ndarray],
              options: Optional[NewtonOptions] = None, *,
-             batch: Optional[bool] = None) -> List[DcSolution]:
+             batch: Optional[bool] = None) -> DcSweep:
     """Sweep an independent source and solve the OP at each value.
 
     Each solution seeds the next (continuation), so sweeps through
     strongly nonlinear regions stay convergent.  The source is restored
-    to its original spec afterwards.
+    to its original spec afterwards.  Every path returns the solutions
+    as one :class:`DcSweep`.
 
     ``batch`` selects the solver path: ``True`` solves all sweep points
     as lanes of one batched Newton ensemble
@@ -861,38 +886,42 @@ def _secant_guess(x_guess: Optional[np.ndarray],
 
 
 def _point_sweep(circuit: Circuit, element, values,
-                 options: Optional[NewtonOptions]) -> List[DcSolution]:
+                 options: Optional[NewtonOptions]) -> DcSweep:
     """The sweep as one :func:`dc_operating_point` call per point."""
-    solutions: List[DcSolution] = []
+    circuit.compile()
+    X = np.zeros((len(values), circuit.n_unknowns))
     x_guess: Optional[np.ndarray] = None
     x_prev: Optional[np.ndarray] = None
-    for value in values:
+    for i, value in enumerate(values):
         element.spec = DcSpec(float(value))
-        solution = dc_operating_point(
-            circuit, x0=_secant_guess(x_guess, x_prev), options=options)
-        solutions.append(solution)
+        X[i] = dc_operating_point(
+            circuit, x0=_secant_guess(x_guess, x_prev), options=options).x
         x_prev = x_guess
-        x_guess = solution.x
-    return solutions
+        x_guess = X[i]
+    return DcSweep(circuit, X)
 
 
 def _compiled_sweep(circuit: Circuit, element: VoltageSource, values,
                     options: Optional[NewtonOptions]
-                    ) -> Optional[List[DcSolution]]:
+                    ) -> Optional[DcSweep]:
     """The sweep as one call into the compiled kernel, or None when the
     compiled Newton loop cannot serve it (see
     :meth:`MosfetGroup.newton_args`).
 
-    The base system and the group's parameters are stamped once per
-    sweep instead of once per point; the kernel rewrites the source's
-    branch row of the base RHS per point, which is all that stamping
-    the next value would change.  A point plain Newton cannot solve is
-    replayed through :func:`dc_operating_point` (the full ladder) from
-    the same initial guess and warm-start seed the point loop gives it,
-    and the kernel resumes at the next point — solutions, errors,
-    ``engine.last_x`` and every ``solver.dc.*`` metric are exactly the
-    point loop's.  The kernel capability is checked once per sweep, so
-    a breaker veto raised during a sweep takes effect at the next one.
+    The group's parameters are refreshed once per sweep instead of once
+    per point, and the base system comes from the engine's memo
+    (:meth:`DcEngine.load_base`), so a Monte-Carlo die that changes only
+    MOSFET parameters re-stamps nothing.  The kernel rewrites the
+    source's whole branch row of the base RHS per point, which is all
+    that stamping the next value would change, so the base is loaded
+    under the source's spec as the sweep found it.  A point plain
+    Newton cannot solve is replayed through :func:`dc_operating_point`
+    (the full ladder) from the same initial guess and warm-start seed
+    the point loop gives it, and the kernel resumes at the next point —
+    solutions, errors, ``engine.last_x`` and every ``solver.dc.*``
+    metric but ``solver.dc.base_builds`` are exactly the point loop's.
+    The kernel capability is checked once per sweep, so a breaker veto
+    raised during a sweep takes effect at the next one.
 
     Telemetry: one ``solve.dc.sweep`` span (points, iterations of the
     kernel-solved points, fallback_points); replayed points nest inside
@@ -905,16 +934,16 @@ def _compiled_sweep(circuit: Circuit, element: VoltageSource, values,
         return None
     opts = options if options is not None else NewtonOptions()
     ws = engine.workspace
-    base = ws.base
     n_nodes = engine.n_nodes
 
-    def stamp_base() -> None:
-        base.clear()
-        engine.stamp_base(base)
-        base.add_gmin(n_nodes, opts.gmin)
+    def load_base() -> None:
+        if not engine.load_base(opts.gmin):
+            base = ws.base
+            base.clear()
+            engine.stamp_base(base)
+            base.add_gmin(n_nodes, opts.gmin)
 
-    element.spec = DcSpec(float(vals[0]))
-    stamp_base()  # refreshes the group, so the capability check is live
+    load_base()  # refreshes the group, so the capability check is live
     block = group.newton_args(ws)
     if block is None:
         return None
@@ -945,7 +974,7 @@ def _compiled_sweep(circuit: Circuit, element: VoltageSource, values,
                         engine.last_x = X[stop - 1].copy()
                 if stop == n:
                     break
-                # Replay the point through the ladder, then re-stamp the
+                # Replay the point through the ladder, then reload the
                 # base the ladder's own solves overwrote.
                 element.spec = DcSpec(float(vals[stop]))
                 x0 = _secant_guess(X[stop - 1] if stop >= 1 else None,
@@ -953,12 +982,12 @@ def _compiled_sweep(circuit: Circuit, element: VoltageSource, values,
                 X[stop] = dc_operating_point(circuit, x0=x0,
                                              options=options).x
                 fallback_points += 1
-                stamp_base()
+                load_base()
                 start = stop + 1
         finally:
             sp.set(iterations=kernel_iterations,
                    fallback_points=fallback_points)
-    return [DcSolution(circuit, x) for x in X]
+    return DcSweep(circuit, X)
 
 
 def _record_kernel_solves(metrics, iterations: np.ndarray) -> int:

@@ -712,252 +712,226 @@ exit codes:
 """
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser (exposed for testing)."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="yield & reliability analysis for nanometer CMOS "
-                    "(DATE 2008 reproduction)",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=EXIT_CODE_DOC)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _args_nodes(p: argparse.ArgumentParser) -> None:
+    p.set_defaults(func=_cmd_nodes)
 
-    sub.add_parser("nodes", help="list technology nodes").set_defaults(
-        func=_cmd_nodes)
 
-    p_node = sub.add_parser("node", help="describe one technology node")
-    p_node.add_argument("name")
-    p_node.set_defaults(func=_cmd_node)
+def _args_node(p: argparse.ArgumentParser) -> None:
+    p.add_argument("name")
+    p.set_defaults(func=_cmd_node)
 
-    p_op = sub.add_parser("op", help="DC operating point of a netlist")
-    p_op.add_argument("netlist")
-    p_op.add_argument("--tech", default=None,
-                      help="technology node for MOSFET cards")
-    p_op.set_defaults(func=_cmd_op)
 
-    p_tran = sub.add_parser("tran", help="transient analysis of a netlist")
-    p_tran.add_argument("netlist")
-    p_tran.add_argument("--tstop", type=float, required=True)
-    p_tran.add_argument("--dt", type=float, required=True)
-    p_tran.add_argument("--tech", default=None)
-    p_tran.add_argument("--nodes", default=None,
-                        help="comma-separated nodes to report")
-    p_tran.set_defaults(func=_cmd_tran)
+def _args_op(p: argparse.ArgumentParser) -> None:
+    p.add_argument("netlist")
+    p.add_argument("--tech", default=None,
+                   help="technology node for MOSFET cards")
+    p.set_defaults(func=_cmd_op)
 
-    p_mc = sub.add_parser(
-        "mc", help="Monte-Carlo yield: differential-pair offset or "
-                   "transient ring swing",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=EXIT_CODE_DOC)
-    p_mc.add_argument("--tech", default="90nm",
-                      help="technology node (default 90nm)")
-    p_mc.add_argument("--samples", type=int, default=200)
-    p_mc.add_argument("--seed", type=int, default=0)
-    p_mc.add_argument("--jobs", type=int, default=1,
-                      help="worker count (0 or -1 = all cores)")
-    p_mc.add_argument("--backend", default="auto",
-                      choices=("auto", "serial", "thread", "process"))
-    p_mc.add_argument("--batch-size", type=int, default=None, metavar="B",
-                      help="solve up to B sweep points as lanes of one "
-                           "batched Newton ensemble (DC sweeps; transient "
-                           "specs run the scalar integrator); sampled "
-                           "variates and pass/fail verdicts are unchanged")
-    p_mc.add_argument("--workload", default="offset",
-                      choices=("offset", "ring"),
-                      help="offset: DC input-referred offset of a "
-                           "differential pair (default); ring: transient "
-                           "stage-1 swing of a 3-stage ring oscillator")
-    p_mc.add_argument("--ring-tstop", type=float, default=0.3e-9,
-                      metavar="SEC",
-                      help="ring workload transient stop time "
-                           "(default 0.3 ns)")
-    p_mc.add_argument("--ring-dt", type=float, default=5e-12, metavar="SEC",
-                      help="ring workload time step (default 5 ps)")
-    p_mc.add_argument("--swing-min-v", type=float, default=None, metavar="V",
-                      help="ring workload swing spec lower bound "
-                           "(default 0.5*VDD)")
-    p_mc.add_argument("--limit-mv", type=float, default=5.0,
-                      help="offset spec window [mV]")
-    p_mc.add_argument("--w-um", type=float, default=4.0,
-                      help="input-pair width [um]")
-    p_mc.add_argument("--l-um", type=float, default=0.4,
-                      help="input-pair length [um]")
-    p_mc.add_argument("--checkpoint", default=None, metavar="DIR",
-                      help="checkpoint directory; completed chunks are "
-                           "persisted atomically, Ctrl-C writes a final "
-                           "checkpoint before exiting")
-    p_mc.add_argument("--resume", action="store_true",
-                      help="resume from --checkpoint (bit-identical to an "
-                           "uninterrupted run under the same seed)")
-    p_mc.add_argument("--retries", type=int, default=1, metavar="N",
-                      help="attempts per sample evaluation (default 1)")
-    p_mc.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                      help="per-attempt wall-clock timeout [s]")
-    p_mc.add_argument("--backoff", type=float, default=0.0, metavar="SEC",
-                      help="delay before the first retry (doubles each "
-                           "attempt)")
-    p_mc.add_argument("--budget", type=float, default=None, metavar="SEC",
-                      help="wall-clock budget [s]; when it expires the "
-                           "run stops cooperatively with a partial "
-                           "result (and, with --checkpoint, a final "
-                           "resumable checkpoint) instead of running on")
-    p_mc.add_argument("--trace", default=None, metavar="FILE",
-                      help="write a JSONL telemetry trace (inspect with "
-                           "'repro trace FILE')")
-    p_mc.add_argument("--profile", action="store_true",
-                      help="sample stack profiles during the run "
-                           "(embedded in --trace, summarised by 'repro "
-                           "trace'); numeric results are bit-identical "
-                           "with or without this flag")
-    p_mc.add_argument("--profile-out", default=None, metavar="FILE",
-                      help="also write collapsed stacks (flamegraph.pl/"
-                           "speedscope input) to FILE")
-    p_mc.add_argument("--profile-interval", type=float, default=0.005,
-                      metavar="SEC",
-                      help="sampling interval [s] (default 0.005)")
-    p_mc.add_argument("--metrics-port", type=int, default=None,
-                      metavar="PORT",
-                      help="serve live Prometheus metrics at "
-                           "http://HOST:PORT/metrics while the run is "
-                           "active (0 = ephemeral port; off by default, "
-                           "zero overhead when absent)")
-    p_mc.add_argument("--metrics-host", default="127.0.0.1",
-                      metavar="HOST",
-                      help="bind address for --metrics-port "
-                           "(default 127.0.0.1)")
-    p_mc.add_argument("--quiet", action="store_true",
-                      help="suppress the stderr progress heartbeat")
-    p_mc.set_defaults(func=_cmd_mc)
 
-    p_hs = sub.add_parser(
-        "highsigma",
-        help="rare-event (5-6 sigma) SRAM read-SNM yield via importance "
-             "sampling with surrogate pre-screening",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=EXIT_CODE_DOC)
-    p_hs.add_argument("--tech", default="65nm",
-                      help="technology node (default 65nm)")
-    p_hs.add_argument("--samples", type=int, default=4096,
-                      help="importance-sampled draws (default 4096)")
-    p_hs.add_argument("--seed", type=int, default=0)
-    p_hs.add_argument("--jobs", type=int, default=1,
-                      help="worker count (0 or -1 = all cores)")
-    p_hs.add_argument("--backend", default="auto",
-                      choices=("auto", "serial", "thread", "process"))
-    p_hs.add_argument("--batch-size", type=int, default=None, metavar="B",
-                      help="solve up to B sweep points as lanes of one "
-                           "batched Newton ensemble (DC sweeps; transient "
-                           "specs run the scalar integrator); variates, "
-                           "weights and verdicts are unchanged")
-    p_hs.add_argument("--chunk-size", type=int, default=32, metavar="N",
-                      help="samples per work chunk (default 32)")
-    p_hs.add_argument("--shift-sigma", type=float, default=None,
-                      metavar="S",
-                      help="mean-shift magnitude [sigma]; default: start "
-                           "at 4 and let the pilot refine it")
-    p_hs.add_argument("--surrogate", default="poly",
-                      choices=("poly", "rbf", "off"),
-                      help="screening surrogate (default poly); 'off' "
-                           "sends every sample to the full solver")
-    p_hs.add_argument("--train-samples", type=int, default=128,
-                      metavar="N",
-                      help="fully-solved pilot samples the surrogate "
-                           "trains on (default 128)")
-    p_hs.add_argument("--k-sigma", type=float, default=3.0, metavar="K",
-                      help="screening band half-width in residual "
-                           "sigmas (default 3)")
-    p_hs.add_argument("--audit-every", type=int, default=16, metavar="N",
-                      help="re-solve every N-th screened sample as a "
-                           "cross-check (default 16)")
-    p_hs.add_argument("--sigma-target", type=float, default=5.0,
-                      metavar="S",
-                      help="calibrated spec placement [sigma] when "
-                           "--snm-min-mv is not given (default 5)")
-    p_hs.add_argument("--snm-min-mv", type=float, default=None,
-                      metavar="MV",
-                      help="fixed read-SNM spec lower bound [mV] "
-                           "(default: calibrate from a short MC)")
-    p_hs.add_argument("--calibrate-samples", type=int, default=64,
-                      metavar="N",
-                      help="Monte-Carlo samples for spec calibration "
-                           "(default 64)")
-    p_hs.add_argument("--snm-points", type=int, default=41, metavar="N",
-                      help="butterfly sweep points per solve "
-                           "(default 41)")
-    p_hs.add_argument("--cell-ratio", type=float, default=1.2,
-                      help="SRAM pull-down/access width ratio "
-                           "(default 1.2 - read-marginal on purpose)")
-    p_hs.add_argument("--checkpoint", default=None, metavar="DIR",
-                      help="checkpoint directory; completed chunks are "
-                           "persisted atomically")
-    p_hs.add_argument("--resume", action="store_true",
-                      help="resume from --checkpoint (bit-identical to "
-                           "an uninterrupted run under the same seed)")
-    p_hs.add_argument("--budget", type=float, default=None, metavar="SEC",
-                      help="wall-clock budget [s]; expiry stops the run "
-                           "cooperatively with a partial result")
-    p_hs.add_argument("--trace", default=None, metavar="FILE",
-                      help="write a JSONL telemetry trace")
-    p_hs.add_argument("--quiet", action="store_true",
-                      help="suppress the stderr progress heartbeat and "
-                           "calibration chatter")
-    p_hs.set_defaults(func=_cmd_highsigma)
+def _args_tran(p: argparse.ArgumentParser) -> None:
+    p.add_argument("netlist")
+    p.add_argument("--tstop", type=float, required=True)
+    p.add_argument("--dt", type=float, required=True)
+    p.add_argument("--tech", default=None)
+    p.add_argument("--nodes", default=None,
+                   help="comma-separated nodes to report")
+    p.set_defaults(func=_cmd_tran)
 
-    p_verify = sub.add_parser(
-        "verify",
-        help="differential verification against analytic oracles and "
-             "committed golden artifacts",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="exit codes:\n"
-               "  0    all checks pass and no golden drift\n"
-               "  2    a differential check failed or a golden "
-               "quantity drifted\n"
-               "  1    hard failure (missing/corrupt goldens, bad "
-               "arguments)\n")
-    p_verify.add_argument("--goldens", default="goldens", metavar="DIR",
-                          help="golden artifact directory "
-                               "(default: goldens)")
-    p_verify.add_argument("--update-golden", action="store_true",
-                          help="regenerate golden files from this run "
-                               "instead of diffing against them")
-    p_verify.add_argument("--quick", action="store_true",
-                          help="skip the slow experiment tier and the "
-                               "process-backend MC check")
-    p_verify.add_argument("--skip-differential", action="store_true",
-                          help="golden diff only (no oracle/cross-path "
-                               "checks)")
-    p_verify.add_argument("--report", default=None, metavar="FILE",
-                          help="also write the report text to FILE")
-    p_verify.add_argument("--trace", default=None, metavar="FILE",
-                          help="write a JSONL telemetry trace")
-    p_verify.set_defaults(func=_cmd_verify)
 
-    p_trace = sub.add_parser(
-        "trace", help="summarise a JSONL telemetry trace, or diff two "
-                      "recorded runs")
-    p_trace.add_argument("file", nargs="?", default=None,
-                         help="trace written by 'mc --trace'")
-    p_trace.add_argument("--diff", nargs=2, default=None,
-                         metavar=("RUN_A", "RUN_B"),
-                         help="diff two run-registry records (ids or "
-                              "unambiguous prefixes from 'repro runs'): "
-                              "capability/config changes, per-phase "
-                              "self-time deltas, metric deltas and a "
-                              "regression-attribution verdict; exits 2 "
-                              "when the runs are not comparable")
-    p_trace.add_argument("--runs-dir", default=None, metavar="DIR",
-                         help="run-registry directory (default "
-                              ".repro/runs or REPRO_RUNS_DIR)")
-    p_trace.set_defaults(func=_cmd_trace)
+def _args_mc(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tech", default="90nm",
+                   help="technology node (default 90nm)")
+    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker count (0 or -1 = all cores)")
+    p.add_argument("--backend", default="auto",
+                   choices=("auto", "serial", "thread", "process"))
+    p.add_argument("--batch-size", type=int, default=None, metavar="B",
+                   help="solve up to B sweep points as lanes of one "
+                        "batched Newton ensemble (DC sweeps; transient "
+                        "specs run the scalar integrator); sampled "
+                        "variates and pass/fail verdicts are unchanged")
+    p.add_argument("--workload", default="offset",
+                   choices=("offset", "ring"),
+                   help="offset: DC input-referred offset of a "
+                        "differential pair (default); ring: transient "
+                        "stage-1 swing of a 3-stage ring oscillator")
+    p.add_argument("--ring-tstop", type=float, default=0.3e-9,
+                   metavar="SEC",
+                   help="ring workload transient stop time "
+                        "(default 0.3 ns)")
+    p.add_argument("--ring-dt", type=float, default=5e-12, metavar="SEC",
+                   help="ring workload time step (default 5 ps)")
+    p.add_argument("--swing-min-v", type=float, default=None, metavar="V",
+                   help="ring workload swing spec lower bound "
+                        "(default 0.5*VDD)")
+    p.add_argument("--limit-mv", type=float, default=5.0,
+                   help="offset spec window [mV]")
+    p.add_argument("--w-um", type=float, default=4.0,
+                   help="input-pair width [um]")
+    p.add_argument("--l-um", type=float, default=0.4,
+                   help="input-pair length [um]")
+    p.add_argument("--checkpoint", default=None, metavar="DIR",
+                   help="checkpoint directory; completed chunks are "
+                        "persisted atomically, Ctrl-C writes a final "
+                        "checkpoint before exiting")
+    p.add_argument("--resume", action="store_true",
+                   help="resume from --checkpoint (bit-identical to an "
+                        "uninterrupted run under the same seed)")
+    p.add_argument("--retries", type=int, default=1, metavar="N",
+                   help="attempts per sample evaluation (default 1)")
+    p.add_argument("--timeout", type=float, default=None, metavar="SEC",
+                   help="per-attempt wall-clock timeout [s]")
+    p.add_argument("--backoff", type=float, default=0.0, metavar="SEC",
+                   help="delay before the first retry (doubles each "
+                        "attempt)")
+    p.add_argument("--budget", type=float, default=None, metavar="SEC",
+                   help="wall-clock budget [s]; when it expires the "
+                        "run stops cooperatively with a partial "
+                        "result (and, with --checkpoint, a final "
+                        "resumable checkpoint) instead of running on")
+    p.add_argument("--trace", default=None, metavar="FILE",
+                   help="write a JSONL telemetry trace (inspect with "
+                        "'repro trace FILE')")
+    p.add_argument("--profile", action="store_true",
+                   help="sample stack profiles during the run "
+                        "(embedded in --trace, summarised by 'repro "
+                        "trace'); numeric results are bit-identical "
+                        "with or without this flag")
+    p.add_argument("--profile-out", default=None, metavar="FILE",
+                   help="also write collapsed stacks (flamegraph.pl/"
+                        "speedscope input) to FILE")
+    p.add_argument("--profile-interval", type=float, default=0.005,
+                   metavar="SEC",
+                   help="sampling interval [s] (default 0.005)")
+    p.add_argument("--metrics-port", type=int, default=None,
+                   metavar="PORT",
+                   help="serve live Prometheus metrics at "
+                        "http://HOST:PORT/metrics while the run is "
+                        "active (0 = ephemeral port; off by default, "
+                        "zero overhead when absent)")
+    p.add_argument("--metrics-host", default="127.0.0.1",
+                   metavar="HOST",
+                   help="bind address for --metrics-port "
+                        "(default 127.0.0.1)")
+    p.add_argument("--quiet", action="store_true",
+                   help="suppress the stderr progress heartbeat")
+    p.set_defaults(func=_cmd_mc)
 
-    p_runs = sub.add_parser(
-        "runs", help="browse the run registry (.repro/runs): every mc/"
-                     "verify/bench invocation leaves a content-addressed "
-                     "record")
-    p_runs.add_argument("--runs-dir", default=None, metavar="DIR",
-                        help="registry directory (default .repro/runs "
-                             "or REPRO_RUNS_DIR)")
-    runs_sub = p_runs.add_subparsers(dest="runs_command")
+
+def _args_highsigma(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tech", default="65nm",
+                   help="technology node (default 65nm)")
+    p.add_argument("--samples", type=int, default=4096,
+                   help="importance-sampled draws (default 4096)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker count (0 or -1 = all cores)")
+    p.add_argument("--backend", default="auto",
+                   choices=("auto", "serial", "thread", "process"))
+    p.add_argument("--batch-size", type=int, default=None, metavar="B",
+                   help="solve up to B sweep points as lanes of one "
+                        "batched Newton ensemble (DC sweeps; transient "
+                        "specs run the scalar integrator); variates, "
+                        "weights and verdicts are unchanged")
+    p.add_argument("--chunk-size", type=int, default=32, metavar="N",
+                   help="samples per work chunk (default 32)")
+    p.add_argument("--shift-sigma", type=float, default=None,
+                   metavar="S",
+                   help="mean-shift magnitude [sigma]; default: start "
+                        "at 4 and let the pilot refine it")
+    p.add_argument("--surrogate", default="poly",
+                   choices=("poly", "rbf", "off"),
+                   help="screening surrogate (default poly); 'off' "
+                        "sends every sample to the full solver")
+    p.add_argument("--train-samples", type=int, default=128,
+                   metavar="N",
+                   help="fully-solved pilot samples the surrogate "
+                        "trains on (default 128)")
+    p.add_argument("--k-sigma", type=float, default=3.0, metavar="K",
+                   help="screening band half-width in residual "
+                        "sigmas (default 3)")
+    p.add_argument("--audit-every", type=int, default=16, metavar="N",
+                   help="re-solve every N-th screened sample as a "
+                        "cross-check (default 16)")
+    p.add_argument("--sigma-target", type=float, default=5.0,
+                   metavar="S",
+                   help="calibrated spec placement [sigma] when "
+                        "--snm-min-mv is not given (default 5)")
+    p.add_argument("--snm-min-mv", type=float, default=None,
+                   metavar="MV",
+                   help="fixed read-SNM spec lower bound [mV] "
+                        "(default: calibrate from a short MC)")
+    p.add_argument("--calibrate-samples", type=int, default=64,
+                   metavar="N",
+                   help="Monte-Carlo samples for spec calibration "
+                        "(default 64)")
+    p.add_argument("--snm-points", type=int, default=41, metavar="N",
+                   help="butterfly sweep points per solve "
+                        "(default 41)")
+    p.add_argument("--cell-ratio", type=float, default=1.2,
+                   help="SRAM pull-down/access width ratio "
+                        "(default 1.2 - read-marginal on purpose)")
+    p.add_argument("--checkpoint", default=None, metavar="DIR",
+                   help="checkpoint directory; completed chunks are "
+                        "persisted atomically")
+    p.add_argument("--resume", action="store_true",
+                   help="resume from --checkpoint (bit-identical to "
+                        "an uninterrupted run under the same seed)")
+    p.add_argument("--budget", type=float, default=None, metavar="SEC",
+                   help="wall-clock budget [s]; expiry stops the run "
+                        "cooperatively with a partial result")
+    p.add_argument("--trace", default=None, metavar="FILE",
+                   help="write a JSONL telemetry trace")
+    p.add_argument("--quiet", action="store_true",
+                   help="suppress the stderr progress heartbeat and "
+                        "calibration chatter")
+    p.set_defaults(func=_cmd_highsigma)
+
+
+def _args_verify(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--goldens", default="goldens", metavar="DIR",
+                   help="golden artifact directory "
+                        "(default: goldens)")
+    p.add_argument("--update-golden", action="store_true",
+                   help="regenerate golden files from this run "
+                        "instead of diffing against them")
+    p.add_argument("--quick", action="store_true",
+                   help="skip the slow experiment tier and the "
+                        "process-backend MC check")
+    p.add_argument("--skip-differential", action="store_true",
+                   help="golden diff only (no oracle/cross-path "
+                        "checks)")
+    p.add_argument("--report", default=None, metavar="FILE",
+                   help="also write the report text to FILE")
+    p.add_argument("--trace", default=None, metavar="FILE",
+                   help="write a JSONL telemetry trace")
+    p.set_defaults(func=_cmd_verify)
+
+
+def _args_trace(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file", nargs="?", default=None,
+                   help="trace written by 'mc --trace'")
+    p.add_argument("--diff", nargs=2, default=None,
+                   metavar=("RUN_A", "RUN_B"),
+                   help="diff two run-registry records (ids or "
+                        "unambiguous prefixes from 'repro runs'): "
+                        "capability/config changes, per-phase "
+                        "self-time deltas, metric deltas and a "
+                        "regression-attribution verdict; exits 2 "
+                        "when the runs are not comparable")
+    p.add_argument("--runs-dir", default=None, metavar="DIR",
+                   help="run-registry directory (default "
+                        ".repro/runs or REPRO_RUNS_DIR)")
+    p.set_defaults(func=_cmd_trace)
+
+
+def _args_runs(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--runs-dir", default=None, metavar="DIR",
+                   help="registry directory (default .repro/runs "
+                        "or REPRO_RUNS_DIR)")
+    runs_sub = p.add_subparsers(dest="runs_command")
     p_runs_list = runs_sub.add_parser("list",
                                       help="list records, oldest first "
                                            "(default action)")
@@ -972,61 +946,128 @@ def build_parser() -> argparse.ArgumentParser:
                                          "records")
     p_runs_gc.add_argument("--keep", type=int, default=50,
                            help="records to keep (default 50)")
-    p_runs.set_defaults(func=_cmd_runs)
+    p.set_defaults(func=_cmd_runs)
 
-    p_aging = sub.add_parser("aging",
-                             help="degradation outlook of a node")
-    p_aging.add_argument("name")
-    p_aging.set_defaults(func=_cmd_aging)
 
-    p_caps = sub.add_parser(
-        "capabilities",
-        help="probe and report optional accelerators (ckernel, "
-             "scipy sparse, LAPACK dgesv, batched ensembles) and "
-             "circuit-breaker state")
-    p_caps.set_defaults(func=_cmd_capabilities)
+def _args_aging(p: argparse.ArgumentParser) -> None:
+    p.add_argument("name")
+    p.set_defaults(func=_cmd_aging)
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="long-lived analysis service: JSON job specs over HTTP, "
-             "content-addressed result cache, NDJSON progress, "
-             "/metrics, graceful drain (see docs/service.md)")
-    p_serve.add_argument("--host", default="127.0.0.1",
-                         help="bind address (default 127.0.0.1)")
-    p_serve.add_argument("--port", type=int, default=8040,
-                         help="bind port; 0 picks an ephemeral port "
-                              "(default 8040)")
-    p_serve.add_argument("--workers", type=int, default=2,
-                         help="analysis worker threads (default 2); "
-                              "each job may additionally parallelise "
-                              "internally via its spec's jobs/backend")
-    p_serve.add_argument("--queue-depth", type=int, default=16,
-                         metavar="N",
-                         help="queued-job bound before submits get "
-                              "429 + Retry-After (default 16)")
-    p_serve.add_argument("--cache-entries", type=int, default=256,
-                         metavar="N",
-                         help="result-cache LRU capacity (default 256)")
-    p_serve.add_argument("--session-entries", type=int, default=8,
-                         metavar="N",
-                         help="compiled-engine session LRU capacity "
-                              "(default 8)")
-    p_serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="persist cached results to DIR "
-                              "(memory-only by default)")
-    p_serve.add_argument("--spool", default=None, metavar="DIR",
-                         help="checkpoint spool for checkpoint:true "
-                              "jobs (required for resumable drains)")
-    p_serve.add_argument("--drain-grace", type=float, default=10.0,
-                         metavar="SEC",
-                         help="seconds to wait for running jobs to "
-                              "stop at a chunk boundary on drain "
-                              "(default 10)")
-    p_serve.add_argument("--chaos", action="store_true",
-                         help="honor fault-injection job params "
-                              "(testing only)")
-    p_serve.set_defaults(func=_cmd_serve)
+
+def _args_capabilities(p: argparse.ArgumentParser) -> None:
+    p.set_defaults(func=_cmd_capabilities)
+
+
+def _args_serve(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--host", default="127.0.0.1",
+                   help="bind address (default 127.0.0.1)")
+    p.add_argument("--port", type=int, default=8040,
+                   help="bind port; 0 picks an ephemeral port "
+                        "(default 8040)")
+    p.add_argument("--workers", type=int, default=2,
+                   help="analysis worker threads (default 2); "
+                        "each job may additionally parallelise "
+                        "internally via its spec's jobs/backend")
+    p.add_argument("--queue-depth", type=int, default=16,
+                   metavar="N",
+                   help="queued-job bound before submits get "
+                        "429 + Retry-After (default 16)")
+    p.add_argument("--cache-entries", type=int, default=256,
+                   metavar="N",
+                   help="result-cache LRU capacity (default 256)")
+    p.add_argument("--session-entries", type=int, default=8,
+                   metavar="N",
+                   help="compiled-engine session LRU capacity "
+                        "(default 8)")
+    p.add_argument("--cache-dir", default=None, metavar="DIR",
+                   help="persist cached results to DIR "
+                        "(memory-only by default)")
+    p.add_argument("--spool", default=None, metavar="DIR",
+                   help="checkpoint spool for checkpoint:true "
+                        "jobs (required for resumable drains)")
+    p.add_argument("--drain-grace", type=float, default=10.0,
+                   metavar="SEC",
+                   help="seconds to wait for running jobs to "
+                        "stop at a chunk boundary on drain "
+                        "(default 10)")
+    p.add_argument("--chaos", action="store_true",
+                   help="honor fault-injection job params "
+                        "(testing only)")
+    p.set_defaults(func=_cmd_serve)
+
+
+#: The subcommands in ``repro --help`` order: name, the ``add_parser``
+#: keywords (the ``help=`` line ``repro --help`` lists, and the layout
+#: of the subcommand's own help) and the function adding its arguments.
+_COMMANDS = (
+    ("nodes", {"help": "list technology nodes"}, _args_nodes),
+    ("node", {"help": "describe one technology node"}, _args_node),
+    ("op", {"help": "DC operating point of a netlist"}, _args_op),
+    ("tran", {"help": "transient analysis of a netlist"}, _args_tran),
+    ("mc", {"help": "Monte-Carlo yield: differential-pair offset or "
+                    "transient ring swing",
+            "formatter_class": argparse.RawDescriptionHelpFormatter,
+            "epilog": EXIT_CODE_DOC}, _args_mc),
+    ("highsigma", {"help": "rare-event (5-6 sigma) SRAM read-SNM yield via "
+                           "importance sampling with surrogate "
+                           "pre-screening",
+                   "formatter_class": argparse.RawDescriptionHelpFormatter,
+                   "epilog": EXIT_CODE_DOC}, _args_highsigma),
+    ("verify", {"help": "differential verification against analytic "
+                        "oracles and committed golden artifacts",
+                "formatter_class": argparse.RawDescriptionHelpFormatter,
+                "epilog": "exit codes:\n"
+                          "  0    all checks pass and no golden drift\n"
+                          "  2    a differential check failed or a golden "
+                          "quantity drifted\n"
+                          "  1    hard failure (missing/corrupt goldens, "
+                          "bad arguments)\n"}, _args_verify),
+    ("trace", {"help": "summarise a JSONL telemetry trace, or diff two "
+                       "recorded runs"}, _args_trace),
+    ("runs", {"help": "browse the run registry (.repro/runs): every mc/"
+                      "verify/bench invocation leaves a content-addressed "
+                      "record"}, _args_runs),
+    ("aging", {"help": "degradation outlook of a node"}, _args_aging),
+    ("capabilities", {"help": "probe and report optional accelerators "
+                              "(ckernel, scipy sparse, LAPACK dgesv, "
+                              "batched ensembles) and circuit-breaker "
+                              "state"}, _args_capabilities),
+    ("serve", {"help": "long-lived analysis service: JSON job specs over "
+                       "HTTP, content-addressed result cache, NDJSON "
+                       "progress, /metrics, graceful drain (see "
+                       "docs/service.md)"}, _args_serve),
+)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI argument parser (exposed for testing).
+
+    Every subcommand is registered, so ``repro --help`` and the error
+    for an unknown command list them all.  With ``command`` given, only
+    that subcommand gets its arguments: :func:`main` parses one
+    command, and building all of them costs a few milliseconds.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="yield & reliability analysis for nanometer CMOS "
+                    "(DATE 2008 reproduction)",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog=EXIT_CODE_DOC)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, keywords, add_arguments in _COMMANDS:
+        p = sub.add_parser(name, **keywords)
+        if command is None or command == name:
+            add_arguments(p)
     return parser
+
+
+def _named_command(argv: List[str]) -> Optional[str]:
+    """The subcommand ``argv`` names: its first token that is not an
+    option (the top-level parser has no option that takes a value)."""
+    for token in argv:
+        if not token.startswith("-"):
+            return token
+    return None
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1035,8 +1076,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     Exit codes follow the contract in :data:`EXIT_CODE_DOC`: 0 clean
     success, 2 completed-but-degraded, 1 hard failure, 130 interrupt.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(_named_command(argv)).parse_args(argv)
     try:
         return args.func(args)
     except KeyboardInterrupt:

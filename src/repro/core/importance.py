@@ -88,14 +88,14 @@ from repro.parallel import (
     spawn_seed_sequences,
 )
 from repro.resilience import DeadlineBudget
-from repro.runner import accel_manifest, run_chunks, run_identity
+from repro.runner import (
+    DEFAULT_CHUNK_SIZE,
+    accel_manifest,
+    run_chunks,
+    run_identity,
+)
 from repro.technology.node import TechnologyNode
 from repro.variability.sampler import MismatchSampler
-
-#: Samples per work chunk — the reproducibility contract knob (the
-#: chunk grid and per-chunk seed streams depend only on this and the
-#: seed, never on ``jobs``/``backend``/``batch_size``).
-DEFAULT_CHUNK_SIZE = 32
 
 #: Mean-shift magnitude used when the caller does not supply one (the
 #: adaptive pilot refines it toward the observed failure boundary).

@@ -43,15 +43,14 @@ from repro.parallel import (
     spawn_seed_sequences,
 )
 from repro.resilience import DeadlineBudget
-from repro.runner import accel_manifest, run_chunks, run_identity
+from repro.runner import (
+    DEFAULT_CHUNK_SIZE,
+    accel_manifest,
+    run_chunks,
+    run_identity,
+)
 from repro.technology.node import TechnologyNode
 from repro.variability.sampler import MismatchSampler, Placement
-
-#: Samples per work chunk.  Part of the reproducibility contract: the
-#: chunk grid (and hence the per-chunk seed streams) depends only on
-#: this value, never on ``jobs`` — changing it changes the drawn
-#: variates, changing ``jobs`` does not.
-DEFAULT_CHUNK_SIZE = 32
 
 #: Exception types that mean "this die could not be evaluated" — they
 #: are recorded as NaN (and counted) rather than aborting the run.
@@ -369,6 +368,9 @@ class MonteCarloYield:
             tsession.metrics.inc("engine.samples", n)
         sweep_ctx = batched_sweeps(batch_size) if batch_size else \
             telemetry.NULL_SPAN
+        # One generator call draws every die of the chunk, bit-identical
+        # to drawing die by die (MismatchSampler.draw).
+        variates = sampler.draw(circuit, self.placements, n)
         with warm_start(circuit), sweep_ctx:
             for k in range(n):
                 if budget is not None:
@@ -376,7 +378,7 @@ class MonteCarloYield:
                 set_current_sample(start + k)
                 t_sample = time.perf_counter()
                 with telemetry.span("sample", index=start + k):
-                    sampler.assign(circuit, self.placements)
+                    sampler.assign(circuit, self.placements, variates[k])
                     sample_ok = True
                     for spec in self.specs:
                         with telemetry.span("analysis",

@@ -51,6 +51,13 @@ from repro.faultinject import set_current_sample
 from repro.parallel import FailureLedger, FailureRecord, ParallelMap
 from repro.resilience import BudgetExpiredError, DeadlineBudget
 
+#: Samples per work chunk of both engines.  Part of the
+#: reproducibility contract: the chunk grid (and hence the per-chunk
+#: seed streams) depends only on this value and the seed, never on
+#: ``jobs``/``backend`` — changing it changes the drawn variates,
+#: changing ``jobs`` does not.
+DEFAULT_CHUNK_SIZE = 32
+
 Stage = Mapping[int, Any]
 Stages = Union[Stage, Generator[Stage, List[dict], None]]
 

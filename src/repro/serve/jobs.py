@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 from repro.serve.jobspec import JobSpec, JobSpecError
-from repro.workloads import Param, WorkloadError
+from repro.workloads import WorkloadError
 
 __all__ = ["Job", "JobRunner", "OUTCOME_EXIT_CODES", "TERMINAL_STATES"]
 
@@ -161,11 +161,6 @@ class Job:
         if include_result and self.terminal:
             payload["result"] = self.result
         return payload
-
-
-def _param(params: dict, key: str, kind, default=None, minimum=None):
-    """Typed analysis-param fetch; a bad value refuses the job."""
-    return Param(kind, default, minimum).check(key, params.get(key))
 
 
 class JobRunner:
@@ -394,15 +389,11 @@ class JobRunner:
 
     def _run_mc(self, job: Job, budget) -> Tuple[dict, str]:
         from repro.core import MonteCarloYield
-        from repro.core.yield_analysis import DEFAULT_CHUNK_SIZE
 
         spec = job.spec
         tech = self._tech(spec)
-        samples = _param(spec.params, "samples", int, 64, minimum=1)
-        if samples > 65536:
-            raise JobSpecError("param 'samples' capped at 65536 per job")
-        chunk_size = _param(spec.params, "chunk_size", int,
-                            DEFAULT_CHUNK_SIZE, minimum=1)
+        samples = spec.analysis_params["samples"]
+        chunk_size = spec.analysis_params["chunk_size"]
         checkpoint = self._checkpoint_dir(job)
         with self._lease(job, shared=True) as (fixture, _reused):
             specs = self._mc_specs(job, fixture)
@@ -452,7 +443,7 @@ class JobRunner:
         spec = job.spec
         tech = self._tech(spec)
         budget.check("serve.corners")
-        vdd_source = _param(spec.params, "vdd_source", str, "vdd")
+        vdd_source = spec.analysis_params["vdd_source"]
         with self._lease(job) as (fixture, _reused):
             specs = self._mc_specs(job, fixture)
             try:
@@ -486,8 +477,8 @@ class JobRunner:
 
         spec = job.spec
         budget.check("serve.aging")
-        years = _param(spec.params, "years", float, 10.0, minimum=0.001)
-        temp_c = _param(spec.params, "temp_c", float, 105.0)
+        years = spec.analysis_params["years"]
+        temp_c = spec.analysis_params["temp_c"]
         envelope = {"analysis": "aging", "years": years, "temp_c": temp_c,
                     **degradation_outlook(self._tech(spec), years, temp_c)}
         return envelope, "ok"
@@ -497,15 +488,10 @@ class JobRunner:
 
         spec = job.spec
         tech = self._tech(spec)
-        params = spec.params
-        samples = _param(params, "samples", int, 256, minimum=16)
-        if samples > 65536:
-            raise JobSpecError("param 'samples' capped at 65536 per job")
-        shift_sigma = _param(params, "shift_sigma", float, minimum=0.0)
-        surrogate = _param(params, "surrogate", str, "off")
-        if surrogate not in ("off", "poly", "rbf"):
-            raise JobSpecError(
-                "param surrogate must be off, poly, or rbf")
+        checked = spec.analysis_params
+        samples = checked["samples"]
+        shift_sigma = checked["shift_sigma"]
+        surrogate = checked["surrogate"]
         metric, _text = spec.workload.spec()
         checkpoint = self._checkpoint_dir(job)
         with self._lease(job, shared=True) as (fixture, _reused):
@@ -540,11 +526,10 @@ class JobRunner:
 
         spec = job.spec
         ids = spec.params.get("ids")
-        if ids is not None and (not isinstance(ids, list) or
-                                not all(isinstance(i, str) for i in ids)):
-            raise JobSpecError("param ids must be a list of experiment ids")
-        include_slow = _param(spec.params, "include_slow", bool, False)
-        goldens_dir = _param(spec.params, "goldens", str, self.goldens_dir)
+        include_slow = spec.analysis_params["include_slow"]
+        goldens_dir = spec.analysis_params["goldens"]
+        if goldens_dir is None:
+            goldens_dir = self.goldens_dir
         budget.check("serve.verify")
         try:
             results = run_experiments(include_slow=bool(include_slow),

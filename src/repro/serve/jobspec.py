@@ -6,7 +6,8 @@ A job spec is the JSON body of ``POST /jobs``: which analysis to run
 backend, batch size, timeout, priority).  Parsing is strict — unknown
 keys are rejected so a typo'd ``smaples`` refuses loudly instead of
 silently running the default sample count, and a workload request
-that :func:`repro.workloads.resolve` refuses is a 400, not a job.
+that :func:`repro.workloads.resolve` refuses, or an analysis param
+that :data:`ANALYSIS_PARAMS` refuses, is a 400, not a job.
 
 The module also owns the two hashes the service lives on:
 
@@ -40,10 +41,12 @@ from typing import Any, Dict, Optional
 from repro import workloads
 from repro.circuit.parser import NetlistError, canonical_cards, parse_netlist
 from repro.obs.runlog import content_hash
-from repro.runner import accel_manifest
+from repro.runner import DEFAULT_CHUNK_SIZE, accel_manifest
+from repro.workloads import Param
 
 __all__ = [
     "ANALYSES",
+    "ANALYSIS_PARAMS",
     "BACKENDS",
     "PRIORITIES",
     "SPEC_SCHEMA",
@@ -80,6 +83,25 @@ CACHE_KEY_LENGTH = 24
 #: result cache — a cached verdict would outlive a goldens edit.
 UNCACHED_ANALYSES = ("verify",)
 
+#: Samples one mc or highsigma job may ask for.
+MAX_SAMPLES = 65536
+
+#: The params each analysis reads besides its workload's.  They are
+#: checked at submit, so a bad one is a 400 like a bad workload param.
+ANALYSIS_PARAMS: Dict[str, Dict[str, Param]] = {
+    "mc": {"samples": Param(int, 64, minimum=1, maximum=MAX_SAMPLES),
+           "chunk_size": Param(int, DEFAULT_CHUNK_SIZE, minimum=1)},
+    "corners": {"vdd_source": Param(str, "vdd")},
+    "aging": {"years": Param(float, 10.0, minimum=0.001),
+              "temp_c": Param(float, 105.0)},
+    "highsigma": {"samples": Param(int, 256, minimum=16,
+                                   maximum=MAX_SAMPLES),
+                  "shift_sigma": Param(float, minimum=0.0),
+                  "surrogate": Param(str, "off",
+                                     choices=("off", "poly", "rbf"))},
+    "verify": {"include_slow": Param(bool, False), "goldens": Param(str)},
+}
+
 _TOP_LEVEL_KEYS = {
     "analysis", "tech", "netlist", "params", "seed", "jobs", "backend",
     "batch_size", "timeout_s", "priority", "client", "checkpoint",
@@ -109,6 +131,9 @@ class JobSpec:
     checkpoint: bool = False
     workload: Optional[workloads.ResolvedWorkload] = None
     """The checked workload of an mc/corners/highsigma job."""
+    analysis_params: Dict[str, Any] = field(default_factory=dict)
+    """The checked :data:`ANALYSIS_PARAMS` of the analysis, defaults
+    filled in."""
 
     def to_config(self) -> dict:
         """The run-record ``config`` payload (netlist text elided)."""
@@ -239,6 +264,17 @@ def parse_job_spec(payload: Any) -> JobSpec:
     if analysis in ("mc", "corners", "highsigma", "aging"):
         _require(tech is not None,
                  f"{analysis} analysis requires a tech node")
+    if analysis == "verify":
+        ids = params.get("ids")
+        _require(ids is None or (isinstance(ids, list) and
+                                 all(isinstance(i, str) for i in ids)),
+                 "param ids must be a list of experiment ids")
+    try:
+        analysis_params = {
+            key: param.check(key, params.get(key))
+            for key, param in ANALYSIS_PARAMS.get(analysis, {}).items()}
+    except workloads.WorkloadError as exc:
+        raise JobSpecError(str(exc)) from exc
     workload = None
     if analysis in ("mc", "corners", "highsigma"):
         default = ("node" if netlist is not None
@@ -257,7 +293,7 @@ def parse_job_spec(payload: Any) -> JobSpec:
         jobs=jobs, backend=backend, batch_size=batch_size,
         timeout_s=float(timeout_s) if timeout_s is not None else None,
         priority=priority, client=client, checkpoint=checkpoint,
-        workload=workload)
+        workload=workload, analysis_params=analysis_params)
 
 
 def cache_key(spec: JobSpec, capabilities: Optional[dict] = None) -> str:

@@ -79,11 +79,13 @@ class MismatchSampler:
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
+    def _gradient_sigma_v_per_m(self) -> float:
+        """σ of each wafer-gradient component [V/m] (= S_VT)."""
+        return self.tech.mismatch.s_vt_mv_per_um * units.MILLI / units.MICRO
+
     def sample_gradient_v_per_m(self) -> Tuple[float, float]:
         """Draw the wafer V_T gradient (gx, gy) [V/m] for one MC sample."""
-        s_vt_v_per_m = (self.tech.mismatch.s_vt_mv_per_um
-                        * units.MILLI / units.MICRO)
-        gx, gy = self.rng.normal(0.0, s_vt_v_per_m, size=2)
+        gx, gy = self.rng.normal(0.0, self._gradient_sigma_v_per_m(), size=2)
         return float(gx), float(gy)
 
     def _draw_sigmas(self, w_m: float, l_m: float
@@ -153,27 +155,64 @@ class MismatchSampler:
         local = self.sigma_single_vt_v(w_m, l_m)
         d1 = self.rng.normal(0.0, local, size=n_samples)
         d2 = self.rng.normal(0.0, local, size=n_samples)
-        s_vt_v_per_m = (self.tech.mismatch.s_vt_mv_per_um
-                        * units.MILLI / units.MICRO)
+        s_vt_v_per_m = self._gradient_sigma_v_per_m()
         gx = self.rng.normal(0.0, s_vt_v_per_m, size=n_samples)
         # The scalar path draws (and discards) a y gradient component
         # per sample; consume the same number of variates here.
         self.rng.normal(0.0, s_vt_v_per_m, size=n_samples)
         return (d1 - d2) + gx * distance_m
 
+    def draw(self, circuit: Circuit,
+             placements: Optional[Dict[str, Placement]] = None,
+             n_dies: int = 1) -> np.ndarray:
+        """The raw variates of ``n_dies`` dies of ``circuit``, in one
+        ``Generator`` call: an ``(n_dies, k)`` array whose row is one
+        die's draws in :meth:`sample_device` order — the gradient pair
+        (gx, gy) when ``placements`` are given, then (ΔV_T, β, γ)
+        deviations per MOSFET.
+
+        Array draws with a per-variate σ consume the generator exactly
+        as the same draws made one at a time, so the variates and the
+        generator state after them do not depend on ``n_dies``.
+        """
+        sigmas = []
+        if placements:
+            gradient = self._gradient_sigma_v_per_m()
+            sigmas += [gradient, gradient]
+        for device in circuit.mosfets:
+            sigmas += self._draw_sigmas(device.params.w_m, device.params.l_m)
+        return self.rng.normal(0.0, np.broadcast_to(
+            sigmas, (n_dies, len(sigmas))))
+
     def assign(self, circuit: Circuit,
-               placements: Optional[Dict[str, Placement]] = None) -> None:
-        """Draw and attach fresh variations to every MOSFET in ``circuit``.
+               placements: Optional[Dict[str, Placement]] = None,
+               variates: Optional[np.ndarray] = None) -> None:
+        """Attach fresh variations to every MOSFET in ``circuit``.
 
         ``placements`` maps device names to layout positions; devices
         without a placement see only the local (area-law) component.
         One gradient is drawn per call — i.e. per Monte-Carlo sample.
+        ``variates`` is one row of :meth:`draw` for the same circuit
+        and placements (a chunk draws all its dies at once); without
+        it, this die's row is drawn here.
         """
-        gradient = self.sample_gradient_v_per_m() if placements else (0.0, 0.0)
+        if variates is None:
+            variates = self.draw(circuit, placements)[0]
+        values = variates.tolist()
+        gx = gy = 0.0
+        pos = 0
+        if placements:
+            gx, gy = values[0], values[1]
+            pos = 2
         for device in circuit.mosfets:
+            delta_vt, beta, gamma = values[pos:pos + 3]
+            pos += 3
             placement = placements.get(device.name) if placements else None
-            device.variation = self.sample_device(
-                device.params.w_m, device.params.l_m, placement, gradient)
+            if placement is not None:
+                delta_vt += gx * placement.x_m + gy * placement.y_m
+            device.variation = DeviceVariation(
+                delta_vt_v=delta_vt, beta_factor=max(1.0 + beta, 0.05),
+                gamma_factor=max(1.0 + gamma, 0.05))
 
     def clear(self, circuit: Circuit) -> None:
         """Reset every MOSFET in ``circuit`` to nominal (no variation)."""

@@ -83,11 +83,14 @@ def netlist_fixture(netlist: str, tech):
 
 @dataclass(frozen=True)
 class Param:
-    """One workload param: type, default and inclusive minimum."""
+    """One request param: type, default, inclusive bounds and, for a
+    string, the values it may take."""
 
     kind: type
     default: Any = None
     minimum: Optional[float] = None
+    maximum: Optional[float] = None
+    choices: Tuple[str, ...] = ()
 
     def check(self, key: str, value: Any) -> Any:
         """``value`` checked (None → default; an int passes as float)."""
@@ -102,6 +105,11 @@ class Param:
                                 f"{self.kind.__name__}")
         if self.minimum is not None and value < self.minimum:
             raise WorkloadError(f"param {key!r} must be >= {self.minimum}")
+        if self.maximum is not None and value > self.maximum:
+            raise WorkloadError(f"param {key!r} must be <= {self.maximum}")
+        if self.choices and value not in self.choices:
+            raise WorkloadError(f"param {key!r} must be one of "
+                                f"{', '.join(self.choices)}")
         return value
 
 

@@ -26,7 +26,7 @@ from repro.circuit import (
     transient,
 )
 from repro.circuit import mna
-from repro.circuit.dc import dc_engine, warm_start
+from repro.circuit.dc import DcSweep, dc_engine, sweep_voltages, warm_start
 from repro.circuit.mosfet import Mosfet, MosfetGroup, fd_jacobians
 from repro.circuits import differential_pair, ring_oscillator, sram_cell, \
     sram_read_butterfly
@@ -210,6 +210,42 @@ class TestCompiledSweep:
             r["attrs"]["iterations"] for r in replayed) == _iterations(m_c)
         # Python-loop sweeps emit per-point spans only.
         assert not [r for r in spans[1] if r["name"] == "solve.dc.sweep"]
+
+    def test_sweep_is_one_array(self, tech90, monkeypatch):
+        # The compiled sweep and the point loop both return a DcSweep:
+        # its node columns and its indexed, sliced and iterated
+        # solutions are the point loop's, bit for bit.
+        circuit, values = self._ota(tech90)
+        nodes = list(circuit.node_names) + ["0"]
+
+        def sweep():
+            return dc_sweep(circuit, "vinp", values, batch=False)
+
+        compiled, _ = _run(monkeypatch, sweep, python_loop=False)
+        python, _ = _run(monkeypatch, sweep, python_loop=True)
+        for result in (compiled, python):
+            assert isinstance(result, DcSweep)
+            assert len(result) == len(values)
+            assert result.x.shape == (len(values), circuit.n_unknowns)
+        np.testing.assert_array_equal(compiled.x, python.x)
+        columns = sweep_voltages(compiled, nodes)
+        np.testing.assert_array_equal(columns,
+                                      sweep_voltages(python, nodes))
+        np.testing.assert_array_equal(
+            columns, [[s.voltage(n) for s in python] for n in nodes])
+        np.testing.assert_array_equal([s.x for s in compiled],
+                                      [s.x for s in python])
+        for i in (0, 4, -1):
+            assert compiled[i].circuit is circuit
+            np.testing.assert_array_equal(compiled[i].x, python[i].x)
+        np.testing.assert_array_equal(compiled[2:5].x, python.x[2:5])
+        with pytest.raises(IndexError):
+            compiled[len(values)]
+        assert isinstance(dc_sweep(circuit, "vinp", values, batch=True),
+                          DcSweep)
+        empty = dc_sweep(circuit, "vinp", [], batch=False)
+        assert len(empty) == 0
+        assert sweep_voltages(empty, nodes).shape == (len(nodes), 0)
 
     def test_ladder_failure_mid_sweep(self, tech90, monkeypatch):
         # Warm-started from a converged point, three iterations carry

@@ -275,6 +275,53 @@ class TestJobSpec:
         assert config["netlist_hash"] == spec.netlist_hash
 
 
+class TestAnalysisParamsAtSubmit:
+    """Every analysis param is checked when the job is submitted: a bad
+    one is a 400 and never becomes a queued, then refused, job."""
+
+    @pytest.mark.parametrize("analysis,key,value,fragment", [
+        ("mc", "samples", 0, ">= 1"),
+        ("mc", "samples", 65537, "<= 65536"),
+        ("mc", "samples", "64", "must be int"),
+        ("mc", "chunk_size", 0, ">= 1"),
+        ("mc", "chunk_size", 2.5, "must be int"),
+        ("corners", "vdd_source", 3, "must be str"),
+        ("aging", "years", 0.0, ">= 0.001"),
+        ("aging", "temp_c", "hot", "must be float"),
+        ("highsigma", "samples", 15, ">= 16"),
+        ("highsigma", "samples", 65537, "<= 65536"),
+        ("highsigma", "shift_sigma", -1.0, ">= 0.0"),
+        ("highsigma", "surrogate", "gp", "one of off, poly, rbf"),
+        ("verify", "include_slow", 1, "must be bool"),
+        ("verify", "goldens", 7, "must be str"),
+        ("verify", "ids", "E1", "list of experiment ids"),
+        ("verify", "ids", ["E1", 2], "list of experiment ids"),
+    ])
+    def test_bad_param_is_a_400(self, analysis, key, value, fragment):
+        payload = {"analysis": analysis, "params": {key: value}}
+        if analysis != "verify":
+            payload["tech"] = "65nm" if analysis == "highsigma" else "90nm"
+        with pytest.raises(JobSpecError, match=key) as info:
+            parse_job_spec(payload)
+        assert fragment in str(info.value)
+        app = ServeApp(ServeConfig(port=0, workers=1, record_runs=False))
+        status, response = app.submit(payload)
+        assert status == 400, response
+        assert response["outcome"] == "refused"
+        assert app.get_job("j000001") is None
+
+    def test_checked_params_carry_their_defaults(self):
+        mc = parse_job_spec({"analysis": "mc", "tech": "90nm",
+                             "params": {"samples": 8}})
+        assert mc.analysis_params == {"samples": 8, "chunk_size": 32}
+        hs = parse_job_spec({"analysis": "highsigma", "tech": "65nm",
+                             "params": {"shift_sigma": 4}})
+        assert hs.analysis_params == {"samples": 256, "shift_sigma": 4.0,
+                                      "surrogate": "off"}
+        assert parse_job_spec({"analysis": "op", "netlist": NETLIST}
+                              ).analysis_params == {}
+
+
 # ----------------------------------------------------------------------
 # Result cache
 # ----------------------------------------------------------------------

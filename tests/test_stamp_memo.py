@@ -30,10 +30,15 @@ from repro.circuit import (
     transient,
 )
 from repro.circuit import dc
-from repro.circuit.dc import DcEngine, _solve_ladder, dc_engine
+from repro.circuit.dc import DcEngine, _solve_ladder, dc_engine, warm_start
 from repro.circuit.mosfet import MosfetGroup
 from repro.circuit.transient import _transient_impl
-from repro.circuits import five_transistor_ota, ring_oscillator
+from repro.circuits import (
+    differential_pair,
+    five_transistor_ota,
+    input_referred_offset_v,
+    ring_oscillator,
+)
 from repro.variability import MismatchSampler
 from tests.test_newton_kernel import BUILD_COUNTERS, _error_payload
 
@@ -155,6 +160,45 @@ class TestMismatchDies:
         assert rebuild == {BASE: 6, TAPE: 0}
         # The dies differ, so a stale memo could not have hidden.
         assert len({x.tobytes() for x in outputs}) == 6
+
+
+    def test_offset_dies_share_one_base(self, tech90, monkeypatch):
+        # The compiled sweep loads its base from the memo: eight dies
+        # of a chunk build it once.
+        def scenario():
+            fx = differential_pair(tech90)
+            sampler = MismatchSampler(tech90, rng=np.random.default_rng(8))
+            outputs = []
+            with warm_start(fx.circuit):
+                for _ in range(8):
+                    sampler.assign(fx.circuit)
+                    outputs.append(np.array([input_referred_offset_v(fx)]))
+            return outputs
+
+        memo, rebuild, outputs = _hits_equal_rebuilds(monkeypatch, scenario)
+        assert memo == {BASE: 1, TAPE: 0}
+        assert rebuild == {BASE: 8, TAPE: 0}
+        assert len({x.tobytes() for x in outputs}) == 8
+
+    def test_ladder_points_reload_the_base(self, tech90, monkeypatch):
+        # Four iterations are too few for some sweep points: each
+        # replayed point overwrites the workspace base, and the sweep
+        # reloads it before the kernel resumes.
+        def scenario():
+            circuit = five_transistor_ota(tech90).circuit
+            vcm = circuit["vinp"].spec.dc_value()
+            values = np.linspace(vcm - 0.1, vcm + 0.1, 11)
+            opts = NewtonOptions(max_iterations=4)
+            return [dc_sweep(circuit, "vinp", values, opts).x
+                    for _ in range(2)]
+
+        memo, rebuild, _ = _hits_equal_rebuilds(monkeypatch, scenario)
+        # Per sweep, four points take the ladder.  The memo is built at
+        # the start and once per replayed point (the replay sets the
+        # source to that point); the reload after it hits.  Forced
+        # misses also rebuild at each reload.
+        assert memo == {BASE: 2 * (1 + 4), TAPE: 0}
+        assert rebuild == {BASE: 2 * (1 + 2 * 4), TAPE: 0}
 
 
 class TestLiveValues:
@@ -303,8 +347,11 @@ class TestOneEngine:
             return outputs
 
         memo, rebuild, _ = _hits_equal_rebuilds(monkeypatch, scenario)
+        # The sweep loads its base under the source's own spec, so it
+        # shares the operating points' memo: the four operating points,
+        # two sweeps and two transient start points build once.
         assert memo == {BASE: 1, TAPE: 1}
-        assert rebuild == {BASE: 6, TAPE: 2}
+        assert rebuild == {BASE: 8, TAPE: 2}
 
     def test_kernel_rejected_step_under_a_memoized_tape(self, tech90,
                                                         monkeypatch):

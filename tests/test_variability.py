@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import units
-from repro.circuits import differential_pair
+from repro.circuits import differential_pair, ring_oscillator
 from repro.variability import (
     LerModel,
     MismatchSampler,
@@ -185,6 +185,80 @@ class TestMismatchSampler:
         v2 = s2.sample_device(1e-6, 1e-6)
         assert v1.delta_vt_v == v2.delta_vt_v
         assert v1.beta_factor == v2.beta_factor
+
+
+class TestChunkDraw:
+    """A Monte-Carlo chunk draws all its dies in one generator call
+    (:meth:`MismatchSampler.draw`): every variate, and the generator
+    state after them, must equal scalar draws made die by die."""
+
+    @staticmethod
+    def _scalar_die(sampler, circuit, placements):
+        """One die drawn one scalar generator call per variate."""
+        gradient = sampler.sample_gradient_v_per_m() if placements \
+            else (0.0, 0.0)
+        return [sampler.sample_device(
+            m.params.w_m, m.params.l_m,
+            placements.get(m.name) if placements else None, gradient)
+            for m in circuit.mosfets]
+
+    def _check(self, tech, circuit, placements, include_ler=False,
+               seeds=range(5), n_dies=9):
+        clamped = 0
+        for seed in seeds:
+            def sampler():
+                return MismatchSampler(tech, np.random.default_rng(seed),
+                                       include_ler=include_ler)
+
+            scalar, chunk, one_by_one = sampler(), sampler(), sampler()
+            want = [self._scalar_die(scalar, circuit, placements)
+                    for _ in range(n_dies)]
+            rows = chunk.draw(circuit, placements, n_dies)
+            assert rows.shape == (n_dies, 3 * len(circuit.mosfets)
+                                  + (2 if placements else 0))
+            for row, die in zip(rows, want):
+                chunk.assign(circuit, placements, row)
+                assert [m.variation for m in circuit.mosfets] == die
+                one_by_one.assign(circuit, placements)
+                assert [m.variation for m in circuit.mosfets] == die
+            after = scalar.rng.random()
+            assert chunk.rng.random() == after
+            assert one_by_one.rng.random() == after
+            clamped += sum(v.beta_factor == 0.05 or v.gamma_factor == 0.05
+                           for die in want for v in die)
+        return clamped
+
+    def test_local_variates(self, tech90):
+        self._check(tech90, differential_pair(tech90).circuit, None)
+        self._check(tech90, ring_oscillator(tech90, n_stages=3).circuit,
+                    None, seeds=range(2))
+
+    def test_gradient_pair_with_placements(self, tech90):
+        placements = {"m1": Placement(0.0, 0.0),
+                      "m2": Placement(2e-3, -1e-4)}
+        self._check(tech90, differential_pair(tech90).circuit, placements)
+
+    def test_ler(self, tech90):
+        # m2 has no placement: it takes its local draws only.
+        self._check(tech90, differential_pair(tech90).circuit,
+                    {"m1": Placement(1e-4, 0.0)}, include_ler=True)
+
+    def test_clamps(self, tech90, monkeypatch):
+        # σ(β)/β = σ(γ)/γ = 0.8 clamps about one factor in eight.
+        monkeypatch.setattr(MismatchSampler, "_draw_sigmas",
+                            lambda self, w_m, l_m: (0.02, 0.8, 0.8))
+        clamped = self._check(tech90, differential_pair(tech90).circuit,
+                              {"m2": Placement(0.0, 3e-4)})
+        assert clamped > 0
+
+    def test_no_mosfets_draws_nothing(self, tech90):
+        from repro.circuit import Circuit
+
+        circuit = Circuit("linear")
+        circuit.resistor("r1", "a", "0", 1e3)
+        sampler = MismatchSampler(tech90, np.random.default_rng(3))
+        assert sampler.draw(circuit, None, 4).shape == (4, 0)
+        assert sampler.rng.random() == np.random.default_rng(3).random()
 
 
 class TestProcessCorners:
