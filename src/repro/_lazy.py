@@ -17,7 +17,6 @@ through the hook once.
 
 from __future__ import annotations
 
-import importlib
 import sys
 from typing import Callable, Dict, Iterable, List, Tuple
 
@@ -39,7 +38,10 @@ def lazy_exports(package: str, table: Dict[str, Iterable[str]]
         if home is None:
             raise AttributeError(
                 f"module {package!r} has no attribute {name!r}")
-        value = getattr(importlib.import_module(home), name)
+        # The import statement's path, not importlib.import_module:
+        # only that one is logged by ``python -X importtime``.
+        __import__(home)
+        value = getattr(sys.modules[home], name)
         setattr(sys.modules[package], name, value)
         return value
 

@@ -263,15 +263,6 @@ def _mc_heartbeat(session, stream, state: Optional[dict] = None,
     return beat
 
 
-def _session_phases(session) -> dict:
-    """Per-span-name self/total times of a finished telemetry session."""
-    from repro.telemetry import aggregate_spans
-
-    spans = [r for r in session.tracer.export_records()
-             if r.get("type") == "span"]
-    return aggregate_spans(spans)
-
-
 def _run_recorded(args, command: str, workload, config: dict, session,
                   t_start: float, run, body, finish) -> int:
     """Run an engine (``run()``) under the exit-code contract; return
@@ -302,7 +293,7 @@ def _run_recorded(args, command: str, workload, config: dict, session,
         record_run(command, config, outcome=outcome, exit_code=code,
                    seed=args.seed, capabilities=capability_flags(),
                    metrics=session.metrics.snapshot(),
-                   phases=_session_phases(session),
+                   phases=session.tracer.totals(),
                    ledger=ledger_digest(ledger), profile=profile,
                    t_start=t_start)
 
@@ -364,14 +355,17 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         print("error: --resume requires --checkpoint", file=sys.stderr)
         return 1
     # The mc command always runs under a telemetry session: the
-    # heartbeat reads its metrics registry and --trace serialises it.
-    # Library callers without a session keep the zero-overhead path.
+    # heartbeat reads its metrics registry, the run record its span
+    # totals, and --trace serialises it (the only reason to keep span
+    # records).  Library callers without a session keep the
+    # zero-overhead path.
     meta = {"command": "mc", "tech": args.tech, "samples": args.samples,
             "seed": args.seed, "jobs": args.jobs, "backend": args.backend,
             "workload": args.workload}
     t_start = time.time()
     with contextlib.ExitStack() as stack:
-        session = stack.enter_context(telemetry.session(meta=meta))
+        session = stack.enter_context(
+            telemetry.session(meta=meta, records=bool(args.trace)))
         hb_state: dict = {"done": 0, "total": args.samples, "elapsed_s": 0.0}
         if args.quiet:
             # No terminal pulse, but /metrics (when on) still needs the
@@ -496,7 +490,8 @@ def _cmd_highsigma(args: argparse.Namespace) -> int:
             "backend": args.backend,
             "surrogate": args.surrogate}
     t_start = time.time()
-    with telemetry.session(meta=meta) as session:
+    with telemetry.session(meta=meta,
+                           records=bool(args.trace)) as session:
         # The calibration MC (when it runs) shares the session so its
         # solver activity lands in the same trace.
         workload, fx = _highsigma_workload(args, tech)
@@ -540,7 +535,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     meta = {"command": "verify", "quick": args.quick,
             "update_golden": args.update_golden}
     t_start = time.time()
-    with telemetry.session(meta=meta) as session:
+    with telemetry.session(meta=meta,
+                           records=bool(args.trace)) as session:
         if not args.skip_differential:
             report = run_differential(quick=args.quick)
             sections.append(render_verification_report(report))
@@ -576,7 +572,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                    exit_code=2 if failed else 0,
                    capabilities=capability_flags(),
                    metrics=session.metrics.snapshot(),
-                   phases=_session_phases(session), t_start=t_start)
+                   phases=session.tracer.totals(), t_start=t_start)
 
     text = "\n".join(sections)
     print(text)

@@ -373,13 +373,15 @@ def aging_ensemble(fixture: CircuitFixture,
 
     session = telemetry.active()
     trace = session is not None
+    records = trace and session.tracer.keeps_records
 
     def evaluate(task):
         # Each sample collects into a private worker session (span tree
         # ``sample → aging.mission → aging.epoch → solve.*``) shipped
         # back with the outcome, mirroring the Monte-Carlo chunks.
         index = task[0]
-        with telemetry.worker_session(trace, f"s{index}.") as tsession:
+        with telemetry.worker_session(trace, f"s{index}.",
+                                      records) as tsession:
             if tsession is not None:
                 sample_ctx = tsession.tracer.span(
                     "sample", index=index,
@@ -402,11 +404,10 @@ def aging_ensemble(fixture: CircuitFixture,
         session.tracer.span("run", kind="aging-ensemble",
                             n_samples=n_samples, jobs=jobs, backend=backend)
     with run_ctx as run_span:
-        run_span_id = None if session is None else run_span.span_id
         outcomes = []
         for outcome, payload in mapper.map(evaluate, tasks):
             if session is not None:
-                session.merge_worker(payload, run_span_id)
+                session.merge_worker(payload, run_span)
                 session.metrics.inc("engine.samples")
             outcomes.append(outcome)
         if not quarantine:

@@ -126,7 +126,8 @@ class CornerAnalysis:
                                             temperature_k=temperature)))
         return points
 
-    def _evaluate_point(self, task: Tuple[int, str, PvtPoint, bool]) -> dict:
+    def _evaluate_point(self, task: Tuple[int, str, PvtPoint, bool, bool]
+                        ) -> dict:
         """Evaluate every spec at one PVT point on a fixture replica.
 
         Used by the parallel path: each point configures a private
@@ -138,12 +139,13 @@ class CornerAnalysis:
         the matrix.
 
         With ``trace`` set the point collects telemetry into a private
-        worker session (``point → analysis → solve.*``) shipped back
-        under the ``"telemetry"`` key, exactly like the Monte-Carlo
-        chunks.
+        worker session (``point → analysis → solve.*``, span records
+        kept when ``records`` is set) shipped back under the
+        ``"telemetry"`` key, exactly like the Monte-Carlo chunks.
         """
-        index, corner_name, point, trace = task
-        with telemetry.worker_session(trace, f"p{index}.") as tsession:
+        index, corner_name, point, trace, records = task
+        with telemetry.worker_session(trace, f"p{index}.",
+                                      records) as tsession:
             fixture = clone_fixture(self.fixture)
             circuit = fixture.circuit
             source = circuit[self.vdd_source_name]
@@ -191,10 +193,11 @@ class CornerAnalysis:
         :attr:`CornerResult.ledger`; the run always completes.
         """
         session = telemetry.active()
-        tasks = [(index, corner_name, point, session is not None)
+        records = session is not None and session.tracer.keeps_records
+        tasks = [(index, corner_name, point, session is not None, records)
                  for index, (corner_name, point)
                  in enumerate(self._pvt_points())]
-        points = [point for _, _, point, _ in tasks]
+        points = [task[2] for task in tasks]
         values: Dict[str, Dict[str, float]] = {s.name: {} for s in self.specs}
         ledger = FailureLedger()
         run_ctx = telemetry.NULL_SPAN if session is None else \
@@ -202,14 +205,13 @@ class CornerAnalysis:
                                 n_points=len(tasks), jobs=jobs,
                                 backend=backend)
         with run_ctx as run_span:
-            run_span_id = None if session is None else run_span.span_id
             if jobs != 1 or backend not in ("auto", "serial"):
                 mapper = ParallelMap(backend=backend, n_jobs=jobs)
-                for (_, _, point, _), out in zip(
+                for (_, _, point, _, _), out in zip(
                         tasks, mapper.map(self._evaluate_point, tasks)):
                     if session is not None:
                         session.merge_worker(out.pop("telemetry", None),
-                                             run_span_id)
+                                             run_span)
                     for name, value in out["values"].items():
                         values[name][point.label] = value
                     ledger.merge(FailureLedger.from_list(out["ledger"]))
@@ -223,7 +225,7 @@ class CornerAnalysis:
             nominal_spec = source.spec
             nominal_vdd = nominal_spec.dc_value()
             try:
-                for index, corner_name, point, _ in tasks:
+                for index, corner_name, point, _, _ in tasks:
                     if session is not None:
                         session.metrics.inc("engine.corner_points")
                     with telemetry.span("point", label=point.label):

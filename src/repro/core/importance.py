@@ -106,62 +106,24 @@ MIN_REFINE_FAILURES = 4
 
 
 # ----------------------------------------------------------------------
-# Normal-distribution helpers (stdlib-only fallback when scipy is out)
+# Normal-distribution helpers (stdlib only)
 # ----------------------------------------------------------------------
 def normal_sf(x: float) -> float:
     """Standard-normal survival function Φ(−x), via ``math.erfc``."""
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-#: Acklam's rational approximation of the standard-normal quantile —
-#: relative error below 1.15e-9 over the full open interval (0, 1).
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02,
-             -2.759285104469687e+02, 1.383577518672690e+02,
-             -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02,
-             -1.556989798598866e+02, 6.680131188771972e+01,
-             -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01,
-             -2.400758277161838e+00, -2.549732539343734e+00,
-             4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01,
-             2.445134137142996e+00, 3.754408661907416e+00)
-_ACKLAM_LOW = 0.02425
-
-
-def _acklam_ppf(p: float) -> float:
-    """Inverse standard-normal CDF (Acklam), no scipy required."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p!r}")
-    if p < _ACKLAM_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((_ACKLAM_C[0] * q + _ACKLAM_C[1]) * q + _ACKLAM_C[2])
-                   * q + _ACKLAM_C[3]) * q + _ACKLAM_C[4]) * q
-                 + _ACKLAM_C[5])
-                / ((((_ACKLAM_D[0] * q + _ACKLAM_D[1]) * q + _ACKLAM_D[2])
-                    * q + _ACKLAM_D[3]) * q + 1.0))
-    if p > 1.0 - _ACKLAM_LOW:
-        return -_acklam_ppf(1.0 - p)
-    q = p - 0.5
-    r = q * q
-    return ((((((_ACKLAM_A[0] * r + _ACKLAM_A[1]) * r + _ACKLAM_A[2]) * r
-               + _ACKLAM_A[3]) * r + _ACKLAM_A[4]) * r + _ACKLAM_A[5]) * q
-            / (((((_ACKLAM_B[0] * r + _ACKLAM_B[1]) * r + _ACKLAM_B[2]) * r
-                 + _ACKLAM_B[3]) * r + _ACKLAM_B[4]) * r + 1.0))
-
-
 def normal_ppf(p: float) -> float:
-    """Inverse standard-normal CDF: scipy when present, Acklam otherwise.
+    """Inverse standard-normal CDF, via :meth:`statistics.NormalDist.inv_cdf`.
 
-    The fallback keeps :attr:`HighSigmaResult.sigma_level` (and every
-    report built on it) rendering on the no-accelerator CI leg, where
-    ``scipy.stats`` is deliberately absent.
+    Within a few ulps of ``scipy.stats.norm.ppf`` over (0, 1), and the
+    same on every install: a sigma level never costs the ``scipy.stats``
+    import (about a second and 55 MB).  Raises ``ValueError`` outside
+    the open interval (0, 1).
     """
-    try:
-        from scipy.stats import norm
-    except ImportError:
-        return _acklam_ppf(p)
-    return float(norm.ppf(p))
+    from statistics import NormalDist
+
+    return NormalDist().inv_cdf(p)
 
 
 def sigma_level_from_probability(p_fail: float) -> float:

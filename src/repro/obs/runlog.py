@@ -129,9 +129,11 @@ class RunRegistry:
         ``config`` is whatever identifies the workload (tech, samples,
         workload, netlist hash, batch size…) — it is hashed into
         ``config_hash`` so "same analysis, different day" is a string
-        compare.  ``phases`` is an :func:`~repro.telemetry.aggregate_spans`
-        payload; ``ledger`` a :func:`ledger_digest`; ``profile`` the
-        sampling profiler's phase breakdown.  The write is atomic.
+        compare.  ``phases`` is a session's span totals
+        (:meth:`~repro.telemetry.Tracer.totals`, the shape
+        :func:`~repro.telemetry.aggregate_spans` returns); ``ledger`` a
+        :func:`ledger_digest`; ``profile`` the sampling profiler's phase
+        breakdown.  The write is atomic.
         """
         from repro.checkpoint import atomic_write_json
 

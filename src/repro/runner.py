@@ -15,7 +15,9 @@ for both engines and lives here, written once:
   counters carry across interruptions.
 * **Telemetry** — a ``run`` span; each chunk runs in a private
   :func:`~repro.telemetry.worker_session` under a ``chunk`` span whose
-  export is merged back under the run span; process-backend chunks
+  export (span totals, and span records when the session keeps them)
+  is merged back under the span of the stage that ran it — the run
+  span, or a span the engine's stage opened; process-backend chunks
   also ship :func:`~repro.obs.profiler.worker_profile` stacks.
 * **Budgets and stops** — an expired deadline returns a partial
   result carrying a ``resilience:budget`` ledger record (no
@@ -118,8 +120,10 @@ class _ChunkCall:
     task: Any
     kind: str
     id_prefix: Optional[str]
-    """Span-id namespace of the chunk's worker session; None when the
-    run is not traced."""
+    """Span-id namespace of the chunk's worker session; None when no
+    telemetry session is active."""
+    records: bool
+    """Whether the chunk's worker session keeps span records."""
     t_enqueued: float
     profile: bool
 
@@ -141,7 +145,8 @@ def _run_chunk(call: _ChunkCall) -> dict:
         return payload
     start, stop = call.task[0]
     with telemetry.worker_session(call.id_prefix is not None,
-                                  call.id_prefix or "") as tsession:
+                                  call.id_prefix or "",
+                                  call.records) as tsession:
         chunk_ctx = telemetry.NULL_SPAN
         if tsession is not None:
             queue_wait_s = max(0.0, time.time() - call.t_enqueued)
@@ -229,6 +234,7 @@ def run_chunks(evaluate: Callable[[Any], dict], stages: Stages,
         session.tracer.span("run", kind=kind, n_samples=n_samples,
                             jobs=jobs, backend=backend,
                             **(span_attrs or {}))
+    records = session is not None and session.tracer.keeps_records
     with run_ctx as run_span:
         run_span_id = None if session is None else run_span.span_id
         completed = {} if store is None else _restore(
@@ -245,11 +251,14 @@ def run_chunks(evaluate: Callable[[Any], dict], stages: Stages,
         def run_stage(stage: Stage) -> None:
             nonlocal done, since_save
             t_enqueued = time.time()
+            # The stage's own span when its engine opened one (the
+            # high-sigma pilot does), else the run span.
+            parent = telemetry.current_span()
             pending = [cid for cid in stage if cid not in completed]
             calls = [_ChunkCall(
                 evaluate, stage[cid], kind,
                 None if session is None else f"{run_span_id}/c{cid}.",
-                t_enqueued, profile) for cid in pending]
+                records, t_enqueued, profile) for cid in pending]
             for index, chunk in mapper.map_completed(_run_chunk, calls,
                                                      deadline=budget):
                 # Observability payloads leave the chunk BEFORE it
@@ -258,7 +267,7 @@ def run_chunks(evaluate: Callable[[Any], dict], stages: Stages,
                 if payload is not None:
                     metrics.merge(payload.get("metrics"))
                     if session is not None:
-                        session.merge_worker(payload, run_span_id)
+                        session.merge_worker(payload, parent)
                 stacks = chunk.pop("profile", None)
                 if stacks:
                     prof = profiler_active()

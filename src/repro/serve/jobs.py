@@ -14,8 +14,9 @@ each job runs under its own :func:`repro.telemetry.session`, the
 engine picks its parallel backend exactly as the CLI would, progress
 callbacks become heartbeat events, and the final metrics snapshot is
 merged into the server-wide registry (the ``/metrics`` source) and
-recorded in the run registry as a ``serve.<analysis>`` record with the
-service outcome taxonomy: ``ok`` | ``degraded`` | ``refused`` |
+recorded, with the session's span totals as ``phases``, in the run
+registry as a ``serve.<analysis>`` record with the service outcome
+taxonomy: ``ok`` | ``degraded`` | ``refused`` |
 ``budget`` | ``interrupted`` | ``error``.
 """
 
@@ -217,7 +218,9 @@ class JobRunner:
                 "tech": spec.tech, "seed": spec.seed,
                 "jobs": spec.jobs, "backend": spec.backend}
         outcome, result, error = "error", None, None
-        with telemetry.session(meta=meta) as tsession:
+        # Nothing writes a job's trace: its session keeps span totals
+        # for the run record, not span records.
+        with telemetry.session(meta=meta, records=False) as tsession:
             budget = self._budget(spec)
             try:
                 with telemetry.span(f"serve.job.{spec.analysis}",
@@ -238,13 +241,15 @@ class JobRunner:
             except Exception as exc:  # noqa: BLE001 — jobs never kill workers
                 outcome, error = "error", f"{type(exc).__name__}: {exc}"
             snapshot = tsession.metrics.snapshot()
+        phases = tsession.tracer.totals()
         flags = capability_flags()
         job.ran_under = job.capabilities if flags == job.capabilities \
             else flags
-        self._account(job, outcome, snapshot)
+        self._account(job, outcome, snapshot, phases)
         self._finalize(job, outcome, result, error)
 
-    def _account(self, job: Job, outcome: str, snapshot: dict) -> None:
+    def _account(self, job: Job, outcome: str, snapshot: dict,
+                 phases: dict) -> None:
         from repro.obs.runlog import record_run
         from repro.telemetry import SERVE_LATENCY_BUCKETS_S
 
@@ -258,7 +263,8 @@ class JobRunner:
                        outcome=outcome,
                        exit_code=OUTCOME_EXIT_CODES.get(outcome, 1),
                        seed=job.spec.seed, capabilities=job.ran_under,
-                       metrics=snapshot, t_start=job.t_start,
+                       metrics=snapshot, phases=phases,
+                       t_start=job.t_start,
                        extra={"job_id": job.id,
                               "cache_key": job.cache_key})
 

@@ -240,8 +240,8 @@ def intrinsic_sigma_for_inl(config: DacConfig, limit_lsb: float = 0.5,
     """
     if not 0.5 < yield_target < 1.0:
         raise ValueError("yield target must be in (0.5, 1)")
-    from scipy.stats import norm
+    from statistics import NormalDist
 
-    z = float(norm.ppf(0.5 + yield_target / 2.0))
+    z = NormalDist().inv_cdf(0.5 + yield_target / 2.0)
     sigma_inl_mid = limit_lsb / z
     return sigma_inl_mid * 2.0 / math.sqrt(1 << config.n_bits)

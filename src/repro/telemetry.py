@@ -23,13 +23,21 @@ observability layer the engines and solvers emit into:
   solve, DC-ladder strategy used, transient step rejections, matrix
   factorizations, retries, quarantines, per-chunk queue wait and
   sample durations.
+* **Span totals** — every closed span folds into per-name totals
+  (count, total, self and max seconds) as it closes; a run record's
+  ``phases`` are these totals.  Span *records* are kept only when a
+  session is asked to (``records=True``, the default; the CLI asks
+  only under ``--trace``), so an untraced run's telemetry does not
+  grow with its sample count.
 * **Sessions** — :func:`session` activates collection in the calling
   context; :func:`worker_session` gives each parallel chunk a private
   buffer (ContextVar-scoped, so the thread backend never interleaves
-  chunks) whose exported payload rides back to the parent *alongside
-  the chunk's results* and is merged under the run span.  The process
-  backend needs no sockets or shared memory — telemetry is data,
-  shipped the same way results are.
+  chunks) whose exported payload — span totals, top-level span
+  durations, metrics and, when kept, records — rides back to the
+  parent *alongside the chunk's results* and is merged under the
+  span of the stage that ran it.  The process backend needs no
+  sockets or shared memory — telemetry is data, shipped the same way
+  results are.
 * **JSONL trace export** — :meth:`TelemetrySession.write_trace` emits
   one JSON object per line (``meta`` header, then ``span`` / ``event``
   records, then a final ``metrics`` snapshot); :func:`read_trace`
@@ -272,23 +280,27 @@ class MetricsRegistry:
 class Span:
     """One trace span, and the context manager that keeps it open.
 
-    A span is buffered as this object when it closes; its JSONL record
-    is built only at export (:meth:`Tracer.export_records`), so opening
-    and closing one costs no lock and no dict."""
+    A span folds into its tracer's per-name totals when it closes and,
+    when the tracer keeps records, is buffered as this object; its
+    JSONL record is built only at export (:meth:`Tracer.export_records`),
+    so opening and closing one costs no dict."""
 
     __slots__ = ("name", "span_id", "parent_id", "t_start", "t_end", "attrs",
-                 "_records", "_token")
+                 "_tracer", "_parent", "_child_s", "_token")
 
     def __init__(self, name: str, span_id: str, parent_id: Optional[str],
                  t_start: float, attrs: Optional[dict] = None,
-                 records: Optional[list] = None):
+                 tracer: Optional["Tracer"] = None,
+                 parent: Optional["Span"] = None):
         self.name = name
         self.span_id = span_id
         self.parent_id = parent_id
         self.t_start = t_start
         self.t_end: Optional[float] = None
         self.attrs: dict = attrs if attrs is not None else {}
-        self._records = records
+        self._tracer = tracer
+        self._parent = parent
+        self._child_s = 0.0
         self._token = None
 
     def __enter__(self) -> "Span":
@@ -300,12 +312,13 @@ class Span:
         if exc is not None and "error" not in self.attrs:
             self.attrs["error"] = type(exc).__name__
         self.t_end = time.time()
-        # Drop the buffer before joining it: a buffered span that still
-        # pointed at its buffer would make a reference cycle, and a
-        # dropped session's spans would wait for the cyclic collector.
-        records, self._records, self._token = self._records, None, None
-        if records is not None:
-            records.append(self)
+        # Drop the tracer before joining its buffer: a buffered span
+        # that still pointed at its tracer would make a reference
+        # cycle, and a dropped session's spans would wait for the
+        # cyclic collector.
+        tracer, self._tracer, self._token = self._tracer, None, None
+        if tracer is not None:
+            tracer._close(self)
         return False
 
     def set(self, **attrs: Any) -> None:
@@ -348,32 +361,125 @@ _CURRENT_SPAN: ContextVar[Optional[Span]] = ContextVar(
     "repro_telemetry_span", default=None)
 
 
-class Tracer:
-    """Records spans and point events into an in-memory buffer.
+def current_span() -> Optional[Span]:
+    """The innermost open span of the calling context, or None."""
+    return _CURRENT_SPAN.get()
 
-    The buffer holds finished :class:`Span` objects and event records
-    in finishing order; ``list.append`` and ``next`` on an
-    ``itertools.count`` are atomic, so threads record without a lock.
+
+#: Field order of a per-name totals entry (:func:`_fold`); exported as
+#: ``{field: value}`` dicts (:func:`_phases`).
+_TOTAL_FIELDS = ("count", "total_s", "self_s", "max_s")
+
+
+def _fold(totals: Dict[str, list], name: str, count: int, total_s: float,
+          self_s: float, max_s: float) -> None:
+    """Add ``count`` spans named ``name`` to per-name ``totals``."""
+    entry = totals.get(name)
+    if entry is None:
+        entry = totals[name] = [0, 0.0, 0.0, 0.0]
+    entry[0] += count
+    entry[1] += total_s
+    entry[2] += self_s
+    if max_s > entry[3]:
+        entry[3] = max_s
+
+
+def _phases(totals: Dict[str, list]) -> Dict[str, dict]:
+    """``{name: {count, total_s, self_s, max_s}}`` of :func:`_fold` totals."""
+    return {name: dict(zip(_TOTAL_FIELDS, entry))
+            for name, entry in totals.items()}
+
+
+class Tracer:
+    """Folds finished spans into per-name totals, and optionally keeps them.
+
+    Every span adds to ``{name: {count, total_s, self_s, max_s}}`` as it
+    closes (:meth:`totals`); *self* time is the span's duration minus
+    its direct children's, charged to the parent as each child closes.
+    The totals are what a run record's ``phases`` hold, and their size
+    depends on the span names, not on how many spans a run opens.
+
+    With ``records=True`` the tracer also buffers the finished
+    :class:`Span` objects and event records, in finishing order, for a
+    trace file (:meth:`export_records`).  Without, events are dropped
+    and :meth:`export_records` is empty.
 
     ``id_prefix`` namespaces span ids so worker buffers merge into the
     parent without collisions (chunk tracers use
     ``<run span id>/c<chunk id>.``, unique across runs in one session).
     """
 
-    def __init__(self, id_prefix: str = ""):
+    def __init__(self, id_prefix: str = "", records: bool = True):
         self.id_prefix = id_prefix
-        self._records: list = []
+        self._records: Optional[list] = [] if records else None
         self._ids = itertools.count(1)
+        self._lock = threading.Lock()
+        self._totals: Dict[str, list] = {}
+        self._roots: List[float] = []
+
+    @property
+    def keeps_records(self) -> bool:
+        """Whether finished spans and events are buffered for export."""
+        return self._records is not None
 
     def span(self, name: str, **attrs: Any) -> Span:
         """Open a span as a context manager (child of the current one)."""
         parent = _CURRENT_SPAN.get()
         return Span(name, f"{self.id_prefix}{next(self._ids)}",
                     parent.span_id if parent is not None else None,
-                    time.time(), attrs, self._records)
+                    time.time(), attrs, self, parent)
+
+    def _close(self, span: Span) -> None:
+        """Fold a finished span into the totals (and buffer it)."""
+        duration = span.t_end - span.t_start
+        self_s = duration - span._child_s
+        parent, span._parent = span._parent, None
+        with self._lock:
+            if parent is None:
+                self._roots.append(duration)
+            else:
+                parent._child_s += duration
+            # _fold, inlined: this runs for every span.
+            entry = self._totals.get(span.name)
+            if entry is None:
+                entry = self._totals[span.name] = [0, 0.0, 0.0, 0.0]
+            entry[0] += 1
+            entry[1] += duration
+            entry[2] += self_s if self_s > 0.0 else 0.0
+            if duration > entry[3]:
+                entry[3] = duration
+        if self._records is not None:
+            self._records.append(span)
+
+    def absorb(self, totals: Dict[str, dict], roots: Iterable[float],
+               parent: Optional[Span] = None) -> None:
+        """Fold another tracer's :meth:`totals` in; ``roots`` are the
+        durations of its top-level spans, which become children of
+        ``parent`` (of nothing, when None)."""
+        with self._lock:
+            for name, entry in totals.items():
+                _fold(self._totals, name, entry["count"], entry["total_s"],
+                      entry["self_s"], entry["max_s"])
+            for duration in roots:
+                if parent is None:
+                    self._roots.append(duration)
+                else:
+                    parent._child_s += duration
+
+    def totals(self) -> Dict[str, dict]:
+        """``{name: {count, total_s, self_s, max_s}}`` of closed spans."""
+        with self._lock:
+            return _phases(self._totals)
+
+    def roots(self) -> List[float]:
+        """Durations of the closed top-level spans, in closing order."""
+        with self._lock:
+            return list(self._roots)
 
     def event(self, name: str, **attrs: Any) -> None:
         """Record a point-in-time event under the current span."""
+        if self._records is None:
+            return
         current = _CURRENT_SPAN.get()
         self._records.append(
             {"type": "event", "name": name, "t": time.time(),
@@ -381,16 +487,20 @@ class Tracer:
              "attrs": attrs})
 
     def append(self, record: dict) -> None:
-        """Buffer an already-built span or event record."""
-        self._records.append(record)
+        """Buffer an already-built span or event record (dropped when
+        the tracer keeps none)."""
+        if self._records is not None:
+            self._records.append(record)
 
     def export_records(self) -> List[dict]:
         """The buffered span/event records (finishing order)."""
+        if self._records is None:
+            return []
         return [record.to_dict() if type(record) is Span else record
                 for record in list(self._records)]
 
     def __len__(self) -> int:
-        return len(self._records)
+        return 0 if self._records is None else len(self._records)
 
 
 def worker_label() -> str:
@@ -407,12 +517,14 @@ class TelemetrySession:
     The *main* session lives for a whole CLI command / engine run and
     is what :meth:`write_trace` serialises.  *Worker* sessions are
     short-lived per-chunk buffers whose :meth:`export` payload is
-    merged back with :meth:`merge_worker`.
+    merged back with :meth:`merge_worker`.  ``records`` says whether
+    the tracer keeps span records (see :class:`Tracer`); span totals
+    are kept either way.
     """
 
     def __init__(self, id_prefix: str = "",
-                 meta: Optional[dict] = None):
-        self.tracer = Tracer(id_prefix)
+                 meta: Optional[dict] = None, records: bool = True):
+        self.tracer = Tracer(id_prefix, records)
         self.metrics = MetricsRegistry()
         self.meta = dict(meta) if meta else {}
         #: Optional sampling-profiler payload (see
@@ -423,31 +535,36 @@ class TelemetrySession:
 
     # -- worker round-trip ---------------------------------------------
     def export(self) -> dict:
-        """Picklable payload a worker ships back with its results."""
-        return {"records": self.tracer.export_records(),
-                "metrics": self.metrics.snapshot()}
+        """Picklable payload a worker ships back with its results: its
+        span totals, the durations of its top-level spans, its metrics
+        and, when kept, its span/event records."""
+        payload = {"totals": self.tracer.totals(),
+                   "roots": self.tracer.roots(),
+                   "metrics": self.metrics.snapshot()}
+        if self.tracer.keeps_records:
+            payload["records"] = self.tracer.export_records()
+        return payload
 
     def merge_worker(self, payload: Optional[dict],
-                     parent_span_id: Optional[str] = None) -> None:
+                     parent: Optional[Span] = None) -> None:
         """Fold a worker's :meth:`export` payload into this session.
 
-        Orphan spans (recorded at the top of the worker's context) are
-        re-parented under ``parent_span_id`` — typically the run span —
-        so the merged trace is one connected tree.
+        The worker's top-level spans become children of the open span
+        ``parent``: their records (when both sides keep them) are
+        re-parented under it, so the merged trace is one connected
+        tree, and ``parent`` is charged their durations, so its self
+        time in :meth:`Tracer.totals` excludes them.
         """
         if not payload:
             return
-        records = payload.get("records", [])
-        if parent_span_id is not None:
-            for record in records:
-                if record.get("type") == "span" \
-                        and record.get("parent") is None:
-                    record = dict(record)
-                    record["parent"] = parent_span_id
-                self.tracer.append(record)
-        else:
-            for record in records:
-                self.tracer.append(record)
+        for record in payload.get("records", ()):
+            if parent is not None and record.get("type") == "span" \
+                    and record.get("parent") is None:
+                record = dict(record)
+                record["parent"] = parent.span_id
+            self.tracer.append(record)
+        self.tracer.absorb(payload.get("totals", {}),
+                           payload.get("roots", ()), parent)
         self.metrics.merge(payload.get("metrics"))
 
     # -- trace export --------------------------------------------------
@@ -510,10 +627,14 @@ def event(name: str, **attrs: Any) -> None:
 
 
 @contextmanager
-def session(meta: Optional[dict] = None
+def session(meta: Optional[dict] = None, records: bool = True
             ) -> Iterator[TelemetrySession]:
-    """Activate a main telemetry session in the calling context."""
-    sess = TelemetrySession(meta=meta)
+    """Activate a main telemetry session in the calling context.
+
+    ``records=False`` keeps span totals only — for a run nobody will
+    write a trace of, whose memory then does not grow with its spans.
+    """
+    sess = TelemetrySession(meta=meta, records=records)
     token = _ACTIVE_SESSION.set(sess)
     span_token = _CURRENT_SPAN.set(None)
     try:
@@ -524,18 +645,20 @@ def session(meta: Optional[dict] = None
 
 
 @contextmanager
-def worker_session(collect: bool, id_prefix: str = ""
+def worker_session(collect: bool, id_prefix: str = "", records: bool = True
                    ) -> Iterator[Optional[TelemetrySession]]:
     """Per-chunk collection buffer for parallel workers.
 
     With ``collect=False`` this yields ``None`` and leaves the context
     untouched (beyond masking any ambient session, so a serial-backend
     chunk behaves exactly like a pooled one).  With ``collect=True`` a
-    fresh session becomes active for the chunk; the caller ships
-    ``session.export()`` back with the chunk results.  ContextVar
-    scoping keeps concurrent thread-backend chunks from interleaving.
+    fresh session (keeping span records when ``records``) becomes
+    active for the chunk; the caller ships ``session.export()`` back
+    with the chunk results.  ContextVar scoping keeps concurrent
+    thread-backend chunks from interleaving.
     """
-    sess = TelemetrySession(id_prefix=id_prefix) if collect else None
+    sess = TelemetrySession(id_prefix=id_prefix, records=records) \
+        if collect else None
     token = _ACTIVE_SESSION.set(sess)
     span_token = _CURRENT_SPAN.set(None)
     try:
@@ -644,7 +767,9 @@ def aggregate_spans(spans: Sequence[dict]) -> Dict[str, dict]:
 
     *Self* time is a span's duration minus its direct children's —
     the number that makes "top time sinks" honest when spans nest
-    (a ``sample`` span fully contains its ``solve.dc`` spans).
+    (a ``sample`` span fully contains its ``solve.dc`` spans).  This is
+    the fold :class:`Tracer` applies as each span closes, applied to
+    span records.
     """
     child_time: Dict[str, float] = {}
     for record in spans:
@@ -652,18 +777,13 @@ def aggregate_spans(spans: Sequence[dict]) -> Dict[str, dict]:
         if parent is not None:
             duration = (record.get("t1") or 0) - (record.get("t0") or 0)
             child_time[parent] = child_time.get(parent, 0.0) + duration
-    stats: Dict[str, dict] = {}
+    totals: Dict[str, list] = {}
     for record in spans:
-        name = record.get("name", "?")
         duration = (record.get("t1") or 0) - (record.get("t0") or 0)
-        entry = stats.setdefault(name, {"count": 0, "total_s": 0.0,
-                                        "self_s": 0.0, "max_s": 0.0})
-        entry["count"] += 1
-        entry["total_s"] += duration
-        entry["self_s"] += max(0.0, duration
-                               - child_time.get(record.get("id"), 0.0))
-        entry["max_s"] = max(entry["max_s"], duration)
-    return stats
+        _fold(totals, record.get("name", "?"), 1, duration,
+              max(0.0, duration - child_time.get(record.get("id"), 0.0)),
+              duration)
+    return _phases(totals)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """High-sigma yield engine tests.
 
-Covers the normal-quantile fallback (the no-scipy CI leg), the
+Covers the stdlib normal quantile (against scipy where present), the
 probe-direction state-leak regression, estimator properties on the
 analytic linear model, surrogate screening, bit-consistency across
 jobs/backends/batching, checkpoint resume, and the CLI surface.
@@ -27,7 +27,6 @@ from repro.core import (
     normal_sf,
     sigma_level_from_probability,
 )
-from repro.core.importance import _acklam_ppf
 from repro.parallel import FailureLedger
 from repro.verify.oracles import HighSigmaLinearOracle
 
@@ -38,30 +37,38 @@ def linear_engine(k_sigma=3.0):
 
 
 # ----------------------------------------------------------------------
-# Normal-distribution helpers (satellite: no-scipy sigma_level)
+# Normal-distribution helpers
 # ----------------------------------------------------------------------
+def _ppf_grid() -> np.ndarray:
+    """Log grid over p in [1e-300, 1 - 1e-16]: both tails and the middle."""
+    return np.concatenate([np.logspace(-300, math.log10(0.5), 601),
+                           1.0 - np.logspace(-16, math.log10(0.5), 161)])
+
+
 class TestNormalHelpers:
-    def test_acklam_matches_scipy(self):
+    def test_ppf_matches_scipy_within_8_ulps(self):
         norm = pytest.importorskip("scipy.stats").norm
-        for p in np.concatenate([np.logspace(-15, -1, 30),
-                                 np.linspace(0.05, 0.95, 19)]):
-            assert _acklam_ppf(float(p)) == pytest.approx(
-                float(norm.ppf(p)), rel=1e-8, abs=1e-9)
+        for p in _ppf_grid():
+            expected = float(norm.ppf(p))
+            assert abs(normal_ppf(float(p)) - expected) \
+                <= 8 * math.ulp(expected), p
 
-    def test_acklam_symmetry(self):
+    def test_ppf_symmetry(self):
         for p in (1e-9, 0.01, 0.3):
-            assert _acklam_ppf(p) == pytest.approx(-_acklam_ppf(1.0 - p))
+            assert normal_ppf(p) == pytest.approx(-normal_ppf(1.0 - p))
 
-    def test_acklam_rejects_out_of_range(self):
+    def test_ppf_rejects_out_of_range(self):
         for p in (0.0, 1.0, -0.1, 2.0):
             with pytest.raises(ValueError):
-                _acklam_ppf(p)
+                normal_ppf(p)
 
-    def test_ppf_without_scipy_uses_fallback(self, monkeypatch):
-        """normal_ppf must keep working when scipy.stats is absent."""
+    def test_ppf_same_with_scipy_blocked(self, monkeypatch):
+        """One quantile path: blocking scipy changes no value."""
+        grid = [float(p) for p in _ppf_grid()]
+        expected = [normal_ppf(p) for p in grid]
         monkeypatch.setitem(sys.modules, "scipy.stats", None)
         monkeypatch.setitem(sys.modules, "scipy", None)
-        assert normal_ppf(0.3) == pytest.approx(_acklam_ppf(0.3))
+        assert [normal_ppf(p) for p in grid] == expected
         assert math.isfinite(sigma_level_from_probability(1e-8))
 
     def test_sigma_level_roundtrip(self):

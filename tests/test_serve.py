@@ -1299,6 +1299,20 @@ class TestServeRunRecords:
             assert len(record["cache_key"]) == 24
             assert "netlist" not in record["config"]
 
+    def test_mc_record_carries_phases(self, recording_server):
+        (_app, client, _exit), runs_dir = recording_server
+        reply = client.run({
+            "analysis": "mc", "tech": "90nm", "netlist": NETLIST,
+            "params": {"samples": 6, "node": "mid",
+                       "lower": 0.4, "upper": 0.6}, "seed": 3})
+        assert reply["outcome"] == "ok"
+        (record,) = runlog.RunRegistry(runs_dir).list()
+        phases = record["phases"]
+        assert {"serve.job.mc", "run", "chunk", "sample",
+                "solve.dc"} <= set(phases)
+        assert phases["sample"]["count"] == 6
+        assert phases["serve.job.mc"]["count"] == 1
+
     def test_diff_runs_on_serve_records(self, recording_server):
         (_app, client, _exit), runs_dir = recording_server
         client.run(mc_spec(seed=9101, params={"samples": 6}))

@@ -20,16 +20,6 @@ from repro.solutions import (
 )
 
 
-_HAVE_SCIPY_STATS = True
-try:
-    import scipy.stats  # noqa: F401
-except ImportError:
-    _HAVE_SCIPY_STATS = False
-requires_scipy_stats = pytest.mark.skipif(
-    not _HAVE_SCIPY_STATS,
-    reason="needs scipy.stats (yield/area closed forms)")
-
-
 class TestDacConfig:
     def test_segmentation_arithmetic(self):
         cfg = DacConfig(n_bits=14, n_unary_bits=6)
@@ -172,7 +162,6 @@ class TestCalibrate:
         assert np.array_equal(measured, dac.unary_errors)
 
 
-@requires_scipy_stats
 class TestYieldAndArea:
     def test_calibrated_yield_beats_uncalibrated(self):
         cfg = DacConfig(n_bits=12, n_unary_bits=6)

@@ -23,16 +23,6 @@ from repro.solutions import (
 )
 
 
-_HAVE_SCIPY_STATS = True
-try:
-    import scipy.stats  # noqa: F401
-except ImportError:
-    _HAVE_SCIPY_STATS = False
-requires_scipy_stats = pytest.mark.skipif(
-    not _HAVE_SCIPY_STATS,
-    reason="needs scipy.stats (yield/area closed forms)")
-
-
 class TestSramReadMargin:
     def test_read_snm_below_hold_snm(self, tech90):
         fx = sram_cell(tech90)
@@ -77,7 +67,6 @@ class TestSramWriteMargin:
         assert fx.circuit["vbl"].spec.dc_value() == pytest.approx(tech90.vdd)
 
 
-@requires_scipy_stats
 class TestSfdr:
     def test_ideal_dac_at_quantization_floor(self):
         # A perfect 12-bit DAC is limited by quantization spurs:
@@ -102,7 +91,6 @@ class TestSfdr:
             sfdr_db(dac, n_samples=32)
 
 
-@requires_scipy_stats
 class TestDacAging:
     def setup_dac(self, seed=1):
         cfg = DacConfig(n_bits=12, n_unary_bits=5)

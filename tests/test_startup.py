@@ -4,9 +4,11 @@ Each check runs in a fresh interpreter, since ``sys.modules`` of the
 test session already holds everything.  Three contracts:
 
 * **import budget** — ``repro mc`` and ``repro highsigma`` leave
-  networkx, scipy.linalg, scipy.sparse, scipy.stats and the engines
-  they do not run unloaded, and print byte-identical reports when all
-  of those are imported up front (laziness changes no bits);
+  networkx, scipy.linalg, scipy.sparse, scipy.stats, the engines they
+  do not run and the circuit libraries their workload does not build
+  from unloaded, and print byte-identical reports when all of those
+  are imported up front (laziness changes no bits); a highsigma run
+  that prints a finite sigma level still leaves scipy.stats unloaded;
 * **one dgesv pointer** — the compiled loops' LAPACK pointer, read
   without running ``scipy/linalg/__init__``, is the very capsule
   ``from scipy.linalg import cython_lapack`` exports, and scipy.linalg
@@ -17,6 +19,7 @@ test session already holds everything.  Three contracts:
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -33,11 +36,23 @@ HEAVY = ("networkx", "scipy.linalg", "scipy.sparse", "scipy.stats",
          "repro.aging.electromigration", "repro.core.aging_simulator",
          "repro.emc", "repro.digitalflow")
 
-COMMANDS = (
-    ("mc", "--workload", "offset"),
-    ("mc", "--workload", "ring", "--samples", "1"),
-    ("highsigma", "--samples", "1"),
-)
+#: The circuit libraries; a command may load only its workload's.
+CIRCUITS = ("repro.circuits.analog", "repro.circuits.digital",
+            "repro.circuits.gates", "repro.circuits.opamp")
+
+#: A highsigma run long enough to print a finite sigma level.
+SIGMA_LEVEL = ("highsigma", "--samples", "256", "--snm-min-mv", "66.7",
+               "--seed", "1")
+
+#: (argv, the circuit library its workload builds from).
+COMMANDS = tuple(pytest.param(argv, library, id=" ".join(argv))
+                 for argv, library in (
+    (("mc", "--workload", "offset"), "repro.circuits.analog"),
+    (("mc", "--workload", "ring", "--samples", "1"),
+     "repro.circuits.digital"),
+    (("highsigma", "--samples", "1"), "repro.circuits.digital"),
+    (SIGMA_LEVEL, "repro.circuits.digital"),
+))
 
 _RUN_COMMAND = """
 import contextlib, importlib, io, json, sys
@@ -55,7 +70,7 @@ with contextlib.redirect_stdout(out):
 print(json.dumps({"code": code, "stdout": out.getvalue(),
                   "kernel": _ckernel.active(),
                   "loaded": [m for m in %r if m in sys.modules]}))
-""" % (HEAVY, HEAVY)
+""" % (HEAVY + CIRCUITS, HEAVY + CIRCUITS)
 
 _FLAGS = """
 import json, sys
@@ -164,19 +179,29 @@ def _scipy_importable() -> bool:
 
 
 class TestImportBudget:
-    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
-    def test_command_loads_only_what_it_runs(self, argv, tmp_path):
+    @pytest.mark.parametrize("argv, library", COMMANDS)
+    def test_command_loads_only_what_it_runs(self, argv, library, tmp_path):
         env = {"REPRO_RUNS_DIR": str(tmp_path / "runs")}
         lazy = _child(_RUN_COMMAND, "lazy", *argv, env=env)
         eager = _child(_RUN_COMMAND, "eager", *argv, env=env)
         assert lazy["code"] == eager["code"] == 0
-        forbidden = set(HEAVY)
+        assert library in lazy["loaded"]
+        forbidden = set(HEAVY + CIRCUITS) - {library}
         if not lazy["kernel"]:
             # Without the compiled loops the Python Newton loop solves
             # through scipy's f2py dgesv, which lives in scipy.linalg.
             forbidden.discard("scipy.linalg")
         assert not forbidden & set(lazy["loaded"]), lazy["loaded"]
         assert lazy["stdout"] == eager["stdout"]
+
+    def test_sigma_level_needs_no_scipy_stats(self, tmp_path):
+        result = _child(_RUN_COMMAND, "lazy", *SIGMA_LEVEL,
+                        env={"REPRO_RUNS_DIR": str(tmp_path / "runs")})
+        assert result["code"] == 0
+        level = next(line for line in result["stdout"].splitlines()
+                     if line.strip().startswith("sigma level"))
+        assert math.isfinite(float(level.split(":")[1].split()[0])), level
+        assert "scipy.stats" not in result["loaded"]
 
 
 @pytest.mark.skipif(not _scipy_importable(), reason="needs scipy")

@@ -204,15 +204,13 @@ class TestSpans:
             with wsess.tracer.span("chunk"):
                 with wsess.tracer.span("sample"):
                     pass
-        parent_span_ids = []
         with telemetry.session() as main:
             with main.tracer.span("run") as run_sp:
-                parent_span_ids.append(run_sp.span_id)
-            main.merge_worker(wsess.export(), parent_span_ids[0])
+                main.merge_worker(wsess.export(), run_sp)
             spans = [r for r in main.tracer.export_records()
                      if r["type"] == "span"]
         by_name = {s["name"]: s for s in spans}
-        assert by_name["chunk"]["parent"] == parent_span_ids[0]
+        assert by_name["chunk"]["parent"] == run_sp.span_id
         assert by_name["sample"]["parent"] == by_name["chunk"]["id"]
         del parent, worker  # constructed-only sessions: nothing to assert
 
@@ -223,6 +221,88 @@ class TestSpans:
         main.metrics.inc("n", 1)
         main.merge_worker(worker.export())
         assert main.metrics.counter("n") == 5
+
+
+def _drive(tracer):
+    """Nested spans and an event: run > 3 x (chunk > sample > solve)."""
+    with tracer.span("run"):
+        for i in range(3):
+            with tracer.span("chunk", i=i):
+                tracer.event("tick", i=i)
+                with tracer.span("sample"):
+                    with tracer.span("solve.dc"):
+                        time.sleep(0.001)
+
+
+class TestSpanTotals:
+    def test_totals_are_the_fold_of_the_records(self):
+        with telemetry.session() as sess:
+            _drive(sess.tracer)
+        spans = [r for r in sess.tracer.export_records()
+                 if r["type"] == "span"]
+        # Same spans, same order, same arithmetic: equal to the bit.
+        assert sess.tracer.totals() == aggregate_spans(spans)
+        assert sess.tracer.totals()["chunk"]["count"] == 3
+        assert sess.tracer.roots() == [
+            s["t1"] - s["t0"] for s in spans if s["parent"] is None]
+
+    def test_session_without_records_keeps_totals_only(self):
+        with telemetry.session() as kept:
+            _drive(kept.tracer)
+        with telemetry.session(records=False) as sess:
+            _drive(sess.tracer)
+            telemetry.event("dropped")
+        assert not sess.tracer.keeps_records
+        assert len(sess.tracer) == 0
+        assert sess.tracer.export_records() == []
+        assert "records" not in sess.export()
+        totals = sess.tracer.totals()
+        assert {n: e["count"] for n, e in totals.items()} == \
+            {n: e["count"] for n, e in kept.tracer.totals().items()}
+        # Self times partition the one top-level span.
+        assert sum(e["self_s"] for e in totals.values()) == \
+            pytest.approx(totals["run"]["total_s"], rel=1e-9)
+
+    @pytest.mark.parametrize("records", [True, False])
+    def test_merged_workers_are_charged_to_their_parent(self, records):
+        payloads = []
+
+        def work(chunk):
+            # A serial-backend chunk: a worker session inside the run.
+            with telemetry.worker_session(True, f"c{chunk}.",
+                                          records) as worker:
+                with worker.tracer.span("chunk"):
+                    with worker.tracer.span("sample"):
+                        time.sleep(0.002)
+            payloads.append(worker.export())
+            return payloads[-1]
+
+        with telemetry.session(records=records) as main_sess:
+            with main_sess.tracer.span("run") as run:
+                with main_sess.tracer.span("stage") as stage:
+                    main_sess.merge_worker(work(0), stage)
+                main_sess.merge_worker(work(1), run)
+        assert ("records" in payloads[0]) == records
+        totals = main_sess.tracer.totals()
+        assert totals["chunk"]["count"] == 2
+        assert totals["sample"]["count"] == 2
+        # The stage did no work of its own: its chunk is its child.
+        chunk0 = payloads[0]["roots"][0]
+        assert totals["stage"]["self_s"] == pytest.approx(
+            max(0.0, totals["stage"]["total_s"] - chunk0), abs=1e-9)
+        assert totals["stage"]["self_s"] < 0.001
+        assert sum(e["self_s"] for e in totals.values()) <= \
+            totals["run"]["total_s"] + 1e-9
+        if records:
+            spans = [r for r in main_sess.tracer.export_records()
+                     if r["type"] == "span"]
+            folded = aggregate_spans(spans)
+            assert set(folded) == set(totals)
+            for name, entry in totals.items():
+                assert entry["count"] == folded[name]["count"]
+                for key in ("total_s", "self_s", "max_s"):
+                    assert entry[key] == pytest.approx(
+                        folded[name][key], rel=1e-9, abs=1e-12), name
 
 
 # ----------------------------------------------------------------------
@@ -712,3 +792,106 @@ class TestCliTrace:
     def test_trace_missing_file(self, tmp_path, capsys):
         assert main(["trace", str(tmp_path / "absent.jsonl")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+def _self_time_partition(trace):
+    """Self times of a trace's spans: the ``run`` subtree's sum, every
+    span's sum, the run span's duration, and the top-level spans'
+    summed durations."""
+    stats = aggregate_spans(trace.spans)
+    children: dict = {}
+    for span in trace.spans:
+        children.setdefault(span["parent"], []).append(span)
+    (run,) = trace.spans_named("run")
+    subtree, stack = [], [run]
+    while stack:
+        span = stack.pop()
+        subtree.append(span)
+        stack.extend(children.get(span["id"], ()))
+    run_self = sum(aggregate_spans(subtree)[name]["self_s"]
+                   for name in {s["name"] for s in subtree})
+    return (run_self, sum(e["self_s"] for e in stats.values()),
+            run["t1"] - run["t0"],
+            sum(s["t1"] - s["t0"] for s in children[None]))
+
+
+def _record_of(runs_dir, command):
+    from repro.obs.runlog import RunRegistry
+
+    records = [r for r in RunRegistry(str(runs_dir)).list()
+               if r["command"] == command]
+    return records[-1]
+
+
+class TestCommandPhases:
+    """Run records carry span totals; traces keep the span records."""
+
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--workload", "offset", "--tech", "90nm", "--samples", "64",
+         "--seed", "1"],
+        ["mc", "--workload", "ring", "--tech", "90nm", "--samples", "16",
+         "--seed", "1"],
+        ["highsigma", "--samples", "256", "--seed", "1",
+         "--snm-min-mv", "66.7"],
+    ], ids=lambda argv: " ".join(argv[:3]))
+    def test_self_times_partition_the_wall(self, argv, tmp_path,
+                                           monkeypatch):
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
+        trace_path = tmp_path / "run.jsonl"
+        assert main(argv + ["--quiet", "--trace", str(trace_path)]) == 0
+        trace = read_trace(trace_path)
+        run_self, all_self, run_s, top_s = _self_time_partition(trace)
+        assert run_self <= run_s + 1e-9
+        # Spans outside the run (the high-sigma direction probe's
+        # sweeps) are top-level spans of their own.
+        assert all_self <= top_s + 1e-9
+        record = _record_of(tmp_path / "runs", argv[0])
+        assert sum(e["self_s"] for e in record["phases"].values()) \
+            <= top_s + 1e-9
+        if argv[0] == "highsigma":
+            pilot = trace.spans_named("highsigma.pilot")[0]
+            chunks = [s for s in trace.spans_named("chunk")
+                      if s["parent"] == pilot["id"]]
+            assert chunks, "pilot chunks are children of the pilot span"
+
+    def test_untraced_run_keeps_totals_not_records(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
+        sessions = []
+        real_session = telemetry.session
+
+        def capture(*args, **kwargs):
+            context = real_session(*args, **kwargs)
+            sess = context.__enter__()
+            sessions.append(sess)
+
+            class _Ctx:
+                def __enter__(self):
+                    return sess
+
+                def __exit__(self, *exc):
+                    return context.__exit__(*exc)
+            return _Ctx()
+
+        argv = ["mc", "--workload", "offset", "--tech", "90nm",
+                "--samples", "2000", "--seed", "1", "--quiet"]
+        monkeypatch.setattr(telemetry, "session", capture)
+        assert main(argv) == 0
+        monkeypatch.setattr(telemetry, "session", real_session)
+        (sess,) = sessions
+        chunks = -(-2000 // 32)
+        assert len(sess.tracer) <= chunks
+        untraced = _record_of(tmp_path / "runs", "mc")["phases"]
+        assert untraced["sample"]["count"] == 2000
+
+        trace_path = tmp_path / "run.jsonl"
+        assert main(argv + ["--trace", str(trace_path)]) == 0
+        folded = aggregate_spans(read_trace(trace_path).spans)
+        traced = _record_of(tmp_path / "runs", "mc")["phases"]
+        counts = {name: entry["count"] for name, entry in folded.items()}
+        assert {n: e["count"] for n, e in untraced.items()} == counts
+        assert {n: e["count"] for n, e in traced.items()} == counts
+        for name, entry in traced.items():
+            for key in ("total_s", "self_s", "max_s"):
+                assert entry[key] == pytest.approx(
+                    folded[name][key], rel=1e-9, abs=1e-9), (name, key)

@@ -201,8 +201,9 @@ class TestTracerEquivalence:
 
         session = TelemetrySession()
         ref = _ReferenceTracer()
+        parent = Span("run", "1", None, time.time())
         for payload in workers():
-            session.merge_worker(payload, parent_span_id="1")
+            session.merge_worker(payload, parent)
         for payload in workers():
             _reference_merge(ref, payload, parent_span_id="1")
         merged = session.tracer.export_records()
@@ -266,9 +267,16 @@ class TestTracerEquivalence:
                     thread.join(60.0)
                 assert not any(thread.is_alive() for thread in threads)
                 results.append(signatures(tracer.export_records()))
+                if isinstance(tracer, Tracer):
+                    totals = tracer.totals()
         finally:
             sys.setswitchinterval(interval)
         (spans, events, ids), reference = results
+        # No span lost from the totals either.
+        assert {name: entry["count"] for name, entry in totals.items()} \
+            == {"run": 4 * ROUNDS, "chunk": 4 * ROUNDS * 3,
+                "solve.dc": 4 * ROUNDS * 3, "raises": 4 * ROUNDS,
+                "raises.preset": 4 * ROUNDS}
         assert (spans, events) == reference[:2]
         assert ids == sorted(f"t/{n}" for n in range(1, 4 * ROUNDS * 9 + 1))
         assert len(events) == 4 * ROUNDS * 5

@@ -41,16 +41,6 @@ from repro.verify.oracles import (
 # ----------------------------------------------------------------------
 # Tolerance and ULP plumbing
 # ----------------------------------------------------------------------
-_HAVE_SCIPY_STATS = True
-try:
-    import scipy.stats  # noqa: F401
-except ImportError:
-    _HAVE_SCIPY_STATS = False
-requires_scipy_stats = pytest.mark.skipif(
-    not _HAVE_SCIPY_STATS,
-    reason="needs scipy.stats (golden experiments use scipy.stats)")
-
-
 class TestTolerance:
     def test_bound_combines_rtol_and_atol(self):
         tol = Tolerance(rtol=1e-3, atol=1e-6)
@@ -288,7 +278,6 @@ class TestGoldenStore:
 # ----------------------------------------------------------------------
 # Experiments registry
 # ----------------------------------------------------------------------
-@requires_scipy_stats
 class TestExperiments:
     def test_fast_tier_runs_and_is_banded(self):
         results = run_experiments(include_slow=False)
@@ -321,7 +310,6 @@ def golden_dir(tmp_path):
     return path
 
 
-@requires_scipy_stats
 class TestVerifyCli:
     def test_round_trip_passes(self, golden_dir, capsys):
         code = main(["verify", "--quick", "--skip-differential",
@@ -387,7 +375,6 @@ class TestVerifyCli:
 # ----------------------------------------------------------------------
 # Committed goldens (repo-level contract)
 # ----------------------------------------------------------------------
-@requires_scipy_stats
 class TestCommittedGoldens:
     def test_committed_store_is_complete(self):
         import pathlib
