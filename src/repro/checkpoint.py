@@ -110,9 +110,10 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
 
 
 def atomic_write_json(path: Path, obj) -> None:
-    """Atomically serialise ``obj`` as JSON at ``path``."""
+    """Atomically serialise ``obj`` as compact JSON (sorted keys, no
+    whitespace) at ``path`` — compact, so the C encoder writes it."""
     _atomic_write_bytes(Path(path),
-                        json.dumps(obj, indent=1, sort_keys=True)
+                        json.dumps(obj, sort_keys=True, separators=(",", ":"))
                         .encode("utf-8"))
 
 

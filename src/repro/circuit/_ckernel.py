@@ -603,6 +603,15 @@ def _compile() -> Optional[ctypes.CDLL]:
             # Atomic publish: concurrent builders race benignly.
             os.replace(out, cached)
     lib = ctypes.CDLL(cached)
+    # The stamp pass and the Newton solve run for microseconds: they
+    # keep the GIL (bound through a PyDLL handle on the same library),
+    # since releasing it hands the interpreter to another thread at
+    # every call and waits to get it back.  The sweep and transient
+    # entry points run for a whole sweep or transient and release it,
+    # so other threads run meanwhile.
+    held = ctypes.PyDLL(cached)
+    lib.repro_stamp_mosfets = held.repro_stamp_mosfets
+    lib.repro_newton_dense = held.repro_newton_dense
     fn = lib.repro_stamp_mosfets
     fn.restype = None
     fn.argtypes = [ctypes.c_long, ctypes.c_long] + \
@@ -647,6 +656,17 @@ def load() -> Optional[ctypes.CDLL]:
     return _lib
 
 
+def address(array) -> int:
+    """The data pointer of a numpy array — ``array.ctypes.data`` — read
+    through the buffer protocol, at a third of the cost of numpy's
+    ctypes helper object when the array is writable and C-contiguous
+    (the helper serves every other array)."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    except (TypeError, ValueError, BufferError):
+        return array.ctypes.data
+
+
 def newton_dense(block: NewtonArgs, x, n_nodes: int, max_iterations: int,
                  damping_v: float, reltol: float, vtol: float) -> int:
     """Run ``repro_newton_dense`` on ``block``, updating the float64
@@ -654,7 +674,7 @@ def newton_dense(block: NewtonArgs, x, n_nodes: int, max_iterations: int,
     iteration count in ``block.iterations``.  Callers gate on
     :func:`active` first."""
     return _lib.repro_newton_dense(
-        ctypes.addressof(block), x.ctypes.data, n_nodes, max_iterations,
+        ctypes.addressof(block), address(x), n_nodes, max_iterations,
         damping_v, reltol, vtol)
 
 
@@ -668,8 +688,8 @@ def sweep_dense(block: NewtonArgs, X, values, start: int, branch_row: int,
     (``len(values)`` when all did).  Callers gate on :func:`active`
     first."""
     return _lib.repro_sweep_dense(
-        ctypes.addressof(block), X.ctypes.data, values.ctypes.data, start,
-        len(values), branch_row, scale, iterations.ctypes.data, n_nodes,
+        ctypes.addressof(block), address(X), address(values), start,
+        len(values), branch_row, scale, address(iterations), n_nodes,
         max_iterations, damping_v, reltol, vtol)
 
 
@@ -683,8 +703,8 @@ def transient_dense(block: NewtonArgs, tape: TransientArgs, X, start: int,
     first step that did not pass (``len(X)`` when all did).  Callers
     gate on :func:`active` first."""
     return _lib.repro_transient_dense(
-        ctypes.addressof(block), ctypes.addressof(tape), X.ctypes.data,
-        start, len(X) - 1, iterations.ctypes.data, n_nodes, max_iterations,
+        ctypes.addressof(block), ctypes.addressof(tape), address(X),
+        start, len(X) - 1, address(iterations), n_nodes, max_iterations,
         damping_v, reltol, vtol)
 
 

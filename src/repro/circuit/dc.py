@@ -22,6 +22,7 @@ ladder, iteration counts, final residual and worst-device attribution.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 import weakref
 from contextlib import contextmanager
@@ -123,7 +124,8 @@ def newton_solve(stamp: Callable[[Stamper, np.ndarray], None], size: int,
                  stamp_base: Optional[Callable[[Stamper], None]] = None,
                  stats: Optional[NewtonStats] = None,
                  group: Optional[MosfetGroup] = None,
-                 load_base: Optional[Callable[[float], bool]] = None
+                 load_base: Optional[Callable[[float], Optional[
+                     "_ckernel.NewtonArgs"]]] = None
                  ) -> np.ndarray:
     """Solve the nonlinear MNA system ``F(x) = 0`` by damped NR.
 
@@ -146,8 +148,9 @@ def newton_solve(stamp: Callable[[Stamper, np.ndarray], None], size: int,
     to the Python loop below, which serves every other case.
 
     ``load_base(gmin)``, when given, may fill ``workspace.base`` from a
-    memo instead (:meth:`DcEngine.load_base`); it returns False when it
-    did not, and ``stamp_base`` stamps the base as usual.
+    memo instead and hand back the compiled loop's argument block
+    (:meth:`DcEngine.load_base`); it returns None when it did not, and
+    ``stamp_base`` stamps the base as usual.
     """
     opts = options if options is not None else NewtonOptions()
     x = np.zeros(size) if x0 is None else np.array(x0, dtype=float)
@@ -159,11 +162,12 @@ def newton_solve(stamp: Callable[[Stamper, np.ndarray], None], size: int,
     base: Optional[Stamper] = None
     if stamp_base is not None:
         base = ws.base
-        if load_base is None or not load_base(opts.gmin):
+        block = load_base(opts.gmin) if load_base is not None else None
+        if block is None:
             base.clear()
             stamp_base(base)
             base.add_gmin(n_nodes, opts.gmin)
-        block = group.newton_args(ws) if group is not None else None
+            block = group.newton_args(ws) if group is not None else None
         if block is not None:
             return _newton_compiled(block, x, n_nodes, opts, ws, stats)
     iteration = 0
@@ -339,6 +343,14 @@ def _stamp_dc_factory(circuit: Circuit) -> Callable[[Stamper, np.ndarray], None]
 #: reads is one :meth:`DcEngine.linear_key` lists.
 MEMO_ELEMENTS = (Resistor, Capacitor, VoltageSource, CurrentSource)
 
+#: The readers of the values :meth:`DcEngine.linear_key` lists.
+_RESISTANCE = operator.attrgetter("resistance")
+_CAPACITANCE = operator.attrgetter("capacitance")
+_SPEC = operator.attrgetter("spec")
+_SCALE = operator.attrgetter("scale")
+_GATE_LEAK = operator.attrgetter("degradation.gate_leak_s")
+_BD_SPOT = operator.attrgetter("degradation.bd_spot_position")
+
 
 class DcEngine:
     """Per-circuit solver state: stamp plans, workspace, warm start.
@@ -395,16 +407,20 @@ class DcEngine:
         #: When True, the previous solution seeds the next solve.
         self.warm_start_enabled = False
         self.last_x: Optional[np.ndarray] = None
-        # The memo key's inputs: None when a linear element is not
-        # exactly one of MEMO_ELEMENTS (then nothing is memoized).
+        # The memo key's inputs, ``(object, getter)`` pairs: None when a
+        # linear element is not exactly one of MEMO_ELEMENTS (then
+        # nothing is memoized).
         self._memo_parts = None
         if all(type(e) in MEMO_ELEMENTS for e in self.linear_elements):
+            linear = self.linear_elements
             self._memo_parts = (
-                [e for e in self.linear_elements if type(e) is Resistor],
-                [e for e in self.linear_elements if type(e) is Capacitor],
-                [e for e in self.linear_elements
-                 if type(e) in (VoltageSource, CurrentSource)],
-                mosfets)
+                [(e, _RESISTANCE) for e in linear if type(e) is Resistor]
+                + [(e, _CAPACITANCE) for e in linear if type(e) is Capacitor]
+                + [(e, get) for e in linear
+                   if type(e) in (VoltageSource, CurrentSource)
+                   for get in (_SPEC, _SCALE)]
+                + [(m, get) for m in mosfets
+                   for get in (_GATE_LEAK, _BD_SPOT)])
         #: The memoized base (linear stamps, gate leaks, gmin) of the
         #: compiled plain-Newton rung, and the key it was stamped under.
         self._base_memo: Optional[Stamper] = None
@@ -413,7 +429,7 @@ class DcEngine:
         #: :mod:`repro.circuit.transient`; carries its own key).
         self.step_tape = None
 
-    def linear_key(self) -> Optional[tuple]:
+    def linear_key(self) -> Optional[list]:
         """The live values the linear stamps and gate leaks read — each
         resistance and capacitance, each source's spec object and scale,
         each MOSFET's ``gate_leak_s`` and ``bd_spot_position`` — or None
@@ -422,12 +438,7 @@ class DcEngine:
         parts = self._memo_parts
         if parts is None:
             return None
-        resistors, capacitors, sources, mosfets = parts
-        return ([r.resistance for r in resistors],
-                [c.capacitance for c in capacitors],
-                [(v.spec, v.scale) for v in sources],
-                [(d.gate_leak_s, d.bd_spot_position)
-                 for d in [m.degradation for m in mosfets]])
+        return [get(obj) for obj, get in parts]
 
     def _build_sparsity_plan(self, circuit: Circuit) -> SparsityPlan:
         """Record the union of every stamp's matrix positions.
@@ -478,21 +489,24 @@ class DcEngine:
         if group is not None:
             group.stamp_gate_leaks(st)
 
-    def load_base(self, gmin: float) -> bool:
+    def load_base(self, gmin: float) -> Optional["_ckernel.NewtonArgs"]:
         """For the compiled Newton loop: refresh the MOSFET group and
         fill ``workspace.base`` with the base system plus ``gmin`` from
         the memo, stamping the memo first when its key is stale.
+        Returns the loop's argument block
+        (:meth:`MosfetGroup.newton_args`).
 
-        Returns False, with the base untouched, when the engine
+        Returns None, with the base untouched, when the engine
         memoizes nothing (:meth:`linear_key` is None) or the compiled
         loop cannot serve the solve — the Python loop always stamps its
         own base."""
         group = self.newton_group
         if group is None or self._memo_parts is None:
-            return False
+            return None
         group.refresh()
-        if group.newton_args(self.workspace) is None:
-            return False
+        block = group.newton_args(self.workspace)
+        if block is None:
+            return None
         key = (self.linear_key(), gmin)
         memo = self._base_memo
         if memo is None or key != self._base_key:
@@ -507,7 +521,7 @@ class DcEngine:
             if session is not None:
                 session.metrics.inc("solver.dc.base_builds")
         self.workspace.base.load_from(memo)
-        return True
+        return block
 
     def stamp_nonlinear(self, st: Stamper, x: np.ndarray) -> None:
         """Stamp the guess-dependent part only (called every iteration)."""
@@ -647,15 +661,19 @@ def _failed_attempt(name: str, exc: ConvergenceError, iterations: int,
 
 
 def _solve_ladder(circuit: Circuit, x0: Optional[np.ndarray],
-                  options: Optional[NewtonOptions]
+                  options: Optional[NewtonOptions],
+                  engine: Optional[DcEngine] = None
                   ) -> Tuple[DcSolution, str, int]:
     """The convergence ladder; returns ``(solution, strategy, iters)``.
 
     Shared by the plain and the telemetry-wrapped entry points of
     :func:`dc_operating_point`; the extra return values feed the
     ``solve.dc`` span attributes and the strategy/iteration metrics.
+    ``engine`` is ``circuit``'s :func:`dc_engine`, when the caller has
+    looked it up already.
     """
-    engine = dc_engine(circuit)
+    if engine is None:
+        engine = dc_engine(circuit)
     size = engine.size
     n_nodes = engine.n_nodes
     stamp = engine.stamp_nonlinear
@@ -774,19 +792,19 @@ def dc_operating_point(circuit: Circuit,
     ``solver.dc.*`` metrics; without one, the guarded call sites cost a
     single ContextVar read.
     """
+    engine = dc_engine(circuit)
     session = telemetry.active()
     if session is None:
-        return _solve_ladder(circuit, x0, options)[0]
+        return _solve_ladder(circuit, x0, options, engine)[0]
     # Sparse solves get their own span name so trace reports separate
     # the splu path from the dense LAPACK path at a glance.
-    engine = dc_engine(circuit)
     sparse = engine.sparsity_plan is not None
     span_name = "solve.dc.sparse" if sparse else "solve.dc"
     with session.tracer.span(span_name) as sp:
         metrics = session.metrics
         try:
-            solution, strategy, iterations = _solve_ladder(circuit, x0,
-                                                           options)
+            solution, strategy, iterations = _solve_ladder(
+                circuit, x0, options, engine)
         except ConvergenceError as exc:
             iterations = exc.report.total_iterations if exc.report is not None \
                 else exc.iterations
@@ -937,7 +955,7 @@ def _compiled_sweep(circuit: Circuit, element: VoltageSource, values,
     n_nodes = engine.n_nodes
 
     def load_base() -> None:
-        if not engine.load_base(opts.gmin):
+        if engine.load_base(opts.gmin) is None:
             base = ws.base
             base.clear()
             engine.stamp_base(base)

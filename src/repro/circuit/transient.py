@@ -258,9 +258,9 @@ class _StepTape:
         caps = (self.cap_plus, self.cap_minus, self.cap_c, self.cap_v,
                 self.cap_i)
         self.args = _ckernel.TransientArgs(
-            len(self.index), *(array.ctypes.data for array in tape),
-            n_caps, *(array.ctypes.data for array in caps),
-            len(sources), self.source_values.ctypes.data, dt,
+            len(self.index), *map(_ckernel.address, tape),
+            n_caps, *map(_ckernel.address, caps),
+            len(sources), _ckernel.address(self.source_values), dt,
             lte_rtol if check_lte else 0.0, method == "trapezoidal",
             check_lte)
 

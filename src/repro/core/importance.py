@@ -987,8 +987,6 @@ class HighSigmaYield:
         refine_magnitude = shift_sigma is None
         if shift_sigma is None:
             shift_sigma = DEFAULT_SHIFT_SIGMA
-        if direction is None:
-            direction = self.probe_direction()
 
         ranges = chunk_ranges(n_samples, chunk_size)
         seeds = spawn_seed_sequences(seed, len(ranges))
@@ -1005,28 +1003,42 @@ class HighSigmaYield:
                              max(0, len(ranges) - 1)) if want else 0
         n_pilot = ranges[n_pilot_chunks - 1][1] if n_pilot_chunks else 0
 
-        proposal0 = self._proposal(direction, shift_sigma, two_sided)
         n_devices = len(self.fixture.circuit.mosfets)
         channel_names = (["value", "weight", "solved"]
                          + [f"{ch}{j}" for ch in ("z", "b", "g")
                             for j in range(n_devices)])
-        run_params = {
-            "kind": "high-sigma", "seed": seed, "n_samples": n_samples,
-            "chunk_size": chunk_size, "spec_names": channel_names,
-            "spec": self.spec.name, "two_sided": two_sided,
-            "adapt": adapt, "refine_magnitude": refine_magnitude,
-            "shift_sigma": shift_sigma,
-            "direction": {k: float(v) for k, v in sorted(direction.items())},
-            "surrogate": surrogate.to_dict() if surrogate else None,
-            "n_pilot_chunks": n_pilot_chunks,
-            "accel": accel_manifest(batch_size),
-            **run_identity(self.fixture, [self.spec], self.tech),
-        }
         # What the pilot decides; assemble reads it, so a run stopped
         # at any point reports the proposal it actually sampled.
-        final_direction = dict(direction)
+        final_direction: Dict[str, float] = {}
         final_shift = shift_sigma
         frozen: Optional[Surrogate] = None
+        proposal0: Optional[_Proposal] = None
+
+        def identity() -> Optional[dict]:
+            # Runs inside the run span: the direction probe is part of
+            # the run, in a span of its own.  Returns the identity a
+            # checkpoint must match (only a checkpoint reads it).
+            nonlocal direction, final_direction, proposal0
+            if direction is None:
+                with telemetry.span("highsigma.probe"):
+                    direction = self.probe_direction()
+            final_direction = dict(direction)
+            proposal0 = self._proposal(direction, shift_sigma, two_sided)
+            if checkpoint is None:
+                return None
+            return {
+                "kind": "high-sigma", "seed": seed, "n_samples": n_samples,
+                "chunk_size": chunk_size, "spec_names": channel_names,
+                "spec": self.spec.name, "two_sided": two_sided,
+                "adapt": adapt, "refine_magnitude": refine_magnitude,
+                "shift_sigma": shift_sigma,
+                "direction": {k: float(v)
+                              for k, v in sorted(direction.items())},
+                "surrogate": surrogate.to_dict() if surrogate else None,
+                "n_pilot_chunks": n_pilot_chunks,
+                "accel": accel_manifest(batch_size),
+                **run_identity(self.fixture, [self.spec], self.tech),
+            }
 
         def tasks(chunk_ids: range, proposal: _Proposal) -> dict:
             return {cid: (ranges[cid], seeds[cid], batch_size, budget,
@@ -1074,7 +1086,7 @@ class HighSigmaYield:
 
         return run_chunks(
             self._evaluate_chunk, stages(), assemble, kind="high-sigma",
-            n_samples=n_samples, run_params=run_params, jobs=jobs,
+            n_samples=n_samples, run_params=identity, jobs=jobs,
             backend=backend, checkpoint=checkpoint, resume=resume,
             checkpoint_every=checkpoint_every, budget=budget,
             progress=progress,

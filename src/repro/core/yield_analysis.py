@@ -371,6 +371,9 @@ class MonteCarloYield:
         # One generator call draws every die of the chunk, bit-identical
         # to drawing die by die (MismatchSampler.draw).
         variates = sampler.draw(circuit, self.placements, n)
+        # Die durations, observed in one go after the loop (a chunk that
+        # raises exports no telemetry at all).
+        durations = []
         with warm_start(circuit), sweep_ctx:
             for k in range(n):
                 if budget is not None:
@@ -407,10 +410,10 @@ class MonteCarloYield:
                         spec_passes[spec.name][k] = ok
                         sample_ok = sample_ok and ok
                     passes[k] = sample_ok
-                if tsession is not None:
-                    tsession.metrics.observe(
-                        "engine.sample_duration_s",
-                        time.perf_counter() - t_sample)
+                durations.append(time.perf_counter() - t_sample)
+        if tsession is not None:
+            tsession.metrics.observe_many("engine.sample_duration_s",
+                                          durations)
         return {"start": start, "stop": stop, "values": values,
                 "spec_passes": spec_passes, "passes": passes,
                 "failure_counts": failure_counts,
@@ -527,11 +530,13 @@ class MonteCarloYield:
         seeds = spawn_seed_sequences(seed, len(ranges))
         tasks = {cid: (bounds, seed_seq, retry, batch_size, budget)
                  for cid, (bounds, seed_seq) in enumerate(zip(ranges, seeds))}
-        run_params = {"kind": "mc-yield", "seed": seed,
-                      "n_samples": n_samples, "chunk_size": chunk_size,
-                      "spec_names": [s.name for s in self.specs],
-                      "accel": accel_manifest(batch_size),
-                      **run_identity(self.fixture, self.specs, self.tech)}
+        # The identity a checkpoint must match (only a checkpoint reads it).
+        run_params = None if checkpoint is None else {
+            "kind": "mc-yield", "seed": seed, "n_samples": n_samples,
+            "chunk_size": chunk_size,
+            "spec_names": [s.name for s in self.specs],
+            "accel": accel_manifest(batch_size),
+            **run_identity(self.fixture, self.specs, self.tech)}
         return run_chunks(
             self._evaluate_chunk, tasks,
             lambda chunks, partial: self._assemble(n_samples, chunks,

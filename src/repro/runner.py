@@ -120,8 +120,8 @@ class _ChunkCall:
     task: Any
     kind: str
     id_prefix: Optional[str]
-    """Span-id namespace of the chunk's worker session; None when no
-    telemetry session is active."""
+    """Span-id namespace of the chunk's worker session (empty when it
+    keeps no records); None when no telemetry session is active."""
     records: bool
     """Whether the chunk's worker session keeps span records."""
     t_enqueued: float
@@ -199,7 +199,9 @@ def _restore(store: McCheckpointStore, run_params: dict, resume: bool,
 
 def run_chunks(evaluate: Callable[[Any], dict], stages: Stages,
                assemble: Callable[[List[dict], bool], Any], *,
-               kind: str, n_samples: int, run_params: dict,
+               kind: str, n_samples: int,
+               run_params: Union[dict, Callable[[], Optional[dict]],
+                                 None],
                jobs: int = 1, backend: str = "auto",
                checkpoint: Optional[Union[str, Path]] = None,
                resume: bool = False, checkpoint_every: int = 1,
@@ -208,8 +210,11 @@ def run_chunks(evaluate: Callable[[Any], dict], stages: Stages,
                span_attrs: Optional[dict] = None):
     """Evaluate every stage's chunks and return ``assemble(chunks, False)``.
 
-    ``run_params`` is the run identity a checkpoint must match;
-    ``kind`` names the run in spans; ``span_attrs`` adds attributes to
+    ``run_params`` is the run identity a checkpoint must match (None
+    without a checkpoint), or a function returning it that runs first
+    inside the ``run`` span (an engine's set-up work, such as the
+    high-sigma direction probe, then is part of the run); ``kind`` names
+    the run in spans; ``span_attrs`` adds attributes to
     the ``run`` span.  ``budget`` is the same
     :class:`~repro.resilience.DeadlineBudget` the engine's tasks check
     cooperatively — here it bounds the pool wait.  ``progress`` is
@@ -236,7 +241,10 @@ def run_chunks(evaluate: Callable[[Any], dict], stages: Stages,
                             **(span_attrs or {}))
     records = session is not None and session.tracer.keeps_records
     with run_ctx as run_span:
-        run_span_id = None if session is None else run_span.span_id
+        if callable(run_params):
+            run_params = run_params()
+        # Chunk span ids extend the run span's: only records carry ids.
+        run_span_id = run_span.span_id if records else None
         completed = {} if store is None else _restore(
             store, run_params, resume, metrics, session)
         done = sum(c["stop"] - c["start"] for c in completed.values())
@@ -257,7 +265,8 @@ def run_chunks(evaluate: Callable[[Any], dict], stages: Stages,
             pending = [cid for cid in stage if cid not in completed]
             calls = [_ChunkCall(
                 evaluate, stage[cid], kind,
-                None if session is None else f"{run_span_id}/c{cid}.",
+                None if session is None else
+                f"{run_span_id}/c{cid}." if records else "",
                 records, t_enqueued, profile) for cid in pending]
             for index, chunk in mapper.map_completed(_run_chunk, calls,
                                                      deadline=budget):
@@ -265,7 +274,8 @@ def run_chunks(evaluate: Callable[[Any], dict], stages: Stages,
                 # reaches the store — checkpoints hold results only.
                 payload = chunk.pop("telemetry", None)
                 if payload is not None:
-                    metrics.merge(payload.get("metrics"))
+                    if store is not None:  # the manifest's metrics
+                        metrics.merge(payload.get("metrics"))
                     if session is not None:
                         session.merge_worker(payload, parent)
                 stacks = chunk.pop("profile", None)
