@@ -272,6 +272,7 @@ def _run_recorded(args, command: str, workload, config: dict, session,
     ``config`` is the command's knobs plus the shared ones below."""
     from repro.checkpoint import CheckpointError, RunInterrupted
     from repro.obs.runlog import capability_flags, ledger_digest, record_run
+    from repro.runner import accel_manifest
 
     config = {"tech": args.tech, "workload": workload.fingerprint,
               "samples": args.samples, "jobs": args.jobs,
@@ -295,8 +296,11 @@ def _run_recorded(args, command: str, workload, config: dict, session,
                    metrics=session.metrics.snapshot(),
                    phases=session.tracer.totals(),
                    ledger=ledger_digest(ledger), profile=profile,
-                   t_start=t_start)
+                   t_start=t_start, accel=accel)
 
+    # The accelerator configuration the run starts under (what its
+    # checkpoint manifest carries too) goes into the record's hash.
+    accel = accel_manifest(args.batch_size)
     try:
         result = run()
     except CheckpointError as exc:
@@ -520,6 +524,7 @@ def _cmd_highsigma(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro import telemetry
     from repro.report import render_golden_drift, render_verification_report
+    from repro.runner import accel_manifest
     from repro.verify import (
         diff_goldens,
         load_goldens,
@@ -535,6 +540,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     meta = {"command": "verify", "quick": args.quick,
             "update_golden": args.update_golden}
     t_start = time.time()
+    accel = accel_manifest(None)
     with telemetry.session(meta=meta,
                            records=bool(args.trace)) as session:
         if not args.skip_differential:
@@ -572,7 +578,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                    exit_code=2 if failed else 0,
                    capabilities=capability_flags(),
                    metrics=session.metrics.snapshot(),
-                   phases=session.tracer.totals(), t_start=t_start)
+                   phases=session.tracer.totals(), t_start=t_start,
+                   accel=accel)
 
     text = "\n".join(sections)
     print(text)

@@ -209,9 +209,11 @@ class JobRunner:
         from repro.checkpoint import CheckpointError, RunInterrupted
         from repro.obs.runlog import capability_flags
         from repro.resilience import BudgetExpiredError
+        from repro.runner import accel_manifest
 
         spec = job.spec
         job.t_start = time.time()
+        accel = accel_manifest(spec.batch_size)
         job.set_state("running")
         job.add_event("started", analysis=spec.analysis)
         meta = {"command": f"serve.{spec.analysis}", "job": job.id,
@@ -245,11 +247,11 @@ class JobRunner:
         flags = capability_flags()
         job.ran_under = job.capabilities if flags == job.capabilities \
             else flags
-        self._account(job, outcome, snapshot, phases)
+        self._account(job, outcome, snapshot, phases, accel)
         self._finalize(job, outcome, result, error)
 
     def _account(self, job: Job, outcome: str, snapshot: dict,
-                 phases: dict) -> None:
+                 phases: dict, accel: dict) -> None:
         from repro.obs.runlog import record_run
         from repro.telemetry import SERVE_LATENCY_BUCKETS_S
 
@@ -264,7 +266,7 @@ class JobRunner:
                        exit_code=OUTCOME_EXIT_CODES.get(outcome, 1),
                        seed=job.spec.seed, capabilities=job.ran_under,
                        metrics=snapshot, phases=phases,
-                       t_start=job.t_start,
+                       t_start=job.t_start, accel=accel,
                        extra={"job_id": job.id,
                               "cache_key": job.cache_key})
 
