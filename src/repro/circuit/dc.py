@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import operator
 import threading
+import time
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -798,45 +799,63 @@ def dc_operating_point(circuit: Circuit,
         return _solve_ladder(circuit, x0, options, engine)[0]
     # Sparse solves get their own span name so trace reports separate
     # the splu path from the dense LAPACK path at a glance.
-    sparse = engine.sparsity_plan is not None
-    span_name = "solve.dc.sparse" if sparse else "solve.dc"
+    span_name = "solve.dc.sparse" if engine.sparsity_plan is not None \
+        else "solve.dc"
     with session.tracer.span(span_name) as sp:
-        metrics = session.metrics
         try:
-            solution, strategy, iterations = _solve_ladder(
-                circuit, x0, options, engine)
+            solution, strategy, iterations = _recorded_ladder(
+                circuit, x0, options, engine, session.metrics)
         except ConvergenceError as exc:
-            iterations = exc.report.total_iterations if exc.report is not None \
-                else exc.iterations
-            sp.set(status="failed", iterations=iterations,
+            sp.set(status="failed", iterations=_ladder_iterations(exc),
                    summary=exc.report.summary() if exc.report is not None
                    else str(exc))
-            metrics.inc("solver.dc.solves")
-            metrics.inc("solver.dc.failures")
-            metrics.inc("solver.factorizations", iterations)
             raise
         sp.set(strategy=strategy, iterations=iterations)
-        # Which Newton loop served it (compiled kernel or Python), and
-        # the analytic-vs-FD device-evaluation tally (one count per
-        # solve — the mode cannot change mid-solve).
-        group = engine.newton_group
-        compiled = group is not None \
-            and group.newton_args(engine.workspace) is not None
-        counters = [("solver.dc.solves", 1),
-                    ("solver.dc.strategy." + strategy, 1),
-                    ("solver.factorizations", iterations),
-                    ("solver.dc.jacobian." + jacobian_mode(), 1),
-                    ("solver.dc.kernel." + ("compiled" if compiled
-                                            else "python"), 1)]
-        if sparse:
-            # Each Newton iteration refactorizes numerically while
-            # reusing the cached symbolic plan.
-            counters += [("solver.sparse.solves", 1),
-                         ("solver.sparse.factorizations", iterations),
-                         ("solver.sparse.plan_reuses", iterations)]
-        metrics.update(counters, "solver.dc.newton_iterations",
-                       ((iterations, 1),), telemetry.ITERATION_BUCKETS)
         return solution
+
+
+def _ladder_iterations(exc: ConvergenceError) -> int:
+    """The Newton iterations a failed ladder spent, all rungs included."""
+    return exc.report.total_iterations if exc.report is not None \
+        else exc.iterations
+
+
+def _recorded_ladder(circuit: Circuit, x0: Optional[np.ndarray],
+                     options: Optional[NewtonOptions], engine: DcEngine,
+                     metrics: Optional[telemetry.MetricsRegistry]
+                     ) -> Tuple[DcSolution, str, int]:
+    """:func:`_solve_ladder`, recording the ``solver.dc.*`` metrics of
+    its outcome into ``metrics`` (when given)."""
+    if metrics is None:
+        return _solve_ladder(circuit, x0, options, engine)
+    try:
+        solution, strategy, iterations = _solve_ladder(
+            circuit, x0, options, engine)
+    except ConvergenceError as exc:
+        metrics.update([("solver.dc.solves", 1), ("solver.dc.failures", 1),
+                        ("solver.factorizations", _ladder_iterations(exc))])
+        raise
+    # Which Newton loop served it (compiled kernel or Python), and the
+    # analytic-vs-FD device-evaluation tally (one count per solve — the
+    # mode cannot change mid-solve).
+    group = engine.newton_group
+    compiled = group is not None \
+        and group.newton_args(engine.workspace) is not None
+    counters = [("solver.dc.solves", 1),
+                ("solver.dc.strategy." + strategy, 1),
+                ("solver.factorizations", iterations),
+                ("solver.dc.jacobian." + jacobian_mode(), 1),
+                ("solver.dc.kernel." + ("compiled" if compiled
+                                        else "python"), 1)]
+    if engine.sparsity_plan is not None:
+        # Each Newton iteration refactorizes numerically while reusing
+        # the cached symbolic plan.
+        counters += [("solver.sparse.solves", 1),
+                     ("solver.sparse.factorizations", iterations),
+                     ("solver.sparse.plan_reuses", iterations)]
+    metrics.update(counters, "solver.dc.newton_iterations",
+                   ((iterations, 1),), telemetry.ITERATION_BUCKETS)
+    return solution, strategy, iterations
 
 
 def dc_sweep(circuit: Circuit, source_name: str,
@@ -953,15 +972,8 @@ def _compiled_sweep(circuit: Circuit, element: VoltageSource, values,
     opts = options if options is not None else NewtonOptions()
     ws = engine.workspace
     n_nodes = engine.n_nodes
-
-    def load_base() -> None:
-        if engine.load_base(opts.gmin) is None:
-            base = ws.base
-            base.clear()
-            engine.stamp_base(base)
-            base.add_gmin(n_nodes, opts.gmin)
-
-    load_base()  # refreshes the group, so the capability check is live
+    # Refreshes the group, so the capability check is live.
+    _fill_base(engine, opts.gmin)
     block = group.newton_args(ws)
     if block is None:
         return None
@@ -1000,12 +1012,147 @@ def _compiled_sweep(circuit: Circuit, element: VoltageSource, values,
                 X[stop] = dc_operating_point(circuit, x0=x0,
                                              options=options).x
                 fallback_points += 1
-                load_base()
+                _fill_base(engine, opts.gmin)
                 start = stop + 1
         finally:
             sp.set(iterations=kernel_iterations,
                    fallback_points=fallback_points)
     return DcSweep(circuit, X)
+
+
+def _fill_base(engine: DcEngine, gmin: float) -> None:
+    """Fill ``engine.workspace.base`` for the compiled Newton loop: from
+    the engine's memo (:meth:`DcEngine.load_base`), else stamped."""
+    if engine.load_base(gmin) is None:
+        base = engine.workspace.base
+        base.clear()
+        engine.stamp_base(base)
+        base.add_gmin(engine.n_nodes, gmin)
+
+
+def operating_point_dies(circuit: Circuit, n_dies: int,
+                         prepare: Callable[[int], None],
+                         nodes: Sequence[str],
+                         quarantine: Callable[[int, int, Exception], None]
+                         ) -> Optional[Tuple[np.ndarray, List[float]]]:
+    """Node voltages of ``n_dies`` dies of ``circuit``, solved in one
+    loop around the compiled Newton kernel.
+
+    Gives the bits, errors and ``solver.dc.*`` metrics of a per-die loop
+    that, inside :func:`warm_start`, calls ``prepare(k)`` and then
+    ``dc_operating_point(circuit).voltage(node)`` once per entry of
+    ``nodes``.  ``prepare(k)`` turns the circuit into die ``k`` and may
+    change only the MOSFETs' variation (what :meth:`MosfetGroup.refresh`
+    re-reads): the base system is loaded once, not per die.  Per solve
+    the loop runs one ``newton_dense`` call from the last converged
+    solution.  A solve plain Newton cannot finish is replayed through
+    the full ladder from the same guess, and the loop resumes from the
+    last good solution; a replay that raises goes to
+    ``quarantine(k, j, exc)`` (solve ``j`` of die ``k``), which may
+    raise in turn.  The kernel's argument block is fetched per solve,
+    as the per-die loop fetches it: a params swap seen by a die's
+    refresh rebinds it, and while the kernel is vetoed the solves go
+    through the ladder's Python loop.
+
+    Returns ``(values, durations)``: ``values[j, k]`` is the voltage of
+    ``nodes[j]`` on die ``k`` (NaN where quarantined), ``durations`` the
+    wall time of each die [s].  Returns None, having run nothing, when
+    the compiled loop cannot serve the circuit, a node is unknown, or
+    the active telemetry session keeps span records (a trace wants each
+    die's spans); the caller's per-die loop then serves.
+
+    Telemetry is folded once, at the end: the solver metrics, and the
+    span totals a per-die loop's ``sample`` → ``analysis`` →
+    ``solve.dc`` spans would leave, under the current span.
+    """
+    try:
+        index = [circuit.node(name) for name in nodes]
+    except KeyError:
+        return None
+    session = telemetry.active()
+    if session is not None and session.tracer.keeps_records:
+        return None
+    opts = NewtonOptions()
+    with warm_start(circuit) as engine:
+        group = engine.newton_group
+        if group is None:
+            return None
+        _fill_base(engine, opts.gmin)
+        ws = engine.workspace
+        if group.newton_args(ws) is None:
+            return None
+        metrics = session.metrics if session is not None else None
+        solve = _ckernel.newton_dense
+        converged = _ckernel.NEWTON_CONVERGED
+        settings = (engine.n_nodes, opts.max_iterations, opts.damping_v,
+                    opts.reltol, opts.vtol)
+        clock = time.perf_counter
+        values = np.full((len(index), n_dies), np.nan)
+        x, spare = np.empty(engine.size), np.empty(engine.size)
+        last: Optional[np.ndarray] = None
+        iterations: List[int] = []
+        die_s: List[float] = []
+        analysis_s: List[float] = []
+        solve_s: List[float] = []
+        for k in range(n_dies):
+            t_die = clock()
+            prepare(k)
+            group.refresh()
+            t_end = clock()
+            for j, node_index in enumerate(index):
+                t_start = t_end
+                # Per solve, as the per-die path checks it: a refresh
+                # may have rebound the block, a breaker vetoed the
+                # kernel or lifted its veto.
+                block = group.newton_args(ws)
+                if last is None:
+                    x.fill(0.0)
+                else:
+                    np.copyto(x, last)
+                if block is not None and solve(block, x, *settings) \
+                        == converged:
+                    iterations.append(block.iterations)
+                    # Keep the solution; the other buffer is scratch.
+                    x, last = (spare if last is None else last), x
+                    solved = last
+                else:
+                    engine.last_x = last
+                    try:
+                        solved = _recorded_ladder(circuit, None, None,
+                                                  engine, metrics)[0].x
+                        last = engine.last_x
+                    except Exception as exc:
+                        solved = None
+                        quarantine(k, j, exc)
+                    # The ladder's own solves overwrote the base.
+                    _fill_base(engine, opts.gmin)
+                t_solved = clock()
+                if solved is not None:
+                    values[j, k] = solved[node_index] \
+                        if node_index >= 0 else 0.0
+                t_end = clock()
+                solve_s.append(t_solved - t_start)
+                analysis_s.append(t_end - t_start)
+            die_s.append(t_end - t_die)
+    if session is not None and die_s:
+        if iterations:
+            _record_kernel_solves(metrics, np.array(iterations,
+                                                    dtype=np.int64))
+        session.tracer.absorb(
+            {"sample": _span_total(die_s, analysis_s),
+             "analysis": _span_total(analysis_s, solve_s),
+             "solve.dc": _span_total(solve_s, ())},
+            die_s, telemetry.current_span())
+    return values, die_s
+
+
+def _span_total(durations: List[float], children: Iterable[float]) -> dict:
+    """The :meth:`telemetry.Tracer.totals` entry of spans that lasted
+    ``durations`` and had children lasting ``children``."""
+    total = sum(durations)
+    return {"count": len(durations), "total_s": total,
+            "self_s": max(total - sum(children), 0.0),
+            "max_s": max(durations)}
 
 
 def _record_kernel_solves(metrics, iterations: np.ndarray) -> int:

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro import resilience, telemetry
 from repro.circuit.batch import batched_sweeps
-from repro.circuit.dc import warm_start
+from repro.circuit.dc import operating_point_dies, warm_start
 from repro.circuit.mna import ConvergenceError, SingularCircuitError
 from repro.circuit.transient import TransientResult, transient
 from repro.circuits.references import CircuitFixture
@@ -51,6 +51,7 @@ from repro.runner import (
 )
 from repro.technology.node import TechnologyNode
 from repro.variability.sampler import MismatchSampler, Placement
+from repro.workloads import NodeVoltageExtractor
 
 #: Exception types that mean "this die could not be evaluated" — they
 #: are recorded as NaN (and counted) rather than aborting the run.
@@ -338,6 +339,13 @@ class MonteCarloYield:
         variates are bit-identical to a scalar run — and the solved
         metrics agree within Newton tolerance.  Transient specs always
         run the scalar integrator, so their values are bit-identical.
+
+        When every spec reads one DC node voltage
+        (:class:`~repro.workloads.NodeVoltageExtractor`) and no retry
+        policy engages, the dies run through
+        :func:`~repro.circuit.dc.operating_point_dies` — one loop around
+        the compiled Newton kernel with the same bits, quarantines and
+        metrics — whenever that loop can serve the chunk.
         """
         (start, stop), seed_seq, retry, batch_size, budget = task
         n = stop - start
@@ -353,8 +361,6 @@ class MonteCarloYield:
             batch_size = resilience.admit_lanes(
                 min(batch_size, n), circuit.n_unknowns, where="mc-chunk")
         values = {s.name: np.full(n, np.nan) for s in self.specs}
-        spec_passes = {s.name: np.zeros(n, dtype=bool) for s in self.specs}
-        passes = np.zeros(n, dtype=bool)
         failure_counts: Dict[str, int] = {}
         ledger = FailureLedger()
         # The resilient wrapper only engages when the policy does
@@ -366,51 +372,72 @@ class MonteCarloYield:
         if tsession is not None:
             tsession.metrics.inc("engine.chunks")
             tsession.metrics.inc("engine.samples", n)
-        sweep_ctx = batched_sweeps(batch_size) if batch_size else \
-            telemetry.NULL_SPAN
         # One generator call draws every die of the chunk, bit-identical
         # to drawing die by die (MismatchSampler.draw).
         variates = sampler.draw(circuit, self.placements, n)
-        # Die durations, observed in one go after the loop (a chunk that
-        # raises exports no telemetry at all).
-        durations = []
-        with warm_start(circuit), sweep_ctx:
-            for k in range(n):
-                if budget is not None:
-                    budget.check("sample %d" % (start + k))
-                set_current_sample(start + k)
-                t_sample = time.perf_counter()
-                with telemetry.span("sample", index=start + k):
-                    sampler.assign(circuit, self.placements, variates[k])
-                    sample_ok = True
-                    for spec in self.specs:
-                        with telemetry.span("analysis",
-                                            spec=spec.name) as a_sp:
-                            try:
-                                if direct:
-                                    value = float(spec.extractor(fixture))
-                                else:
-                                    value = call_resilient(
-                                        lambda _s=spec:
-                                        float(_s.extractor(fixture)),
-                                        retry, retry_on=QUARANTINE_ERRORS)
-                            except QUARANTINE_ERRORS as exc:
-                                value = float("nan")
-                                name = type(exc).__name__
-                                failure_counts[name] = \
-                                    failure_counts.get(name, 0) + 1
-                                ledger.add(start + k, exc, label=spec.name,
-                                           attempts=attempts)
-                                a_sp.set(quarantined=name)
-                            except Exception as exc:
-                                raise SampleEvaluationError(
-                                    start + k, spec.name, exc) from exc
-                        values[spec.name][k] = value
-                        ok = spec.passes(value)
-                        spec_passes[spec.name][k] = ok
-                        sample_ok = sample_ok and ok
-                    passes[k] = sample_ok
-                durations.append(time.perf_counter() - t_sample)
+
+        def quarantine(k: int, spec: Specification,
+                       exc: Exception) -> str:
+            """NaN bookkeeping of a failed evaluation; re-raises what is
+            not a quarantine error.  Returns the exception's type name."""
+            if not isinstance(exc, QUARANTINE_ERRORS):
+                raise SampleEvaluationError(start + k, spec.name,
+                                            exc) from exc
+            name = type(exc).__name__
+            failure_counts[name] = failure_counts.get(name, 0) + 1
+            ledger.add(start + k, exc, label=spec.name, attempts=attempts)
+            return name
+
+        def prepare(k: int) -> None:
+            if budget is not None:
+                budget.check("sample %d" % (start + k))
+            set_current_sample(start + k)
+            sampler.assign(circuit, self.placements, variates[k])
+
+        # Dies whose every spec reads one DC node voltage run as one
+        # loop around the compiled Newton kernel (same bits, metrics).
+        nodes = [s.extractor.node for s in self.specs
+                 if type(s.extractor) is NodeVoltageExtractor]
+        lean = None
+        if direct and len(nodes) == len(self.specs):
+            lean = operating_point_dies(
+                circuit, n, prepare, nodes,
+                lambda k, j, exc: quarantine(k, self.specs[j], exc))
+        if lean is not None:
+            solved, durations = lean
+            for spec, row in zip(self.specs, solved):
+                values[spec.name] = row
+        else:
+            durations = []
+            sweep_ctx = batched_sweeps(batch_size) if batch_size else \
+                telemetry.NULL_SPAN
+            with warm_start(circuit), sweep_ctx:
+                for k in range(n):
+                    t_sample = time.perf_counter()
+                    with telemetry.span("sample", index=start + k):
+                        prepare(k)
+                        for spec in self.specs:
+                            with telemetry.span("analysis",
+                                                spec=spec.name) as a_sp:
+                                try:
+                                    if direct:
+                                        value = float(spec.extractor(fixture))
+                                    else:
+                                        value = call_resilient(
+                                            lambda _s=spec:
+                                            float(_s.extractor(fixture)),
+                                            retry, retry_on=QUARANTINE_ERRORS)
+                                except Exception as exc:
+                                    value = float("nan")
+                                    a_sp.set(quarantined=quarantine(
+                                        k, spec, exc))
+                            values[spec.name][k] = value
+                    durations.append(time.perf_counter() - t_sample)
+        spec_passes = {s.name: np.array([s.passes(v)
+                                         for v in values[s.name].tolist()],
+                                        dtype=bool)
+                       for s in self.specs}
+        passes = np.logical_and.reduce(list(spec_passes.values()))
         if tsession is not None:
             tsession.metrics.observe_many("engine.sample_duration_s",
                                           durations)

@@ -374,14 +374,17 @@ class ServeApp:
 
     # -- request plumbing ---------------------------------------------
     async def _read_request(self, reader):
-        line = await asyncio.wait_for(reader.readline(), timeout=30.0)
+        # The caller's one deadline covers every read here.  A line may
+        # end in a bare LF, and a head may end at EOF; a line over the
+        # stream limit makes readline raise ValueError.
+        line = await reader.readline()
         parts = line.decode("latin-1").strip().split()
         if len(parts) < 2:
             raise ValueError("malformed request line")
         method, target = parts[0].upper(), parts[1]
         headers = {}
         while True:
-            raw = await asyncio.wait_for(reader.readline(), timeout=30.0)
+            raw = await reader.readline()
             if raw in (b"\r\n", b"\n", b""):
                 break
             key, _, value = raw.decode("latin-1").partition(":")
@@ -413,8 +416,9 @@ class ServeApp:
         loop = asyncio.get_running_loop()
         try:
             try:
-                method, target, _headers, body = \
-                    await self._read_request(reader)
+                # One deadline covers the whole request, head and body.
+                method, target, _headers, body = await asyncio.wait_for(
+                    self._read_request(reader), timeout=30.0)
             except _PayloadTooLarge as exc:
                 writer.write(self._json_response(413, {"error": str(exc)}))
                 return

@@ -872,6 +872,16 @@ class TestServiceEndpoints:
             status, _h, _b = client.request("POST", "/jobs", body=body)
             assert status == 413
 
+    def test_head_and_body_in_pieces(self, server):
+        app, _client, _exit = server
+        body = json.dumps(mc_spec(seed=302, params={"samples": 4}))
+        head = (f"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n")
+        reply = _raw_exchange(app.port, head[:9].encode(),
+                              head[9:].encode(), body[:5].encode(),
+                              body[5:].encode())
+        assert reply.startswith(b"HTTP/1.1 202 "), reply[:80]
+
     def test_event_stream_shape(self, server):
         _app, client, _exit = server
         reply = client.run(mc_spec(seed=301, params={"samples": 8}))
@@ -923,6 +933,85 @@ class TestServiceEndpoints:
         assert client.metric_value("serve.jobs.submitted") >= 1
         assert client.metric_value("repro_serve_jobs_submitted_total") >= 1
         assert client.metric_value("no.such.metric", default=-1.0) == -1.0
+
+
+class TestRequestReading:
+    """The request head and body are read under one deadline; a line
+    may end in CRLF or a bare LF.  A request the server cannot read is
+    closed without a reply, except an oversized body, which is a 413."""
+
+    def test_declared_oversized_body_is_413_before_it_is_sent(self):
+        with serving(workers=1, max_body_bytes=1024) as (app, _c, _e):
+            reply = _raw_exchange(
+                app.port, b"POST /jobs HTTP/1.1\r\n"
+                          b"Content-Length: 1000000000\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 413 "), reply[:80]
+
+    @pytest.mark.parametrize("head", [b"GARBAGE\r\n\r\n", b"\r\n\r\n",
+                                      b"GET\r\nHost: x\r\n\r\n"])
+    def test_malformed_request_line_is_closed_silently(self, server,
+                                                       head):
+        app, client, _exit = server
+        assert _raw_exchange(app.port, head) == b""
+        assert client.healthz()["status"]
+
+    def test_eof_before_the_request_line_is_closed_silently(self, server):
+        app, client, _exit = server
+        assert _raw_exchange(app.port) == b""
+        assert client.healthz()["status"]
+
+    def test_head_ending_at_eof_is_served(self, server):
+        app, _client, _exit = server
+        reply = _raw_exchange(app.port, b"GET /healthz HTTP/1.1\r\n"
+                                        b"Host: x\r\n")
+        assert reply.startswith(b"HTTP/1.1 200 "), reply[:80]
+
+    def test_bare_lf_line_ends_are_served(self, server):
+        app, _client, _exit = server
+        body = json.dumps(mc_spec(seed=303, params={"samples": 4}))
+        reply = _raw_exchange(
+            app.port, f"POST /jobs HTTP/1.1\nHost: x\n"
+                      f"Content-Length: {len(body)}\n\n{body}".encode())
+        assert reply.startswith(b"HTTP/1.1 202 "), reply[:80]
+        reply = _raw_exchange(app.port, b"GET /healthz HTTP/1.0\n\n")
+        assert reply.startswith(b"HTTP/1.1 200 "), reply[:80]
+
+    def test_eof_inside_the_body_is_closed_silently(self, server):
+        app, client, _exit = server
+        assert _raw_exchange(app.port, b"POST /jobs HTTP/1.1\r\n"
+                                       b"Content-Length: 50\r\n\r\n"
+                                       b"{\"analysis\"") == b""
+        assert client.healthz()["status"]
+
+    def test_head_over_the_stream_limit_is_closed_silently(self, server):
+        app, client, _exit = server
+        huge = b"X-Padding: " + b"a" * (1 << 17) + b"\r\n"
+        assert _raw_exchange(app.port, b"GET /healthz HTTP/1.1\r\n",
+                             huge, b"\r\n") == b""
+        assert client.healthz()["status"]
+
+
+def _raw_exchange(port: int, *pieces: bytes) -> bytes:
+    """Send ``pieces`` as separate writes, half-close, and return every
+    byte the server sends before it closes (b"" when it sends none)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        try:
+            for piece in pieces:
+                sock.sendall(piece)
+                time.sleep(0.01)
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:  # the server closed first
+            pass
+        chunks = []
+        try:
+            while True:
+                data = sock.recv(65536)
+                if not data:
+                    break
+                chunks.append(data)
+        except OSError:  # reset: it closed with bytes still unread
+            pass
+    return b"".join(chunks)
 
 
 # ----------------------------------------------------------------------
