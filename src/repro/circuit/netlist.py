@@ -10,7 +10,7 @@ compiled circuit.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,6 +53,8 @@ class Circuit:
         #: (``Element.bound_by``); copies and unpickled replicas get
         #: their own, shared with their own elements.
         self._binding = object()
+        #: ``(topology_version, mosfets)`` behind :attr:`mosfets`.
+        self._mosfets: Optional[Tuple[int, Tuple[Mosfet, ...]]] = None
 
     # ------------------------------------------------------------------
     # Element management
@@ -88,9 +90,14 @@ class Circuit:
         return list(self._elements.values())
 
     @property
-    def mosfets(self) -> List[Mosfet]:
-        """All MOSFET elements in insertion order."""
-        return [e for e in self._elements.values() if isinstance(e, Mosfet)]
+    def mosfets(self) -> Tuple[Mosfet, ...]:
+        """All MOSFET elements in insertion order (filtered once per
+        :attr:`topology_version`)."""
+        cached = self._mosfets
+        if cached is None or cached[0] != self.topology_version:
+            cached = self._mosfets = (self.topology_version, tuple(
+                e for e in self._elements.values() if isinstance(e, Mosfet)))
+        return cached[1]
 
     @property
     def node_names(self) -> List[str]:

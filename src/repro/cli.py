@@ -62,6 +62,8 @@ available programmatically.
 from __future__ import annotations
 
 import argparse
+import functools
+import shutil
 import sys
 from typing import List, Optional
 
@@ -1050,15 +1052,22 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     that subcommand gets its arguments: :func:`main` parses one
     command, and building all of them costs a few milliseconds.
     """
+    # argparse builds a help formatter for every argument it adds, and
+    # each reads the terminal size: read it once, as each would.
+    width = shutil.get_terminal_size().columns - 2
     parser = argparse.ArgumentParser(
         prog="repro",
         description="yield & reliability analysis for nanometer CMOS "
                     "(DATE 2008 reproduction)",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        formatter_class=functools.partial(
+            argparse.RawDescriptionHelpFormatter, width=width),
         epilog=EXIT_CODE_DOC)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, keywords, add_arguments in _COMMANDS:
-        p = sub.add_parser(name, **keywords)
+        formatter = keywords.get("formatter_class", argparse.HelpFormatter)
+        p = sub.add_parser(name, **{**keywords, "formatter_class":
+                                    functools.partial(formatter,
+                                                      width=width)})
         if command is None or command == name:
             add_arguments(p)
     return parser

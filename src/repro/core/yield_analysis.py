@@ -51,7 +51,7 @@ from repro.runner import (
 )
 from repro.technology.node import TechnologyNode
 from repro.variability.sampler import MismatchSampler, Placement
-from repro.workloads import NodeVoltageExtractor
+from repro.workloads import NodeVoltageExtractor, OffsetExtractor
 
 #: Exception types that mean "this die could not be evaluated" — they
 #: are recorded as NaN (and counted) rather than aborting the run.
@@ -340,12 +340,16 @@ class MonteCarloYield:
         metrics agree within Newton tolerance.  Transient specs always
         run the scalar integrator, so their values are bit-identical.
 
-        When every spec reads one DC node voltage
-        (:class:`~repro.workloads.NodeVoltageExtractor`) and no retry
-        policy engages, the dies run through
+        The dies run through
         :func:`~repro.circuit.dc.operating_point_dies` — one loop around
-        the compiled Newton kernel with the same bits, quarantines and
-        metrics — whenever that loop can serve the chunk.
+        the compiled kernel with the same bits, quarantines, metrics and
+        phase counts — when every spec's extractor declares its solves:
+        a :class:`~repro.workloads.NodeVoltageExtractor` (one operating
+        point) or, without ``batch_size``, an
+        :class:`~repro.workloads.OffsetExtractor` (one sweep).  A
+        wrapped or closure extractor, an engaging retry policy, a
+        session that keeps span records (``--trace``) or a circuit the
+        compiled kernel cannot serve takes the per-die path below.
         """
         (start, stop), seed_seq, retry, batch_size, budget = task
         n = stop - start
@@ -394,15 +398,22 @@ class MonteCarloYield:
             set_current_sample(start + k)
             sampler.assign(circuit, self.placements, variates[k])
 
-        # Dies whose every spec reads one DC node voltage run as one
-        # loop around the compiled Newton kernel (same bits, metrics).
-        nodes = [s.extractor.node for s in self.specs
-                 if type(s.extractor) is NodeVoltageExtractor]
+        # Dies whose every spec declares its solves run as one loop
+        # around the compiled kernel (same bits, metrics).  Batched
+        # ensembles keep their sweeps.
         lean = None
-        if direct and len(nodes) == len(self.specs):
-            lean = operating_point_dies(
-                circuit, n, prepare, nodes,
-                lambda k, j, exc: quarantine(k, self.specs[j], exc))
+        declared = (NodeVoltageExtractor,) if batch_size else \
+            (NodeVoltageExtractor, OffsetExtractor)
+        if direct and all(type(s.extractor) in declared
+                          for s in self.specs):
+            try:
+                plans = [s.extractor.die_plan(fixture) for s in self.specs]
+            except KeyError:
+                plans = None  # the per-die path reports it per sample
+            if plans is not None:
+                lean = operating_point_dies(
+                    circuit, n, prepare, plans,
+                    lambda k, j, exc: quarantine(k, self.specs[j], exc))
         if lean is not None:
             solved, durations = lean
             for spec, row in zip(self.specs, solved):

@@ -79,6 +79,35 @@ class TestCircuitContainer:
                                           "n", w_m=1e-6, l_m=1e-6))
         assert [m.name for m in ckt.mosfets] == ["m1"]
 
+    def test_mosfets_follow_topology_changes(self, tech90):
+        def mosfet(name):
+            return Mosfet.from_technology(name, "d", "d", "0", "0", tech90,
+                                          "n", w_m=1e-6, l_m=1e-6)
+
+        ckt = Circuit("x")
+        ckt.voltage_source("v1", "d", "0", 1.0)
+        assert ckt.mosfets == ()
+        m1 = ckt.mosfet(mosfet("m1"))
+        first = ckt.mosfets
+        assert first == (m1,) and ckt.mosfets is first  # filtered once
+        ckt.resistor("r1", "d", "0", 1e3)
+        assert ckt.mosfets == (m1,) and ckt.mosfets is not first
+        m2 = ckt.mosfet(mosfet("m2"))
+        assert ckt.mosfets == (m1, m2)
+
+    def test_replicas_list_their_own_mosfets(self, tech90):
+        import copy
+        import pickle
+
+        ckt = Circuit("x")
+        ckt.voltage_source("v1", "d", "0", 1.0)
+        ckt.mosfet(Mosfet.from_technology("m1", "d", "d", "0", "0", tech90,
+                                          "n", w_m=1e-6, l_m=1e-6))
+        original = ckt.mosfets
+        for replica in (pickle.loads(pickle.dumps(ckt)), copy.deepcopy(ckt)):
+            assert replica.mosfets == (replica["m1"],)
+            assert replica.mosfets[0] is not original[0]
+
     def test_shared_elements_rebind_between_circuits(self, tech90):
         """An element used in two circuits binds to whichever circuit is
         compiled last — and each analysis re-compiles first."""
