@@ -30,12 +30,16 @@ by the shared :func:`repro.runner.run_chunks` driver (serial/thread/
 process backends, bit-identical for any ``jobs``; checkpoint/resume,
 deadline budgets and telemetry, with ``highsigma.*`` spans and
 metrics) — the pilot and main stages are two stages of one driver
-run.  ``batch_size=`` runs DC-metric extractors under
-:func:`repro.circuit.batch.batched_sweeps` (sweep points as lanes of
-one :class:`~repro.circuit.batch.BatchDcEngine` ensemble, slabs
-honouring :func:`repro.resilience.admit_lanes`); transient specs
-always run the scalar integrator, so their values are bit-identical
-with or without it.
+run.  A chunk draws its variates up front in one generator call, and
+its full solves run in the compiled die loop
+(:func:`repro.circuit.dc.operating_point_dies`) when the spec's
+extractor declares them, as the ``sram`` workload's does; otherwise
+one extractor call per die.  ``batch_size=`` runs DC-metric
+extractors under :func:`repro.circuit.batch.batched_sweeps` (sweep
+points as lanes of one :class:`~repro.circuit.batch.BatchDcEngine`
+ensemble, slabs honouring :func:`repro.resilience.admit_lanes`);
+transient specs always run the scalar integrator, so their values are
+bit-identical with or without it.
 
 **Surrogate screening.**  A numpy-only polynomial/RBF ridge regressor
 (:class:`Surrogate`) is trained on the fully-solved pilot chunks and
@@ -79,6 +83,7 @@ from repro.core.yield_analysis import (
     QUARANTINE_ERRORS,
     SampleEvaluationError,
     Specification,
+    declared_dies,
 )
 from repro.faultinject import set_current_sample
 from repro.parallel import (
@@ -548,6 +553,38 @@ class _Proposal:
     two_sided: bool
 
 
+def _draw_variates(sampler: MismatchSampler, devices,
+                   proposal: _Proposal, n: int
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(z, beta, gamma)``, each ``(n, devices)``: the ΔV_T of ``n``
+    samples from ``proposal`` in sigma units, and their β/γ factors.
+
+    Per sample, a two-sided proposal first draws its lobe (one uniform);
+    then, per device, four normals: the shifted ΔV_T, then the
+    (ΔV_T, β, γ) draws of :meth:`MismatchSampler.sample_device`, whose
+    ΔV_T is not used.  A one-sided chunk is one generator call, a
+    two-sided one two calls per sample; either consumes the generator
+    as those draws made one at a time do.
+    """
+    rng = sampler.rng
+    d = len(devices)
+    sig = np.asarray(proposal.sigmas)
+    scale = np.column_stack([sig, np.reshape(
+        sampler.device_sigmas(devices), (d, 3))]).ravel()
+    lobes = np.zeros((2, d, 4))
+    lobes[0, :, 0] = proposal.mus
+    lobes[1, :, 0] = np.negative(proposal.mus)
+    lobes = lobes.reshape(2, 4 * d)
+    if proposal.two_sided:
+        raw = np.empty((n, 4 * d))
+        for k in range(n):
+            raw[k] = rng.normal(lobes[int(rng.random() < 0.5)], scale)
+    else:
+        raw = rng.normal(lobes[0], scale, size=(n, 4 * d))
+    return (raw[:, 0::4] / sig, np.maximum(1.0 + raw[:, 2::4], 0.05),
+            np.maximum(1.0 + raw[:, 3::4], 0.05))
+
+
 class HighSigmaYield:
     """Batched, parallel, surrogate-accelerated high-sigma yield engine.
 
@@ -645,38 +682,24 @@ class HighSigmaYield:
         sample, one uniform side draw (two-sided proposals only), then
         per device — in ``circuit.mosfets`` order — one shifted-normal
         ΔV_T draw followed by one nominal :meth:`MismatchSampler.
-        sample_device` draw for the β/γ factors.  Evaluation never
-        consumes the generator, so the scalar and ``batched_sweeps``
-        paths produce bit-identical variates and weights.
+        sample_device` draw for the β/γ factors.  The chunk makes these
+        draws up front, in one generator call (one uniform and one row
+        call per sample when two-sided) that consumes the generator as
+        the draws made one at a time do (:func:`_draw_variates`).
+        Evaluation never consumes the generator, so every evaluation
+        path (the die loop, per die, ``batched_sweeps``) sees
+        bit-identical variates and weights.
         """
         (start, stop), seed_seq, batch_size, budget, proposal, surrogate = task
         n = stop - start
         fixture = clone_fixture(self.fixture)
-        circuit = fixture.circuit
-        devices = circuit.mosfets
-        rng = np.random.default_rng(seed_seq)
-        sampler = MismatchSampler(self.tech, rng,
+        devices = fixture.circuit.mosfets
+        sampler = MismatchSampler(self.tech, np.random.default_rng(seed_seq),
                                   include_ler=self.include_ler)
         d = len(devices)
         sig = np.asarray(proposal.sigmas)
         mus = np.asarray(proposal.mus)
-
-        # --- draw every variate of the chunk up front ----------------
-        z = np.empty((n, d))            # ΔV_T in sigma units
-        beta = np.empty((n, d))
-        gamma = np.empty((n, d))
-        sides = np.ones(n)
-        for k in range(n):
-            if proposal.two_sided:
-                if rng.random() < 0.5:
-                    sides[k] = -1.0
-            for j, device in enumerate(devices):
-                x = rng.normal(sides[k] * mus[j], sig[j])
-                z[k, j] = x / sig[j]
-                base = sampler.sample_device(device.params.w_m,
-                                             device.params.l_m)
-                beta[k, j] = base.beta_factor
-                gamma[k, j] = base.gamma_factor
+        z, beta, gamma = _draw_variates(sampler, devices, proposal, n)
 
         # --- exact importance weights (vectorized) -------------------
         x_v = z * sig                    # volts
@@ -757,6 +780,12 @@ class HighSigmaYield:
                        budget: Optional[DeadlineBudget]) -> None:
         """Full-solve the masked samples in ascending index order.
 
+        The dies run through the die loop of
+        :func:`~repro.core.yield_analysis.declared_dies`, by the rule
+        Monte-Carlo chunks follow, when the spec's extractor declares
+        its solves (the ``sram`` workload's
+        :class:`~repro.workloads.SnmExtractor`).  Otherwise each die is
+        a ``sample`` → ``analysis`` span around one extractor call.
         DC-metric specs evaluate under :func:`batched_sweeps` when
         ``batch_size`` is set (the extractor's internal sweeps become
         lanes of one :class:`BatchDcEngine` ensemble, slab sizes
@@ -766,6 +795,36 @@ class HighSigmaYield:
         circuit = fixture.circuit
         spec = self.spec
         indices = np.flatnonzero(solve_mask)
+        if not len(indices):
+            return
+
+        def prepare(i: int) -> None:
+            k = indices[i]
+            if budget is not None:
+                budget.check("sample %d" % (start + k))
+            set_current_sample(start + int(k))
+            for j, device in enumerate(devices):
+                device.variation = DeviceVariation(
+                    delta_vt_v=float(x_volts[k, j]),
+                    beta_factor=float(beta[k, j]),
+                    gamma_factor=float(gamma[k, j]))
+
+        def quarantine(i: int, exc: Exception) -> str:
+            """NaN bookkeeping of a failed die; re-raises what is not a
+            quarantine error.  Returns the exception's type name."""
+            index = start + int(indices[i])
+            if not isinstance(exc, QUARANTINE_ERRORS):
+                raise SampleEvaluationError(index, spec.name, exc) from exc
+            name = type(exc).__name__
+            failure_counts[name] = failure_counts.get(name, 0) + 1
+            ledger.add(index, exc, label=spec.name, attempts=1)
+            return name
+
+        lean = declared_dies(fixture, [spec], batch_size, len(indices),
+                             prepare, lambda i, _j, exc: quarantine(i, exc))
+        if lean is not None:
+            values[indices] = lean[0][0]
+            return
         if batch_size:
             circuit.compile()
             batch_size = resilience.admit_lanes(
@@ -774,28 +833,16 @@ class HighSigmaYield:
         sweep_ctx = batched_sweeps(batch_size) if batch_size \
             else telemetry.NULL_SPAN
         with warm_start(circuit), sweep_ctx:
-            for k in indices:
-                if budget is not None:
-                    budget.check("sample %d" % (start + k))
-                set_current_sample(start + int(k))
-                for j, device in enumerate(devices):
-                    device.variation = DeviceVariation(
-                        delta_vt_v=float(x_volts[k, j]),
-                        beta_factor=float(beta[k, j]),
-                        gamma_factor=float(gamma[k, j]))
+            for i, k in enumerate(indices):
+                prepare(i)
                 with telemetry.span("sample", index=start + int(k),
-                                    kind="highsigma"):
+                                    kind="highsigma"), \
+                        telemetry.span("analysis", spec=spec.name) as a_sp:
                     try:
                         values[k] = float(spec.extractor(fixture))
-                    except QUARANTINE_ERRORS as exc:
-                        values[k] = float("nan")
-                        name = type(exc).__name__
-                        failure_counts[name] = failure_counts.get(name, 0) + 1
-                        ledger.add(start + int(k), exc, label=spec.name,
-                                   attempts=1)
                     except Exception as exc:
-                        raise SampleEvaluationError(start + int(k),
-                                                    spec.name, exc) from exc
+                        values[k] = float("nan")
+                        a_sp.set(quarantined=quarantine(i, exc))
 
     # -- adaptive refinement -------------------------------------------
     @staticmethod

@@ -51,7 +51,11 @@ from repro.runner import (
 )
 from repro.technology.node import TechnologyNode
 from repro.variability.sampler import MismatchSampler, Placement
-from repro.workloads import NodeVoltageExtractor, OffsetExtractor
+from repro.workloads import (
+    NodeVoltageExtractor,
+    OffsetExtractor,
+    SnmExtractor,
+)
 
 #: Exception types that mean "this die could not be evaluated" — they
 #: are recorded as NaN (and counted) rather than aborting the run.
@@ -292,6 +296,46 @@ class YieldResult:
         return float(np.mean(finite))
 
 
+#: Extractors that declare their solves as a plan of
+#: :func:`~repro.circuit.dc.operating_point_dies`: one operating point,
+#: or one sweep (which ``batch_size`` batches instead).
+_OP_EXTRACTORS = (NodeVoltageExtractor,)
+_SWEEP_EXTRACTORS = (OffsetExtractor, SnmExtractor)
+
+
+def declared_dies(fixture: CircuitFixture, specs: List[Specification],
+                  batch_size: Optional[int], n_dies: int,
+                  prepare: Callable[[int], None],
+                  quarantine: Callable[[int, int, Exception], None]
+                  ) -> Optional[Tuple[np.ndarray, List[float]]]:
+    """The chunk's ``n_dies`` dies solved by
+    :func:`~repro.circuit.dc.operating_point_dies`, or None, having run
+    nothing, where the caller's per-die path must serve: the rule both
+    engines pick their loop by.
+
+    Every spec's extractor must be exactly one that declares its plan
+    (a wrapped or closure extractor does not), and with ``batch_size``
+    none may sweep.  The plans must run on one circuit: the fixture's,
+    or the one probe circuit they name.  A plan that names an unknown
+    node or source, a session that keeps span records (``--trace``) or
+    a circuit the compiled kernel cannot serve declines too.
+    """
+    declared = _OP_EXTRACTORS if batch_size else \
+        _OP_EXTRACTORS + _SWEEP_EXTRACTORS
+    if not all(type(s.extractor) in declared for s in specs):
+        return None
+    try:
+        plans = [s.extractor.die_plan(fixture) for s in specs]
+    except KeyError:
+        return None  # the per-die path reports it per sample
+    circuits = {fixture.circuit if type(plan) is str or plan.circuit is None
+                else plan.circuit for plan in plans}
+    if len(circuits) != 1:
+        return None
+    return operating_point_dies(circuits.pop(), n_dies, prepare, plans,
+                                quarantine)
+
+
 class MonteCarloYield:
     """Monte-Carlo yield engine over intra-die variability."""
 
@@ -346,10 +390,10 @@ class MonteCarloYield:
         phase counts — when every spec's extractor declares its solves:
         a :class:`~repro.workloads.NodeVoltageExtractor` (one operating
         point) or, without ``batch_size``, an
-        :class:`~repro.workloads.OffsetExtractor` (one sweep).  A
-        wrapped or closure extractor, an engaging retry policy, a
-        session that keeps span records (``--trace``) or a circuit the
-        compiled kernel cannot serve takes the per-die path below.
+        :class:`~repro.workloads.OffsetExtractor` or
+        :class:`~repro.workloads.SnmExtractor` (one sweep).  Where
+        :func:`declared_dies` declines, or a retry policy engages, the
+        per-die path below serves.
         """
         (start, stop), seed_seq, retry, batch_size, budget = task
         n = stop - start
@@ -398,22 +442,11 @@ class MonteCarloYield:
             set_current_sample(start + k)
             sampler.assign(circuit, self.placements, variates[k])
 
-        # Dies whose every spec declares its solves run as one loop
-        # around the compiled kernel (same bits, metrics).  Batched
-        # ensembles keep their sweeps.
         lean = None
-        declared = (NodeVoltageExtractor,) if batch_size else \
-            (NodeVoltageExtractor, OffsetExtractor)
-        if direct and all(type(s.extractor) in declared
-                          for s in self.specs):
-            try:
-                plans = [s.extractor.die_plan(fixture) for s in self.specs]
-            except KeyError:
-                plans = None  # the per-die path reports it per sample
-            if plans is not None:
-                lean = operating_point_dies(
-                    circuit, n, prepare, plans,
-                    lambda k, j, exc: quarantine(k, self.specs[j], exc))
+        if direct:
+            lean = declared_dies(
+                fixture, self.specs, batch_size, n, prepare,
+                lambda k, j, exc: quarantine(k, self.specs[j], exc))
         if lean is not None:
             solved, durations = lean
             for spec, row in zip(self.specs, solved):

@@ -40,7 +40,6 @@ still handed back, so a resumed run derives the same later stages.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -92,7 +91,8 @@ def accel_manifest(batch_size: Optional[int]) -> dict:
 def run_identity(fixture, specs, tech) -> dict:
     """What a run computes on, for the checkpoint manifest: the node,
     each spec's bounds (plus a transient spec's integration settings
-    and a :func:`functools.partial` extractor's keywords) and a hash of
+    and the ``keywords`` of a :func:`functools.partial` extractor, or of
+    one that declares them as a partial would) and a hash of
     the template circuit's :func:`~repro.circuit.parser.canonical_cards`
     — so a resume never splices chunks of two different runs."""
     from repro.circuit.parser import canonical_cards
@@ -103,9 +103,10 @@ def run_identity(fixture, specs, tech) -> dict:
         if hasattr(spec, "t_stop_s"):
             entry["transient"] = [spec.t_stop_s, spec.dt_s, spec.method,
                                   spec.lte_rtol]
-        if isinstance(spec.extractor, functools.partial):
+        keywords = getattr(spec.extractor, "keywords", None)
+        if keywords is not None:
             entry["keywords"] = {key: repr(value) for key, value
-                                 in sorted(spec.extractor.keywords.items())}
+                                 in sorted(keywords.items())}
         return entry
 
     return {"tech": tech.name, "specs": [identity(s) for s in specs],

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -179,10 +179,16 @@ class MismatchSampler:
         if placements:
             gradient = self._gradient_sigma_v_per_m()
             sigmas += [gradient, gradient]
-        for device in circuit.mosfets:
-            sigmas += self._draw_sigmas(device.params.w_m, device.params.l_m)
+        for triple in self.device_sigmas(circuit.mosfets):
+            sigmas += triple
         return self.rng.normal(0.0, np.broadcast_to(
             sigmas, (n_dies, len(sigmas))))
+
+    def device_sigmas(self, devices) -> List[Tuple[float, float, float]]:
+        """Per MOSFET of ``devices``, the σ of the (ΔV_T [V], β, γ)
+        deviations :meth:`sample_device` draws."""
+        return [self._draw_sigmas(device.params.w_m, device.params.l_m)
+                for device in devices]
 
     def assign(self, circuit: Circuit,
                placements: Optional[Dict[str, Placement]] = None,

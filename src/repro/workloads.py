@@ -27,6 +27,7 @@ __all__ = [
     "OffsetExtractor",
     "Param",
     "ResolvedWorkload",
+    "SnmExtractor",
     "WORKLOADS",
     "Workload",
     "WorkloadError",
@@ -106,6 +107,34 @@ class OffsetExtractor:
 
 #: The offset workload's extractor.
 offset_extractor = OffsetExtractor()
+
+
+@dataclass(frozen=True)
+class SnmExtractor:
+    """Read static-noise margin of an SRAM-cell fixture [V]
+    (:func:`sram_snm`): a butterfly sweep over ``n_points`` probe
+    values."""
+
+    n_points: int = 41
+
+    def __call__(self, fixture) -> float:
+        return sram_snm(fixture, self.n_points)
+
+    @property
+    def keywords(self) -> Dict[str, Any]:
+        """The grid size, as a :func:`functools.partial` of
+        :func:`sram_snm` carries it: the checkpoint identity
+        (:func:`repro.runner.run_identity`) records it."""
+        return {"n_points": self.n_points}
+
+    def die_plan(self, fixture):
+        """The :class:`~repro.circuit.dc.SweepPlan` of
+        :func:`repro.circuit.dc.operating_point_dies` that computes
+        what :meth:`__call__` does
+        (:func:`repro.circuits.digital.read_snm_plan`)."""
+        from repro.circuits.digital import read_snm_plan
+
+        return read_snm_plan(fixture, self.n_points)
 
 
 def netlist_fixture(netlist: str, tech):
@@ -238,8 +267,7 @@ def _sram_spec(w: ResolvedWorkload):
     from repro.core import Specification
 
     lower = w.params["snm_min_mv"] * units.MILLI
-    extractor = functools.partial(sram_snm,
-                                  n_points=w.params["snm_points"])
+    extractor = SnmExtractor(w.params["snm_points"])
     return (Specification("read_snm", extractor, lower=lower),
             f"read SNM > {lower * 1e3:.1f} mV")
 

@@ -27,8 +27,12 @@ from repro.core import (
     normal_sf,
     sigma_level_from_probability,
 )
+from repro.core import importance
 from repro.parallel import FailureLedger
+from repro.technology import get_node
+from repro.variability.sampler import MismatchSampler
 from repro.verify.oracles import HighSigmaLinearOracle
+from repro.workloads import resolve
 
 
 def linear_engine(k_sigma=3.0):
@@ -236,6 +240,127 @@ class TestBitConsistency:
                        adapt=False, surrogate=None, chunk_size=32,
                        jobs=2, backend="thread")
         assert np.array_equal(a.weights, b.weights)
+
+
+# ----------------------------------------------------------------------
+# The chunk's draw
+# ----------------------------------------------------------------------
+def _sram_engine(include_ler=False, snm_min_mv=66.7):
+    """The ``repro highsigma`` engine on the ``sram`` workload."""
+    tech = get_node("65nm")
+    workload = resolve("sram", {"snm_min_mv": snm_min_mv}, tech,
+                       analysis="highsigma")
+    spec, _text = workload.spec()
+    return HighSigmaYield(workload.fixture(), spec, tech,
+                          include_ler=include_ler)
+
+
+def _scalar_draw(sampler, devices, proposal, n):
+    """The chunk's variates drawn one scalar generator call at a time:
+    per sample the lobe (two-sided only), then per device the shifted
+    ΔV_T and one :meth:`MismatchSampler.sample_device` draw."""
+    rng = sampler.rng
+    d = len(devices)
+    sig, mus = np.asarray(proposal.sigmas), np.asarray(proposal.mus)
+    z, beta, gamma = (np.empty((n, d)) for _ in range(3))
+    sides = np.ones(n)
+    for k in range(n):
+        if proposal.two_sided:
+            if rng.random() < 0.5:
+                sides[k] = -1.0
+        for j, device in enumerate(devices):
+            x = rng.normal(sides[k] * mus[j], sig[j])
+            z[k, j] = x / sig[j]
+            base = sampler.sample_device(device.params.w_m,
+                                         device.params.l_m)
+            beta[k, j] = base.beta_factor
+            gamma[k, j] = base.gamma_factor
+    return z, beta, gamma
+
+
+class TestChunkDraw:
+    """A chunk draws its variates in one generator call (a two-sided
+    proposal: one uniform and one row per sample).  The variates and
+    the generator state after them must be the scalar loop's."""
+
+    @staticmethod
+    def _proposal(engine, two_sided):
+        # A shift on every device, of both signs.
+        names = [m.name for m in engine.fixture.circuit.mosfets]
+        direction = {name: (-1.0) ** i * (i + 1.0)
+                     for i, name in enumerate(names)}
+        return engine._proposal(direction, 3.5, two_sided)
+
+    @pytest.mark.parametrize("include_ler", [False, True],
+                             ids=["pelgrom", "ler"])
+    @pytest.mark.parametrize("two_sided", [False, True],
+                             ids=["one-sided", "two-sided"])
+    def test_same_variates_and_generator_state(self, include_ler,
+                                               two_sided):
+        engine = _sram_engine(include_ler)
+        devices = engine.fixture.circuit.mosfets
+        proposal = self._proposal(engine, two_sided)
+        for seed in range(4):
+            def sampler():
+                return MismatchSampler(engine.tech,
+                                       np.random.default_rng(seed),
+                                       include_ler=include_ler)
+
+            scalar, chunk = sampler(), sampler()
+            want = _scalar_draw(scalar, devices, proposal, 37)
+            got = importance._draw_variates(chunk, devices, proposal, 37)
+            for name, a, b in zip(("z", "beta", "gamma"), want, got):
+                np.testing.assert_array_equal(b, a, err_msg=name)
+            assert chunk.rng.bit_generator.state == \
+                scalar.rng.bit_generator.state
+
+    def test_clamped_factors(self, monkeypatch):
+        # σ(β)/β = σ(γ)/γ = 0.8 clamps about one factor in eight.
+        monkeypatch.setattr(MismatchSampler, "_draw_sigmas",
+                            lambda self, w_m, l_m: (0.02, 0.8, 0.8))
+        engine = _sram_engine()
+        devices = engine.fixture.circuit.mosfets
+        proposal = self._proposal(engine, True)
+        scalar = MismatchSampler(engine.tech, np.random.default_rng(5))
+        chunk = MismatchSampler(engine.tech, np.random.default_rng(5))
+        want = _scalar_draw(scalar, devices, proposal, 64)
+        got = importance._draw_variates(chunk, devices, proposal, 64)
+        for a, b in zip(want, got):
+            np.testing.assert_array_equal(b, a)
+        assert (got[1] == 0.05).any() and (got[2] == 0.05).any()
+        assert chunk.rng.random() == scalar.rng.random()
+
+    @pytest.mark.parametrize("two_sided", [False, True],
+                             ids=["one-sided", "two-sided"])
+    def test_chunk_payload_carries_the_scalar_draws(self, two_sided):
+        engine = _sram_engine()
+        devices = engine.fixture.circuit.mosfets
+        proposal = self._proposal(engine, two_sided)
+        seed = np.random.SeedSequence(11)
+        payload = engine._evaluate_chunk(((5, 17), seed, None, None,
+                                          proposal, None))
+        want = _scalar_draw(MismatchSampler(
+            engine.tech, np.random.default_rng(seed)), devices, proposal, 12)
+        for j in range(len(devices)):
+            for prefix, channel in zip("zbg", want):
+                np.testing.assert_array_equal(
+                    payload["values"][f"{prefix}{j}"], channel[:, j])
+        assert np.isfinite(payload["values"]["value"]).all()
+
+
+def test_zero_shift_weights_are_exactly_one():
+    # With no shift the proposal is the nominal density: every weight
+    # is exactly 1, so the run is textbook Monte-Carlo on the real SRAM
+    # read-SNM tail.
+    result = _sram_engine(snm_min_mv=120.0).run(
+        n_samples=96, seed=1, shift_sigma=0.0, surrogate=None,
+        chunk_size=32)
+    assert (result.weights == 1.0).all()
+    assert result.effective_samples == result.n_samples
+    assert result.full_solver_calls == result.n_samples
+    assert result.failure_probability == \
+        result.n_failures_observed / result.n_samples
+    assert result.n_failures_observed > 0
 
 
 # ----------------------------------------------------------------------

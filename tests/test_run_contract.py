@@ -279,3 +279,40 @@ def test_resume_refuses_other_extractor_keywords(tmp_path):
                         checkpoint=ckpt, resume=True)
     engine(1.0).run(n_samples=8, chunk_size=4, seed=3, checkpoint=ckpt,
                     resume=True)
+
+
+def _snm_engine(n_points: int) -> HighSigmaYield:
+    from repro.circuits import sram_cell
+    from repro.workloads import SnmExtractor
+
+    tech = get_node("65nm")
+    spec = Specification("read_snm", SnmExtractor(n_points), lower=0.0667)
+    return HighSigmaYield(sram_cell(tech, cell_ratio=1.2), spec, tech)
+
+
+def test_snm_identity_is_its_partials():
+    # The sram checkpoint records the grid as the functools.partial of
+    # sram_snm it replaced did: the same manifest, byte for byte.
+    from repro.runner import run_identity
+    from repro.workloads import sram_snm
+
+    engine = _snm_engine(41)
+    partial = Specification("read_snm",
+                            functools.partial(sram_snm, n_points=41),
+                            lower=0.0667)
+    mine = run_identity(engine.fixture, [engine.spec], engine.tech)
+    assert mine == run_identity(engine.fixture, [partial], engine.tech)
+    assert mine["specs"][0]["keywords"] == {"n_points": "41"}
+
+
+def test_resume_refuses_another_snm_grid(tmp_path):
+    # One shift direction for both grids: only the grid differs.
+    ckpt = tmp_path / "ck"
+    kwargs = dict(n_samples=64, chunk_size=32, seed=3, surrogate=None,
+                  direction={"mn_r": -0.6, "mn_axr": -0.8},
+                  checkpoint=ckpt)
+    reference = _snm_engine(41).run(**kwargs)
+    with pytest.raises(CheckpointError, match="specs"):
+        _snm_engine(81).run(resume=True, **kwargs)
+    resumed = _snm_engine(41).run(resume=True, **kwargs)
+    np.testing.assert_array_equal(resumed.values, reference.values)
