@@ -334,16 +334,6 @@ def _node_columns(X: np.ndarray, index: Sequence[int]) -> np.ndarray:
     return out
 
 
-def _stamp_dc_factory(circuit: Circuit) -> Callable[[Stamper, np.ndarray], None]:
-    elements = circuit.elements
-
-    def stamp(st: Stamper, x: np.ndarray) -> None:
-        for element in elements:
-            element.stamp_dc(st, x)
-
-    return stamp
-
-
 #: The linear element types whose stamps the engine memoizes: exactly
 #: these (subclasses may stamp differently), so every value a stamp
 #: reads is one :meth:`DcEngine.linear_key` lists.
@@ -536,10 +526,6 @@ class DcEngine:
             group.stamp(st, x)
         for element in self.other_nonlinear:
             element.stamp_dc(st, x)
-
-    def reset_warm_start(self) -> None:
-        """Forget the previous solution (next solve starts cold)."""
-        self.last_x = None
 
 
 _EMPTY_X = np.zeros(0)

@@ -139,11 +139,6 @@ def force_singular_solves(n: int) -> None:
     _forced_singular[0] = max(0, int(n))
 
 
-def forced_singular_remaining() -> int:
-    """How many injected singular solves are still pending."""
-    return _forced_singular[0]
-
-
 _sparse_installed: List[bool] = []
 
 

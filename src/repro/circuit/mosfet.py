@@ -64,11 +64,6 @@ _UNBOUND = object()
 _FD_JACOBIANS = [os.environ.get("REPRO_FD_JACOBIANS", "") not in ("", "0")]
 
 
-def fd_jacobians_active() -> bool:
-    """True when finite-difference Jacobians are currently forced."""
-    return _FD_JACOBIANS[0]
-
-
 def jacobian_mode() -> str:
     """``"analytic"`` or ``"fd"`` — the mode the next stamp will use."""
     return "fd" if _FD_JACOBIANS[0] else "analytic"

@@ -11,12 +11,11 @@ Commands:
   transient analysis; prints summary statistics per requested node;
 * ``mc [--workload offset|ring] [--tech NODE] [--samples N] [--jobs J]
   [--batch-size B] [--budget SEC] [--checkpoint DIR [--resume]]
-  [--retries N --timeout SEC] [--trace FILE] [--quiet]`` — Monte-Carlo
-  yield of a
+  [--trace FILE] [--quiet]`` — Monte-Carlo yield of a
   differential-pair offset spec (the §2 demo) or a transient ring-
   oscillator swing spec, parallelised over the
   :mod:`repro.parallel` backends, with
-  chunk-granular checkpointing, per-sample retry/timeout, graceful
+  chunk-granular checkpointing, quarantine of failed samples, graceful
   degradation (see ``docs/robustness.md``), a live progress heartbeat
   on stderr and optional JSONL trace export (``docs/observability.md``);
   ``--profile`` adds a sampling stack profiler (bit-identical results),
@@ -231,8 +230,8 @@ def _mc_heartbeat(session, stream, state: Optional[dict] = None,
                   label: str = "mc"):
     """Progress callback printing a live run pulse to ``stream``.
 
-    Rate/ETA come from the engine's progress payload; fail and retry
-    counts are read live off the session's metrics registry (workers
+    Rate/ETA come from the engine's progress payload; the quarantine
+    count is read live off the session's metrics registry (workers
     merge their counters back with every completed chunk).  When
     ``state`` is given, each beat also copies the progress payload into
     it — the seam the ``/metrics`` exposition endpoint reads.
@@ -255,9 +254,8 @@ def _mc_heartbeat(session, stream, state: Optional[dict] = None,
         else:
             rate_text, eta = "--", "--"
         fails = int(session.metrics.counter("engine.quarantines"))
-        retries = int(session.metrics.counter("engine.retries"))
         stream.write(f"\r[{label}] {done}/{total} samples  {rate_text}  "
-                     f"ETA {eta}  fail={fails} retry={retries}")
+                     f"ETA {eta}  fail={fails}")
         if done >= total:
             stream.write("\n")
         stream.flush()
@@ -345,18 +343,12 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
     from repro import telemetry
     from repro.core import MonteCarloYield
-    from repro.parallel import RetryPolicy
     from repro.technology import get_node
 
     tech = get_node(args.tech)
     workload = _workload(args.workload, args, tech)
     fx = workload.fixture()
     spec, spec_text = workload.spec()
-    retry = None
-    if args.retries > 1 or args.timeout is not None:
-        retry = RetryPolicy(max_attempts=args.retries,
-                            timeout_s=args.timeout,
-                            backoff_s=args.backoff)
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint", file=sys.stderr)
         return 1
@@ -421,14 +413,14 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         def run():
             return MonteCarloYield(fx, [spec], tech).run(
                 n_samples=args.samples, seed=args.seed, jobs=args.jobs,
-                backend=args.backend, retry=retry,
+                backend=args.backend,
                 checkpoint=args.checkpoint, resume=args.resume,
                 progress=progress, batch_size=args.batch_size,
                 budget=args.budget)
 
         return _run_recorded(
             args, "mc", workload,
-            {"limit_mv": args.limit_mv, "retries": args.retries},
+            {"limit_mv": args.limit_mv},
             session, t_start, run,
             lambda r, partial: _mc_body(r, args, spec_text, partial),
             finish_observability)
@@ -784,13 +776,6 @@ def _args_mc(p: argparse.ArgumentParser) -> None:
     p.add_argument("--resume", action="store_true",
                    help="resume from --checkpoint (bit-identical to an "
                         "uninterrupted run under the same seed)")
-    p.add_argument("--retries", type=int, default=1, metavar="N",
-                   help="attempts per sample evaluation (default 1)")
-    p.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                   help="per-attempt wall-clock timeout [s]")
-    p.add_argument("--backoff", type=float, default=0.0, metavar="SEC",
-                   help="delay before the first retry (doubles each "
-                        "attempt)")
     p.add_argument("--budget", type=float, default=None, metavar="SEC",
                    help="wall-clock budget [s]; when it expires the "
                         "run stops cooperatively with a partial "

@@ -31,15 +31,13 @@ process backends, bit-identical for any ``jobs``; checkpoint/resume,
 deadline budgets and telemetry, with ``highsigma.*`` spans and
 metrics) — the pilot and main stages are two stages of one driver
 run.  A chunk draws its variates up front in one generator call, and
-its full solves run in the compiled die loop
+its full solves run through
+:func:`repro.core.yield_analysis.evaluate_dies`, the die loop
+Monte-Carlo chunks run: the compiled loop
 (:func:`repro.circuit.dc.operating_point_dies`) when the spec's
-extractor declares them, as the ``sram`` workload's does; otherwise
-one extractor call per die.  ``batch_size=`` runs DC-metric
-extractors under :func:`repro.circuit.batch.batched_sweeps` (sweep
-points as lanes of one :class:`~repro.circuit.batch.BatchDcEngine`
-ensemble, slabs honouring :func:`repro.resilience.admit_lanes`);
-transient specs always run the scalar integrator, so their values are
-bit-identical with or without it.
+extractor declares its solves, as the ``sram`` workload's does;
+otherwise one extractor call per die, under
+:func:`repro.circuit.batch.batched_sweeps` with ``batch_size=``.
 
 **Surrogate screening.**  A numpy-only polynomial/RBF ridge regressor
 (:class:`Surrogate`) is trained on the fully-solved pilot chunks and
@@ -73,19 +71,11 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro import resilience, telemetry
-from repro.circuit.batch import batched_sweeps
-from repro.circuit.dc import warm_start
+from repro import telemetry
 from repro.circuit.mna import ConvergenceError, SingularCircuitError
 from repro.circuit.mosfet import DeviceVariation
 from repro.circuits.references import CircuitFixture
-from repro.core.yield_analysis import (
-    QUARANTINE_ERRORS,
-    SampleEvaluationError,
-    Specification,
-    declared_dies,
-)
-from repro.faultinject import set_current_sample
+from repro.core.yield_analysis import Specification, evaluate_dies
 from repro.parallel import (
     FailureLedger,
     chunk_ranges,
@@ -729,8 +719,6 @@ class HighSigmaYield:
             audit = np.zeros(n, dtype=bool)
             solve_mask = np.ones(n, dtype=bool)
 
-        failure_counts: Dict[str, int] = {}
-        ledger = FailureLedger()
         tsession = telemetry.active()
         if tsession is not None:
             tsession.metrics.inc("highsigma.chunks")
@@ -740,9 +728,20 @@ class HighSigmaYield:
             tsession.metrics.inc("highsigma.screened",
                                  int(n - np.sum(solve_mask)))
             tsession.metrics.inc("highsigma.audits", int(np.sum(audit)))
-        self._solve_samples(fixture, devices, start, z * sig, beta, gamma,
-                            solve_mask, values, failure_counts, ledger,
-                            batch_size, budget)
+        picks = np.flatnonzero(solve_mask)
+
+        def assign(i: int) -> None:
+            k = picks[i]
+            for j, device in enumerate(devices):
+                device.variation = DeviceVariation(
+                    delta_vt_v=float(x_v[k, j]),
+                    beta_factor=float(beta[k, j]),
+                    gamma_factor=float(gamma[k, j]))
+
+        solved, failure_counts, ledger, _durations = evaluate_dies(
+            fixture, [self.spec], (start + picks).tolist(), assign,
+            batch_size, budget, "highsigma-chunk", kind="highsigma")
+        values[picks] = solved[0]
         if surrogate is not None and tsession is not None:
             audit_mismatches = sum(
                 1 for k in np.flatnonzero(audit & np.isfinite(values))
@@ -771,78 +770,6 @@ class HighSigmaYield:
             "failure_counts": failure_counts,
             "ledger": ledger.to_list(),
         }
-
-    def _solve_samples(self, fixture: CircuitFixture, devices,
-                       start: int, x_volts: np.ndarray, beta: np.ndarray,
-                       gamma: np.ndarray, solve_mask: np.ndarray,
-                       values: np.ndarray, failure_counts: Dict[str, int],
-                       ledger: FailureLedger, batch_size: Optional[int],
-                       budget: Optional[DeadlineBudget]) -> None:
-        """Full-solve the masked samples in ascending index order.
-
-        The dies run through the die loop of
-        :func:`~repro.core.yield_analysis.declared_dies`, by the rule
-        Monte-Carlo chunks follow, when the spec's extractor declares
-        its solves (the ``sram`` workload's
-        :class:`~repro.workloads.SnmExtractor`).  Otherwise each die is
-        a ``sample`` → ``analysis`` span around one extractor call.
-        DC-metric specs evaluate under :func:`batched_sweeps` when
-        ``batch_size`` is set (the extractor's internal sweeps become
-        lanes of one :class:`BatchDcEngine` ensemble, slab sizes
-        honouring :func:`resilience.admit_lanes`); transient specs run
-        the scalar integrator either way.
-        """
-        circuit = fixture.circuit
-        spec = self.spec
-        indices = np.flatnonzero(solve_mask)
-        if not len(indices):
-            return
-
-        def prepare(i: int) -> None:
-            k = indices[i]
-            if budget is not None:
-                budget.check("sample %d" % (start + k))
-            set_current_sample(start + int(k))
-            for j, device in enumerate(devices):
-                device.variation = DeviceVariation(
-                    delta_vt_v=float(x_volts[k, j]),
-                    beta_factor=float(beta[k, j]),
-                    gamma_factor=float(gamma[k, j]))
-
-        def quarantine(i: int, exc: Exception) -> str:
-            """NaN bookkeeping of a failed die; re-raises what is not a
-            quarantine error.  Returns the exception's type name."""
-            index = start + int(indices[i])
-            if not isinstance(exc, QUARANTINE_ERRORS):
-                raise SampleEvaluationError(index, spec.name, exc) from exc
-            name = type(exc).__name__
-            failure_counts[name] = failure_counts.get(name, 0) + 1
-            ledger.add(index, exc, label=spec.name, attempts=1)
-            return name
-
-        lean = declared_dies(fixture, [spec], batch_size, len(indices),
-                             prepare, lambda i, _j, exc: quarantine(i, exc))
-        if lean is not None:
-            values[indices] = lean[0][0]
-            return
-        if batch_size:
-            circuit.compile()
-            batch_size = resilience.admit_lanes(
-                min(batch_size, max(1, len(indices))), circuit.n_unknowns,
-                where="highsigma-chunk")
-        sweep_ctx = batched_sweeps(batch_size) if batch_size \
-            else telemetry.NULL_SPAN
-        with warm_start(circuit), sweep_ctx:
-            for i, k in enumerate(indices):
-                prepare(i)
-                with telemetry.span("sample", index=start + int(k),
-                                    kind="highsigma"), \
-                        telemetry.span("analysis", spec=spec.name) as a_sp:
-                    try:
-                        values[k] = float(spec.extractor(fixture))
-                    except Exception as exc:
-                        values[k] = float("nan")
-                        a_sp.set(quarantined=quarantine(i, exc))
 
     # -- adaptive refinement -------------------------------------------
     @staticmethod

@@ -22,7 +22,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,9 +35,6 @@ from repro.circuits.references import CircuitFixture
 from repro.faultinject import WorkerKilledError, set_current_sample
 from repro.parallel import (
     FailureLedger,
-    RetryPolicy,
-    SampleTimeoutError,
-    call_resilient,
     chunk_ranges,
     clone_fixture,
     spawn_seed_sequences,
@@ -62,10 +59,9 @@ from repro.workloads import (
 EXPECTED_EVALUATION_ERRORS = (ConvergenceError, SingularCircuitError,
                               ValueError)
 
-#: The full quarantine set: expected evaluation failures plus the
-#: resilience-layer outcomes (timeout, simulated worker death).
-QUARANTINE_ERRORS = EXPECTED_EVALUATION_ERRORS + (SampleTimeoutError,
-                                                  WorkerKilledError)
+#: The full quarantine set: expected evaluation failures plus a
+#: simulated worker death.
+QUARANTINE_ERRORS = EXPECTED_EVALUATION_ERRORS + (WorkerKilledError,)
 
 
 class SampleEvaluationError(RuntimeError):
@@ -303,37 +299,101 @@ _OP_EXTRACTORS = (NodeVoltageExtractor,)
 _SWEEP_EXTRACTORS = (OffsetExtractor, SnmExtractor)
 
 
-def declared_dies(fixture: CircuitFixture, specs: List[Specification],
-                  batch_size: Optional[int], n_dies: int,
-                  prepare: Callable[[int], None],
-                  quarantine: Callable[[int, int, Exception], None]
-                  ) -> Optional[Tuple[np.ndarray, List[float]]]:
-    """The chunk's ``n_dies`` dies solved by
-    :func:`~repro.circuit.dc.operating_point_dies`, or None, having run
-    nothing, where the caller's per-die path must serve: the rule both
-    engines pick their loop by.
+def evaluate_dies(fixture: CircuitFixture, specs: List[Specification],
+                  indices: Sequence[int], assign: Callable[[int], None],
+                  batch_size: Optional[int],
+                  budget: Optional[DeadlineBudget], where: str,
+                  **sample_attrs
+                  ) -> Tuple[np.ndarray, Dict[str, int], FailureLedger,
+                             List[float]]:
+    """Evaluate every spec on a chunk's dies: the loop both engines run.
 
-    Every spec's extractor must be exactly one that declares its plan
-    (a wrapped or closure extractor does not), and with ``batch_size``
-    none may sweep.  The plans must run on one circuit: the fixture's,
-    or the one probe circuit they name.  A plan that names an unknown
-    node or source, a session that keeps span records (``--trace``) or
-    a circuit the compiled kernel cannot serve declines too.
+    Die ``i`` is global sample ``indices[i]``; ``assign(i)`` gives the
+    fixture's circuit its variation, after the budget check.  Returns
+    ``(values, failure_counts, ledger, durations)``: ``values[j, i]``
+    is spec ``j`` on die ``i`` (NaN where quarantined), the failure
+    bookkeeping of the dies, and each die's wall time [s].  A failure
+    in :data:`QUARANTINE_ERRORS` is quarantined with the solver's
+    convergence report; any other exception is raised as a
+    :class:`SampleEvaluationError`.
+
+    The dies run through :func:`~repro.circuit.dc.operating_point_dies`,
+    one loop around the compiled kernel with the same bits,
+    quarantines, metrics and phase counts, when every spec's extractor
+    declares its plan (a wrapped or closure extractor does not), none
+    sweeps under ``batch_size``, and the plans share one circuit: the
+    fixture's, or the one probe circuit they name.  It declines, having
+    run nothing, on an unknown node or source, a session that keeps
+    span records (``--trace``) or a circuit the compiled kernel cannot
+    serve.  Otherwise each die is a ``sample`` span (with
+    ``sample_attrs``) holding one ``analysis`` span per spec, inside
+    :func:`warm_start`; with ``batch_size`` every ``dc_sweep`` an
+    extractor makes solves its points as lanes of one
+    :func:`batched_sweeps` ensemble, in slabs
+    :func:`resilience.admit_lanes` fits to the memory ceiling (labelled
+    ``where``).  Transient specs always run the scalar integrator.
     """
+    n = len(indices)
+    values = np.full((len(specs), n), np.nan)
+    failure_counts: Dict[str, int] = {}
+    ledger = FailureLedger()
+    if not n:
+        return values, failure_counts, ledger, []
+    circuit = fixture.circuit
+    if batch_size:
+        # Slab partitioning does not change per-die math.
+        circuit.compile()
+        batch_size = resilience.admit_lanes(min(batch_size, n),
+                                            circuit.n_unknowns, where=where)
+
+    def prepare(i: int) -> None:
+        if budget is not None:
+            budget.check("sample %d" % indices[i])
+        set_current_sample(indices[i])
+        assign(i)
+
+    def quarantine(i: int, j: int, exc: Exception) -> str:
+        """NaN bookkeeping of a failed evaluation; re-raises what is not
+        a quarantine error.  Returns the exception's type name."""
+        if not isinstance(exc, QUARANTINE_ERRORS):
+            raise SampleEvaluationError(indices[i], specs[j].name,
+                                        exc) from exc
+        name = type(exc).__name__
+        failure_counts[name] = failure_counts.get(name, 0) + 1
+        ledger.add(indices[i], exc, label=specs[j].name)
+        return name
+
     declared = _OP_EXTRACTORS if batch_size else \
         _OP_EXTRACTORS + _SWEEP_EXTRACTORS
-    if not all(type(s.extractor) in declared for s in specs):
-        return None
-    try:
-        plans = [s.extractor.die_plan(fixture) for s in specs]
-    except KeyError:
-        return None  # the per-die path reports it per sample
-    circuits = {fixture.circuit if type(plan) is str or plan.circuit is None
-                else plan.circuit for plan in plans}
-    if len(circuits) != 1:
-        return None
-    return operating_point_dies(circuits.pop(), n_dies, prepare, plans,
-                                quarantine)
+    if all(type(s.extractor) in declared for s in specs):
+        try:
+            plans = [s.extractor.die_plan(fixture) for s in specs]
+        except KeyError:
+            plans = None  # the per-die path reports it per sample
+        circuits = set() if plans is None else {
+            circuit if type(plan) is str or plan.circuit is None
+            else plan.circuit for plan in plans}
+        if len(circuits) == 1:
+            lean = operating_point_dies(circuits.pop(), n, prepare, plans,
+                                        quarantine)
+            if lean is not None:
+                return lean[0], failure_counts, ledger, lean[1]
+    durations = []
+    sweep_ctx = batched_sweeps(batch_size) if batch_size else \
+        telemetry.NULL_SPAN
+    with warm_start(circuit), sweep_ctx:
+        for i in range(n):
+            t_sample = time.perf_counter()
+            with telemetry.span("sample", index=indices[i], **sample_attrs):
+                prepare(i)
+                for j, spec in enumerate(specs):
+                    with telemetry.span("analysis", spec=spec.name) as a_sp:
+                        try:
+                            values[j, i] = float(spec.extractor(fixture))
+                        except Exception as exc:
+                            a_sp.set(quarantined=quarantine(i, j, exc))
+            durations.append(time.perf_counter() - t_sample)
+    return values, failure_counts, ledger, durations
 
 
 class MonteCarloYield:
@@ -356,7 +416,6 @@ class MonteCarloYield:
 
     def _evaluate_chunk(self, task: Tuple[Tuple[int, int],
                                           np.random.SeedSequence,
-                                          Optional[RetryPolicy],
                                           Optional[int],
                                           Optional[DeadlineBudget]]) -> dict:
         """Evaluate one chunk of samples on a private fixture replica.
@@ -371,51 +430,17 @@ class MonteCarloYield:
         :func:`repro.runner.run_chunks`, which adds the telemetry,
         profiling and checkpoint plumbing.
 
-        Failures in :data:`QUARANTINE_ERRORS` become NaN samples with a
-        :class:`~repro.parallel.FailureRecord` (carrying the solver's
-        convergence report); a configured :class:`RetryPolicy` retries
-        each evaluation with timeout/backoff before quarantining.
-
-        ``batch_size`` (when set) evaluates the chunk under
-        :func:`~repro.circuit.batch.batched_sweeps`: every ``dc_sweep``
-        a spec extractor performs solves its points as lanes of one
-        batched Newton ensemble.  The sampler draw order is untouched —
-        variates are bit-identical to a scalar run — and the solved
-        metrics agree within Newton tolerance.  Transient specs always
-        run the scalar integrator, so their values are bit-identical.
-
-        The dies run through
-        :func:`~repro.circuit.dc.operating_point_dies` — one loop around
-        the compiled kernel with the same bits, quarantines, metrics and
-        phase counts — when every spec's extractor declares its solves:
-        a :class:`~repro.workloads.NodeVoltageExtractor` (one operating
-        point) or, without ``batch_size``, an
-        :class:`~repro.workloads.OffsetExtractor` or
-        :class:`~repro.workloads.SnmExtractor` (one sweep).  Where
-        :func:`declared_dies` declines, or a retry policy engages, the
-        per-die path below serves.
+        The dies are evaluated by :func:`evaluate_dies` (the die loop
+        or the per-die path, quarantines, ``batch_size``).  The sampler
+        draw order is untouched by either path, so variates are
+        bit-identical; batched solves agree within Newton tolerance.
         """
-        (start, stop), seed_seq, retry, batch_size, budget = task
+        (start, stop), seed_seq, batch_size, budget = task
         n = stop - start
         fixture = clone_fixture(self.fixture)
         circuit = fixture.circuit
         rng = np.random.default_rng(seed_seq)
         sampler = MismatchSampler(self.tech, rng, include_ler=self.include_ler)
-        if batch_size:
-            # Resource guard: shrink the slab so its (B, n, n) stacks
-            # fit the memory ceiling.  Slab partitioning does not
-            # change per-die math, so results are unaffected.
-            circuit.compile()
-            batch_size = resilience.admit_lanes(
-                min(batch_size, n), circuit.n_unknowns, where="mc-chunk")
-        values = {s.name: np.full(n, np.nan) for s in self.specs}
-        failure_counts: Dict[str, int] = {}
-        ledger = FailureLedger()
-        # The resilient wrapper only engages when the policy does
-        # something; otherwise evaluation stays a direct call.
-        direct = retry is None or (retry.max_attempts == 1
-                                   and retry.timeout_s is None)
-        attempts = 1 if direct else retry.max_attempts
         tsession = telemetry.active()
         if tsession is not None:
             tsession.metrics.inc("engine.chunks")
@@ -423,60 +448,11 @@ class MonteCarloYield:
         # One generator call draws every die of the chunk, bit-identical
         # to drawing die by die (MismatchSampler.draw).
         variates = sampler.draw(circuit, self.placements, n)
-
-        def quarantine(k: int, spec: Specification,
-                       exc: Exception) -> str:
-            """NaN bookkeeping of a failed evaluation; re-raises what is
-            not a quarantine error.  Returns the exception's type name."""
-            if not isinstance(exc, QUARANTINE_ERRORS):
-                raise SampleEvaluationError(start + k, spec.name,
-                                            exc) from exc
-            name = type(exc).__name__
-            failure_counts[name] = failure_counts.get(name, 0) + 1
-            ledger.add(start + k, exc, label=spec.name, attempts=attempts)
-            return name
-
-        def prepare(k: int) -> None:
-            if budget is not None:
-                budget.check("sample %d" % (start + k))
-            set_current_sample(start + k)
-            sampler.assign(circuit, self.placements, variates[k])
-
-        lean = None
-        if direct:
-            lean = declared_dies(
-                fixture, self.specs, batch_size, n, prepare,
-                lambda k, j, exc: quarantine(k, self.specs[j], exc))
-        if lean is not None:
-            solved, durations = lean
-            for spec, row in zip(self.specs, solved):
-                values[spec.name] = row
-        else:
-            durations = []
-            sweep_ctx = batched_sweeps(batch_size) if batch_size else \
-                telemetry.NULL_SPAN
-            with warm_start(circuit), sweep_ctx:
-                for k in range(n):
-                    t_sample = time.perf_counter()
-                    with telemetry.span("sample", index=start + k):
-                        prepare(k)
-                        for spec in self.specs:
-                            with telemetry.span("analysis",
-                                                spec=spec.name) as a_sp:
-                                try:
-                                    if direct:
-                                        value = float(spec.extractor(fixture))
-                                    else:
-                                        value = call_resilient(
-                                            lambda _s=spec:
-                                            float(_s.extractor(fixture)),
-                                            retry, retry_on=QUARANTINE_ERRORS)
-                                except Exception as exc:
-                                    value = float("nan")
-                                    a_sp.set(quarantined=quarantine(
-                                        k, spec, exc))
-                            values[spec.name][k] = value
-                    durations.append(time.perf_counter() - t_sample)
+        solved, failure_counts, ledger, durations = evaluate_dies(
+            fixture, self.specs, range(start, stop),
+            lambda k: sampler.assign(circuit, self.placements, variates[k]),
+            batch_size, budget, "mc-chunk")
+        values = {s.name: row for s, row in zip(self.specs, solved)}
         spec_passes = {s.name: np.array([s.passes(v)
                                          for v in values[s.name].tolist()],
                                         dtype=bool)
@@ -526,7 +502,6 @@ class MonteCarloYield:
     def run(self, n_samples: int, seed: int = 0, jobs: int = 1,
             backend: str = "auto",
             chunk_size: int = DEFAULT_CHUNK_SIZE,
-            retry: Optional[RetryPolicy] = None,
             checkpoint: Optional[Union[str, Path]] = None,
             resume: bool = False,
             checkpoint_every: int = 1,
@@ -546,10 +521,6 @@ class MonteCarloYield:
         child, so results are bit-identical for any ``jobs``/``backend``
         choice (``chunk_size`` and ``seed`` are the reproducibility
         knobs).
-
-        ``retry`` arms bounded per-evaluation retry with timeout and
-        backoff (see :class:`~repro.parallel.RetryPolicy`); persistent
-        failures are quarantined, never fatal.
 
         ``checkpoint`` names a directory where every completed chunk is
         persisted atomically (every ``checkpoint_every`` chunks); with
@@ -599,7 +570,7 @@ class MonteCarloYield:
             budget = DeadlineBudget.after(budget)
         ranges = chunk_ranges(n_samples, chunk_size)
         seeds = spawn_seed_sequences(seed, len(ranges))
-        tasks = {cid: (bounds, seed_seq, retry, batch_size, budget)
+        tasks = {cid: (bounds, seed_seq, batch_size, budget)
                  for cid, (bounds, seed_seq) in enumerate(zip(ranges, seeds))}
         # The identity a checkpoint must match (only a checkpoint reads it).
         run_params = None if checkpoint is None else {

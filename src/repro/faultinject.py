@@ -313,7 +313,8 @@ def killing_extractor(base: Callable, kill_on: Iterable[int]) -> Callable:
 
 def hanging_extractor(base: Callable, hang_on: Iterable[int],
                       hang_s: float = 3600.0) -> Callable:
-    """Wrap ``base`` to stall on chosen samples (exercises timeouts)."""
+    """Wrap ``base`` to stall on chosen samples: a die that only a
+    wall-clock budget stops."""
     targets = _as_set(hang_on)
 
     def wrapped(fixture):

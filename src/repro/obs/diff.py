@@ -14,7 +14,7 @@ two trace files:
   compare for the fast path);
 * **phase deltas** — per-span-name self-time changes with absolute and
   relative magnitude, worst offenders first;
-* **metric deltas** — counter/gauge changes (retries, fallbacks,
+* **metric deltas** — counter/gauge changes (quarantines, fallbacks,
   residual failures) that explain *why* a phase moved.
 
 The output is a plain dict so ``repro trace --diff`` can render it and

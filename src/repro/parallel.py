@@ -26,11 +26,8 @@ helps here because the dense solves spend their time in BLAS/LAPACK,
 which releases the GIL.  ``auto`` picks serial for one job and threads
 otherwise.
 
-Resilience primitives (ISSUE-2):
+Resilience primitives:
 
-* :class:`RetryPolicy` / :func:`call_resilient` — bounded retry with
-  backoff and an optional per-call wall-clock timeout (watchdog
-  thread; zero overhead when no timeout is configured);
 * :class:`FailureLedger` / :class:`FailureRecord` — the quarantine
   book: which sample failed, with which exception, carrying the
   solver's :class:`~repro.circuit.mna.ConvergenceReport` when there is
@@ -42,16 +39,13 @@ Resilience primitives (ISSUE-2):
 
 from __future__ import annotations
 
-import contextvars
 import copy
 import os
 import pickle
-import threading
-import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, \
     ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, \
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, \
     Tuple, TypeVar
 
 import numpy as np
@@ -255,117 +249,6 @@ class ParallelMap:
 
 
 # ----------------------------------------------------------------------
-# Retry / timeout
-# ----------------------------------------------------------------------
-class SampleTimeoutError(RuntimeError):
-    """A sample evaluation exceeded its wall-clock budget."""
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with backoff and an optional per-attempt timeout.
-
-    The default policy (one attempt, no timeout, no backoff) adds zero
-    overhead — :func:`call_resilient` only arms its watchdog machinery
-    when ``timeout_s`` is set, keeping the Monte-Carlo hot path clean.
-    """
-
-    max_attempts: int = 1
-    """Total attempts per call (1 = no retry)."""
-
-    timeout_s: Optional[float] = None
-    """Per-attempt wall-clock budget [s] (None = unbounded)."""
-
-    backoff_s: float = 0.0
-    """Sleep before the second attempt [s]."""
-
-    backoff_multiplier: float = 2.0
-    """Growth of the sleep between consecutive retries."""
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if self.timeout_s is not None and self.timeout_s <= 0.0:
-            raise ValueError("timeout_s must be positive")
-        if self.backoff_s < 0.0 or self.backoff_multiplier < 1.0:
-            raise ValueError("backoff must be non-negative, multiplier >= 1")
-
-
-#: The no-retry, no-timeout policy used when callers pass ``None``.
-DEFAULT_RETRY_POLICY = RetryPolicy()
-
-
-def call_with_timeout(fn: Callable[[], R], timeout_s: Optional[float]) -> R:
-    """Run ``fn()`` with a wall-clock budget.
-
-    Without a timeout this is a direct call.  With one, ``fn`` runs on
-    a daemon watchdog thread joined with the budget; on expiry a
-    :class:`SampleTimeoutError` is raised.  The runaway computation
-    cannot be killed (Python threads are not preemptible) but the
-    caller regains control and can quarantine the sample — the thread
-    is leaked deliberately, bounded by the retry policy.
-    """
-    if timeout_s is None:
-        return fn()
-    outcome: Dict[str, Any] = {}
-    # New threads start from an empty context; copy the caller's so
-    # ContextVar state (e.g. the current-sample index the fault
-    # injectors read) is visible inside the watchdog thread.
-    context = contextvars.copy_context()
-
-    def target() -> None:
-        try:
-            outcome["result"] = context.run(fn)
-        except BaseException as exc:  # delivered to the caller below
-            outcome["error"] = exc
-
-    worker = threading.Thread(target=target, daemon=True)
-    worker.start()
-    worker.join(timeout_s)
-    if worker.is_alive():
-        raise SampleTimeoutError(
-            f"evaluation exceeded {timeout_s:g}s wall-clock budget")
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["result"]
-
-
-def call_resilient(fn: Callable[[], R], policy: RetryPolicy,
-                   retry_on: Tuple[type, ...] = (Exception,)) -> R:
-    """Run ``fn()`` under a :class:`RetryPolicy`.
-
-    Each attempt gets the policy's timeout; attempts failing with an
-    exception in ``retry_on`` (or a timeout) are retried with backoff
-    until the attempt budget is spent, then the last exception
-    propagates.  With the default policy this is a plain call.
-    """
-    if policy.max_attempts == 1 and policy.timeout_s is None:
-        return fn()
-    sleep_s = policy.backoff_s
-    last_error: Optional[BaseException] = None
-    for attempt in range(policy.max_attempts):
-        if attempt > 0:
-            session = telemetry.active()
-            if session is not None:
-                session.metrics.inc("engine.retries")
-                session.tracer.event(
-                    "retry", attempt=attempt + 1,
-                    exception=type(last_error).__name__
-                    if last_error is not None else None)
-            if sleep_s > 0.0:
-                time.sleep(sleep_s)
-                sleep_s *= policy.backoff_multiplier
-        try:
-            return call_with_timeout(fn, policy.timeout_s)
-        except SampleTimeoutError as exc:
-            last_error = exc
-        except retry_on as exc:
-            last_error = exc
-    assert last_error is not None
-    raise last_error
-
-
-# ----------------------------------------------------------------------
 # Failure ledger
 # ----------------------------------------------------------------------
 @dataclass
@@ -381,7 +264,8 @@ class FailureRecord:
     exception_type: str = ""
     message: str = ""
     attempts: int = 1
-    """How many attempts were made before quarantining."""
+    """Evaluations made of the failed item: 1 for a sample, 0 for a
+    run-level record."""
 
     convergence_report: Optional[dict] = None
     """``ConvergenceReport.to_dict()`` payload when the solver attached
@@ -417,8 +301,8 @@ class FailureLedger:
     def __bool__(self) -> bool:
         return bool(self.records)
 
-    def add(self, index: int, exc: BaseException, label: str = "",
-            attempts: int = 1) -> FailureRecord:
+    def add(self, index: int, exc: BaseException,
+            label: str = "") -> FailureRecord:
         """Quarantine one failure, capturing solver telemetry if any.
 
         With an active telemetry session, every quarantine also emits a
@@ -431,8 +315,7 @@ class FailureLedger:
         record = FailureRecord(
             index=index, label=label,
             exception_type=type(exc).__name__,
-            message=str(exc), attempts=attempts,
-            convergence_report=report.to_dict() if report is not None
+            message=str(exc), convergence_report=report.to_dict() if report is not None
             else None)
         self.records.append(record)
         session = telemetry.active()
@@ -441,7 +324,7 @@ class FailureLedger:
             summary = report.summary() if report is not None else str(exc)
             session.tracer.event(
                 "quarantine", index=index, label=label,
-                exception=record.exception_type, attempts=attempts,
+                exception=record.exception_type, attempts=record.attempts,
                 summary=summary[:200])
         return record
 

@@ -267,9 +267,3 @@ class EngineSessionCache:
         finally:
             with self._lock:
                 session.active -= 1
-
-
-def default_cache_dir() -> Optional[str]:
-    """Disk tier root from ``REPRO_SERVE_CACHE`` (unset ⇒ memory only)."""
-    value = os.environ.get("REPRO_SERVE_CACHE", "")
-    return value or None

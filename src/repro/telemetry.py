@@ -21,7 +21,7 @@ observability layer the engines and solvers emit into:
 * **Metrics registry** — thread-safe counters, gauges and fixed-bucket
   histograms instrumented at the hot seams: Newton iterations per
   solve, DC-ladder strategy used, transient step rejections, matrix
-  factorizations, retries, quarantines, per-chunk queue wait and
+  factorizations, quarantines, per-chunk queue wait and
   sample durations.
 * **Span totals** — every closed span folds into per-name totals
   (count, total, self and max seconds) as it closes; a run record's

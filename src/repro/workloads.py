@@ -17,7 +17,7 @@ module-level so the ``process`` backend can pickle them.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro import units
@@ -88,6 +88,14 @@ class OffsetExtractor:
 
         return input_referred_offset_v(fixture, self.search_range_v,
                                        self.n_points)
+
+    @property
+    def keywords(self) -> Optional[Dict[str, Any]]:
+        """The grid fields that differ from their defaults, for the
+        checkpoint identity (:func:`repro.runner.run_identity`); None
+        on the default grid, whose identity then names no keywords."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if getattr(self, f.name) != f.default} or None
 
     def die_plan(self, fixture):
         """The :class:`~repro.circuit.dc.SweepPlan` of

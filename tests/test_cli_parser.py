@@ -107,3 +107,16 @@ def test_only_the_named_command_gets_arguments():
     assert lazy["mc"] == full["mc"] > 20
     # The others keep only their -h.
     assert all(lazy[name] == 1 for name in COMMANDS if name != "mc")
+
+
+@pytest.mark.parametrize("argv", [["mc", "--retries", "2"],
+                                  ["mc", "--timeout", "1"],
+                                  ["mc", "--backoff", "0.1"]],
+                         ids=" ".join)
+def test_mc_has_no_per_sample_retry_or_timeout(argv, capsys):
+    # Per-sample retry and timeout are gone; --budget bounds wall time.
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[1:]) \
+        in capsys.readouterr().err

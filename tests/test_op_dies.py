@@ -43,7 +43,6 @@ from repro.faultinject import (
     force_nonconvergence,
     interrupting_extractor,
 )
-from repro.parallel import RetryPolicy
 from repro.resilience import BudgetExpiredError, DeadlineBudget
 from repro.technology import get_node
 from repro.variability.sampler import MismatchSampler
@@ -485,15 +484,13 @@ class TestDeclines:
         assert traced_spans() == want
 
     @pytest.mark.parametrize("case", [
-        "batch_size", "trace", "no kernel", "retry", "wrapped"])
+        "batch_size", "trace", "no kernel", "wrapped"])
     def test_sweep_dies_decline(self, monkeypatch, case):
         kwargs, extractor = {}, workloads.offset_extractor
         if case == "batch_size":
             kwargs["batch_size"] = 16
         elif case == "no kernel":
             monkeypatch.setattr(_ckernel, "_DISABLED", True)
-        elif case == "retry":
-            kwargs["retry"] = RetryPolicy(max_attempts=2)
         elif case == "wrapped":
             extractor = failing_extractor(extractor, fail_on=[1])
         engine = _offset_engine(extractor)
@@ -648,6 +645,28 @@ class TestSnmDies:
         # The direction probe's sweeps run outside the chunks.
         assert phases["solve.dc.sweep"] == solved + 7
         assert counters["solver.dc.base_builds"] == 4 + 1  # per chunk
+
+    def test_traced_sample_spans_name_their_engine(self):
+        # Both engines trace their dies through one loop: a Monte-Carlo
+        # sample span carries its index, a high-sigma one its index and
+        # kind="highsigma", and each holds one analysis span.
+        def samples(run):
+            with telemetry.session(records=True) as session:
+                result = run()
+            records = session.tracer.export_records()
+            children = [r["parent"] for r in records
+                        if r["name"] == "analysis"]
+            spans = [r for r in records if r["name"] == "sample"]
+            assert sorted(children) == sorted(r["id"] for r in spans)
+            return result, sorted((r["attrs"] for r in spans),
+                                  key=lambda attrs: attrs["index"])
+
+        _result, mc = samples(lambda: _offset_engine().run(8, seed=1))
+        assert mc == [{"index": k} for k in range(8)]
+        result, hs = samples(lambda: _hs_engine().run(
+            128, seed=1, chunk_size=32))
+        assert hs == [{"index": int(k), "kind": "highsigma"}
+                      for k in np.flatnonzero(result.solved)]
 
     def test_chunk_without_full_solves(self, monkeypatch):
         # A bound far below the nominal SNM: the surrogate screens

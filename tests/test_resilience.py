@@ -26,7 +26,7 @@ from repro.circuit.batch import BatchUnsupportedError
 from repro.circuits import differential_pair, input_referred_offset_v
 from repro.core import MonteCarloYield, Specification
 from repro.faultinject import WorkerKilledError
-from repro.parallel import FailureLedger, SampleTimeoutError
+from repro.parallel import FailureLedger
 from repro.resilience import (
     CAPABILITY_NAMES,
     BreakerOpenError,
@@ -500,7 +500,6 @@ class TestExceptionPickling:
         BudgetExpiredError("budget of 2 s expired at task 3",
                            budget_s=2.0, where="task 3"),
         BreakerOpenError("capability 'sparse' is unavailable", "sparse"),
-        SampleTimeoutError("sample 4 exceeded 0.2 s"),
         WorkerKilledError("worker died on sample 5"),
         BatchUnsupportedError("per-lane params swap unsupported"),
         CheckpointError("accelerator configuration mismatch"),

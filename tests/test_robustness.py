@@ -1,5 +1,5 @@
 """Resilience-layer tests: solver ladder telemetry, fault injection,
-retry/timeout, checkpoint/resume and graceful degradation.
+quarantine, checkpoint/resume and graceful degradation.
 
 Every failure path the engines claim to absorb is *proven* here by
 injecting the corresponding fault (see :mod:`repro.faultinject`) and
@@ -38,7 +38,6 @@ from repro.faultinject import (
     current_sample,
     failing_extractor,
     force_nonconvergence,
-    hanging_extractor,
     inject_open,
     inject_short,
     inject_stuck_parameter,
@@ -46,14 +45,7 @@ from repro.faultinject import (
     killing_extractor,
     set_current_sample,
 )
-from repro.parallel import (
-    FailureLedger,
-    FailureRecord,
-    RetryPolicy,
-    SampleTimeoutError,
-    call_resilient,
-    call_with_timeout,
-)
+from repro.parallel import FailureLedger, FailureRecord
 from repro.report import render_failure_ledger
 
 FULL_LADDER = ["newton", "gmin-stepping", "source-stepping",
@@ -304,44 +296,6 @@ class TestExceptionPickling:
 
 
 # ----------------------------------------------------------------------
-# Retry / timeout primitives
-# ----------------------------------------------------------------------
-class TestRetryPrimitives:
-    def test_timeout_raises_sample_timeout(self):
-        with pytest.raises(SampleTimeoutError):
-            call_with_timeout(lambda: __import__("time").sleep(5.0),
-                              timeout_s=0.05)
-
-    def test_timeout_passthrough_when_none(self):
-        assert call_with_timeout(lambda: 42, timeout_s=None) == 42
-
-    def test_retry_succeeds_on_later_attempt(self):
-        attempts = []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise ValueError("transient glitch")
-            return "ok"
-
-        policy = RetryPolicy(max_attempts=3, backoff_s=0.0)
-        assert call_resilient(flaky, policy, retry_on=(ValueError,)) == "ok"
-        assert len(attempts) == 3
-
-    def test_retry_exhaustion_reraises_last(self):
-        policy = RetryPolicy(max_attempts=2, backoff_s=0.0)
-        with pytest.raises(ValueError, match="always"):
-            call_resilient(lambda: (_ for _ in ()).throw(
-                ValueError("always")), policy, retry_on=(ValueError,))
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(timeout_s=-1.0)
-
-
-# ----------------------------------------------------------------------
 # Fault injection → graceful degradation
 # ----------------------------------------------------------------------
 class TestFaultInjectionYield:
@@ -396,37 +350,6 @@ class TestFaultInjectionYield:
         assert record.exception_type == "ConvergenceError"
         assert record.convergence_report is not None
         assert record.convergence_report["strategies"][0]["name"] == "newton"
-
-    def test_timeout_quarantines_hanging_sample(self, tech90):
-        fx = differential_pair(tech90)
-        spec = offset_spec(hanging_extractor(_offset, hang_on=[1],
-                                             hang_s=30.0))
-        mc = MonteCarloYield(fx, [spec], tech90)
-        policy = RetryPolicy(max_attempts=1, timeout_s=0.2)
-        result = mc.run(n_samples=4, seed=1, chunk_size=4, retry=policy)
-        assert result.failure_counts == {"SampleTimeoutError": 1}
-        assert result.ledger.quarantined_indices() == [1]
-
-    def test_retry_recovers_flaky_sample(self, tech90):
-        # A fault that clears on the second attempt: with a retry
-        # policy the run is NOT degraded.
-        fx = differential_pair(tech90)
-        seen = []
-
-        def flaky(fixture):
-            if current_sample() == 2 and seen.count(2) < 1:
-                seen.append(2)
-                raise ValueError("transient fault")
-            return _offset(fixture)
-
-        mc = MonteCarloYield(fx, [offset_spec(flaky)], tech90)
-        degraded = mc.run(n_samples=8, seed=1, chunk_size=8)
-        assert degraded.is_degraded  # no retry: quarantined
-        seen.clear()
-        recovered = mc.run(n_samples=8, seed=1, chunk_size=8,
-                           retry=RetryPolicy(max_attempts=2))
-        assert not recovered.is_degraded
-        assert np.array_equal(degraded.passes[:2], recovered.passes[:2])
 
     def test_injected_defects_shift_metric(self, tech90):
         # Sanity of the silicon-style defects: each rewrite survives the
@@ -664,14 +587,13 @@ class TestLedgerReporting:
         ledger = FailureLedger()
         ledger.add(5, ConvergenceError("no OP", iterations=150,
                                        final_residual=2.0), label="offset")
-        ledger.add(9, SampleTimeoutError("timed out"), label="offset",
-                   attempts=3)
+        ledger.add(9, WorkerKilledError("worker killed"), label="offset")
         return ledger
 
     def test_render_failure_ledger(self):
         text = render_failure_ledger(self._ledger())
         assert "ConvergenceError x1" in text
-        assert "SampleTimeoutError x1" in text
+        assert "WorkerKilledError x1" in text
         assert "offset" in text
         assert "5" in text and "9" in text
 

@@ -305,6 +305,34 @@ def test_snm_identity_is_its_partials():
     assert mine["specs"][0]["keywords"] == {"n_points": "41"}
 
 
+def test_resume_refuses_another_offset_grid(tmp_path):
+    # The default grid names no keywords (the manifest a wrapped
+    # extractor writes); another grid does, so a resume under it is
+    # refused instead of splicing chunks of two grids.
+    from repro.runner import run_identity
+    from repro.workloads import OffsetExtractor
+
+    tech = get_node("90nm")
+    fx = differential_pair(tech)
+
+    def engine(extractor):
+        spec = Specification("offset", extractor, lower=-5e-3, upper=5e-3)
+        return MonteCarloYield(fx, [spec], tech)
+
+    default = run_identity(fx, engine(OffsetExtractor()).specs, tech)
+    assert "keywords" not in default["specs"][0]
+    assert default == run_identity(fx, engine(_Slow(OffsetExtractor(),
+                                                    0.0)).specs, tech)
+    ckpt = tmp_path / "ck"
+    kwargs = dict(n_samples=8, chunk_size=4, seed=3, checkpoint=ckpt)
+    reference = engine(OffsetExtractor(n_points=81)).run(**kwargs)
+    with pytest.raises(CheckpointError, match="specs"):
+        engine(OffsetExtractor(n_points=41)).run(resume=True, **kwargs)
+    resumed = engine(OffsetExtractor()).run(resume=True, **kwargs)
+    np.testing.assert_array_equal(resumed.values["offset"],
+                                  reference.values["offset"])
+
+
 def test_resume_refuses_another_snm_grid(tmp_path):
     # One shift direction for both grids: only the grid differs.
     ckpt = tmp_path / "ck"
