@@ -537,24 +537,10 @@ def dgesv_pointer() -> Optional[int]:
 _lib: Optional[ctypes.CDLL] = None
 _build_attempted = False
 
-# Resilience hooks (see repro.resilience).  ``_veto`` is the breaker's
-# quarantine flag — pushed in by the supervisor, read here so hot paths
-# never call into the supervisor.  ``_force_fail`` makes _compile()
-# fail on demand (fault injection for the compile-failure chaos
-# scenario).  Both are list cells so tests and workers can flip them
-# without rebinding importers' references.
-_veto = [False]
+# ``_force_fail`` makes _compile() fail on demand (fault injection for
+# the compile-failure chaos scenario); a list cell so tests and workers
+# can flip it without rebinding importers' references.
 _force_fail = [False]
-
-
-def vetoed() -> bool:
-    """Whether the breaker has quarantined the compiled kernel."""
-    return _veto[0]
-
-
-def set_veto(flag: bool) -> None:
-    """Quarantine flag pushed by the resilience supervisor's breaker."""
-    _veto[0] = bool(flag)
 
 
 def force_compile_failure(enabled: bool = True) -> None:
@@ -575,8 +561,8 @@ def reset() -> None:
 
 def active() -> bool:
     """Cheap per-call gate for already-bound batch kernels: the library
-    is loaded, not disabled, and not quarantined by the breaker."""
-    return _lib is not None and not _veto[0] and not _DISABLED
+    is loaded and not disabled."""
+    return _lib is not None and not _DISABLED
 
 
 def _compile() -> Optional[ctypes.CDLL]:
@@ -645,7 +631,7 @@ def load() -> Optional[ctypes.CDLL]:
     to the numpy analytic pass.
     """
     global _lib, _build_attempted
-    if _DISABLED or _veto[0]:
+    if _DISABLED:
         return None
     if not _build_attempted:
         _build_attempted = True

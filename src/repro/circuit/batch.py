@@ -711,7 +711,7 @@ def _solve_slab(circuit: Circuit, element, slab: np.ndarray,
                 ) -> np.ndarray:
     """One batched solve of ≤ max_lanes sweep points, with fallback;
     returns the ``(points, unknowns)`` solutions."""
-    from repro import faultinject, resilience
+    from repro import faultinject
 
     B = len(slab)
     engine = batch_engine(circuit, B)
@@ -739,18 +739,6 @@ def _solve_slab(circuit: Circuit, element, slab: np.ndarray,
         # nearest converged lane (or the pilot).
         fallback = np.flatnonzero(~converged)
         ok_lanes = np.flatnonzero(converged)
-        # Breaker accounting: a slab where most lanes bailed out to the
-        # scalar ladder (a NaN storm, chronic divergence) is a batch
-        # failure; lanes the fault injector deliberately skipped don't
-        # count.  All-lane health resets the consecutive count.
-        organic = np.setdiff1d(fallback, np.asarray(list(skip_lanes),
-                                                    dtype=int))
-        if B >= 2 and 2 * organic.size >= B:
-            resilience.record_failure(
-                "batch", "%d/%d lanes fell back to the scalar ladder"
-                % (int(organic.size), B))
-        elif organic.size == 0:
-            resilience.record_success("batch")
         for lane in fallback:
             element.spec = DcSpec(float(slab[lane]))
             if ok_lanes.size:

@@ -50,7 +50,6 @@ from repro.circuit.mna import (
     StrategyAttempt,
     sparse_available,
     sparse_min_size,
-    sparse_vetoed,
 )
 from repro.circuit.mosfet import Mosfet, MosfetGroup, OperatingPoint, \
     jacobian_mode
@@ -394,8 +393,7 @@ class DcEngine:
         session = telemetry.active()
         if session is not None:
             session.metrics.inc("solver.dc.engine_builds")
-        if sparse_available() and not sparse_vetoed() \
-                and self.size >= sparse_min_size():
+        if sparse_available() and self.size >= sparse_min_size():
             self.sparsity_plan = self._build_sparsity_plan(circuit)
             self.workspace.st.plan = self.sparsity_plan
             if session is not None:
@@ -949,8 +947,6 @@ def _compiled_sweep(circuit: Circuit, element: VoltageSource, values,
     (:func:`_sweep_points`, which the die loop shares) — solutions,
     errors, ``engine.last_x`` and every ``solver.dc.*`` metric but
     ``solver.dc.base_builds`` are exactly the point loop's.
-    The kernel capability is checked once per sweep, so a breaker veto
-    raised during a sweep takes effect at the next one.
 
     Telemetry: one ``solve.dc.sweep`` span (points, iterations of the
     kernel-solved points, fallback_points); replayed points nest inside
@@ -1005,14 +1001,13 @@ def _sweep_points(engine: DcEngine, block, element: VoltageSource,
     """Solve the points of a sweep of ``element`` over ``vals`` into the
     rows of ``X``, the first from the warm-start seed.
 
-    With the kernel's argument block, runs of points go through
-    ``sweep_dense`` (their Newton iterations, a slice of ``iters``,
-    passed to ``solved``) and ``engine.last_x`` follows the last
-    solved point; without it (the kernel vetoed), every point is
-    replayed.  A point plain Newton cannot solve is ``replay(x0)``-ed
-    under its own spec of ``element``, from the guess the point loop
-    gives it, and the base the ladder's solves overwrote is reloaded.
-    The caller restores ``element.spec``.
+    Runs of points go through ``sweep_dense`` on the kernel's argument
+    ``block`` (their Newton iterations, a slice of ``iters``, passed to
+    ``solved``) and ``engine.last_x`` follows the last solved point.
+    A point plain Newton cannot solve is ``replay(x0)``-ed under its
+    own spec of ``element``, from the guess the point loop gives it,
+    and the base the ladder's solves overwrote is reloaded.  The caller
+    restores ``element.spec``.
     """
     n = len(vals)
     seed = engine.last_x if engine.warm_start_enabled else None
@@ -1021,22 +1016,19 @@ def _sweep_points(engine: DcEngine, block, element: VoltageSource,
                 opts.reltol, opts.vtol)
     start = 0
     while start < n:
-        stop = start
-        if block is not None:
-            stop = _ckernel.sweep_dense(block, X, vals, start,
-                                        element.branches[0], element.scale,
-                                        iters, *settings)
-            if stop > start:
-                solved(iters[start:stop])
-                if engine.warm_start_enabled:
-                    engine.last_x = X[stop - 1].copy()
-            if stop == n:
-                return
+        stop = _ckernel.sweep_dense(block, X, vals, start,
+                                    element.branches[0], element.scale,
+                                    iters, *settings)
+        if stop > start:
+            solved(iters[start:stop])
+            if engine.warm_start_enabled:
+                engine.last_x = X[stop - 1].copy()
+        if stop == n:
+            return
         element.spec = DcSpec(float(vals[stop]))
         X[stop] = replay(_secant_guess(X[stop - 1] if stop else None,
                                        X[stop - 2] if stop > 1 else None))
-        if block is not None:
-            _fill_base(engine, opts.gmin)
+        _fill_base(engine, opts.gmin)
         start = stop + 1
 
 
@@ -1127,10 +1119,8 @@ def operating_point_dies(circuit: Circuit, n_dies: int,
     last good solution; an error (a replay that raises, a ``reduce``
     that finds no value) goes to ``quarantine(k, j, exc)`` (plan ``j``
     of die ``k``), which may raise in turn.  The kernel's argument
-    block is fetched per solve or sweep, as the per-die loop fetches
-    it: a params swap seen by a die's refresh rebinds it, and while the
-    kernel is vetoed the solves go through the ladder's Python loop
-    (a sweep point by point, as :func:`_point_sweep` solves it).
+    block is fetched once per die, after its refresh: a params swap
+    seen by the refresh rebinds it.
 
     Returns ``(values, durations)``: ``values[j, k]`` is plan ``j``'s
     value on die ``k`` (NaN where quarantined), ``durations`` the wall
@@ -1193,7 +1183,6 @@ def operating_point_dies(circuit: Circuit, n_dies: int,
         solve_s: List[float] = []   # solve.dc spans under analysis
         sweep_s: List[float] = []   # solve.dc.sweep spans
         point_s: List[float] = []   # replayed points, in a sweep span
-        into = point_s
 
         def replay(x0: Optional[np.ndarray]) -> np.ndarray:
             t_point = clock()
@@ -1201,7 +1190,7 @@ def operating_point_dies(circuit: Circuit, n_dies: int,
                 return _recorded_ladder(circuit, x0, None, engine,
                                         metrics)[0].x
             finally:
-                into.append(clock() - t_point)
+                point_s.append(clock() - t_point)
 
         def keep_iterations(iters: np.ndarray) -> None:
             sweep_iterations.append(iters.copy())
@@ -1210,23 +1199,17 @@ def operating_point_dies(circuit: Circuit, n_dies: int,
             t_die = clock()
             prepare(k)
             group.refresh()
+            # After the refresh, which rebinds the block on a params
+            # swap.
+            block = group.newton_args(ws)
             t_end = clock()
             for j, sweep in enumerate(sweeps):
                 t_start = t_end
-                # Per solve or sweep, as the per-die path checks it: a
-                # refresh may have rebound the block, a breaker vetoed
-                # the kernel or lifted its veto.
-                block = group.newton_args(ws)
-                if block is not None and (stale
-                                          or (swept and sweep is None)):
+                if stale or (swept and sweep is None):
                     _fill_base(engine, gmin)
                     stale = swept = False
                 if sweep is not None:
                     element = sweep.element
-                    # Without a block, every point goes through the
-                    # ladder as the point loop solves it, in no sweep
-                    # span.
-                    into = point_s if block is not None else solve_s
                     cold = sweep.cold
                     engine.last_x = None if cold else last
                     error = None
@@ -1243,9 +1226,8 @@ def operating_point_dies(circuit: Circuit, n_dies: int,
                             # A replayed point.
                             stale = True
                             element.spec = sweep.spec
-                    if block is not None:
-                        swept = True
-                        sweep_s.append(clock() - t_start)
+                    swept = True
+                    sweep_s.append(clock() - t_start)
                     if error is None:
                         try:
                             values[j, k] = sweep.reduce(
@@ -1261,8 +1243,7 @@ def operating_point_dies(circuit: Circuit, n_dies: int,
                     x.fill(0.0)
                 else:
                     np.copyto(x, last)
-                if block is not None and solve(block, x, *settings) \
-                        == converged:
+                if solve(block, x, *settings) == converged:
                     iterations.append(block.iterations)
                     # Keep the solution; the other buffer is scratch.
                     x, last = (spare if last is None else last), x

@@ -107,25 +107,6 @@ def sparse_mode(min_size: int) -> Iterator[None]:
 
 _SPARSE_DISABLED = os.environ.get("REPRO_NO_SPARSE", "") not in ("", "0")
 
-# Supervisor-pushed quarantine flag (list cell so workers and tests can
-# flip it without touching importers' references).  The resilience
-# breaker sets it after repeated splu failures; engines built afterwards
-# skip plan construction and live stampers drop their plan at the next
-# solve.  See repro.resilience.
-_sparse_veto = [False]
-
-
-def sparse_vetoed() -> bool:
-    """Whether the resilience breaker has quarantined the sparse path."""
-    return _sparse_veto[0]
-
-
-def set_sparse_veto(flag: bool) -> None:
-    """Quarantine flag pushed by the resilience supervisor's breaker;
-    vetoed solves skip ``splu`` and use the dense path directly."""
-    _sparse_veto[0] = bool(flag)
-
-
 # Fault injection: pending count of splu solves to fail artificially
 # (consumed by Stamper.solve before the real factorization).  Owned here
 # rather than in repro.faultinject to keep the solver core free of
@@ -387,26 +368,19 @@ class Stamper:
 
     def solve(self, x0: Optional[np.ndarray] = None) -> np.ndarray:
         """Solve ``A·x = b``; raises ``SingularCircuitError`` when singular."""
-        sparse_exc: Optional[BaseException] = None
         if self.plan is not None and self.a.dtype == np.float64:
-            if _sparse_veto[0]:
-                # Breaker quarantined the sparse path mid-run: drop the
-                # plan and continue on the dense ladder below.
-                self.plan = None
-            else:
-                try:
-                    if _forced_singular[0] > 0:
-                        _forced_singular[0] -= 1
-                        raise RuntimeError(
-                            "injected singular splu factorization "
-                            "(fault injection)")
-                    return self.plan.solve(self.a, self.b)
-                except RuntimeError as exc:
-                    # A failed sparse factorization is a *degradation*,
-                    # not a verdict: the dense path below retries this
-                    # solve, and only its failure proves singularity.
-                    sparse_exc = exc
-                    self._record_sparse_fallback(exc)
+            try:
+                if _forced_singular[0] > 0:
+                    _forced_singular[0] -= 1
+                    raise RuntimeError(
+                        "injected singular splu factorization "
+                        "(fault injection)")
+                return self.plan.solve(self.a, self.b)
+            except RuntimeError as exc:
+                # A failed sparse factorization is a *degradation*, not
+                # a verdict: the dense path below retries this solve,
+                # and only its failure proves singularity.
+                self._record_sparse_fallback(exc)
         # Calling LAPACK ``dgesv`` directly skips ~4 µs of np.linalg
         # dispatch per solve — material on the Newton inner loop.  The
         # complex (AC) path keeps the numpy front end.
@@ -416,16 +390,12 @@ class Stamper:
         if dgesv is not None and self.a.dtype == np.float64:
             _, _, x, info = dgesv(self.a, self.b)
             if info == 0:
-                if sparse_exc is not None:
-                    self._report_sparse_failure(sparse_exc)
                 return x
             raise self.singular_error()
         try:
             x = np.linalg.solve(self.a, self.b)
         except np.linalg.LinAlgError as exc:
             raise self.singular_error() from exc
-        if sparse_exc is not None:
-            self._report_sparse_failure(sparse_exc)
         return x
 
     def _record_sparse_fallback(self, exc: BaseException) -> None:
@@ -435,15 +405,6 @@ class Stamper:
             session.metrics.inc("solver.sparse.fallbacks")
             session.tracer.event("solver.sparse.fallback", size=self.size,
                                  reason=str(exc))
-
-    def _report_sparse_failure(self, exc: BaseException) -> None:
-        """Feed the sparse breaker — only called when the dense retry
-        *succeeded*, i.e. splu failed on a solvable matrix.  A genuine
-        singular circuit fails both paths and must not poison the
-        breaker."""
-        from repro import resilience
-
-        resilience.record_failure("sparse", str(exc))
 
     def singular_error(self) -> "SingularCircuitError":
         """Record a failed factorization of this system (telemetry, cold

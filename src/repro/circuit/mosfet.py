@@ -811,8 +811,8 @@ class MosfetGroup:
 
         The dynamic arrays are rewritten in place, so the compiled
         kernels' argument bindings survive; they are rebuilt only after
-        a params swap or when the kernel library comes or goes (breaker
-        veto, kill switch)."""
+        a params swap or when the kernel library comes or goes (a reset
+        or forced compile failure)."""
         ms = self.mosfets
         params = [m.params for m in ms]
         # Equal params derive equal arrays (identical ones compare in C).
@@ -857,12 +857,9 @@ class MosfetGroup:
         """The argument block of the compiled Newton loop over this
         group and ``ws`` (a :class:`~repro.circuit.dc.NewtonWorkspace`),
         or None when the loop cannot serve the solve: the kernel is off
-        (not built, vetoed, kill switch), FD Jacobians are forced, the
+        (not built, kill switch), FD Jacobians are forced, the
         workspace solves sparse, or LAPACK ``dgesv`` is unavailable.
-
-        Checked per solve (per sweep for a compiled DC sweep), so a
-        breaker veto takes effect at the next solve or sweep; the block
-        itself is built once per (group, workspace)."""
+        The block itself is built once per (group, workspace)."""
         if self._ck_args is None or _FD_JACOBIANS[0] \
                 or ws.st.plan is not None or not _ckernel.active() \
                 or _mna._dgesv is None:

@@ -44,8 +44,8 @@ Commands:
 * ``aging <name>`` — the degradation outlook of a node: 10-year NBTI/
   HCI shifts, TDDB characteristic life, EM MTTF at J_max;
 * ``capabilities`` — probe the optional accelerators (C kernel, scipy
-  sparse, LAPACK dgesv, batched ensembles) and print availability and
-  circuit-breaker state (see ``docs/robustness.md``);
+  sparse, LAPACK dgesv, batched ensembles) and print each one's
+  availability and why (see ``docs/robustness.md``);
 * ``serve [--host H] [--port P] [--workers N] [--queue-depth D]
   [--cache-dir DIR] [--spool DIR]`` — run analyses as a long-lived
   HTTP service: JSON job specs over ``POST /jobs``, NDJSON progress
@@ -1020,8 +1020,7 @@ _COMMANDS = (
     ("aging", {"help": "degradation outlook of a node"}, _args_aging),
     ("capabilities", {"help": "probe and report optional accelerators "
                               "(ckernel, scipy sparse, LAPACK dgesv, "
-                              "batched ensembles) and circuit-breaker "
-                              "state"}, _args_capabilities),
+                              "batched ensembles)"}, _args_capabilities),
     ("serve", {"help": "long-lived analysis service: JSON job specs over "
                        "HTTP, content-addressed result cache, NDJSON "
                        "progress, /metrics, graceful drain (see "

@@ -11,8 +11,8 @@ service must absorb:
 * **device open / short / stuck parameter** — silicon-style defects
   expressed as parameter rewrites that survive per-sample mismatch
   re-assignment (the sampler only rewrites ``variation``);
-* **sample-targeted extractor faults** — wrappers that raise, hang or
-  "kill the worker" on chosen global sample indices, driven by the
+* **sample-targeted extractor faults** — wrappers that raise, interrupt
+  or "kill the worker" on chosen global sample indices, driven by the
   :func:`current_sample` context the yield engine publishes.
 
 Everything here is deterministic: faults target explicit sample indices
@@ -22,7 +22,6 @@ reproducible as a clean one.
 
 from __future__ import annotations
 
-import time
 import weakref
 from contextvars import ContextVar
 from dataclasses import replace
@@ -182,11 +181,10 @@ def active_batch_fallback_lanes(circuit: Circuit,
 
 #: Circuit → lane indices whose batched Newton *seed* is poisoned with
 #: NaN — the corrupted-lane chaos scenario.  Unlike the forced fallback
-#: above (which marks lanes as skipped, i.e. *injected* work the breaker
-#: must ignore), corrupted lanes fail organically inside the masked
-#: iteration: the engine must detect the non-finite lane, deactivate it,
-#: re-solve it through the scalar ladder, and — when a storm of them
-#: hits — trip the batch circuit breaker.
+#: above (which marks lanes as skipped before the iteration), corrupted
+#: lanes fail organically inside the masked iteration: the engine must
+#: detect the non-finite lane, deactivate it and re-solve it through
+#: the scalar ladder.
 _CORRUPT_BATCH_LANES: "weakref.WeakKeyDictionary[Circuit, Set[int]]" = \
     weakref.WeakKeyDictionary()
 
@@ -248,10 +246,8 @@ def force_sparse_singular(n_solves: int = 1) -> None:
     """Fail the next ``n_solves`` sparse ``splu`` factorizations.
 
     Each forced failure falls back to the dense path for that solve
-    (the answer stays correct) and — because the dense retry succeeds —
-    feeds the sparse circuit breaker; ``n_solves`` at or above the
-    breaker threshold quarantines the sparse path for the rest of the
-    process.
+    (the answer stays correct) and is counted in
+    ``solver.sparse.fallbacks``; the next solve tries ``splu`` again.
     """
     from repro.circuit import mna
 
@@ -306,22 +302,6 @@ def killing_extractor(base: Callable, kill_on: Iterable[int]) -> Callable:
             _emit_activated("killing", index)
             raise WorkerKilledError(
                 f"worker killed while evaluating sample {index}")
-        return base(fixture)
-
-    return wrapped
-
-
-def hanging_extractor(base: Callable, hang_on: Iterable[int],
-                      hang_s: float = 3600.0) -> Callable:
-    """Wrap ``base`` to stall on chosen samples: a die that only a
-    wall-clock budget stops."""
-    targets = _as_set(hang_on)
-
-    def wrapped(fixture):
-        index = current_sample()
-        if index is not None and index in targets:
-            _emit_activated("hanging", index, hang_s=hang_s)
-            time.sleep(hang_s)
         return base(fixture)
 
     return wrapped

@@ -1,14 +1,14 @@
 """Structural diffing of runs and traces for regression triage.
 
 "Why is this run slower?" has three usual answers — the environment
-changed (an accelerator fell over and the breaker routed around it),
+changed (an accelerator was switched off or failed its probe),
 the workload changed (different config/seed), or the code changed
 (one phase genuinely regressed).  This module answers all three
 mechanically by diffing two run records (:mod:`repro.obs.runlog`) or
 two trace files:
 
-* **capability deltas** — accelerators that flipped between usable and
-  unusable; any flip makes a wall-time comparison apples-to-oranges
+* **capability deltas** — accelerators that flipped between available
+  and unavailable; any flip makes a wall-time comparison apples-to-oranges
   and the report says so first;
 * **config deltas** — keys whose values differ (plus a config-hash
   compare for the fast path);
@@ -37,7 +37,7 @@ def diff_capabilities(a: Optional[dict], b: Optional[dict]) -> List[dict]:
     """Capability flags that changed between two runs.
 
     Inputs are :func:`repro.obs.runlog.capability_flags` payloads
-    (``{name: usable?}``).  A capability present in only one run also
+    (``{name: available?}``).  A capability present in only one run also
     counts as changed — the other run predates the probe or ran a
     different build.
     """

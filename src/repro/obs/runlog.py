@@ -270,20 +270,17 @@ def record_run(command: str, config: Optional[dict] = None,
 
 
 def capability_flags(snapshot: Optional[Dict[str, dict]] = None) -> dict:
-    """``{capability: usable?}`` summary for records and BENCH files.
+    """``{capability: available?}`` summary for records and BENCH files.
 
     Flattens :func:`repro.resilience.snapshot` to the one bit that
-    decides comparability — whether the accelerator actually served
-    this run — so diffing two records (or two bench snapshots) can
-    refuse apples-to-oranges comparisons cheaply.
+    decides comparability — whether the accelerator served this run
+    (a probe's verdict holds for the whole process) — so diffing two
+    records (or two bench snapshots) can refuse apples-to-oranges
+    comparisons cheaply.
     """
     if snapshot is None:
         from repro import resilience
 
         snapshot = resilience.snapshot().get("capabilities", {})
-    flags = {}
-    for name, state in sorted(snapshot.items()):
-        usable = bool(state.get("available")) \
-            and not state.get("breaker", {}).get("tripped")
-        flags[name] = usable
-    return flags
+    return {name: bool(state.get("available"))
+            for name, state in sorted(snapshot.items())}

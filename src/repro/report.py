@@ -549,29 +549,17 @@ def render_capabilities(snapshot: dict) -> str:
 
     ``snapshot`` is :meth:`ResilienceSupervisor.snapshot
     <repro.resilience.ResilienceSupervisor.snapshot>`: per-capability
-    availability, breaker state and the probe's reason string.  A
-    capability is *usable* when it probed available and its circuit
-    breaker has not tripped; ``ANOMALOUS`` flags a probe that failed
-    although the environment suggests it should have succeeded.
+    availability and the probe's reason string.  ``ANOMALOUS`` flags a
+    probe that failed although the environment suggests it should have
+    succeeded.
     """
     rows = []
     for name, state in sorted(snapshot.get("capabilities", {}).items()):
-        breaker = state.get("breaker", {})
-        if not state.get("available"):
-            status = "unavailable"
-        elif breaker.get("tripped"):
-            status = "QUARANTINED"
-        else:
-            status = "usable"
+        status = "available" if state.get("available") else "unavailable"
         if state.get("anomalous"):
             status += " (ANOMALOUS)"
-        failures = breaker.get("total_failures", 0)
-        detail = state.get("detail", "")
-        if breaker.get("tripped") and breaker.get("last_detail"):
-            detail = breaker["last_detail"]
-        rows.append([name, status, failures, detail])
-    body = render_table(["capability", "status", "failures", "detail"],
-                        rows)
+        rows.append([name, status, state.get("detail", "")])
+    body = render_table(["capability", "status", "detail"], rows)
     pending = snapshot.get("pending_events", 0)
     if pending:
         body += f"\n\n  pending supervisor events: {pending}"

@@ -1,4 +1,4 @@
-"""Resilience supervisor: probing, breakers, guards, budgets.
+"""Resilience supervisor: probing, guards, budgets.
 
 The paper's §5.2 argument — nanometer systems stay dependable by
 monitoring themselves and adapting knobs in the field, not by
@@ -6,17 +6,21 @@ over-design — applied to the simulator itself.  Three accelerated
 paths (runtime-compiled C stamp kernel, scipy ``splu`` sparse solves,
 lane-batched Newton for DC sweeps) can each fail in ways the proven
 numpy/scalar ladder cannot; this package makes every such failure a
-*recorded degradation* instead of a crash:
+degradation instead of a crash:
 
 * :class:`~repro.resilience.capabilities.CapabilityRegistry` probes
   each accelerator once at startup and records why it is or is not
   available (kill switch, minimal environment, anomalous failure).
-* A :class:`~repro.resilience.breakers.CircuitBreaker` per accelerator
-  trips after N consecutive runtime failures and quarantines it for
-  the rest of the process.  Tripping *pushes* a veto flag into the
-  accelerator module (``_ckernel.set_veto`` / ``mna.set_sparse_veto``)
-  so hot solve loops never pay a supervisor lookup; cold seams (sweep
-  setup, engine construction, chunk entry) consult :func:`allows`.
+  The verdict holds for the life of the process (only fault injection
+  re-probes), so the capability flags a run or a serve daemon reads at
+  start-up are the ones every solve sees; cold seams (sweep setup)
+  consult :func:`allows`.
+* A runtime failure of an accelerated call (a ``splu`` factorization
+  that fails on a solvable matrix, a batch lane that diverges) falls
+  back to the numpy/scalar path for that call only and is counted in
+  telemetry (``solver.sparse.fallbacks``,
+  ``solver.dc.batch.fallback_lanes``); the next call tries the
+  accelerator again.
 * :func:`~repro.resilience.guards.admit_lanes` bounds batched-slab
   memory before allocation (``REPRO_MEM_CEILING_MB``).
 * :class:`~repro.resilience.budget.DeadlineBudget` carries a
@@ -36,15 +40,9 @@ chunk ledgers like any other quarantine record.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from repro import telemetry
-from repro.resilience.breakers import (  # noqa: F401 (re-export)
-    DEFAULT_BREAKER_THRESHOLD,
-    BreakerOpenError,
-    CircuitBreaker,
-    breaker_threshold,
-)
 from repro.resilience.budget import (  # noqa: F401 (re-export)
     BudgetExpiredError,
     CancellableBudget,
@@ -64,12 +62,10 @@ from repro.resilience.guards import (  # noqa: F401 (re-export)
 
 __all__ = [
     "ResilienceSupervisor", "supervisor", "reset_supervisor",
-    "allows", "require", "record_failure", "record_success",
-    "drain_events", "drain_into", "snapshot",
+    "allows", "drain_events", "drain_into", "snapshot",
     # re-exports
     "Capability", "CapabilityRegistry", "CAPABILITY_NAMES",
-    "CircuitBreaker", "BreakerOpenError", "breaker_threshold",
-    "DEFAULT_BREAKER_THRESHOLD", "BudgetExpiredError",
+    "BudgetExpiredError",
     "CancellableBudget", "DeadlineBudget",
     "admit_lanes", "slab_bytes", "memory_ceiling_bytes",
     "DEFAULT_MEM_CEILING_MB",
@@ -77,39 +73,15 @@ __all__ = [
 
 
 class ResilienceSupervisor:
-    """Process-wide accelerator health: registry + breakers + events."""
+    """Process-wide accelerator health: registry + events."""
 
-    def __init__(self, threshold: Optional[int] = None):
+    def __init__(self):
         self._lock = threading.RLock()
         self._events: List[dict] = []
         self._dedupe: set = set()
-        self.registry = CapabilityRegistry(threshold)
-        for cap in (self.registry.capability(n)
-                    for n in self.registry.names()):
-            cap.breaker.on_trip = self._on_trip
-            self._note_probe(cap)
-
-    # -- veto push-down ------------------------------------------------
-    @staticmethod
-    def _push_veto(name: str) -> None:
-        """Quarantine ``name`` inside the accelerator module so the hot
-        path sees a plain flag, not a supervisor call."""
-        if name == "ckernel":
-            from repro.circuit import _ckernel
-
-            _ckernel.set_veto(True)
-        elif name == "sparse":
-            from repro.circuit import mna
-
-            mna.set_sparse_veto(True)
-        # "batch" and "dgesv" are gated at cold seams via allows().
-
-    @staticmethod
-    def _clear_vetoes() -> None:
-        from repro.circuit import _ckernel, mna
-
-        _ckernel.set_veto(False)
-        mna.set_sparse_veto(False)
+        self.registry = CapabilityRegistry()
+        for name in self.registry.names():
+            self._note_probe(self.registry.capability(name))
 
     # -- event plumbing ------------------------------------------------
     def _note_probe(self, cap: Capability) -> None:
@@ -122,18 +94,6 @@ class ResilienceSupervisor:
         if cap.anomalous:
             self._push_event("capability-unavailable", cap.name, cap.detail,
                              dedupe=("probe", cap.name, cap.detail))
-
-    def _on_trip(self, breaker: CircuitBreaker) -> None:
-        self._push_veto(breaker.name)
-        self._push_event(
-            "breaker-tripped", breaker.name,
-            "%s quarantined after %d failure(s): %s — falling back to the "
-            "numpy/scalar path" % (breaker.name, breaker.total_failures,
-                                   breaker.last_detail or "unspecified"),
-            dedupe=("trip", breaker.name))
-        session = telemetry.active()
-        if session is not None:
-            session.metrics.inc("resilience.breaker.trips")
 
     def _push_event(self, kind: str, capability: str, reason: str,
                     dedupe=None) -> None:
@@ -164,32 +124,10 @@ class ResilienceSupervisor:
             session.metrics.inc("resilience.resource.clamps")
             session.metrics.gauge("resilience.admitted_lanes", admitted)
 
-    # -- breaker API ---------------------------------------------------
+    # -- capability API ------------------------------------------------
     def allows(self, name: str) -> bool:
-        """Whether the accelerator is available and not quarantined."""
-        return self.registry.capability(name).usable
-
-    def require(self, name: str) -> None:
-        """Like :meth:`allows`, but raise :class:`BreakerOpenError`
-        with the quarantine reason instead of returning False."""
-        cap = self.registry.capability(name)
-        if not cap.usable:
-            raise BreakerOpenError(
-                "capability %r is unavailable: %s"
-                % (name, cap.breaker.last_detail or cap.detail), name)
-
-    def record_failure(self, name: str, detail: str = "") -> bool:
-        """Count one accelerator failure; True iff the breaker tripped
-        on this call (the trip event is emitted exactly once)."""
-        with self._lock:
-            return self.registry.capability(name).breaker \
-                .record_failure(detail)
-
-    def record_success(self, name: str) -> None:
-        """Count one healthy accelerator use (resets the breaker's
-        consecutive-failure count while untripped)."""
-        with self._lock:
-            self.registry.capability(name).breaker.record_success()
+        """Whether the accelerator probed available."""
+        return self.registry.capability(name).available
 
     def reprobe(self, name: str) -> Capability:
         """Re-run one capability probe (fault injection changed the
@@ -247,31 +185,15 @@ def supervisor() -> ResilienceSupervisor:
 
 
 def reset_supervisor() -> None:
-    """Discard supervisor state and clear pushed vetoes (tests, and
-    long-lived daemons that want a fresh probe)."""
+    """Discard supervisor state (tests, and long-lived daemons that
+    want a fresh probe)."""
     with _SUPERVISOR_LOCK:
         _SUPERVISOR[0] = None
-        ResilienceSupervisor._clear_vetoes()
 
 
 def allows(name: str) -> bool:
-    """Module-level convenience: is this accelerator healthy?"""
+    """Module-level convenience: did this accelerator probe available?"""
     return supervisor().allows(name)
-
-
-def require(name: str) -> None:
-    """Raise :class:`BreakerOpenError` unless the accelerator is usable."""
-    supervisor().require(name)
-
-
-def record_failure(name: str, detail: str = "") -> bool:
-    """Count one accelerator failure; True iff the breaker tripped now."""
-    return supervisor().record_failure(name, detail)
-
-
-def record_success(name: str) -> None:
-    """Count one healthy accelerator use (resets consecutive failures)."""
-    supervisor().record_success(name)
 
 
 def drain_events() -> List[dict]:
@@ -285,5 +207,5 @@ def drain_into(ledger) -> int:
 
 
 def snapshot() -> dict:
-    """JSON-ready capability/breaker health summary."""
+    """JSON-ready capability health summary."""
     return supervisor().snapshot()

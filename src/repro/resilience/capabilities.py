@@ -1,9 +1,9 @@
 """Capability registry: probe optional accelerators, record health.
 
-Every optional fast path the solver core grew in PR 6 is represented as
-a :class:`Capability`: probed once at supervisor startup, guarded by a
-:class:`~repro.resilience.breakers.CircuitBreaker` for the rest of the
-process.  The registry distinguishes three reasons a capability is off:
+Every optional fast path of the solver core is represented as a
+:class:`Capability`, probed once at supervisor startup; the verdict
+holds for the rest of the process.  The registry distinguishes three
+reasons a capability is off:
 
 * **kill switch** — the user set ``REPRO_NO_CKERNEL`` /
   ``REPRO_NO_SPARSE`` / ``REPRO_NO_BATCH``: expected, no event.
@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import os
 import shutil
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
-
-from repro.resilience.breakers import CircuitBreaker
+from dataclasses import dataclass
+from typing import Callable, Dict, Tuple
 
 __all__ = ["Capability", "CapabilityRegistry", "CAPABILITY_NAMES",
            "kill_switch_set"]
@@ -53,19 +51,12 @@ class Capability:
     anomalous: bool = False
     """Unavailable in a way that signals a fault (compile failure with a
     compiler present) rather than an expected minimal environment."""
-    breaker: CircuitBreaker = field(default=None)  # type: ignore[assignment]
-
-    @property
-    def usable(self) -> bool:
-        return self.available and not self.breaker.tripped
 
     def state(self) -> dict:
         return {
             "available": self.available,
-            "usable": self.usable,
             "detail": self.detail,
             "anomalous": self.anomalous,
-            "breaker": self.breaker.state(),
         }
 
 
@@ -120,18 +111,15 @@ _PROBES: Dict[str, Callable[[], Tuple[bool, str, bool]]] = {
 
 
 class CapabilityRegistry:
-    """Probe all optional accelerators and hold their breakers."""
+    """Probe all optional accelerators and hold their verdicts."""
 
-    def __init__(self, threshold: Optional[int] = None):
+    def __init__(self):
         self._caps: Dict[str, Capability] = {}
         for name in CAPABILITY_NAMES:
-            breaker = CircuitBreaker(name)
-            if threshold is not None:
-                breaker.threshold = threshold
             available, detail, anomalous = _PROBES[name]()
             self._caps[name] = Capability(
                 name=name, available=available, detail=detail,
-                anomalous=anomalous, breaker=breaker)
+                anomalous=anomalous)
 
     def capability(self, name: str) -> Capability:
         try:
@@ -142,7 +130,7 @@ class CapabilityRegistry:
 
     def reprobe(self, name: str) -> Capability:
         """Re-run one probe in place (fault injection toggles the
-        environment after startup); the breaker is preserved."""
+        environment after startup)."""
         cap = self.capability(name)
         cap.available, cap.detail, cap.anomalous = _PROBES[name]()
         return cap

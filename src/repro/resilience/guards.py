@@ -4,8 +4,8 @@ The batched DC engine allocates dense ``(B, n, n)`` matrix slabs (two
 of them: the stamped base and the Newton workspace) plus ``(B, n)``
 vector sets.  On a large circuit an
 over-enthusiastic ``batch_size`` turns into a multi-GiB allocation and
-an OOM kill — the one failure mode a circuit breaker cannot catch,
-because the process is already dead.
+an OOM kill — a failure no per-call fallback can catch, because the
+process is already dead.
 
 :func:`admit_lanes` estimates the slab footprint *before* allocation
 and halves the lane count until it fits under the ceiling

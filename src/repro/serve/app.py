@@ -120,11 +120,14 @@ class ServeApp:
                                 goldens_dir=self.config.goldens_dir,
                                 lanes=self.config.workers,
                                 results=self.cache)
-        # The first read probes every capability: do it here, on the
-        # constructing thread, not in the first submit's executor
-        # thread, whose malloc arena would keep the probe's allocations
-        # (about 0.5 MB more peak RSS in a daemon).
-        self._flags = capability_flags()
+        #: The capability flags every submit is keyed under.  A probe's
+        #: verdict holds for the life of the process, so one read at
+        #: start-up serves every job; jobs share this read-only dict.
+        #: The read probes every capability: do it here, on the
+        #: constructing thread, not in the first submit's executor
+        #: thread, whose malloc arena would keep the probe's allocations
+        #: (about 0.5 MB more peak RSS in a daemon).
+        self.capabilities = capability_flags()
         self.t_start = time.time()
         self.port: Optional[int] = None
         self._ids = itertools.count(1)
@@ -142,17 +145,6 @@ class ServeApp:
         self._stop_future: Optional[asyncio.Future] = None
         self._ready = threading.Event()
 
-    @property
-    def capabilities(self) -> dict:
-        """The capability flags a submit is keyed under, read live: a
-        breaker that trips during the daemon's life changes the key of
-        every later job.  Jobs share one read-only dict while the flags
-        hold (the daemon tracks up to ``max_jobs_tracked`` jobs)."""
-        flags = capability_flags()
-        if flags != self._flags:
-            self._flags = flags
-        return self._flags
-
     # ------------------------------------------------------------------
     # Synchronous core (worker/test facing)
     # ------------------------------------------------------------------
@@ -166,8 +158,7 @@ class ServeApp:
         except JobSpecError as exc:
             self.metrics.inc("serve.requests.refused")
             return 400, {"error": str(exc), "outcome": "refused"}
-        capabilities = self.capabilities
-        key = cache_key(spec, capabilities)
+        key = cache_key(spec, self.capabilities)
         if spec.analysis not in UNCACHED_ANALYSES:
             text = self.cache.get(key)
             if text is not None:
@@ -176,7 +167,7 @@ class ServeApp:
                            and result.get("degraded") else "ok")
                 return 200, {"cached": True, "cache_key": key,
                              "outcome": outcome, "result": result}
-        job = Job(f"j{next(self._ids):06d}", spec, key, capabilities)
+        job = Job(f"j{next(self._ids):06d}", spec, key, self.capabilities)
         # The draining re-check and the enqueue share the state lock:
         # begin_drain flips the flag under the same lock before it
         # drains the queue, so a job either lands before the sweep

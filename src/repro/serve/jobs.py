@@ -60,11 +60,8 @@ class Job:
         self.id = job_id
         self.spec = spec
         self.cache_key = cache_key
-        #: The capability flags ``cache_key`` was computed under, and
-        #: the flags read when the job's analysis finished: a breaker
-        #: that trips in between makes them differ.
+        #: The capability flags ``cache_key`` was computed under.
         self.capabilities = capabilities
-        self.ran_under: Optional[dict] = None
         self.state = "queued"
         self.outcome: Optional[str] = None
         self.result: Optional[dict] = None
@@ -147,7 +144,6 @@ class Job:
             "cached": self.cached,
             "cache_key": self.cache_key,
             "capabilities": self.capabilities,
-            "ran_under": self.ran_under,
             "session_reused": self.session_reused,
             "progress": self.progress,
             "error": self.error,
@@ -207,7 +203,6 @@ class JobRunner:
     def execute(self, job: Job) -> None:
         from repro import telemetry
         from repro.checkpoint import CheckpointError, RunInterrupted
-        from repro.obs.runlog import capability_flags
         from repro.resilience import BudgetExpiredError
         from repro.runner import accel_manifest
 
@@ -244,9 +239,6 @@ class JobRunner:
                 outcome, error = "error", f"{type(exc).__name__}: {exc}"
             snapshot = tsession.metrics.snapshot()
         phases = tsession.tracer.totals()
-        flags = capability_flags()
-        job.ran_under = job.capabilities if flags == job.capabilities \
-            else flags
         self._account(job, outcome, snapshot, phases, accel)
         self._finalize(job, outcome, result, error)
 
@@ -264,7 +256,7 @@ class JobRunner:
             record_run(f"serve.{job.spec.analysis}", job.spec.to_config(),
                        outcome=outcome,
                        exit_code=OUTCOME_EXIT_CODES.get(outcome, 1),
-                       seed=job.spec.seed, capabilities=job.ran_under,
+                       seed=job.spec.seed, capabilities=job.capabilities,
                        metrics=snapshot, phases=phases,
                        t_start=job.t_start, accel=accel,
                        extra={"job_id": job.id,
@@ -276,11 +268,8 @@ class JobRunner:
 
         if outcome in ("ok", "degraded"):
             text = canonical_json(result)
-            # A result is published under the key of the flags it was
-            # keyed with only if it ran under the same flags.
             if self.results is not None \
-                    and job.spec.analysis not in UNCACHED_ANALYSES \
-                    and job.ran_under == job.capabilities:
+                    and job.spec.analysis not in UNCACHED_ANALYSES:
                 # Publish before the job turns terminal: a client that
                 # polls "done" and instantly resubmits must hit.
                 self.results.put(job.cache_key, text)

@@ -67,6 +67,13 @@ class NodeVoltageExtractor:
 
         return dc_operating_point(fixture.circuit).voltage(self.node)
 
+    @property
+    def keywords(self) -> Dict[str, Any]:
+        """The node, for the checkpoint identity
+        (:func:`repro.runner.run_identity`), as
+        :attr:`OffsetExtractor.keywords` names its grid."""
+        return {"node": self.node}
+
     def die_plan(self, fixture) -> str:
         """The plan of :func:`repro.circuit.dc.operating_point_dies`
         that computes what :meth:`__call__` does: this node."""

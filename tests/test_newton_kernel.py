@@ -348,43 +348,6 @@ class TestFailurePathsIdentical:
 
 
 class TestFallbackRules:
-    def test_veto_mid_sweep_switches_next_sweep(self, tech90, monkeypatch):
-        # The capability check runs once per sweep: a veto raised while
-        # a sweep is in the kernel takes effect at the next sweep.
-        fx = differential_pair(tech90)
-        circuit = fx.circuit
-        values = np.linspace(0.5, 0.7, 9)
-
-        def sweep():
-            return np.array([s.x for s in dc_sweep(
-                circuit, "vinp", values, batch=False)])
-
-        reference = sweep()
-        counter = _LoopCounter(monkeypatch)
-        counted = _ckernel.sweep_dense
-
-        def sweep_dense(*args):
-            # The breaker quarantines the kernel mid-sweep.
-            _ckernel.set_veto(True)
-            return counted(*args)
-
-        monkeypatch.setattr(_ckernel, "sweep_dense", sweep_dense)
-        try:
-            during = sweep()
-            assert counter.calls == 1
-            after = sweep()
-            assert counter.calls == 1
-        finally:
-            _ckernel.set_veto(False)
-        np.testing.assert_array_equal(during, reference)
-        # The vetoed sweep also loses the compiled stamp pass, so it
-        # agrees with the kernel's answers to Newton tolerance only.
-        np.testing.assert_allclose(after, reference, rtol=0, atol=1e-6)
-        # Lifting the veto brings the compiled sweep back.
-        monkeypatch.setattr(_ckernel, "sweep_dense", counted)
-        np.testing.assert_array_equal(sweep(), reference)
-        assert counter.calls == 2
-
     def test_current_source_sweep_uses_point_loop(self, tech90,
                                                   monkeypatch):
         fx = differential_pair(tech90)
@@ -400,41 +363,6 @@ class TestFallbackRules:
         dc_sweep(fx.circuit, "itail", np.linspace(0.9, 1.1, 5) * itail,
                  batch=False)
         assert not sweeps and len(solves) == 5
-
-    def test_veto_mid_transient_switches_next_transient(self, tech90,
-                                                        monkeypatch):
-        # The capability check runs once per transient: a veto raised
-        # while a transient is in the kernel takes effect at the next.
-        fx = ring_oscillator(tech90, n_stages=3)
-
-        def ring():
-            return transient(fx.circuit, 0.3e-9, 5e-12).states
-
-        reference = ring()
-        counter = _LoopCounter(monkeypatch)
-        counted = _ckernel.transient_dense
-
-        def transient_dense(*args):
-            # The breaker quarantines the kernel mid-transient.
-            _ckernel.set_veto(True)
-            return counted(*args)
-
-        monkeypatch.setattr(_ckernel, "transient_dense", transient_dense)
-        try:
-            during = ring()
-            assert counter.calls == 2  # the operating point, the steps
-            after = ring()
-            assert counter.calls == 2
-        finally:
-            _ckernel.set_veto(False)
-        np.testing.assert_array_equal(during, reference)
-        # The vetoed transient also loses the compiled stamp pass, so it
-        # agrees with the kernel's answers to Newton tolerance only.
-        np.testing.assert_allclose(after, reference, rtol=0, atol=1e-6)
-        # Lifting the veto brings the compiled transient back.
-        monkeypatch.setattr(_ckernel, "transient_dense", counted)
-        np.testing.assert_array_equal(ring(), reference)
-        assert counter.calls == 4
 
     def test_no_dgesv_uses_python_loop(self, tech90, monkeypatch):
         fx = differential_pair(tech90)

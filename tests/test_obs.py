@@ -261,11 +261,12 @@ class TestRunRegistry:
 
     def test_capability_flags_flatten_snapshot(self):
         flags = runlog.capability_flags({
-            "ckernel": {"available": True, "breaker": {"tripped": False}},
-            "sparse": {"available": True, "breaker": {"tripped": True}},
-            "dgesv": {"available": False, "breaker": {}},
+            "sparse": {"available": True, "detail": "splu"},
+            "ckernel": {"available": True, "anomalous": False},
+            "dgesv": {"available": False},
         })
-        assert flags == {"ckernel": True, "sparse": False, "dgesv": False}
+        assert flags == {"ckernel": True, "dgesv": False, "sparse": True}
+        assert list(flags) == ["ckernel", "dgesv", "sparse"]
 
 
 # ----------------------------------------------------------------------

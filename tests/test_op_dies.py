@@ -191,6 +191,28 @@ def poison_dies(monkeypatch):
     return poison
 
 
+@pytest.fixture
+def swap_params(monkeypatch):
+    """Make :meth:`MismatchSampler.assign` warm device ``m1`` by 30 K
+    (a params swap) on the given sample indices."""
+    def swap(indices):
+        real = MismatchSampler.assign
+        dies = itertools.count()
+        chosen = set(indices)
+
+        def assign(self, circuit, placements=None, variates=None):
+            real(self, circuit, placements, variates)
+            if next(dies) in chosen:
+                device = circuit["m1"]
+                device.params = replace(
+                    device.params,
+                    temperature_k=device.params.temperature_k + 30.0)
+
+        monkeypatch.setattr(MismatchSampler, "assign", assign)
+
+    return swap
+
+
 class TestSameAsPerDie:
     @pytest.mark.parametrize("netlist,nodes", [
         (COMMON_SOURCE, ("out",)),
@@ -272,37 +294,17 @@ class TestSameAsPerDie:
         _assert_same(lean, _run(engine, monkeypatch, per_die=True))
         assert lean[0].failure_counts == {"ConvergenceError": 2}
 
-    def test_params_swap_and_veto_mid_chunk(self, monkeypatch):
-        # A die that swaps a device's params rebinds the kernel block;
-        # the dies under a veto go to the Python loop, and the kernel
-        # serves again once it is lifted.
-        real = MismatchSampler.assign
-        dies = []
-
-        def assign(self, circuit, placements=None, variates=None):
-            real(self, circuit, placements, variates)
-            dies.append(len(dies))
-            if dies[-1] in (3, 11):
-                device = circuit["m1"]
-                device.params = replace(
-                    device.params,
-                    temperature_k=device.params.temperature_k + 30.0)
-            if dies[-1] in (13, 19):
-                _ckernel.set_veto(dies[-1] == 13)
-
-        monkeypatch.setattr(MismatchSampler, "assign", assign)
+    def test_params_swap_mid_chunk(self, monkeypatch, swap_params):
+        # A die that swaps a device's params rebinds the kernel block,
+        # which the loop fetches after each die's refresh.
+        swap_params((3, 11))
         engine = _engine()
-        try:
-            lean = _run(engine, monkeypatch, per_die=False)
-            _ckernel.set_veto(False)
-            dies.clear()
-            per_die = _run(engine, monkeypatch, per_die=True)
-        finally:
-            _ckernel.set_veto(False)
-        _assert_same(lean, per_die)
+        lean = _run(engine, monkeypatch, per_die=False)
+        swap_params((3, 11))
+        _assert_same(lean, _run(engine, monkeypatch, per_die=True))
         counters = lean[1]
-        assert counters["solver.dc.kernel.python"] == 19 - 13
-        assert counters["solver.dc.kernel.compiled"] == 24 - 6
+        assert "solver.dc.kernel.python" not in counters
+        assert counters["solver.dc.kernel.compiled"] == 24
 
 
 class TestSweepDies:
@@ -381,37 +383,18 @@ class TestSweepDies:
         assert bad.nonzero()[0].tolist() == [0, 5, 6, 17]
         assert result.failure_counts == {"ConvergenceError": 4}
 
-    def test_params_swap_and_veto_mid_chunk(self, monkeypatch):
-        # Vetoed dies sweep point by point through the ladder's Python
-        # loop, in no sweep span, as the point loop does.
-        real = MismatchSampler.assign
-        dies = []
-
-        def assign(self, circuit, placements=None, variates=None):
-            real(self, circuit, placements, variates)
-            dies.append(len(dies))
-            if dies[-1] in (3, 11):
-                device = circuit["m1"]
-                device.params = replace(
-                    device.params,
-                    temperature_k=device.params.temperature_k + 30.0)
-            if dies[-1] in (13, 15):
-                _ckernel.set_veto(dies[-1] == 13)
-
-        monkeypatch.setattr(MismatchSampler, "assign", assign)
+    def test_params_swap_mid_chunk(self, monkeypatch, swap_params):
+        # The swapped dies sweep on the rebound block, in the kernel.
+        swap_params((3, 11))
         engine = _offset_engine()
-        try:
-            lean = _run(engine, monkeypatch, per_die=False)
-            _ckernel.set_veto(False)
-            dies.clear()
-            per_die = _run(engine, monkeypatch, per_die=True)
-        finally:
-            _ckernel.set_veto(False)
-        _assert_same(lean, per_die)
+        lean = _run(engine, monkeypatch, per_die=False)
+        swap_params((3, 11))
+        _assert_same(lean, _run(engine, monkeypatch, per_die=True))
         counters, phases = lean[1], lean[3]
-        assert counters["solver.dc.kernel.python"] == 2 * 81
-        assert phases["solve.dc.sweep"] == 22
-        assert phases["solve.dc"] == 2 * 81
+        assert "solver.dc.kernel.python" not in counters
+        assert counters["solver.dc.kernel.compiled"] == 24 * 81
+        assert phases["solve.dc.sweep"] == 24
+        assert "solve.dc" not in phases
 
     def test_resume_from_a_checkpoint(self, monkeypatch, tmp_path):
         # Chunks written by the per-die path, the rest by the die loop.

@@ -333,6 +333,37 @@ def test_resume_refuses_another_offset_grid(tmp_path):
                                   reference.values["offset"])
 
 
+def test_resume_refuses_another_netlist_node(tmp_path):
+    # Same netlist, spec name and bounds: only the node read differs,
+    # and the identity names it, so the resume is refused.
+    from repro.workloads import NodeVoltageExtractor, netlist_fixture
+
+    tech = get_node("90nm")
+    fx = netlist_fixture("""two stages
+vdd vdd 0 dc 1.2
+vg g 0 dc 0.55
+r1 vdd a 20k
+m1 a g 0 0 n w=1u l=0.1u
+r2 vdd out 15k
+m2 out a 0 0 n w=2u l=0.1u
+.end
+""", tech)
+
+    def engine(node):
+        spec = Specification("v", NodeVoltageExtractor(node), lower=0.05,
+                             upper=1.15)
+        return MonteCarloYield(fx, [spec], tech)
+
+    ckpt = tmp_path / "ck"
+    kwargs = dict(n_samples=8, chunk_size=4, seed=3, checkpoint=ckpt)
+    reference = engine("out").run(**kwargs)
+    with pytest.raises(CheckpointError, match="specs"):
+        engine("a").run(resume=True, **kwargs)
+    resumed = engine("out").run(resume=True, **kwargs)
+    np.testing.assert_array_equal(resumed.values["v"],
+                                  reference.values["v"])
+
+
 def test_resume_refuses_another_snm_grid(tmp_path):
     # One shift direction for both grids: only the grid differs.
     ckpt = tmp_path / "ck"

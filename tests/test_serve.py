@@ -29,6 +29,7 @@ import json
 import os
 import socket
 import subprocess
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -659,83 +660,59 @@ class TestVerifyNeverCached:
                                        "params": {}})
         assert status == 202
         job = app.get_job(response["job_id"])
-        job.ran_under = job.capabilities
         app.runner._finalize(job, "ok",
                              {"analysis": "verify", "passed": True},
                              None)
         assert job.state == "done" and len(app.cache) == 0
 
 
+#: Submits :func:`mc_spec` to a fresh daemon and prints the flags it
+#: keyed the submit on, the cache key, and the checkpoint ``accel``
+#: manifest of the job's run.
+_KEY_PROBE = """
+import json
+from repro.runner import accel_manifest
+from repro.serve import ServeApp, ServeConfig, parse_job_spec
+payload = json.loads(%r)
+app = ServeApp(ServeConfig(record_runs=False))
+status, response = app.submit(payload)
+assert status == 202, response
+print(json.dumps({"flags": app.capabilities, "key": response["cache_key"],
+                  "accel": accel_manifest(
+                      parse_job_spec(payload).batch_size)}))
+"""
+
+
 @pytest.mark.skipif(not _ckernel.available(),
-                    reason="trips the compiled kernel's breaker")
-class TestCapabilityFlagsPerSubmit:
-    """A breaker that trips during the daemon's life re-keys later
-    submits, and a result whose flags changed between keying and
-    finishing is not published under the stale key."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_supervisor(self):
-        from repro import resilience
-
-        resilience.reset_supervisor()
-        yield
-        resilience.reset_supervisor()
+                    reason="needs the compiled kernel to switch off")
+class TestCapabilityFlagsPerProcess:
+    """A process's capability flags never change, so the daemon keys
+    every submit on the flags it read at start-up; a process started
+    with the kernel switched off keys the same spec apart, and its
+    checkpoints record another accelerator manifest."""
 
     @staticmethod
-    def _trip_ckernel():
-        from repro import resilience
+    def _probe(**env) -> dict:
+        base = {k: v for k, v in os.environ.items()
+                if k != "REPRO_NO_CKERNEL"}
+        out = subprocess.run(
+            [sys.executable, "-c", _KEY_PROBE % json.dumps(mc_spec())],
+            env=dict(base, PYTHONPATH=str(REPO_ROOT / "src"), **env),
+            check=True, capture_output=True, text=True).stdout
+        return json.loads(out)
 
-        for _ in range(resilience.breaker_threshold()):
-            resilience.record_failure("ckernel", "injected")
-        assert not resilience.allows("ckernel")
-
-    @staticmethod
-    def _run(app, payload):
-        status, response = app.submit(payload)
-        assert status == 202, response
-        job = app.queue.get(timeout=1.0)
-        assert job.id == response["job_id"]
-        app.runner.execute(job)
-        assert job.outcome == "ok", job.error
-        return job
-
-    def test_trip_between_identical_submits_rekeys(self):
+    def test_kill_switch_rekeys_a_second_process(self):
+        on = self._probe()
+        off = self._probe(REPRO_NO_CKERNEL="1")
+        assert on["flags"]["ckernel"] is True
+        assert off["flags"] == dict(on["flags"], ckernel=False)
+        assert off["key"] != on["key"]
+        assert off["accel"] == dict(on["accel"], ckernel=False)
+        # This process has the kernel on: the same key as the first.
         app = ServeApp(ServeConfig(record_runs=False))
-        payload = mc_spec(params={"samples": 4}, backend="serial")
-        first = self._run(app, payload)
-        assert first.capabilities["ckernel"] is True
-        assert first.ran_under == first.capabilities
-        assert app.cache.get(first.cache_key) == first.result_text
-        self._trip_ckernel()
-        status, response = app.submit(payload)
-        assert status == 202 and response["cached"] is False
-        assert response["cache_key"] != first.cache_key
-        second = app.queue.get(timeout=1.0)
-        app.runner.execute(second)
-        assert second.capabilities["ckernel"] is False
-        assert second.ran_under == second.capabilities
-        assert app.cache.get(second.cache_key) == second.result_text
-        # The trip is in the second result (a degraded run): served
-        # from the first key, it would have been lost.
-        assert second.result["degraded"] and not first.result["degraded"]
-        status, response = app.submit(payload)
-        assert status == 200 and response["cached"] is True
-        assert response["cache_key"] == second.cache_key
-
-    def test_trip_during_a_job_is_not_published(self):
-        app = ServeApp(ServeConfig(record_runs=False))
-        status, response = app.submit(
-            mc_spec(params={"samples": 4}, backend="serial"))
-        assert status == 202
-        job = app.queue.get(timeout=1.0)
-        self._trip_ckernel()
-        app.runner.execute(job)
-        assert job.outcome == "degraded" and job.state == "done"
-        assert job.result_text is not None
-        assert job.capabilities["ckernel"] is True
-        assert job.ran_under["ckernel"] is False
-        assert app.cache.get(job.cache_key) is None
-        assert len(app.cache) == 0
+        assert app.capabilities == on["flags"]
+        status, response = app.submit(mc_spec())
+        assert status == 202 and response["cache_key"] == on["key"]
 
 
 class TestSubmitDrainAtomicity:
