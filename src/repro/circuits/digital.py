@@ -200,20 +200,7 @@ def oscillation_frequency(waveform: Waveform, threshold: float) -> float:
     Uses the median period of all full cycles after discarding the first
     crossing (start-up).  Raises if fewer than three rising edges exist.
     """
-    values = waveform.values
-    times = waveform.times
-    above = values >= threshold
-    rising = np.where(~above[:-1] & above[1:])[0]
-    if rising.size < 3:
-        raise ValueError(
-            f"only {rising.size} rising edges found — simulate longer")
-    # Interpolate exact crossing instants.
-    crossings = []
-    for k in rising:
-        f = (threshold - values[k]) / (values[k + 1] - values[k])
-        crossings.append(times[k] + f * (times[k + 1] - times[k]))
-    periods = np.diff(crossings[1:])
-    return float(1.0 / np.median(periods))
+    return float(1.0 / np.median(cycle_periods(waveform, threshold)))
 
 
 def cycle_periods(waveform: Waveform, threshold: float) -> np.ndarray:

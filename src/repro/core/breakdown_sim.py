@@ -29,6 +29,7 @@ from repro.aging.tddb import BreakdownMode, TddbModel
 from repro.circuit.dc import dc_operating_point
 from repro.circuit.mna import ConvergenceError, SingularCircuitError
 from repro.circuits.references import CircuitFixture
+from repro.parallel import clone_fixture
 
 FunctionalFn = Callable[[CircuitFixture], bool]
 
@@ -115,10 +116,6 @@ class BreakdownSimulator:
             }
         return self._gate_stress_cache
 
-    def _reset(self) -> None:
-        for device in self.fixture.circuit.mosfets:
-            device.degradation.reset()
-
     # ------------------------------------------------------------------
     def run(self, n_samples: int, horizon_s: float,
             seed: int = 0) -> BreakdownSurvival:
@@ -127,7 +124,8 @@ class BreakdownSimulator:
         Devices whose gate sees no stress (|V_GS| ≈ 0) never break.
         Each die's events are processed chronologically; the mode at the
         event time follows each device's SBD/PBD/HBD progression.  The
-        fixture is restored to fresh afterwards.
+        dies run in turn on one replica of the fixture, fresh at the
+        start of each die; the caller's fixture is never modified.
         """
         if n_samples <= 0:
             raise ValueError("n_samples must be positive")
@@ -135,43 +133,42 @@ class BreakdownSimulator:
             raise ValueError("horizon must be positive")
         rng = np.random.default_rng(seed)
         stresses = self._gate_stresses()
-        devices = self.fixture.circuit.mosfets
+        replica = clone_fixture(self.fixture)
+        devices = replica.circuit.mosfets
         samples: List[BreakdownSample] = []
-        try:
-            for _ in range(n_samples):
-                self._reset()
-                events = []
-                for device in devices:
-                    vgs = stresses[device.name]
-                    if vgs < 0.05:
-                        continue
-                    eox = device.oxide_field(vgs)
-                    event = self.tddb.sample_breakdown(
-                        rng, device.params.tox_m / units.NANO, eox,
-                        device.params.area_um2, self.temperature_k)
-                    if event.t_first_bd_s <= horizon_s:
-                        events.append((event.t_first_bd_s, device, event))
-                events.sort(key=lambda item: item[0])
-                t_first = events[0][0] if events else math.inf
-                t_failure = math.inf
-                fatal = None
-                survived = 0
-                for t_event, device, event in events:
-                    mode = event.mode_at(t_event)
-                    self.tddb.apply_breakdown(
-                        device, mode if mode else BreakdownMode.SOFT,
-                        spot_position=event.spot_position,
-                        t_since_first_bd_s=0.0)
-                    if not self.functional(self.fixture):
-                        t_failure = t_event
-                        fatal = device.name
-                        break
-                    survived += 1
-                samples.append(BreakdownSample(
-                    t_first_bd_s=t_first,
-                    t_circuit_failure_s=t_failure,
-                    breakdowns_survived=survived,
-                    fatal_device=fatal))
-        finally:
-            self._reset()
+        for _ in range(n_samples):
+            for device in devices:
+                device.degradation.reset()
+            events = []
+            for device in devices:
+                vgs = stresses[device.name]
+                if vgs < 0.05:
+                    continue
+                eox = device.oxide_field(vgs)
+                event = self.tddb.sample_breakdown(
+                    rng, device.params.tox_m / units.NANO, eox,
+                    device.params.area_um2, self.temperature_k)
+                if event.t_first_bd_s <= horizon_s:
+                    events.append((event.t_first_bd_s, device, event))
+            events.sort(key=lambda item: item[0])
+            t_first = events[0][0] if events else math.inf
+            t_failure = math.inf
+            fatal = None
+            survived = 0
+            for t_event, device, event in events:
+                mode = event.mode_at(t_event)
+                self.tddb.apply_breakdown(
+                    device, mode if mode else BreakdownMode.SOFT,
+                    spot_position=event.spot_position,
+                    t_since_first_bd_s=0.0)
+                if not self.functional(replica):
+                    t_failure = t_event
+                    fatal = device.name
+                    break
+                survived += 1
+            samples.append(BreakdownSample(
+                t_first_bd_s=t_first,
+                t_circuit_failure_s=t_failure,
+                breakdowns_survived=survived,
+                fatal_device=fatal))
         return BreakdownSurvival(samples=samples, horizon_s=horizon_s)

@@ -114,78 +114,77 @@ class CornerAnalysis:
             device.params = replace(device.params,
                                     temperature_k=temperature_k)
 
-    def _pvt_points(self) -> List[Tuple[str, PvtPoint]]:
+    def _pvt_points(self) -> List[PvtPoint]:
         """The PVT matrix in its canonical (corner, vdd, T) nest order."""
-        points = []
-        for corner_name in self.corners:
-            for scale in self.vdd_scales:
-                for temperature in self.temperatures_k:
-                    points.append((corner_name,
-                                   PvtPoint(corner=corner_name,
-                                            vdd_scale=scale,
-                                            temperature_k=temperature)))
-        return points
+        return [PvtPoint(corner=corner, vdd_scale=scale,
+                         temperature_k=temperature)
+                for corner in self.corners for scale in self.vdd_scales
+                for temperature in self.temperatures_k]
 
-    def _evaluate_point(self, task: Tuple[int, str, PvtPoint, bool, bool]
-                        ) -> dict:
-        """Evaluate every spec at one PVT point on a fixture replica.
+    def _evaluate_group(self, task: Tuple[int, List[PvtPoint], float, bool,
+                                          bool]) -> dict:
+        """Evaluate every spec at a group of PVT points on one replica.
 
-        Used by the parallel path: each point configures a private
-        clone, so nothing shared is mutated and no restoration is
-        needed.  Metric extraction has no randomness, hence the result
-        is identical to the serial in-place path.  Failed evaluations
-        (non-convergence, timeouts, singular systems) become NaN and are
-        quarantined in the returned ledger — one bad corner never aborts
-        the matrix.
+        The group's points run in order on a private clone of the
+        template, each configuring its corner, supply and temperature
+        afresh, so the caller's fixture is never written.  Metric
+        extraction has no randomness and every solve starts cold, hence
+        the values do not depend on how the matrix is grouped.  Failed
+        evaluations (non-convergence, singular systems) become NaN and
+        are quarantined in the returned ledger — one bad corner never
+        aborts the matrix.
 
-        With ``trace`` set the point collects telemetry into a private
+        With ``trace`` set the group collects telemetry into a private
         worker session (``point → analysis → solve.*``, span records
         kept when ``records`` is set) shipped back under the
         ``"telemetry"`` key, exactly like the Monte-Carlo chunks.
         """
-        index, corner_name, point, trace, records = task
-        with telemetry.worker_session(trace, f"p{index}.",
+        start, points, nominal_vdd, trace, records = task
+        with telemetry.worker_session(trace, f"p{start}.",
                                       records) as tsession:
             fixture = clone_fixture(self.fixture)
             circuit = fixture.circuit
             source = circuit[self.vdd_source_name]
-            nominal_vdd = source.spec.dc_value()
-            self.corners[corner_name].apply(circuit)
-            source.spec = DcSpec(point.vdd_scale * nominal_vdd)
-            self._set_temperature(circuit, point.temperature_k)
-            out = {}
+            values = []
             ledger = FailureLedger()
-            if tsession is not None:
-                tsession.metrics.inc("engine.corner_points")
-                point_ctx = tsession.tracer.span(
-                    "point", label=point.label,
-                    worker=telemetry.worker_label())
-            else:
-                point_ctx = telemetry.NULL_SPAN
-            with point_ctx:
-                for spec in self.specs:
-                    with telemetry.span("analysis", spec=spec.name) as a_sp:
-                        try:
-                            out[spec.name] = float(spec.extractor(fixture))
-                        except QUARANTINE_ERRORS as exc:
-                            out[spec.name] = float("nan")
-                            ledger.add(index, exc,
-                                       label=f"{spec.name}@{point.label}")
-                            a_sp.set(quarantined=type(exc).__name__)
+            for index, point in enumerate(points, start):
+                self.corners[point.corner].apply(circuit)
+                source.spec = DcSpec(point.vdd_scale * nominal_vdd)
+                self._set_temperature(circuit, point.temperature_k)
+                if tsession is not None:
+                    tsession.metrics.inc("engine.corner_points")
+                out = {}
+                with telemetry.span("point", label=point.label,
+                                    worker=telemetry.worker_label()):
+                    for spec in self.specs:
+                        with telemetry.span("analysis",
+                                            spec=spec.name) as a_sp:
+                            try:
+                                out[spec.name] = float(
+                                    spec.extractor(fixture))
+                            except QUARANTINE_ERRORS as exc:
+                                out[spec.name] = float("nan")
+                                ledger.add(
+                                    index, exc,
+                                    label=f"{spec.name}@{point.label}")
+                                a_sp.set(quarantined=type(exc).__name__)
+                values.append(out)
             from repro import resilience
 
             resilience.supervisor().drain_into(ledger)
-            payload = {"values": out, "ledger": ledger.to_list()}
+            payload = {"values": values, "ledger": ledger.to_list()}
             if tsession is not None:
                 payload["telemetry"] = tsession.export()
             return payload
 
     def run(self, jobs: int = 1, backend: str = "auto") -> CornerResult:
-        """Evaluate every spec at every PVT point; restores the fixture.
+        """Evaluate every spec at every PVT point.
 
-        ``jobs > 1`` fans the PVT matrix out over
-        :class:`repro.parallel.ParallelMap` workers, each configuring a
-        private fixture replica; the original fixture is untouched.
+        The matrix is split into one contiguous group of points per
+        worker (a serial run is one group), and each group runs on its
+        own replica of the fixture through
+        :class:`repro.parallel.ParallelMap`; the caller's fixture is
+        never modified, and ``jobs``/``backend`` never change values.
 
         Degrades gracefully: a PVT point whose evaluation fails is NaN
         in :attr:`CornerResult.values` (and therefore the worst case for
@@ -194,68 +193,31 @@ class CornerAnalysis:
         """
         session = telemetry.active()
         records = session is not None and session.tracer.keeps_records
-        tasks = [(index, corner_name, point, session is not None, records)
-                 for index, (corner_name, point)
-                 in enumerate(self._pvt_points())]
-        points = [task[2] for task in tasks]
+        points = self._pvt_points()
+        nominal_vdd = \
+            self.fixture.circuit[self.vdd_source_name].spec.dc_value()
+        mapper = ParallelMap(backend=backend, n_jobs=jobs)
+        n_groups = 1 if mapper.backend == "serial" else mapper.n_jobs
+        size = max(1, -(-len(points) // n_groups))
+        tasks = [(start, points[start:start + size], nominal_vdd,
+                  session is not None, records)
+                 for start in range(0, len(points), size)]
         values: Dict[str, Dict[str, float]] = {s.name: {} for s in self.specs}
         ledger = FailureLedger()
         run_ctx = telemetry.NULL_SPAN if session is None else \
             session.tracer.span("run", kind="corner-matrix",
-                                n_points=len(tasks), jobs=jobs,
+                                n_points=len(points), jobs=jobs,
                                 backend=backend)
         with run_ctx as run_span:
-            if jobs != 1 or backend not in ("auto", "serial"):
-                mapper = ParallelMap(backend=backend, n_jobs=jobs)
-                for (_, _, point, _, _), out in zip(
-                        tasks, mapper.map(self._evaluate_point, tasks)):
-                    if session is not None:
-                        session.merge_worker(out.pop("telemetry", None),
-                                             run_span)
-                    for name, value in out["values"].items():
+            for task, out in zip(tasks,
+                                 mapper.map(self._evaluate_group, tasks)):
+                if session is not None:
+                    session.merge_worker(out.pop("telemetry", None),
+                                         run_span)
+                for point, per_spec in zip(task[1], out["values"]):
+                    for name, value in per_spec.items():
                         values[name][point.label] = value
-                    ledger.merge(FailureLedger.from_list(out["ledger"]))
-                ledger.dedupe_run_level()
-                ledger.sort()
-                return CornerResult(values=values, points=points,
-                                    ledger=ledger)
-
-            circuit = self.fixture.circuit
-            source = circuit[self.vdd_source_name]
-            nominal_spec = source.spec
-            nominal_vdd = nominal_spec.dc_value()
-            try:
-                for index, corner_name, point, _, _ in tasks:
-                    if session is not None:
-                        session.metrics.inc("engine.corner_points")
-                    with telemetry.span("point", label=point.label):
-                        self.corners[corner_name].apply(circuit)
-                        source.spec = DcSpec(point.vdd_scale * nominal_vdd)
-                        self._set_temperature(circuit, point.temperature_k)
-                        for spec in self.specs:
-                            with telemetry.span("analysis",
-                                                spec=spec.name) as a_sp:
-                                try:
-                                    value = float(
-                                        spec.extractor(self.fixture))
-                                except QUARANTINE_ERRORS as exc:
-                                    value = float("nan")
-                                    ledger.add(
-                                        index, exc,
-                                        label=f"{spec.name}@{point.label}")
-                                    a_sp.set(
-                                        quarantined=type(exc).__name__)
-                            values[spec.name][point.label] = value
-            finally:
-                source.spec = nominal_spec
-                self._set_temperature(circuit, 300.0)
-                for device in circuit.mosfets:
-                    from repro.circuit.mosfet import DeviceVariation
-
-                    device.variation = DeviceVariation()
-            from repro import resilience
-
-            resilience.supervisor().drain_into(ledger)
-            ledger.dedupe_run_level()
-            ledger.sort()
-            return CornerResult(values=values, points=points, ledger=ledger)
+                ledger.merge(FailureLedger.from_list(out["ledger"]))
+        ledger.dedupe_run_level()
+        ledger.sort()
+        return CornerResult(values=values, points=points, ledger=ledger)

@@ -27,6 +27,7 @@ import numpy as np
 from repro.circuits.references import CircuitFixture
 from repro.core.aging_simulator import MissionProfile, ReliabilitySimulator
 from repro.core.yield_analysis import MonteCarloYield, Specification
+from repro.parallel import clone_fixture
 from repro.technology.node import TechnologyNode
 
 MetricFn = Callable[[CircuitFixture], float]
@@ -80,7 +81,10 @@ def guardband_analysis(fixture: CircuitFixture, metric: MetricFn,
       (e.g. from :class:`~repro.core.corners.CornerAnalysis`) — the
       worst one enters the stack; omit to skip;
     * aging: runs the reliability simulator over ``profile`` with
-      ``mechanisms`` and takes the end-of-life drift; omit to skip.
+      ``mechanisms`` on a replica of ``fixture`` and takes the
+      end-of-life drift; omit to skip.
+
+    ``fixture`` itself is never modified.
 
     The metric is assumed "bigger is better" (frequency, current,
     gain); for smaller-is-better metrics negate it.
@@ -113,13 +117,11 @@ def guardband_analysis(fixture: CircuitFixture, metric: MetricFn,
     aging = 0.0
     if mechanisms:
         mission = profile if profile is not None else MissionProfile()
-        simulator = ReliabilitySimulator(fixture, list(mechanisms))
-        try:
-            report = simulator.run(mission, metrics={"gb_metric": metric})
-            drift = report.drift("gb_metric")
-            aging = max(0.0, -drift if nominal > 0 else drift)
-        finally:
-            simulator.reset()
+        simulator = ReliabilitySimulator(clone_fixture(fixture),
+                                         list(mechanisms))
+        report = simulator.run(mission, metrics={"gb_metric": metric})
+        drift = report.drift("gb_metric")
+        aging = max(0.0, -drift if nominal > 0 else drift)
 
     return GuardbandReport(nominal=nominal,
                            variability_fraction=variability,

@@ -104,49 +104,47 @@ class LifetimeEstimator:
 
     def __init__(self, fixture, mechanisms, tech, metric, lower=None,
                  upper=None, include_ler: bool = False):
-        from repro.core.aging_simulator import ReliabilitySimulator
-        from repro.variability.sampler import MismatchSampler
-
         if lower is None and upper is None:
             raise ValueError("need at least one spec bound")
+        if not mechanisms:
+            raise ValueError("at least one aging mechanism is required")
         self.fixture = fixture
+        self.mechanisms = list(mechanisms)
         self.tech = tech
         self.metric = metric
         self.lower = lower
         self.upper = upper
         self.include_ler = include_ler
-        self._simulator = ReliabilitySimulator(fixture, mechanisms)
-        self._sampler_cls = MismatchSampler
 
     def run(self, profile, n_samples: int, seed: int = 0) -> LifetimeSummary:
         """Sample ``n_samples`` dies; returns their failure times.
 
         A die whose metric stays in spec for the whole mission records
         an infinite failure time (visible in ``surviving_fraction``).
-        Devices are restored to nominal/fresh afterwards.
+        The dies are drawn from one stream and aged in turn on one
+        replica of the fixture; the caller's fixture is never modified.
         """
-        import numpy as np
+        from repro.core.aging_simulator import ReliabilitySimulator
+        from repro.parallel import clone_fixture
+        from repro.variability.sampler import MismatchSampler
 
         if n_samples <= 0:
             raise ValueError("n_samples must be positive")
         rng = np.random.default_rng(seed)
-        sampler = self._sampler_cls(self.tech, rng,
-                                    include_ler=self.include_ler)
+        sampler = MismatchSampler(self.tech, rng,
+                                  include_ler=self.include_ler)
+        replica = clone_fixture(self.fixture)
+        simulator = ReliabilitySimulator(replica, self.mechanisms)
         metric_name = "lifetime_metric"
         failure_times = np.empty(n_samples)
-        circuit = self.fixture.circuit
-        try:
-            for k in range(n_samples):
-                sampler.assign(circuit)
-                self._simulator.reset()
-                report = self._simulator.run(
-                    profile, metrics={metric_name: self.metric})
-                failure_times[k] = time_to_spec_violation(
-                    report.times_s, report.metric(metric_name),
-                    lower=self.lower, upper=self.upper)
-        finally:
-            sampler.clear(circuit)
-            self._simulator.reset()
+        for k in range(n_samples):
+            sampler.assign(replica.circuit)
+            simulator.reset()
+            report = simulator.run(profile,
+                                   metrics={metric_name: self.metric})
+            failure_times[k] = time_to_spec_violation(
+                report.times_s, report.metric(metric_name),
+                lower=self.lower, upper=self.upper)
         return LifetimeSummary(failure_times_s=failure_times)
 
 

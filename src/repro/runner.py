@@ -74,11 +74,15 @@ def accel_manifest(batch_size: Optional[int]) -> dict:
     only to final-ulp rounding, FD and analytic Jacobians take
     different Newton paths, and the batched engines take different
     damped-iteration paths than the scalar ladder — close enough for
-    physics, not for bit-identity.
+    physics, not for bit-identity.  ``batch_size`` is recorded as it
+    takes effect: None where the ``batch`` capability is unavailable,
+    since every sweep then solves scalar.
     """
     from repro.circuit import _ckernel, mna
     from repro.circuit.mosfet import jacobian_mode
 
+    if batch_size is not None and not resilience.allows("batch"):
+        batch_size = None
     return {
         "batch_size": batch_size,
         "ckernel": bool(_ckernel.available()),

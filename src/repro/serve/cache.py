@@ -17,13 +17,12 @@ Two caches with very different lifetimes:
   fixture, whose :func:`repro.circuit.dc.dc_engine` cache keyed by
   ``topology_version`` then serves the compiled ``DcEngine`` for free.
   Leases come in two strengths: an *exclusive* lease (the default) for
-  jobs that mutate the fixture in place (op's warm start, corners'
-  serial PVT sweep), and a *shared* lease for jobs that treat it as a
-  read-only template (Monte-Carlo / high-sigma chunks clone it and
-  never write back).  Any number of shared leases run concurrently;
-  none overlaps an exclusive one, so a corners job can never skew the
-  parameters an MC job is cloning from.  Jobs on different topologies
-  always run fully in parallel.
+  jobs that use the fixture's own solver state (op's warm start), and
+  a *shared* lease for jobs that treat it as a read-only template
+  (Monte-Carlo, high-sigma and corners clone it and never write back).
+  Any number of shared leases run concurrently; none overlaps an
+  exclusive one.  Jobs on different topologies always run fully in
+  parallel.
 """
 
 from __future__ import annotations

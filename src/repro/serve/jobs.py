@@ -312,13 +312,12 @@ class JobRunner:
         """Lease the compiled fixture for a job's workload (or, for op,
         its netlist), keyed by the workload fingerprint.
 
-        Monte-Carlo and high-sigma treat the fixture as a read-only
-        template (every chunk clones it) and take a ``shared`` lease
-        held for the whole run, so same-workload read-only jobs overlap
-        freely.  Callers that mutate in place (op's warm start, corners'
-        serial PVT sweep) take the default exclusive lease, which the
-        shared holders exclude — a concurrent mutator can never skew
-        the parameters an MC chunk clones from.
+        Monte-Carlo, high-sigma and corners treat the fixture as a
+        read-only template (every chunk or group of PVT points clones
+        it) and take a ``shared`` lease held for the whole run, so
+        same-workload read-only jobs overlap freely.  Op solves on the
+        fixture itself with its warm start and takes the default
+        exclusive lease, which the shared holders exclude.
         """
         from repro.workloads import netlist_fixture
 
@@ -441,7 +440,7 @@ class JobRunner:
         tech = self._tech(spec)
         budget.check("serve.corners")
         vdd_source = spec.analysis_params["vdd_source"]
-        with self._lease(job) as (fixture, _reused):
+        with self._lease(job, shared=True) as (fixture, _reused):
             specs = self._mc_specs(job, fixture)
             try:
                 analysis = CornerAnalysis(fixture, specs, tech,

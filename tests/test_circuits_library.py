@@ -6,6 +6,7 @@ import pytest
 from repro.circuit import dc_operating_point, transient
 from repro.circuits import (
     beta_multiplier_reference,
+    cycle_periods,
     dc_gain,
     differential_pair,
     filtered_current_reference,
@@ -252,3 +253,11 @@ class TestOscillationFrequencyHelper:
         w = Waveform(t, np.sin(2 * np.pi * 1e6 * t))
         with pytest.raises(ValueError, match="rising edges"):
             oscillation_frequency(w, 0.0)
+
+    def test_is_the_median_cycle_period_on_a_ring(self, tech90):
+        # One edge-crossing routine serves both helpers, to the bit.
+        fx = ring_oscillator(tech90, n_stages=3)
+        w = transient(fx.circuit, t_stop=3e-9, dt=5e-12).voltage("s0")
+        threshold = tech90.vdd / 2.0
+        assert oscillation_frequency(w, threshold) == \
+            float(1.0 / np.median(cycle_periods(w, threshold)))

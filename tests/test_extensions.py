@@ -230,7 +230,9 @@ class TestLifetimeEstimator:
             LifetimeEstimator(fx, [HciModel(tech65.aging)], tech65,
                               lambda f: 0.0)
 
-    def test_devices_restored(self, tech65):
+    def test_fixture_untouched(self, tech65):
+        # The dies are sampled and aged on a replica; the caller's
+        # nominal, fresh devices stay so.
         fx = simple_current_mirror(tech65, w_m=2e-6, l_m=tech65.lmin_m)
 
         def iout(fixture):

@@ -194,10 +194,11 @@ class TestParallelCornersAndSweeps:
                                   vdd_scales=(0.9, 1.1),
                                   temperatures_k=(300.0, 398.15))
         serial = analysis.run()
-        parallel = analysis.run(jobs=4)
-        assert [p.label for p in serial.points] == \
-            [p.label for p in parallel.points]
-        assert serial.values == parallel.values
+        for backend in ("thread", "process"):
+            parallel = analysis.run(jobs=4, backend=backend)
+            assert [p.label for p in serial.points] == \
+                [p.label for p in parallel.points]
+            assert serial.values == parallel.values
 
     def test_sweep_parallel_matches_serial(self):
         metrics = {"sq": lambda v: v * v, "neg": lambda v: -v}

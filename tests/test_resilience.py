@@ -373,6 +373,22 @@ class TestCheckpointAccelManifest:
                         checkpoint=ckpt, resume=True)
         assert result.n_evaluated == 8
 
+    def test_batched_checkpoint_refused_where_batching_is_off(
+            self, tech90, tmp_path, monkeypatch):
+        # Under REPRO_NO_BATCH every sweep solves scalar, so the manifest
+        # records the batch_size that takes effect (None), and chunks
+        # batched before are never spliced with scalar ones.
+        fx = differential_pair(tech90)
+        mc = MonteCarloYield(fx, [offset_spec()], tech90)
+        ckpt = tmp_path / "batched"
+        self._interrupt_run(mc, ckpt, batch_size=4)
+        monkeypatch.setenv("REPRO_NO_BATCH", "1")
+        resilience.reset_supervisor()
+        with pytest.raises(CheckpointError,
+                           match="accelerator configuration mismatch"):
+            mc.run(n_samples=8, seed=13, chunk_size=2,
+                   checkpoint=ckpt, resume=True, batch_size=4)
+
     def test_manifest_without_accel_refused(self, tech90, tmp_path):
         # Every schema-2 manifest records the accelerator configuration;
         # one without it cannot prove bit-identity and is refused.

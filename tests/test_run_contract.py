@@ -17,6 +17,11 @@ the two engines:
   transient step or extractor keyword is refused (exit 2), and an
   unchanged resume prints the same report.
 
+Apart from the chunked engines, every engine that takes a fixture
+(Monte-Carlo, high-sigma, aging ensemble, corners on each backend,
+lifetime, reliability yield, guardband and breakdown) leaves it as the
+caller set it (``TestFixtureUntouched``).
+
 The high-sigma case uses the analytic linear-tail engine with a
 surrogate, so a resume must also replay the pilot, the refined
 proposal and the surrogate fit exactly.
@@ -375,3 +380,121 @@ def test_resume_refuses_another_snm_grid(tmp_path):
         _snm_engine(81).run(resume=True, **kwargs)
     resumed = _snm_engine(41).run(resume=True, **kwargs)
     np.testing.assert_array_equal(resumed.values, reference.values)
+
+
+# ----------------------------------------------------------------------
+# Every engine treats the fixture it is handed as a read-only template
+# ----------------------------------------------------------------------
+
+def _aging():
+    from repro.aging import HciModel, NbtiModel
+    from repro.core import MissionProfile
+
+    tech = get_node("90nm")
+    return ([HciModel(tech.aging), NbtiModel(tech.aging)],
+            MissionProfile(n_epochs=2))
+
+
+def _corners(backend):
+    def run(fx, tech):
+        from repro.core import CornerAnalysis
+
+        spec = Specification("offset", input_referred_offset_v,
+                             lower=-5e-3, upper=5e-3)
+        CornerAnalysis(fx, [spec], tech, vdd_scales=(1.0,),
+                       temperatures_k=(300.0,)).run(
+            jobs=1 if backend == "serial" else 2, backend=backend)
+    return run
+
+
+def _monte_carlo(fx, tech):
+    spec = Specification("offset", input_referred_offset_v, lower=-5e-3,
+                         upper=5e-3)
+    MonteCarloYield(fx, [spec], tech).run(n_samples=4, seed=1)
+
+
+def _high_sigma(fx, tech):
+    spec = Specification("offset", input_referred_offset_v, lower=-5e-3,
+                         upper=5e-3)
+    HighSigmaYield(fx, spec, tech).run(8, shift_sigma=1.0, seed=1,
+                                       adapt=False)
+
+
+def _aging_ensemble(fx, tech):
+    from repro.core import aging_ensemble
+
+    mechanisms, profile = _aging()
+    aging_ensemble(fx, mechanisms, profile,
+                   {"offset": input_referred_offset_v}, tech, n_samples=2)
+
+
+def _lifetime(fx, tech):
+    from repro.core import LifetimeEstimator
+
+    mechanisms, profile = _aging()
+    LifetimeEstimator(fx, mechanisms, tech, input_referred_offset_v,
+                      lower=-1.0, upper=1.0).run(profile, n_samples=2)
+
+
+def _reliability_yield(fx, tech):
+    from repro.core import reliability_yield
+
+    mechanisms, profile = _aging()
+    reliability_yield(fx, mechanisms, tech, input_referred_offset_v,
+                      profile, n_samples=2, lower=-1.0, upper=1.0)
+
+
+def _guardband(fx, tech):
+    from repro.core import guardband_analysis
+
+    mechanisms, profile = _aging()
+    guardband_analysis(fx, lambda f: 1.0 + input_referred_offset_v(f),
+                       tech, mechanisms=mechanisms, profile=profile,
+                       n_mc_samples=2)
+
+
+def _breakdown(fx, tech):
+    from repro.aging import TddbModel
+    from repro.core import BreakdownSimulator
+
+    BreakdownSimulator(fx, TddbModel(tech.aging)).run(
+        n_samples=3, horizon_s=1e12)
+
+
+class TestFixtureUntouched:
+    """A run leaves every device's params, variation and degradation,
+    and every source's value, as the caller set them.  The fixture
+    carries a non-default temperature, a mismatch and a degradation, so
+    an engine that resets to nominal is caught too."""
+
+    @staticmethod
+    def _state(fx):
+        from dataclasses import replace
+
+        devices = [(m.name, m.params, m.variation, replace(m.degradation))
+                   for m in fx.circuit.mosfets]
+        sources = [(e.name, e.spec) for e in fx.circuit
+                   if hasattr(e, "spec")]
+        return devices, sources
+
+    @pytest.mark.parametrize("run", [
+        _monte_carlo, _high_sigma, _aging_ensemble, _corners("serial"),
+        _corners("thread"), _corners("process"), _lifetime,
+        _reliability_yield, _guardband, _breakdown,
+    ], ids=["mc", "highsigma", "aging_ensemble", "corners-serial",
+            "corners-thread", "corners-process", "lifetime",
+            "reliability_yield", "guardband", "breakdown"])
+    def test_engine_leaves_fixture_as_given(self, run):
+        from dataclasses import replace
+
+        from repro.circuit.mosfet import DeviceVariation
+
+        tech = get_node("90nm")
+        fx = differential_pair(tech)
+        for device in fx.circuit.mosfets:
+            device.params = replace(device.params, temperature_k=350.0)
+            device.variation = DeviceVariation(delta_vt_v=4e-3)
+            device.degradation.delta_vt_v = 2e-3
+        before = self._state(fx)
+        run(fx, tech)
+        assert self._state(fx) == before

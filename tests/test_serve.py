@@ -1021,10 +1021,10 @@ class TestResultsEndpointHardening:
 
 class TestFixtureLeaseIsolation:
     def test_mc_unskewed_by_concurrent_corners_same_netlist(self):
-        # The review finding: corners mutates the shared fixture
-        # (corner params, vdd, temperature) while MC chunks clone it.
-        # MC must see only nominal parameters, so its result matches a
-        # run with no corners job in flight.
+        # A corners job on the same netlist shares the template with
+        # MC and configures its corners on replicas only: MC must see
+        # nominal parameters, so its result matches a run with no
+        # corners job in flight.
         mc = {"analysis": "mc", "tech": "90nm", "netlist": NETLIST,
               "params": {"samples": 24, "node": "mid", "lower": 0.0},
               "seed": 77, "backend": "thread"}
