@@ -318,6 +318,56 @@ class ReliabilitySimulator:
                            device_delta_vt_v=delta_vt)
 
 
+@dataclass(frozen=True)
+class _MissionSample:
+    """One :func:`aging_ensemble` die: ``(index, seed_seq) -> (report
+    or quarantined exception, telemetry payload)``.  A module-level
+    callable, so the process backend can pickle it."""
+
+    fixture: CircuitFixture
+    mechanisms: Sequence[AgingMechanism]
+    profile: MissionProfile
+    metrics: Dict[str, MetricFn]
+    tech: object
+    include_ler: bool
+    quarantine: bool
+    trace: bool
+    records: bool
+
+    def __call__(self, task):
+        from repro.core.yield_analysis import QUARANTINE_ERRORS
+        from repro.faultinject import set_current_sample
+        from repro.variability.sampler import MismatchSampler
+
+        index, seed_seq = task
+        # Each sample collects into a private worker session (span tree
+        # ``sample → aging.mission → aging.epoch → solve.*``) shipped
+        # back with the outcome, mirroring the Monte-Carlo chunks.
+        with telemetry.worker_session(self.trace, f"s{index}.",
+                                      self.records) as tsession:
+            sample_ctx = telemetry.NULL_SPAN if tsession is None else \
+                tsession.tracer.span("sample", index=index,
+                                     worker=telemetry.worker_label())
+            try:
+                with sample_ctx:
+                    fx, mechs = replicate((self.fixture, self.mechanisms))
+                    sampler = MismatchSampler(
+                        self.tech, np.random.default_rng(seed_seq),
+                        include_ler=self.include_ler)
+                    set_current_sample(index)
+                    sampler.assign(fx.circuit)
+                    outcome = ReliabilitySimulator(fx, list(mechs)).run(
+                        self.profile, metrics=self.metrics)
+            except QUARANTINE_ERRORS as exc:
+                if not self.quarantine:
+                    raise
+                outcome = exc
+            finally:
+                set_current_sample(None)
+            payload = None if tsession is None else tsession.export()
+            return outcome, payload
+
+
 def aging_ensemble(fixture: CircuitFixture,
                    mechanisms: Sequence[AgingMechanism],
                    profile: MissionProfile,
@@ -350,54 +400,14 @@ def aging_ensemble(fixture: CircuitFixture,
     sample index and diagnostics.  The default (``False``) keeps the
     historical contract: a plain report list, failures propagate.
     """
-    from repro.core.yield_analysis import QUARANTINE_ERRORS
-    from repro.faultinject import set_current_sample
-    from repro.variability.sampler import MismatchSampler
-
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
     seeds = spawn_seed_sequences(seed, n_samples)
-
-    def run_sample(task) -> AgingReport:
-        index, seed_seq = task
-        fx, mechs = replicate((fixture, mechanisms))
-        rng = np.random.default_rng(seed_seq)
-        sampler = MismatchSampler(tech, rng, include_ler=include_ler)
-        try:
-            set_current_sample(index)
-            sampler.assign(fx.circuit)
-            simulator = ReliabilitySimulator(fx, list(mechs))
-            return simulator.run(profile, metrics=metrics)
-        finally:
-            set_current_sample(None)
-
     session = telemetry.active()
     trace = session is not None
-    records = trace and session.tracer.keeps_records
-
-    def evaluate(task):
-        # Each sample collects into a private worker session (span tree
-        # ``sample → aging.mission → aging.epoch → solve.*``) shipped
-        # back with the outcome, mirroring the Monte-Carlo chunks.
-        index = task[0]
-        with telemetry.worker_session(trace, f"s{index}.",
-                                      records) as tsession:
-            if tsession is not None:
-                sample_ctx = tsession.tracer.span(
-                    "sample", index=index,
-                    worker=telemetry.worker_label())
-            else:
-                sample_ctx = telemetry.NULL_SPAN
-            try:
-                with sample_ctx:
-                    outcome = run_sample(task)
-            except QUARANTINE_ERRORS as exc:
-                if not quarantine:
-                    raise
-                outcome = exc
-            payload = None if tsession is None else tsession.export()
-            return outcome, payload
-
+    evaluate = _MissionSample(
+        fixture, mechanisms, profile, metrics, tech, include_ler,
+        quarantine, trace, trace and session.tracer.keeps_records)
     mapper = ParallelMap(backend=backend, n_jobs=jobs)
     tasks = list(enumerate(seeds))
     run_ctx = telemetry.NULL_SPAN if session is None else \

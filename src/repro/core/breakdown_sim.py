@@ -95,7 +95,6 @@ class BreakdownSimulator:
         self.temperature_k = temperature_k
         self.functional = (functional if functional is not None
                            else self._default_functional)
-        self._gate_stress_cache: Optional[Dict[str, float]] = None
 
     # ------------------------------------------------------------------
     def _default_functional(self, fixture: CircuitFixture) -> bool:
@@ -106,15 +105,12 @@ class BreakdownSimulator:
         except (ConvergenceError, SingularCircuitError):
             return False
 
-    def _gate_stresses(self) -> Dict[str, float]:
-        """|V_GS| of every device at the fresh operating point."""
-        if self._gate_stress_cache is None:
-            op = dc_operating_point(self.fixture.circuit)
-            self._gate_stress_cache = {
-                m.name: abs(m.operating_point(op.x).vgs_v)
-                for m in self.fixture.circuit.mosfets
-            }
-        return self._gate_stress_cache
+    @staticmethod
+    def _gate_stresses(fixture: CircuitFixture) -> Dict[str, float]:
+        """|V_GS| of every device at the fixture's operating point."""
+        op = dc_operating_point(fixture.circuit)
+        return {m.name: abs(m.operating_point(op.x).vgs_v)
+                for m in fixture.circuit.mosfets}
 
     # ------------------------------------------------------------------
     def run(self, n_samples: int, horizon_s: float,
@@ -125,15 +121,17 @@ class BreakdownSimulator:
         Each die's events are processed chronologically; the mode at the
         event time follows each device's SBD/PBD/HBD progression.  The
         dies run in turn on one replica of the fixture, fresh at the
-        start of each die; the caller's fixture is never modified.
+        start of each die; the caller's fixture is never modified.  The
+        gate stresses come from the replica's operating point before
+        the first die, so every run sees the fixture as it is then.
         """
         if n_samples <= 0:
             raise ValueError("n_samples must be positive")
         if horizon_s <= 0.0:
             raise ValueError("horizon must be positive")
         rng = np.random.default_rng(seed)
-        stresses = self._gate_stresses()
         replica = clone_fixture(self.fixture)
+        stresses = self._gate_stresses(replica)
         devices = replica.circuit.mosfets
         samples: List[BreakdownSample] = []
         for _ in range(n_samples):

@@ -907,7 +907,6 @@ class HighSigmaYield:
             two_sided: Optional[bool] = None,
             checkpoint: Optional[Union[str, Path]] = None,
             resume: bool = False,
-            checkpoint_every: int = 1,
             progress: Optional[Callable[[dict], None]] = None,
             budget: Optional[Union[float, DeadlineBudget]] = None
             ) -> HighSigmaResult:
@@ -936,7 +935,7 @@ class HighSigmaYield:
         (only the direction refines).  ``two_sided=None`` follows the
         spec: mixtures for two-bound specs, single shift otherwise.
 
-        ``checkpoint``/``resume``/``checkpoint_every``/``budget``/
+        ``checkpoint``/``resume``/``budget``/
         ``progress`` follow the Monte-Carlo engine's contract — both
         engines run on :func:`repro.runner.run_chunks` (atomic chunk
         persistence, partial results on expiry, ``RunInterrupted``
@@ -1062,8 +1061,7 @@ class HighSigmaYield:
             self._evaluate_chunk, stages(), assemble, kind="high-sigma",
             n_samples=n_samples, run_params=identity, jobs=jobs,
             backend=backend, checkpoint=checkpoint, resume=resume,
-            checkpoint_every=checkpoint_every, budget=budget,
-            progress=progress,
+            budget=budget, progress=progress,
             span_attrs={"chunk_size": chunk_size, "seed": seed,
                         "batch_size": batch_size, "shift_sigma": shift_sigma,
                         "surrogate": surrogate.kind if surrogate

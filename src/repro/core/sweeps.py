@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -67,6 +68,19 @@ class SweepResult:
         return float(self.parameter_values[k])
 
 
+def _evaluate_point(metrics: Dict[str, Callable[[float], float]],
+                    catch: tuple, value: float) -> Dict[str, float]:
+    """Every metric at one grid point, NaN where one raises ``catch``
+    (module-level, so the process backend can pickle it)."""
+    out = {}
+    for name, fn in metrics.items():
+        try:
+            out[name] = float(fn(value))
+        except catch:
+            out[name] = float("nan")
+    return out
+
+
 def sweep(parameter_name: str,
           parameter_values: Sequence[float],
           metrics: Dict[str, Callable[[float], float]],
@@ -82,24 +96,17 @@ def sweep(parameter_name: str,
     :class:`repro.parallel.ParallelMap`.  The metric functions then run
     concurrently, so they must be safe to call from several workers —
     pure functions, or functions that clone their fixture internally
-    (closures that mutate one shared circuit are only safe serially).
+    (closures that mutate one shared circuit are only safe serially);
+    the process backend also needs picklable (module-level) metrics.
     Results are assembled in grid order either way.
     """
     grid = np.asarray(list(parameter_values), dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("need a 1-D grid of at least two values")
 
-    def evaluate_point(value: float) -> Dict[str, float]:
-        out = {}
-        for name, fn in metrics.items():
-            try:
-                out[name] = float(fn(float(value)))
-            except catch:
-                out[name] = float("nan")
-        return out
-
     mapper = ParallelMap(backend=backend, n_jobs=jobs)
-    per_point = mapper.map(evaluate_point, [float(v) for v in grid])
+    per_point = mapper.map(partial(_evaluate_point, metrics, catch),
+                           [float(v) for v in grid])
     values = {name: np.full(grid.size, np.nan) for name in metrics}
     for k, point in enumerate(per_point):
         for name, value in point.items():

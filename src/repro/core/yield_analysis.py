@@ -504,7 +504,6 @@ class MonteCarloYield:
             chunk_size: int = DEFAULT_CHUNK_SIZE,
             checkpoint: Optional[Union[str, Path]] = None,
             resume: bool = False,
-            checkpoint_every: int = 1,
             progress: Optional[Callable[[dict], None]] = None,
             batch_size: Optional[int] = None,
             budget: Optional[Union[float, DeadlineBudget]] = None
@@ -522,8 +521,8 @@ class MonteCarloYield:
         choice (``chunk_size`` and ``seed`` are the reproducibility
         knobs).
 
-        ``checkpoint`` names a directory where every completed chunk is
-        persisted atomically (every ``checkpoint_every`` chunks); with
+        ``checkpoint`` names a directory where every chunk is persisted
+        atomically as it completes; with
         ``resume=True`` an existing checkpoint's chunks are restored
         and only the remainder is evaluated — the final result is
         bit-identical to an uninterrupted run under the same seed.  An
@@ -585,7 +584,6 @@ class MonteCarloYield:
                                                    partial),
             kind="mc-yield", n_samples=n_samples, run_params=run_params,
             jobs=jobs, backend=backend, checkpoint=checkpoint,
-            resume=resume, checkpoint_every=checkpoint_every,
-            budget=budget, progress=progress,
+            resume=resume, budget=budget, progress=progress,
             span_attrs={"chunk_size": chunk_size, "seed": seed,
                         "batch_size": batch_size})

@@ -9,7 +9,7 @@ for both engines and lives here, written once:
 * **Checkpoints** — create, resume, refuse an existing checkpoint
   without ``resume`` or a checkpoint of another run
   (:class:`~repro.checkpoint.McCheckpointStore`), save after every
-  ``checkpoint_every`` chunks and once at the end.
+  chunk and once at the end.
 * **Metrics** — a :class:`~repro.telemetry.MetricsRegistry`
   accumulator persisted in the manifest and restored on resume, so
   counters carry across interruptions.
@@ -209,7 +209,7 @@ def run_chunks(evaluate: Callable[[Any], dict], stages: Stages,
                                  None],
                jobs: int = 1, backend: str = "auto",
                checkpoint: Optional[Union[str, Path]] = None,
-               resume: bool = False, checkpoint_every: int = 1,
+               resume: bool = False,
                budget: Optional[DeadlineBudget] = None,
                progress: Optional[Callable[[dict], None]] = None,
                span_attrs: Optional[dict] = None):
@@ -226,8 +226,6 @@ def run_chunks(evaluate: Callable[[Any], dict], stages: Stages,
     called after every chunk with ``{"done", "total", "elapsed_s"}`` in
     samples.  See the module docstring for the stop semantics.
     """
-    if checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be at least 1")
     if isinstance(stages, Mapping):
         stages = _one_stage(stages)
     session = telemetry.active()
@@ -253,7 +251,6 @@ def run_chunks(evaluate: Callable[[Any], dict], stages: Stages,
         completed = {} if store is None else _restore(
             store, run_params, resume, metrics, session)
         done = sum(c["stop"] - c["start"] for c in completed.values())
-        since_save = 0
         t_start = time.time()
 
         def save() -> None:
@@ -262,7 +259,7 @@ def run_chunks(evaluate: Callable[[Any], dict], stages: Stages,
                            metrics=metrics.snapshot())
 
         def run_stage(stage: Stage) -> None:
-            nonlocal done, since_save
+            nonlocal done
             t_enqueued = time.time()
             # The stage's own span when its engine opened one (the
             # high-sigma pilot does), else the run span.
@@ -293,10 +290,7 @@ def run_chunks(evaluate: Callable[[Any], dict], stages: Stages,
                 if progress is not None:
                     progress({"done": done, "total": n_samples,
                               "elapsed_s": time.time() - t_start})
-                since_save += 1
-                if since_save >= checkpoint_every:
-                    save()
-                    since_save = 0
+                save()
 
         try:
             stage = next(stages)

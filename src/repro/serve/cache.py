@@ -10,19 +10,12 @@ Two caches with very different lifetimes:
   LRU in memory, with optional write-through persistence to a
   directory of ``<key>.json`` files (atomic temp+rename writes, same
   discipline as the run registry).
-* :class:`EngineSessionCache` — compiled circuit fixtures keyed by
-  (canonical netlist hash, tech).  Parsing a netlist and compiling its
-  MNA structure (node indexing, sparsity plan, first factorization) is
-  the per-request fixed cost; same-topology requests re-lease the same
-  fixture, whose :func:`repro.circuit.dc.dc_engine` cache keyed by
-  ``topology_version`` then serves the compiled ``DcEngine`` for free.
-  Leases come in two strengths: an *exclusive* lease (the default) for
-  jobs that use the fixture's own solver state (op's warm start), and
-  a *shared* lease for jobs that treat it as a read-only template
-  (Monte-Carlo, high-sigma and corners clone it and never write back).
-  Any number of shared leases run concurrently; none overlaps an
-  exclusive one.  Jobs on different topologies always run fully in
-  parallel.
+* :class:`EngineSessionCache` — built circuit fixtures keyed by the
+  workload fingerprint.  A session saves a job the netlist parse and
+  fixture build; the fixture is a read-only template that Monte-Carlo,
+  high-sigma and corners jobs clone per chunk or group of PVT points,
+  so any number of jobs lease one fixture at once.  ``op`` builds its
+  own fixture and leases nothing.
 """
 
 from __future__ import annotations
@@ -33,7 +26,7 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Hashable, Optional
 
 __all__ = ["ResultCache", "EngineSessionCache", "canonical_json"]
 
@@ -154,23 +147,18 @@ class ResultCache:
 
 
 class _Session:
-    """One cached topology: the built fixture plus its reader/writer gate."""
+    """One cached topology: the built fixture and the lock its build
+    runs under."""
 
-    __slots__ = ("cond", "fixture", "uses", "active", "readers", "writer",
-                 "writers_waiting")
+    __slots__ = ("lock", "fixture")
 
     def __init__(self):
-        self.cond = threading.Condition()
+        self.lock = threading.Lock()
         self.fixture = None
-        self.uses = 0
-        self.active = 0  # live leases; evicting would orphan the build
-        self.readers = 0  # live shared leases
-        self.writer = False  # a live exclusive lease
-        self.writers_waiting = 0  # blocked exclusives; gates new readers
 
 
 class EngineSessionCache:
-    """Bounded LRU of compiled fixtures keyed by (netlist hash, tech)."""
+    """Bounded LRU of built fixtures keyed by workload fingerprint."""
 
     def __init__(self, capacity: int = 8, metrics=None):
         if capacity < 1:
@@ -178,7 +166,7 @@ class EngineSessionCache:
         self.capacity = capacity
         self._metrics = metrics
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple[str, str], _Session]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, _Session]" = OrderedDict()
 
     def __len__(self) -> int:
         with self._lock:
@@ -189,80 +177,34 @@ class EngineSessionCache:
             self._metrics.inc(name)
 
     @contextmanager
-    def lease(self, key: Tuple[str, str], build: Callable[[], Any],
-              shared: bool = False):
-        """Yield ``(fixture, reused)`` under a session lease.
+    def lease(self, key: Hashable, build: Callable[[], Any]):
+        """Yield ``(fixture, reused)`` for the session under ``key``.
 
-        An exclusive lease (the default) is for callers that mutate the
-        fixture in place: it excludes every other lease on the same
-        topology.  A ``shared`` lease is for read-only template users:
-        shared leases run concurrently with each other but never with
-        an exclusive one.  Waiting exclusives gate new shared leases so
-        a stream of readers cannot starve a mutator.
-
-        ``build`` runs at most once per cache residency, under the
-        session gate (not the cache lock) so an expensive compile of
-        one topology never blocks leases on other topologies.
+        The fixture is a read-only template: any number of leases on
+        one key run at once, and none may write it.  ``build`` runs at
+        most once per cache residency, under the session's own lock
+        (not the cache lock), so a slow build of one key never blocks
+        leases on other keys; a build that raises leaves the session
+        empty for the next lease to build.  An evicted session's
+        fixture stays valid for the leases that already hold it.
         """
         with self._lock:
             session = self._entries.get(key)
             if session is None:
                 session = _Session()
                 self._entries[key] = session
-            session.active += 1
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
-                # Oldest entry nobody is currently leasing; a cache over
-                # capacity purely with live leases stays over capacity
-                # until one of them releases.
-                victim = next((k for k, s in self._entries.items()
-                               if s.active == 0), None)
-                if victim is None:
-                    break
-                del self._entries[victim]
+                self._entries.popitem(last=False)
                 self._inc("serve.session.evictions")
             if self._metrics is not None:
                 self._metrics.gauge("serve.session.entries",
                                     len(self._entries))
-        try:
-            with session.cond:
-                if shared:
-                    while session.writer or session.writers_waiting:
-                        session.cond.wait()
-                else:
-                    session.writers_waiting += 1
-                    try:
-                        while session.writer or session.readers:
-                            session.cond.wait()
-                    finally:
-                        session.writers_waiting -= 1
-                    session.writer = True
-                try:
-                    reused = session.fixture is not None
-                    if not reused:
-                        # Built holding the gate: same-key leases queue
-                        # behind the build, so it runs at most once.
-                        session.fixture = build()
-                        self._inc("serve.session.builds")
-                    else:
-                        self._inc("serve.session.reuses")
-                    session.uses += 1
-                    if shared:
-                        session.readers += 1
-                except BaseException:
-                    if not shared:
-                        session.writer = False
-                    session.cond.notify_all()
-                    raise
-            try:
-                yield session.fixture, reused
-            finally:
-                with session.cond:
-                    if shared:
-                        session.readers -= 1
-                    else:
-                        session.writer = False
-                    session.cond.notify_all()
-        finally:
-            with self._lock:
-                session.active -= 1
+        with session.lock:
+            reused = session.fixture is not None
+            if not reused:
+                session.fixture = build()
+                self._inc("serve.session.builds")
+            else:
+                self._inc("serve.session.reuses")
+        yield session.fixture, reused

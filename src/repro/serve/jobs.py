@@ -308,31 +308,19 @@ class JobRunner:
 
     # -- fixtures through the session cache ---------------------------
     @contextmanager
-    def _lease(self, job: Job, shared: bool = False):
-        """Lease the compiled fixture for a job's workload (or, for op,
-        its netlist), keyed by the workload fingerprint.
+    def _lease(self, job: Job):
+        """Lease the built fixture of a job's workload, keyed by the
+        workload fingerprint.
 
-        Monte-Carlo, high-sigma and corners treat the fixture as a
+        Monte-Carlo, high-sigma and corners jobs treat the fixture as a
         read-only template (every chunk or group of PVT points clones
-        it) and take a ``shared`` lease held for the whole run, so
-        same-workload read-only jobs overlap freely.  Op solves on the
-        fixture itself with its warm start and takes the default
-        exclusive lease, which the shared holders exclude.
+        it), so jobs on one workload share it and run at once.
         """
-        from repro.workloads import netlist_fixture
-
-        spec = job.spec
-        if spec.workload is not None:
-            key, build = spec.workload.fingerprint, spec.workload.fixture
-        else:
-            key = ("netlist", spec.netlist_hash, spec.tech)
-
-            def build():
-                return netlist_fixture(spec.netlist, self._tech(spec))
-        with self.sessions.lease(key, build, shared=shared) \
+        workload = job.spec.workload
+        with self.sessions.lease(workload.fingerprint, workload.fixture) \
                 as (fixture, reused):
             job.session_reused = reused
-            yield fixture, reused
+            yield fixture
 
     # -- mc specs ------------------------------------------------------
     def _mc_specs(self, job: Job, fixture):
@@ -370,15 +358,15 @@ class JobRunner:
 
     # -- analyses ------------------------------------------------------
     def _run_op(self, job: Job, budget) -> Tuple[dict, str]:
-        from repro.circuit.dc import dc_operating_point, warm_start
+        from repro.circuit.dc import dc_operating_point
+        from repro.workloads import netlist_fixture
 
+        spec = job.spec
         budget.check("serve.op")
-        with self._lease(job) as (fixture, _reused):
-            circuit = fixture.circuit
-            with warm_start(circuit):
-                solution = dc_operating_point(circuit)
-            nodes = {name: solution.voltage(name)
-                     for name in sorted(circuit.node_names)}
+        circuit = netlist_fixture(spec.netlist, self._tech(spec)).circuit
+        solution = dc_operating_point(circuit)
+        nodes = {name: solution.voltage(name)
+                 for name in sorted(circuit.node_names)}
         envelope = {"analysis": "op", "nodes": nodes,
                     "netlist_hash": job.spec.netlist_hash}
         return envelope, "ok"
@@ -391,7 +379,7 @@ class JobRunner:
         samples = spec.analysis_params["samples"]
         chunk_size = spec.analysis_params["chunk_size"]
         checkpoint = self._checkpoint_dir(job)
-        with self._lease(job, shared=True) as (fixture, _reused):
+        with self._lease(job) as fixture:
             specs = self._mc_specs(job, fixture)
             engine = MonteCarloYield(fixture, specs, tech)
             result = engine.run(
@@ -440,7 +428,7 @@ class JobRunner:
         tech = self._tech(spec)
         budget.check("serve.corners")
         vdd_source = spec.analysis_params["vdd_source"]
-        with self._lease(job, shared=True) as (fixture, _reused):
+        with self._lease(job) as fixture:
             specs = self._mc_specs(job, fixture)
             try:
                 analysis = CornerAnalysis(fixture, specs, tech,
@@ -490,7 +478,7 @@ class JobRunner:
         surrogate = checked["surrogate"]
         metric, _text = spec.workload.spec()
         checkpoint = self._checkpoint_dir(job)
-        with self._lease(job, shared=True) as (fixture, _reused):
+        with self._lease(job) as fixture:
             engine = HighSigmaYield(fixture, metric, tech)
             result = engine.run(
                 samples, shift_sigma=shift_sigma, seed=spec.seed,

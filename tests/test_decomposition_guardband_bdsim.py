@@ -152,6 +152,26 @@ class TestBreakdownSimulator:
                 > result.first_bd_fraction(horizon) * 0.7)
         assert result.mean_breakdowns_survived() > 0.5
 
+    def test_supplies_changed_between_runs(self, tech65):
+        # The gate stresses follow the fixture as it is at each run,
+        # not as it was at the simulator's first run.
+        fx = sram_cell(tech65)
+        tddb = TddbModel(tech65.aging)
+        temperature_k = units.celsius_to_kelvin(125.0)
+        sim = BreakdownSimulator(fx, tddb, functional=is_bistable,
+                                 temperature_k=temperature_k)
+        horizon = units.years_to_seconds(1.0)
+        sim.run(n_samples=20, horizon_s=horizon, seed=2)
+        for name in ("vdd", "vbl", "vblb"):
+            fx.circuit[name].spec = DcSpec(1.7 * tech65.vdd)
+        rerun = sim.run(n_samples=20, horizon_s=horizon, seed=2)
+        fresh = BreakdownSimulator(
+            fx, tddb, functional=is_bistable,
+            temperature_k=temperature_k).run(
+                n_samples=20, horizon_s=horizon, seed=2)
+        assert rerun.samples == fresh.samples
+        assert rerun.first_bd_fraction(horizon) > 0.7
+
     def test_fixture_restored(self, tech65):
         fx = self.overstressed_cell(tech65)
         sim = BreakdownSimulator(fx, TddbModel(tech65.aging),

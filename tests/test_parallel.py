@@ -6,16 +6,25 @@ the analysis engines: the ISSUE-1 acceptance contract is that
 worker exception surfaces with the global sample index.
 """
 
+import operator
+
 import numpy as np
 import pytest
 
+from repro.aging import HciModel, NbtiModel
 from repro.circuit import dc_operating_point
-from repro.circuits import differential_pair, simple_current_mirror
+from repro.circuits import (
+    differential_pair,
+    input_referred_offset_v,
+    simple_current_mirror,
+)
 from repro.core import (
     CornerAnalysis,
+    MissionProfile,
     MonteCarloYield,
     SampleEvaluationError,
     Specification,
+    aging_ensemble,
     sweep,
 )
 from repro.parallel import (
@@ -201,12 +210,39 @@ class TestParallelCornersAndSweeps:
             assert serial.values == parallel.values
 
     def test_sweep_parallel_matches_serial(self):
-        metrics = {"sq": lambda v: v * v, "neg": lambda v: -v}
+        # Module-level metrics, so the process backend can pickle them.
+        metrics = {"sq": _square, "neg": operator.neg}
         grid = np.linspace(0.0, 1.0, 9)
         serial = sweep("x", grid, metrics)
-        parallel = sweep("x", grid, metrics, jobs=4, backend="thread")
-        for name in metrics:
-            assert np.array_equal(serial.values[name], parallel.values[name])
+        for backend in ("thread", "process"):
+            parallel = sweep("x", grid, metrics, jobs=4, backend=backend)
+            for name in metrics:
+                assert np.array_equal(serial.values[name],
+                                      parallel.values[name])
+
+    def test_aging_ensemble_parallel_matches_serial(self, tech90):
+        fx = differential_pair(tech90)
+        profile = MissionProfile(n_epochs=2, duration_s=1e6,
+                                 t_first_epoch_s=1e3)
+
+        def run(**kwargs):
+            mechanisms = [NbtiModel(tech90.aging), HciModel(tech90.aging)]
+            return aging_ensemble(fx, mechanisms, profile,
+                                  {"offset": input_referred_offset_v},
+                                  tech90, n_samples=3, seed=5, **kwargs)
+        serial = run()
+        for backend in ("thread", "process"):
+            parallel = run(jobs=2, backend=backend)
+            assert len(parallel) == len(serial)
+            for a, b in zip(serial, parallel):
+                assert np.array_equal(a.times_s, b.times_s)
+                assert np.array_equal(a.metrics["offset"],
+                                      b.metrics["offset"])
+                assert a.device_delta_vt_v.keys() == \
+                    b.device_delta_vt_v.keys()
+                for name in a.device_delta_vt_v:
+                    assert np.array_equal(a.device_delta_vt_v[name],
+                                          b.device_delta_vt_v[name])
 
 
 class TestSamplerBatchApi:

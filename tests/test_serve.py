@@ -406,54 +406,47 @@ class TestEngineSessionCache:
         with cache.lease(("a", "t"), lambda: "rebuilt") as (fx, reused):
             assert not reused and fx == "rebuilt"
 
-    def test_leased_session_never_evicted(self):
+    def test_evicted_fixture_stays_with_its_holder(self):
+        # A lease over capacity evicts the oldest session even while it
+        # is leased: the holder keeps its fixture, and the next lease
+        # on the evicted key builds afresh.
         cache = EngineSessionCache(1)
         held = threading.Event()
         release = threading.Event()
+        seen = []
 
         def holder():
-            with cache.lease(("keep", "t"), lambda: "kept"):
+            with cache.lease(("keep", "t"), lambda: "kept") as (fx, _r):
                 held.set()
                 release.wait(10)
+                seen.append(fx)
         thread = threading.Thread(target=holder)
         thread.start()
         assert held.wait(10)
         with cache.lease(("other", "t"), lambda: "other"):
-            pass  # over capacity, but the live lease is not a victim
+            assert len(cache) == 1
         release.set()
         thread.join(10)
+        assert seen == ["kept"]
         with cache.lease(("keep", "t"), lambda: "rebuilt") as (fx, reused):
-            assert reused and fx == "kept"
-
-    def test_exclusive_lease_serialises_same_topology(self):
-        cache = EngineSessionCache(2)
-        active, peak = [0], [0]
-
-        def worker():
-            with cache.lease(("same", "t"), lambda: "fx"):
-                active[0] += 1
-                peak[0] = max(peak[0], active[0])
-                time.sleep(0.02)
-                active[0] -= 1
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert peak[0] == 1
+            assert not reused and fx == "rebuilt"
 
     def test_shared_leases_overlap(self):
-        # MC-style read-only leases on the same topology must run
-        # concurrently: all three threads reach the barrier inside
-        # their lease, which is impossible if they serialise.
+        # Leases on the same key run concurrently: all three threads
+        # reach the barrier inside their lease, which is impossible if
+        # they serialise.  The slow build still runs once.
         cache = EngineSessionCache(2)
         barrier = threading.Barrier(3, timeout=10)
-        errors = []
+        builds, errors = [], []
+
+        def build():
+            builds.append(1)
+            time.sleep(0.05)
+            return "fx"
 
         def reader():
             try:
-                with cache.lease(("same", "t"), lambda: "fx",
-                                 shared=True):
+                with cache.lease(("same", "t"), build):
                     barrier.wait()
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
@@ -463,69 +456,80 @@ class TestEngineSessionCache:
         for t in threads:
             t.join(20)
         assert not errors
-
-    def test_exclusive_lease_excludes_shared(self):
-        # The PR-review bug: a corners/op job mutating the fixture
-        # while an MC job clones from it.  A live exclusive lease must
-        # hold shared leases out until it releases.
-        cache = EngineSessionCache(2)
-        writing = threading.Event()
-        release = threading.Event()
-        read = threading.Event()
-
-        def mutator():
-            with cache.lease(("same", "t"), lambda: "fx"):
-                writing.set()
-                release.wait(10)
-
-        def reader():
-            with cache.lease(("same", "t"), lambda: "fx", shared=True):
-                read.set()
-        t_w = threading.Thread(target=mutator)
-        t_w.start()
-        assert writing.wait(10)
-        t_r = threading.Thread(target=reader)
-        t_r.start()
-        assert not read.wait(0.2), "shared lease overlapped an exclusive"
-        release.set()
-        assert read.wait(10)
-        t_w.join(10), t_r.join(10)
-
-    def test_shared_lease_excludes_exclusive(self):
-        cache = EngineSessionCache(2)
-        reading = threading.Event()
-        release = threading.Event()
-        wrote = threading.Event()
-
-        def reader():
-            with cache.lease(("same", "t"), lambda: "fx", shared=True):
-                reading.set()
-                release.wait(10)
-
-        def mutator():
-            with cache.lease(("same", "t"), lambda: "fx"):
-                wrote.set()
-        t_r = threading.Thread(target=reader)
-        t_r.start()
-        assert reading.wait(10)
-        t_w = threading.Thread(target=mutator)
-        t_w.start()
-        assert not wrote.wait(0.2), "exclusive lease overlapped a shared"
-        release.set()
-        assert wrote.wait(10)
-        t_r.join(10), t_w.join(10)
+        assert builds == [1]
 
     def test_build_failure_does_not_wedge_the_session(self):
         cache = EngineSessionCache(2)
 
         def boom():
             raise RuntimeError("compile failed")
-        for shared in (False, True):
+        for _ in range(2):
             with pytest.raises(RuntimeError):
-                with cache.lease(("same", "t"), boom, shared=shared):
+                with cache.lease(("same", "t"), boom):
                     pass  # pragma: no cover — build raises first
         with cache.lease(("same", "t"), lambda: "fx") as (fx, reused):
             assert fx == "fx" and not reused
+
+
+MOSFET_NETLIST = """common-source stage
+vdd vdd 0 dc 1.2
+vg g 0 dc 0.6
+rl vdd out 10k
+m1 out g 0 0 n w=1u l=0.1u
+.end
+"""
+
+
+class TestSessionsAcrossJobs:
+    def test_op_jobs_on_one_netlist_overlap(self, monkeypatch):
+        # Two op jobs on one netlist (different seeds, so two cache
+        # keys) solve at the same time: both reach the barrier inside
+        # their solve, which is impossible if one waits for the other.
+        from repro.circuit import dc
+
+        barrier = threading.Barrier(2, timeout=10)
+        solve = dc.dc_operating_point
+
+        def meeting_solve(circuit, *args, **kwargs):
+            barrier.wait()
+            return solve(circuit, *args, **kwargs)
+        monkeypatch.setattr(dc, "dc_operating_point", meeting_solve)
+        specs = [{"analysis": "op", "tech": "90nm",
+                  "netlist": MOSFET_NETLIST, "seed": seed}
+                 for seed in (1, 2)]
+        with serving(workers=2) as (_app, client, _exit):
+            acks = [client.submit_ok(spec) for spec in specs]
+            finals = [client.wait(ack["job_id"], timeout=60)
+                      for ack in acks]
+        assert [f["outcome"] for f in finals] == ["ok", "ok"], finals
+        assert finals[0]["result"]["nodes"] == finals[1]["result"]["nodes"]
+
+    def test_build_failure_leaves_the_session_usable(self, monkeypatch):
+        import repro.workloads
+
+        build = repro.workloads.netlist_fixture
+        calls = []
+
+        def failing_once(netlist, tech):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("build failed")
+            return build(netlist, tech)
+        monkeypatch.setattr(repro.workloads, "netlist_fixture",
+                            failing_once)
+        spec = {"analysis": "mc", "tech": "90nm", "netlist": NETLIST,
+                "params": {"samples": 4, "node": "mid",
+                           "lower": 0.4, "upper": 0.6}, "seed": 3}
+        with serving(workers=2) as (_app, client, _exit):
+            failed = client.run(spec)
+            retried = client.run(spec)
+            again = client.run(dict(spec, seed=4))
+        assert failed["outcome"] == "error"
+        assert "build failed" in failed["snapshot"]["error"]
+        assert retried["outcome"] == "ok" and not retried["cached"]
+        assert retried["snapshot"]["session_reused"] is False
+        assert again["snapshot"]["session_reused"] is True
+        assert len(calls) == 2
 
 
 # ----------------------------------------------------------------------
