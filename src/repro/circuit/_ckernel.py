@@ -64,6 +64,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from typing import List, Optional
 
 _C_SOURCE = r"""
@@ -514,25 +515,36 @@ def _cython_lapack():
 
 _dgesv_address: list = []
 
+#: Serialises the first-use look-ups (the LAPACK address, the library
+#: build): the chunk threads of a run reach them together, and a
+#: thread that raced another's unfinished look-up could record an
+#: absence that then holds for the whole process.
+_FIRST_USE = threading.Lock()
+
 
 def dgesv_pointer() -> Optional[int]:
     """Address of LAPACK ``dgesv`` as exported by
     ``scipy.linalg.cython_lapack`` — the same routine scipy's f2py
     ``dgesv`` wrapper calls — or None without scipy."""
     if not _dgesv_address:
-        try:
-            capsule = _cython_lapack().__pyx_capi__["dgesv"]
-            api = ctypes.pythonapi
-            get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-                ("PyCapsule_GetName", api))
-            get_pointer = ctypes.PYFUNCTYPE(
-                ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-                ("PyCapsule_GetPointer", api))
-            address = get_pointer(capsule, get_name(capsule))
-        except Exception:
-            address = None
-        _dgesv_address.append(address)
+        with _FIRST_USE:
+            if not _dgesv_address:
+                _dgesv_address.append(_lookup_dgesv())
     return _dgesv_address[0]
+
+
+def _lookup_dgesv() -> Optional[int]:
+    try:
+        capsule = _cython_lapack().__pyx_capi__["dgesv"]
+        api = ctypes.pythonapi
+        get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+            ("PyCapsule_GetName", api))
+        get_pointer = ctypes.PYFUNCTYPE(
+            ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", api))
+        return get_pointer(capsule, get_name(capsule))
+    except Exception:
+        return None
 
 _lib: Optional[ctypes.CDLL] = None
 _build_attempted = False
@@ -634,11 +646,13 @@ def load() -> Optional[ctypes.CDLL]:
     if _DISABLED:
         return None
     if not _build_attempted:
-        _build_attempted = True
-        try:
-            _lib = _compile()
-        except Exception:
-            _lib = None
+        with _FIRST_USE:
+            if not _build_attempted:
+                try:
+                    _lib = _compile()
+                except Exception:
+                    _lib = None
+                _build_attempted = True
     return _lib
 
 

@@ -517,6 +517,12 @@ class DcEngine:
         self.workspace.base.load_from(memo)
         return block
 
+    def reload_base(self) -> None:
+        """Copy the memoized base back into ``workspace.base``, which a
+        compiled transient rewrote: what :meth:`load_base` loads when
+        nothing its key reads has changed since it last ran."""
+        self.workspace.base.load_from(self._base_memo)
+
     def stamp_nonlinear(self, st: Stamper, x: np.ndarray) -> None:
         """Stamp the guess-dependent part only (called every iteration)."""
         group = self.mosfet_group
@@ -1066,6 +1072,24 @@ class SweepPlan:
     held: Tuple[Tuple[str, float], ...] = ()
 
 
+@dataclass(frozen=True)
+class TransientPlan:
+    """One transient per die for :func:`operating_point_dies`: the
+    die's :func:`~repro.circuit.transient.transient` from its operating
+    point to ``t_stop`` in grid steps of ``dt``, with ``method``,
+    ``lte_rtol`` and ``max_step_halvings`` as that function takes them;
+    ``reduce`` maps the ``(len(nodes), steps + 1)`` voltages of
+    ``nodes`` over the grid to the die's value."""
+
+    t_stop: float
+    dt: float
+    method: str
+    lte_rtol: Optional[float]
+    max_step_halvings: int
+    nodes: Tuple[str, ...]
+    reduce: Callable[[np.ndarray], float]
+
+
 class _DieSweep:
     """A :class:`SweepPlan` bound to a circuit: the source, its spec as
     the chunk found it, the node indices and the buffers each die's
@@ -1089,67 +1113,82 @@ class _DieSweep:
 
 def operating_point_dies(circuit: Circuit, n_dies: int,
                          prepare: Callable[[int], None],
-                         plans: Sequence[Union[str, SweepPlan]],
+                         plans: Sequence[Union[str, SweepPlan,
+                                               TransientPlan]],
                          quarantine: Callable[[int, int, Exception], None]
                          ) -> Optional[Tuple[np.ndarray, List[float]]]:
     """The values of ``n_dies`` dies of ``circuit``, solved in one loop
     around the compiled Newton kernel.
 
-    Each entry of ``plans`` is one spec: a node name (one operating
-    point, that node's voltage) or a :class:`SweepPlan` (one DC sweep,
-    reduced to a value), every one solved on ``circuit`` (a plan's own
-    ``circuit`` is the caller's to resolve).  The loop gives the bits,
-    errors and ``solver.dc.*`` metrics of a per-die loop that, inside
-    :func:`warm_start`, calls ``prepare(k)`` and then, per plan,
-    ``dc_operating_point(circuit).voltage(node)`` or
+    Each entry of ``plans`` is one spec, of one of three kinds: a node
+    name (one operating point, that node's voltage), a
+    :class:`SweepPlan` (one DC sweep, reduced to a value) or a
+    :class:`TransientPlan` (one transient from the die's operating
+    point, reduced to a value), every one solved on ``circuit`` (a
+    plan's own ``circuit`` is the caller's to resolve).  The loop gives
+    the bits, errors and ``solver.dc.*``/``solver.transient.*`` metrics
+    of a per-die loop that, inside :func:`warm_start`, calls
+    ``prepare(k)`` and then, per plan,
+    ``dc_operating_point(circuit).voltage(node)``,
     ``plan.reduce(sweep_voltages(dc_sweep(circuit, plan.source,
     plan.values), plan.nodes))`` (with the plan's ``held`` sources set
-    around it and, for a plan on a probe circuit, warm starting off).
+    around it and, for a plan on a probe circuit, warm starting off) or
+    ``transient(circuit, plan.t_stop, plan.dt, ...)`` reduced over the
+    node voltages of its grid.
     The ``held`` sources are set once, for the whole loop, and
     restored when it ends, whatever ends it.  ``prepare(k)`` turns the circuit
     into die ``k`` and may change only the MOSFETs' variation (what
-    :meth:`MosfetGroup.refresh` re-reads): the base system is loaded
+    :meth:`MosfetGroup.refresh` re-reads): the base system is stamped
     once, not per die.
 
     Per operating point the loop runs one ``newton_dense`` call from
     the last converged solution; per sweep, one ``sweep_dense`` call
-    whose first point starts from it, as :func:`_compiled_sweep` does.
-    A solve or point plain Newton cannot finish is replayed through
-    the full ladder from the same guess, and the loop resumes from the
-    last good solution; an error (a replay that raises, a ``reduce``
-    that finds no value) goes to ``quarantine(k, j, exc)`` (plan ``j``
-    of die ``k``), which may raise in turn.  The kernel's argument
-    block is fetched once per die, after its refresh: a params swap
-    seen by the refresh rebinds it.
+    whose first point starts from it, as :func:`_compiled_sweep` does;
+    per transient, that operating point, then one ``transient_dense``
+    call from it, on the step tape and grid buffers bound once per
+    chunk (:func:`repro.circuit.transient.die_transient`).  The
+    transient kernel rewrites the workspace base, so the base is
+    reloaded before the next solve.  A solve or point plain Newton
+    cannot finish is replayed through the full ladder from the same
+    guess, a step the transient kernel rejects through the Python step
+    loop (:func:`repro.circuit.transient._kernel_steps`), and the loop
+    resumes from the last good solution; an error (a replay that
+    raises, a step rejected at the halving limit, a ``reduce`` that
+    finds no value) goes to ``quarantine(k, j, exc)`` (plan ``j`` of
+    die ``k``), which may raise in turn.  The kernel's argument block
+    is fetched once per die, after its refresh: a params swap seen by
+    the refresh rebinds it.
 
     Returns ``(values, durations)``: ``values[j, k]`` is plan ``j``'s
     value on die ``k`` (NaN where quarantined), ``durations`` the wall
     time of each die [s].  Returns None, having run nothing, when the
     compiled loop cannot serve the circuit, a node, a swept voltage
-    source or a held source is unknown, or the active telemetry session
-    keeps span records (a trace wants each die's spans); the caller's
-    per-die loop then serves.
+    source or a held source is unknown, a transient plan is one
+    :func:`~repro.circuit.transient.transient` refuses or the compiled
+    step loop cannot take, or the active telemetry session keeps span
+    records (a trace wants each die's spans); the caller's per-die loop
+    then serves.
 
     Telemetry is folded once, at the end: the solver metrics, and the
     span totals a per-die loop's ``sample`` → ``analysis`` →
-    ``solve.dc``/``solve.dc.sweep`` spans would leave, under the
-    current span.
+    ``solve.dc``/``solve.dc.sweep``/``solve.transient`` spans would
+    leave, under the current span.
     """
     session = telemetry.active()
     if session is not None and session.tracer.keeps_records:
         return None
     circuit.compile()
+    sweep_plans = [plan for plan in plans if type(plan) is SweepPlan]
     try:
         index = [circuit.node(plan) if type(plan) is str else -1
                  for plan in plans]
         if not all(isinstance(circuit[plan.source], VoltageSource)
-                   and len(plan.values) for plan in plans
-                   if type(plan) is not str):
+                   and len(plan.values) for plan in sweep_plans):
             return None
-        sweeps = [None if type(plan) is str else _DieSweep(circuit, plan)
-                  for plan in plans]
-        held = [(circuit[name], DcSpec(level)) for plan in plans
-                if type(plan) is not str for name, level in plan.held]
+        sweeps = [_DieSweep(circuit, plan) if type(plan) is SweepPlan
+                  else None for plan in plans]
+        held = [(circuit[name], DcSpec(level)) for plan in sweep_plans
+                for name, level in plan.held]
     except KeyError:
         return None
     opts = NewtonOptions()
@@ -1162,6 +1201,17 @@ def operating_point_dies(circuit: Circuit, n_dies: int,
         ws = engine.workspace
         if group.newton_args(ws) is None:
             return None
+        transients = [None] * len(plans)
+        if any(type(plan) is TransientPlan for plan in plans):
+            # deferred: cyclic import
+            from repro.circuit.transient import die_transient
+
+            for j, plan in enumerate(plans):
+                if type(plan) is TransientPlan:
+                    transients[j] = die_transient(circuit, engine, plan,
+                                                  opts)
+                    if transients[j] is None:
+                        return None
         metrics = session.metrics if session is not None else None
         solve = _ckernel.newton_dense
         converged = _ckernel.NEWTON_CONVERGED
@@ -1174,7 +1224,8 @@ def operating_point_dies(circuit: Circuit, n_dies: int,
         # The base must be reloaded before the next kernel solve (a
         # sweep replayed a point under another spec of its source), or
         # before the next operating point (a kernel sweep rewrote the
-        # source's row of the base).
+        # source's row of the base).  A transient rewrites all of it
+        # and reloads it at once, from the memo.
         stale = swept = False
         iterations: List[int] = []
         sweep_iterations: List[np.ndarray] = []
@@ -1183,6 +1234,7 @@ def operating_point_dies(circuit: Circuit, n_dies: int,
         solve_s: List[float] = []   # solve.dc spans under analysis
         sweep_s: List[float] = []   # solve.dc.sweep spans
         point_s: List[float] = []   # replayed points, in a sweep span
+        transient_s: List[float] = []  # solve.transient spans
 
         def replay(x0: Optional[np.ndarray]) -> np.ndarray:
             t_point = clock()
@@ -1260,12 +1312,30 @@ def operating_point_dies(circuit: Circuit, n_dies: int,
                     # The ladder's own solves overwrote the base.
                     _fill_base(engine, gmin)
                 t_solved = clock()
-                if solved is not None:
+                solve_s.append(t_solved - t_start)
+                die_run = transients[j]
+                if solved is None:
+                    pass
+                elif die_run is None:
                     node_index = index[j]
                     values[j, k] = solved[node_index] \
                         if node_index >= 0 else 0.0
+                else:
+                    error = None
+                    try:
+                        die_run.integrate(block, solved)
+                    except Exception as exc:
+                        error = exc
+                    engine.reload_base()
+                    transient_s.append(clock() - t_solved)
+                    if error is None:
+                        try:
+                            values[j, k] = die_run.value()
+                        except Exception as exc:
+                            error = exc
+                    if error is not None:
+                        quarantine(k, j, error)
                 t_end = clock()
-                solve_s.append(t_solved - t_start)
                 analysis_s.append(t_end - t_start)
             die_s.append(t_end - t_die)
     if session is not None and die_s:
@@ -1273,12 +1343,18 @@ def operating_point_dies(circuit: Circuit, n_dies: int,
             _record_kernel_solves(metrics, np.concatenate(
                 [np.array(iterations, dtype=np.int64)]
                 + sweep_iterations))
+        for die_run in transients:
+            if die_run is not None:
+                die_run.record(metrics)
         totals = {"sample": _span_total(die_s, analysis_s),
-                  "analysis": _span_total(analysis_s, solve_s + sweep_s)}
+                  "analysis": _span_total(
+                      analysis_s, solve_s + sweep_s + transient_s)}
         if solve_s or point_s:
             totals["solve.dc"] = _span_total(solve_s + point_s, ())
         if sweep_s:
             totals["solve.dc.sweep"] = _span_total(sweep_s, point_s)
+        if transient_s:
+            totals["solve.transient"] = _span_total(transient_s, ())
         session.tracer.absorb(totals, die_s, telemetry.current_span())
     return values, die_s
 

@@ -22,6 +22,7 @@ Choose ``dt`` ≤ 1/50 of the fastest signal period; the EMC helpers in
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -33,6 +34,8 @@ from repro.circuit.dc import (
     DcSolution,
     NewtonOptions,
     NewtonStats,
+    TransientPlan,
+    _node_columns,
     dc_engine,
     dc_operating_point,
     label_unknown,
@@ -284,6 +287,15 @@ class _StepTape:
             state["v"] = float(self.cap_v[k])
             state["i"] = float(self.cap_i[k])
 
+    def seed(self, x: np.ndarray) -> None:
+        """Start the capacitor history at the operating point ``x``, as
+        a new transient's ``init_state`` calls and :meth:`bind` do.  The
+        capacitors are the only elements of a taped transient that keep
+        history (the rest are R/V/I elements and MOSFETs)."""
+        for element, state in self.caps:
+            element.init_state(x, state)
+        self.load()
+
 
 _NO_X = np.zeros(0)
 
@@ -316,6 +328,303 @@ def _step_tape(engine, linear_pairs, group, gmin: float, n_steps: int,
     return tape
 
 
+def _no_rejections() -> Dict[str, int]:
+    """A transient's rejection tally before its first step: Newton and
+    LTE rejections, and the deepest halving."""
+    return {"newton": 0, "lte": 0, "max_depth": 0}
+
+
+class _StepReplay:
+    """The Python step loop of one circuit's transients: a grid step
+    through :meth:`advance` (the seeded Newton solve and its unseeded
+    retry, the LTE check, recursive halving and the step-failure
+    report), on the element state dicts it owns.
+
+    :func:`_transient_impl` runs every grid step through it when the
+    compiled step loop cannot serve, and :func:`_kernel_steps` replays
+    each step the kernel rejects through it — for :func:`transient` and
+    for the die loop of :func:`repro.circuit.dc.operating_point_dies`
+    alike.  ``rejections`` tallies the current transient's rejections
+    (:func:`_no_rejections` restarts it)."""
+
+    def __init__(self, circuit: Circuit, engine, dt: float, method: str,
+                 opts: NewtonOptions, max_step_halvings: int,
+                 lte_rtol: Optional[float]):
+        self.circuit = circuit
+        self.dt = dt
+        self.method = method
+        self.opts = opts
+        self.max_step_halvings = max_step_halvings
+        self.lte_rtol = lte_rtol
+        self.size = engine.size
+        self.n_nodes = engine.n_nodes
+        self.ws = engine.workspace
+        pairs = [(element, {}) for element in circuit.elements]
+        self.pairs = pairs
+        # Partition once: solution-independent companions are stamped
+        # once per STEP (into the reusable base system), MOSFET channels
+        # go through the vectorized group each Newton iteration.  Stamp
+        # order inside a step matches the DC engine: linear, gate
+        # leaks, channels.
+        self.group = engine.mosfet_group
+        self.linear_pairs = [(e, s) for e, s in pairs if not e.nonlinear]
+        self.other_pairs = [(e, s) for e, s in pairs
+                            if e.nonlinear and not isinstance(e, Mosfet)]
+        # Set when the channels are the only per-iteration stamps (no
+        # other_pairs): the compiled Newton loop then runs each step
+        # solve.
+        self.newton_group = engine.newton_group
+        self.stats = NewtonStats()
+        self.rejections = _no_rejections()
+
+    def init(self, x: np.ndarray) -> None:
+        """Start every element's history at the operating point ``x``."""
+        for element, state in self.pairs:
+            element.init_state(x, state)
+
+    def solve_step(self, x_from: np.ndarray, t_to: float, dt_loc: float,
+                   x_seed: Optional[np.ndarray] = None) -> np.ndarray:
+        """One companion-model Newton solve over [t_to - dt_loc, t_to].
+
+        ``x_seed`` (the two-point extrapolation of the last grid steps)
+        starts Newton closer to the solution than ``x_from`` does on
+        smooth waveforms — typically saving an iteration per step.  A
+        seeded solve that fails retries once from ``x_from`` before the
+        step is rejected, so a bad extrapolation can never make a step
+        fail that would have converged before.
+        """
+        linear_pairs, other_pairs = self.linear_pairs, self.other_pairs
+        group, method = self.group, self.method
+
+        def stamp_base(st: Stamper) -> None:
+            # linear companions read state, never the guess
+            for element, state in linear_pairs:
+                element.stamp_transient(st, x_from, state, t_to, dt_loc,
+                                        method)
+            if group is not None:
+                group.stamp_gate_leaks(st)
+
+        def stamp(st: Stamper, x_guess: np.ndarray) -> None:
+            if group is not None:
+                group.stamp(st, x_guess)
+            for element, state in other_pairs:
+                element.stamp_transient(st, x_guess, state, t_to, dt_loc,
+                                        method)
+
+        if x_seed is not None:
+            try:
+                return newton_solve(stamp, self.size, self.n_nodes,
+                                    x0=x_seed, options=self.opts,
+                                    workspace=self.ws,
+                                    stamp_base=stamp_base, stats=self.stats,
+                                    group=self.newton_group)
+            except ConvergenceError:
+                pass
+        return newton_solve(stamp, self.size, self.n_nodes, x0=x_from,
+                            options=self.opts, workspace=self.ws,
+                            stamp_base=stamp_base, stats=self.stats,
+                            group=self.newton_group)
+
+    def step_fail(self, t_at: float, depth: int, exc: ConvergenceError
+                  ) -> ConvergenceError:
+        """The error of a step rejected ``depth`` halvings deep."""
+        halvings = self.max_step_halvings
+        iterations = self.stats.iterations
+        worst_unknown, worst_device = label_unknown(self.circuit,
+                                                    exc.worst_index)
+        report = ConvergenceReport(
+            analysis="transient",
+            strategies=[StrategyAttempt(
+                name="step-halving", iterations=iterations,
+                converged=False, final_residual=exc.final_residual,
+                detail=f"t={t_at:.6g}s, depth {depth}/{halvings}, "
+                       f"dt={self.dt / 2 ** depth:.3g}s")],
+            worst_unknown=worst_unknown, worst_device=worst_device,
+            message=f"transient step at t={t_at:.6g}s rejected "
+                    f"{halvings} halvings deep")
+        return ConvergenceError(report.summary(), report=report,
+                                iterations=iterations,
+                                final_residual=exc.final_residual,
+                                worst_index=exc.worst_index)
+
+    def advance(self, x_from: np.ndarray, t0: float, t1: float, depth: int,
+                check_lte: bool, x_predicted: Optional[np.ndarray]
+                ) -> np.ndarray:
+        """Advance [t0, t1], halving on rejection; commits element state."""
+        rejections = self.rejections
+        n_nodes = self.n_nodes
+        dt_loc = t1 - t0
+        try:
+            x_new = self.solve_step(x_from, t1, dt_loc, x_predicted)
+        except ConvergenceError as exc:
+            if depth >= self.max_step_halvings:
+                raise self.step_fail(t1, depth, exc) from exc
+            x_new = None
+            rejections["newton"] += 1
+        if x_new is not None and check_lte and x_predicted is not None \
+                and depth < self.max_step_halvings:
+            # LTE proxy: deviation of the accepted solution from the
+            # two-point linear predictor, relative to the node scale.
+            scale = np.maximum(np.abs(x_new[:n_nodes]), 1.0)
+            lte = float(np.max(np.abs(x_new[:n_nodes]
+                                      - x_predicted[:n_nodes]) / scale))
+            if not lte <= self.lte_rtol:  # NaN rejects too
+                x_new = None
+                rejections["lte"] += 1
+        if x_new is None:
+            rejections["max_depth"] = max(rejections["max_depth"], depth + 1)
+            # Reject: integrate the same interval as two half steps.
+            # Sub-steps skip the LTE check — halving is the remedy, and
+            # skipping guarantees termination within the depth bound.
+            t_mid = 0.5 * (t0 + t1)
+            x_mid = self.advance(x_from, t0, t_mid, depth + 1, False, None)
+            return self.advance(x_mid, t_mid, t1, depth + 1, False, None)
+        for element, state in self.pairs:
+            element.update_state(x_new, state, t1, dt_loc, self.method)
+        return x_new
+
+    def step(self, states: np.ndarray, iterations: np.ndarray,
+             step: int) -> None:
+        """Grid step ``step`` through :meth:`advance`, from the rows of
+        ``states`` before it; its Newton iterations go to
+        ``iterations[step]``."""
+        dt = self.dt
+        t = step * dt
+        x_from = states[step - 1]
+        # Two-point linear extrapolation: the Newton seed for the step
+        # and (with lte_rtol) the LTE reference.
+        predicted = None
+        if step >= 2:
+            predicted = 2.0 * x_from - states[step - 2]
+        self.stats.iterations = 0
+        states[step] = self.advance(x_from, t - dt, t, 0,
+                                    self.lte_rtol is not None, predicted)
+        iterations[step] = self.stats.iterations
+
+
+def _kernel_steps(block, tape: _StepTape, replay: _StepReplay,
+                  states: np.ndarray, iterations: np.ndarray) -> int:
+    """Grid steps 1.. of ``states`` in the compiled step loop, from row
+    0 and the tape's capacitor history; returns how many steps were
+    replayed.
+
+    A step the kernel rejects is replayed through ``replay`` (retries,
+    halving, errors) from the kernel's state — the capacitor history
+    handed over through the element state dicts — and the kernel
+    resumes after it.  :func:`_transient_impl` and the die loop both
+    run their kernel transients through here."""
+    n_steps = len(states) - 1
+    n_nodes = replay.n_nodes
+    opts = replay.opts
+    fallback_steps = 0
+    start = 1
+    while start <= n_steps:
+        stop = _ckernel.transient_dense(
+            block, tape.args, states, start, iterations, n_nodes,
+            opts.max_iterations, opts.damping_v, opts.reltol, opts.vtol)
+        if stop > n_steps:
+            break
+        tape.store()
+        replay.step(states, iterations, stop)
+        tape.load()
+        fallback_steps += 1
+        start = stop + 1
+    return fallback_steps
+
+
+class _DieTransient:
+    """A :class:`~repro.circuit.dc.TransientPlan` bound to a circuit for
+    the die loop of :func:`repro.circuit.dc.operating_point_dies`: the
+    step replay and tape, the grid buffers every die's transient reuses,
+    the node indices, and the chunk's tallies of the
+    ``solver.transient.*`` metrics :func:`transient` records per die.
+    Build with :func:`die_transient`."""
+
+    def __init__(self, circuit: Circuit, engine, plan: TransientPlan,
+                 opts: NewtonOptions):
+        _validate_transient_args(plan.t_stop, plan.dt, plan.method,
+                                 plan.max_step_halvings)
+        self.index = [circuit.node(name) for name in plan.nodes]
+        self.reduce = plan.reduce
+        n_steps = int(round(plan.t_stop / plan.dt))
+        self.replay = _StepReplay(circuit, engine, plan.dt, plan.method,
+                                  opts, plan.max_step_halvings,
+                                  plan.lte_rtol)
+        # The tape reads the history once as it binds; every die seeds
+        # its own.
+        self.replay.init(np.zeros(engine.size))
+        self.tape = None if opts.gmin < 0.0 else _step_tape(
+            engine, self.replay.linear_pairs, engine.mosfet_group,
+            opts.gmin, n_steps, plan.dt, plan.method, plan.lte_rtol,
+            plan.max_step_halvings)
+        self.states = np.empty((n_steps + 1, engine.size))
+        self.iterations = np.zeros(n_steps + 1, dtype=np.int64)
+        self.failures = 0
+        self.totals: List[int] = []  # Newton iterations per transient
+        self.rejected = self.lte_rejected = 0
+
+    def integrate(self, block, x: np.ndarray) -> None:
+        """The die's transient from its operating point ``x`` on the
+        kernel's argument ``block``: row 0 and the capacitor history
+        from ``x``, one :func:`_kernel_steps`.  Raises what
+        :func:`transient` raises; the kernel leaves the workspace base
+        rewritten."""
+        states = self.states
+        states[0] = x
+        tape = self.tape
+        tape.seed(x)
+        replay = self.replay
+        replay.rejections = rejections = _no_rejections()
+        try:
+            _kernel_steps(block, tape, replay, states, self.iterations)
+        except ConvergenceError:
+            self.failures += 1
+            raise
+        self.totals.append(int(self.iterations.sum()))
+        self.rejected += rejections["newton"] + rejections["lte"]
+        self.lte_rejected += rejections["lte"]
+
+    def value(self) -> float:
+        """The plan's reduction of the last transient's node voltages."""
+        return self.reduce(_node_columns(self.states, self.index))
+
+    def record(self, metrics: telemetry.MetricsRegistry) -> None:
+        """The ``solver.transient.*`` metrics (and the transients' share
+        of ``solver.factorizations``) of the chunk's transients, in one
+        update: what :func:`transient` records per transient."""
+        passed = len(self.totals)
+        if not passed + self.failures:
+            return
+        counters = [("solver.transient.solves", passed + self.failures)]
+        if self.failures:
+            counters.append(("solver.transient.failures", self.failures))
+        if not passed:
+            metrics.update(counters)
+            return
+        counters += [
+            ("solver.transient.kernel.compiled", passed),
+            ("solver.transient.steps", (len(self.states) - 1) * passed),
+            ("solver.transient.step_rejections", self.rejected),
+            ("solver.transient.lte_rejections", self.lte_rejected),
+            ("solver.factorizations", sum(self.totals))]
+        folded = sorted(Counter(self.totals).items())
+        metrics.update(counters, "solver.transient.newton_iterations",
+                       folded, telemetry.ITERATION_BUCKETS)
+
+
+def die_transient(circuit: Circuit, engine, plan: TransientPlan,
+                  opts: NewtonOptions) -> Optional[_DieTransient]:
+    """``plan`` bound to ``circuit`` (whose :func:`dc_engine` is
+    ``engine``) for the die loop, or None when the loop cannot serve it:
+    arguments :func:`transient` refuses, an unknown node, or a circuit
+    the compiled step loop does not take (no step tape)."""
+    try:
+        bound = _DieTransient(circuit, engine, plan, opts)
+    except (KeyError, ValueError):
+        return None
+    return bound if bound.tape is not None else None
+
+
 def _transient_impl(circuit: Circuit, t_stop: float, dt: float,
                     method: str = "trapezoidal",
                     initial_op: Optional[DcSolution] = None,
@@ -337,11 +646,13 @@ def _transient_impl(circuit: Circuit, t_stop: float, dt: float,
     accuracy, not just by convergence.  ``lte_rtol=None`` (default)
     disables the accuracy check.
 
-    When the compiled Newton loop serves the step solves and every
-    linear element is a resistor, capacitor or independent source, the
-    grid steps run in one call into the compiled kernel
-    (:class:`_StepTape`), bit-identical to the step loop below; a step
-    the kernel rejects is replayed through that loop.
+    The Python step loop is :class:`_StepReplay`.  When the compiled
+    Newton loop serves the step solves and every linear element is a
+    resistor, capacitor or independent source, the grid steps run in
+    one call into the compiled kernel (:class:`_StepTape`),
+    bit-identical to that loop; a step the kernel rejects is replayed
+    through it (:func:`_kernel_steps`, which the die loop of
+    :func:`repro.circuit.dc.operating_point_dies` shares).
 
     Returns ``(result, rejections, iterations, fallback_steps)``;
     ``fallback_steps`` counts the replayed steps, or is ``None`` when
@@ -350,186 +661,45 @@ def _transient_impl(circuit: Circuit, t_stop: float, dt: float,
     _validate_transient_args(t_stop, dt, method, max_step_halvings)
 
     engine = dc_engine(circuit)
-    size = engine.size
-    n_nodes = engine.n_nodes
     opts = options if options is not None else NewtonOptions()
 
     op = initial_op if initial_op is not None else dc_operating_point(circuit, options=opts)
     x = np.array(op.x, dtype=float)
 
-    elements = circuit.elements
-    element_states: List[dict] = [dict() for _ in elements]
-    for element, state in zip(elements, element_states):
-        element.init_state(x, state)
-
-    # Partition once: solution-independent companions are stamped once
-    # per STEP (into the reusable base system), MOSFET channels go
-    # through the vectorized group each Newton iteration.  Stamp order
-    # inside a step matches the DC engine: linear, gate leaks, channels.
+    replay = _StepReplay(circuit, engine, dt, method, opts,
+                         max_step_halvings, lte_rtol)
+    replay.init(x)
     group = engine.mosfet_group
     if group is not None:
         group.refresh()
-    linear_pairs = [(e, s) for e, s in zip(elements, element_states)
-                    if not e.nonlinear]
-    other_pairs = [(e, s) for e, s in zip(elements, element_states)
-                   if e.nonlinear and not isinstance(e, Mosfet)]
-    ws = engine.workspace
-    stats = NewtonStats()
-    # Set when the channels are the only per-iteration stamps (no
-    # other_pairs): the compiled Newton loop then runs each step solve.
-    newton_group = engine.newton_group
-
-    def solve_step(x_from: np.ndarray, t_to: float, dt_loc: float,
-                   x_seed: Optional[np.ndarray] = None) -> np.ndarray:
-        """One companion-model Newton solve over [t_to - dt_loc, t_to].
-
-        ``x_seed`` (the two-point extrapolation of the last grid steps)
-        starts Newton closer to the solution than ``x_from`` does on
-        smooth waveforms — typically saving an iteration per step.  A
-        seeded solve that fails retries once from ``x_from`` before the
-        step is rejected, so a bad extrapolation can never make a step
-        fail that would have converged before.
-        """
-
-        def stamp_base(st: Stamper) -> None:
-            # linear companions read state, never the guess
-            for element, state in linear_pairs:
-                element.stamp_transient(st, x_from, state, t_to, dt_loc,
-                                        method)
-            if group is not None:
-                group.stamp_gate_leaks(st)
-
-        def stamp(st: Stamper, x_guess: np.ndarray) -> None:
-            if group is not None:
-                group.stamp(st, x_guess)
-            for element, state in other_pairs:
-                element.stamp_transient(st, x_guess, state, t_to, dt_loc,
-                                        method)
-
-        if x_seed is not None:
-            try:
-                return newton_solve(stamp, size, n_nodes, x0=x_seed,
-                                    options=opts, workspace=ws,
-                                    stamp_base=stamp_base, stats=stats,
-                                    group=newton_group)
-            except ConvergenceError:
-                pass
-        return newton_solve(stamp, size, n_nodes, x0=x_from, options=opts,
-                            workspace=ws, stamp_base=stamp_base, stats=stats,
-                            group=newton_group)
-
-    def commit_states(x_new: np.ndarray, t_to: float, dt_loc: float) -> None:
-        for element, state in zip(elements, element_states):
-            element.update_state(x_new, state, t_to, dt_loc, method)
-
-    def step_fail(t_at: float, depth: int, exc: ConvergenceError
-                  ) -> ConvergenceError:
-        worst_unknown, worst_device = label_unknown(circuit, exc.worst_index)
-        report = ConvergenceReport(
-            analysis="transient",
-            strategies=[StrategyAttempt(
-                name="step-halving", iterations=stats.iterations,
-                converged=False, final_residual=exc.final_residual,
-                detail=f"t={t_at:.6g}s, depth {depth}/{max_step_halvings}, "
-                       f"dt={dt / 2 ** depth:.3g}s")],
-            worst_unknown=worst_unknown, worst_device=worst_device,
-            message=f"transient step at t={t_at:.6g}s rejected "
-                    f"{max_step_halvings} halvings deep")
-        return ConvergenceError(report.summary(), report=report,
-                                iterations=stats.iterations,
-                                final_residual=exc.final_residual,
-                                worst_index=exc.worst_index)
-
-    # Telemetry: rejection tallies feed the solve.transient span and
-    # the solver.transient.* counters; all-zero when stepping is clean.
-    rejections = {"newton": 0, "lte": 0, "max_depth": 0}
-
-    def advance(x_from: np.ndarray, t0: float, t1: float, depth: int,
-                check_lte: bool, x_predicted: Optional[np.ndarray]
-                ) -> np.ndarray:
-        """Advance [t0, t1], halving on rejection; commits element state."""
-        dt_loc = t1 - t0
-        try:
-            x_new = solve_step(x_from, t1, dt_loc, x_predicted)
-        except ConvergenceError as exc:
-            if depth >= max_step_halvings:
-                raise step_fail(t1, depth, exc) from exc
-            x_new = None
-            rejections["newton"] += 1
-        if x_new is not None and check_lte and x_predicted is not None \
-                and depth < max_step_halvings:
-            # LTE proxy: deviation of the accepted solution from the
-            # two-point linear predictor, relative to the node scale.
-            scale = np.maximum(np.abs(x_new[:n_nodes]), 1.0)
-            lte = float(np.max(np.abs(x_new[:n_nodes]
-                                      - x_predicted[:n_nodes]) / scale))
-            if not lte <= lte_rtol:  # NaN rejects too
-                x_new = None
-                rejections["lte"] += 1
-        if x_new is None:
-            rejections["max_depth"] = max(rejections["max_depth"], depth + 1)
-            # Reject: integrate the same interval as two half steps.
-            # Sub-steps skip the LTE check — halving is the remedy, and
-            # skipping guarantees termination within the depth bound.
-            t_mid = 0.5 * (t0 + t1)
-            x_mid = advance(x_from, t0, t_mid, depth + 1, False, None)
-            return advance(x_mid, t_mid, t1, depth + 1, False, None)
-        commit_states(x_new, t1, dt_loc)
-        return x_new
 
     n_steps = int(round(t_stop / dt))
     times = np.arange(n_steps + 1) * dt  # step * dt, as the loop steps
-    states = np.empty((n_steps + 1, size))
+    states = np.empty((n_steps + 1, engine.size))
     states[0] = x
     iterations = np.zeros(n_steps + 1, dtype=np.int64)
-
-    def python_step(step: int) -> None:
-        """Grid step ``step`` through :func:`advance`, from the rows of
-        ``states`` before it."""
-        t = step * dt
-        x_from = states[step - 1]
-        # Two-point linear extrapolation: the Newton seed for the step
-        # and (with lte_rtol) the LTE reference.
-        predicted = None
-        if step >= 2:
-            predicted = 2.0 * x_from - states[step - 2]
-        stats.iterations = 0
-        states[step] = advance(x_from, t - dt, t, 0, lte_rtol is not None,
-                               predicted)
-        iterations[step] = stats.iterations
 
     # The compiled step loop serves what the compiled Newton loop serves
     # when the base system is a stamp tape of R/C/V/I elements; the
     # capability is checked once per transient.
-    block = newton_group.newton_args(ws) if newton_group is not None \
-        else None
+    newton_group = engine.newton_group
+    block = newton_group.newton_args(engine.workspace) \
+        if newton_group is not None else None
     tape = None
     if block is not None and opts.gmin >= 0.0:
-        tape = _step_tape(engine, linear_pairs, group, opts.gmin, n_steps,
-                          dt, method, lte_rtol, max_step_halvings)
-    fallback_steps = 0
+        tape = _step_tape(engine, replay.linear_pairs, group, opts.gmin,
+                          n_steps, dt, method, lte_rtol, max_step_halvings)
     if tape is None:
         for step in range(1, n_steps + 1):
-            python_step(step)
+            replay.step(states, iterations, step)
+        fallback_steps = None
     else:
-        start = 1
-        while start <= n_steps:
-            stop = _ckernel.transient_dense(
-                block, tape.args, states, start, iterations, n_nodes,
-                opts.max_iterations, opts.damping_v, opts.reltol, opts.vtol)
-            if stop > n_steps:
-                break
-            # A rejected step: replay it through advance (retries,
-            # halving, errors) from the kernel's state, then resume.
-            tape.store()
-            python_step(stop)
-            tape.load()
-            fallback_steps += 1
-            start = stop + 1
+        fallback_steps = _kernel_steps(block, tape, replay, states,
+                                       iterations)
 
     result = TransientResult(circuit=circuit, times=times, states=states)
-    return (result, rejections, int(iterations.sum()),
-            fallback_steps if tape is not None else None)
+    return (result, replay.rejections, int(iterations.sum()),
+            fallback_steps)
 
 
 def transient(circuit: Circuit, t_stop: float, dt: float,

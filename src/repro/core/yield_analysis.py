@@ -123,7 +123,8 @@ class Specification:
 
 @dataclass(frozen=True)
 class _TransientExtractor:
-    """Picklable scalar-path extractor of a :class:`TransientSpecification`.
+    """Picklable extractor of a :class:`TransientSpecification`: one
+    :func:`~repro.circuit.transient.transient` per die, then the metric.
 
     A plain dataclass (not a closure) so the ``process`` backend can
     ship chunks containing transient specs to workers.
@@ -140,6 +141,18 @@ class _TransientExtractor:
                            method=self.method, lte_rtol=self.lte_rtol)
         return float(self.metric(result, fixture))
 
+    def die_plan(self, fixture: CircuitFixture):
+        """The :class:`~repro.circuit.dc.TransientPlan` of
+        :func:`~repro.circuit.dc.operating_point_dies` that computes
+        what :meth:`__call__` does, from the metric's own ``die_plan``
+        (such as :class:`repro.workloads.RingSwing`'s); None for a
+        metric that declares none (a closure)."""
+        die_plan = getattr(self.metric, "die_plan", None)
+        if die_plan is None:
+            return None
+        return die_plan(fixture, self.t_stop_s, self.dt_s, self.method,
+                        self.lte_rtol)
+
 
 @dataclass(frozen=True)
 class TransientSpecification(Specification):
@@ -148,7 +161,11 @@ class TransientSpecification(Specification):
     The metric maps ``(TransientResult, fixture) → float``; every die
     runs one scalar :func:`~repro.circuit.transient.transient`, with or
     without ``batch_size`` (which batches DC sweeps only), so a
-    transient spec gives the same bits either way.  Build with
+    transient spec gives the same bits either way.  A metric with a
+    ``die_plan`` (:class:`repro.workloads.RingSwing`) declares that
+    transient as a :class:`~repro.circuit.dc.TransientPlan`, and
+    :func:`evaluate_dies` runs the chunk's dies in the die loop; a
+    closure metric takes the per-die path.  Build with
     :func:`transient_specification`.
     """
 
@@ -294,8 +311,9 @@ class YieldResult:
 
 #: Extractors that declare their solves as a plan of
 #: :func:`~repro.circuit.dc.operating_point_dies`: one operating point,
-#: or one sweep (which ``batch_size`` batches instead).
-_OP_EXTRACTORS = (NodeVoltageExtractor,)
+#: one transient (when the metric declares its reading), or one sweep
+#: (which ``batch_size`` batches instead).
+_OP_EXTRACTORS = (NodeVoltageExtractor, _TransientExtractor)
 _SWEEP_EXTRACTORS = (OffsetExtractor, SnmExtractor)
 
 
@@ -320,18 +338,21 @@ def evaluate_dies(fixture: CircuitFixture, specs: List[Specification],
     The dies run through :func:`~repro.circuit.dc.operating_point_dies`,
     one loop around the compiled kernel with the same bits,
     quarantines, metrics and phase counts, when every spec's extractor
-    declares its plan (a wrapped or closure extractor does not), none
-    sweeps under ``batch_size``, and the plans share one circuit: the
-    fixture's, or the one probe circuit they name.  It declines, having
-    run nothing, on an unknown node or source, a session that keeps
-    span records (``--trace``) or a circuit the compiled kernel cannot
-    serve.  Otherwise each die is a ``sample`` span (with
+    declares its plan (a wrapped or closure extractor, or a transient
+    spec's closure metric, does not), none sweeps under
+    ``batch_size``, and the plans share one circuit: the fixture's, or
+    the one probe circuit they name.  A transient plan takes the loop
+    with or without ``batch_size``, which never batched transients.
+    The loop declines, having run nothing, on an unknown node or
+    source, transient settings :func:`transient` refuses, a session
+    that keeps span records (``--trace``) or a circuit the compiled
+    kernel cannot serve.  Otherwise each die is a ``sample`` span (with
     ``sample_attrs``) holding one ``analysis`` span per spec, inside
     :func:`warm_start`; with ``batch_size`` every ``dc_sweep`` an
     extractor makes solves its points as lanes of one
     :func:`batched_sweeps` ensemble, in slabs
     :func:`resilience.admit_lanes` fits to the memory ceiling (labelled
-    ``where``).  Transient specs always run the scalar integrator.
+    ``where``), and a transient runs the scalar integrator.
     """
     n = len(indices)
     values = np.full((len(specs), n), np.nan)
@@ -370,8 +391,10 @@ def evaluate_dies(fixture: CircuitFixture, specs: List[Specification],
             plans = [s.extractor.die_plan(fixture) for s in specs]
         except KeyError:
             plans = None  # the per-die path reports it per sample
+        if plans is not None and any(plan is None for plan in plans):
+            plans = None
         circuits = set() if plans is None else {
-            circuit if type(plan) is str or plan.circuit is None
+            circuit if getattr(plan, "circuit", None) is None
             else plan.circuit for plan in plans}
         if len(circuits) == 1:
             lean = operating_point_dies(circuits.pop(), n, prepare, plans,

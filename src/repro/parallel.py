@@ -22,9 +22,12 @@ giving up reproducibility:
 Backend notes: the ``process`` backend requires every task (function
 and payload) to be picklable — use module-level extractors, not
 lambdas.  The ``thread`` backend has no such restriction and still
-helps here because the dense solves spend their time in BLAS/LAPACK,
-which releases the GIL.  ``auto`` picks serial for one job and threads
-otherwise.
+helps here because the compiled kernel's sweep and transient entry
+points (``repro_sweep_dense``, ``repro_transient_dense``: a die's DC
+sweep or its whole transient in one call) release the GIL while they
+run; the single Newton solve (``repro_newton_dense``) and the stamp
+pass keep it (see :func:`repro.circuit._ckernel._compile`).  ``auto``
+picks serial for one job and threads otherwise.
 
 Resilience primitives:
 

@@ -27,6 +27,7 @@ __all__ = [
     "OffsetExtractor",
     "Param",
     "ResolvedWorkload",
+    "RingSwing",
     "SnmExtractor",
     "WORKLOADS",
     "Workload",
@@ -43,9 +44,42 @@ class WorkloadError(ValueError):
     """Unknown workload, an analysis it does not serve, or a bad param."""
 
 
-def ring_swing(result, fixture) -> float:
-    """Stage-1 output swing of a ring oscillator (peak minus trough)."""
-    return float(result.voltage(fixture.nodes["stage1"]).peak_to_peak())
+@dataclass(frozen=True)
+class RingSwing:
+    """Output swing (peak minus trough) of one ring-oscillator stage
+    [V], a transient metric: ``stage`` names the fixture node read."""
+
+    stage: str = "stage1"
+
+    def __call__(self, result, fixture) -> float:
+        return float(result.voltage(fixture.nodes[self.stage])
+                     .peak_to_peak())
+
+    def die_plan(self, fixture, t_stop: float, dt: float,
+                 method: str = "trapezoidal",
+                 lte_rtol: Optional[float] = None):
+        """The :class:`~repro.circuit.dc.TransientPlan` of
+        :func:`repro.circuit.dc.operating_point_dies` that computes what
+        :meth:`__call__` does on the record of a
+        :func:`~repro.circuit.transient.transient` with these settings:
+        the stage's node, reduced to its peak-to-peak."""
+        from repro.circuit.dc import TransientPlan
+        from repro.circuit.transient import DEFAULT_MAX_STEP_HALVINGS
+
+        return TransientPlan(t_stop, dt, method, lte_rtol,
+                             DEFAULT_MAX_STEP_HALVINGS,
+                             (fixture.nodes[self.stage],), _peak_to_peak)
+
+
+def _peak_to_peak(voltages) -> float:
+    """Peak minus trough of the first row of ``voltages``, as
+    :meth:`~repro.circuit.waveform.Waveform.peak_to_peak` takes them."""
+    wave = voltages[0]
+    return float(wave.max()) - float(wave.min())
+
+
+#: The ring workload's metric: stage-1 swing.
+ring_swing = RingSwing()
 
 
 def sram_snm(fixture, n_points: int = 41) -> float:

@@ -10,6 +10,9 @@ to the Python loop whenever one of their preconditions goes away.
 
 import json
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -397,3 +400,65 @@ class TestFallbackRules:
                      batch=False)
         assert session.metrics.counters_with_prefix("solver.dc.kernel.") \
             == {"compiled": 5}
+
+
+class TestFirstUse:
+    """The chunk threads of a run reach the kernel's first-use look-ups
+    together: one look-up must serve them all, or a thread that raced an
+    unfinished one records an absence for the whole process (every die
+    then runs the Python Newton loop)."""
+
+    @staticmethod
+    def _together(call, n_threads=8):
+        """``call()`` from ``n_threads`` threads released at once, with
+        a short switch interval; returns what each got."""
+        barrier = threading.Barrier(n_threads)
+        seen = []
+
+        def worker():
+            barrier.wait(timeout=10)
+            seen.append(call())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker)
+                       for _ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == n_threads
+        return seen
+
+    @staticmethod
+    def _slowed(monkeypatch, name):
+        """Slow ``_ckernel.<name>`` down and count its calls."""
+        calls = []
+        real = getattr(_ckernel, name)
+
+        def slow(*args):
+            calls.append(1)
+            time.sleep(0.02)
+            return real(*args)
+
+        monkeypatch.setattr(_ckernel, name, slow)
+        return calls
+
+    def test_one_lapack_lookup(self, monkeypatch):
+        monkeypatch.setattr(_ckernel, "_dgesv_address", [])
+        calls = self._slowed(monkeypatch, "_lookup_dgesv")
+        seen = self._together(_ckernel.dgesv_pointer)
+        assert len(calls) == 1
+        assert seen[0] is not None and set(seen) == {seen[0]}
+
+    def test_one_library_load(self, monkeypatch):
+        monkeypatch.setattr(_ckernel, "_lib", None)
+        monkeypatch.setattr(_ckernel, "_build_attempted", False)
+        calls = self._slowed(monkeypatch, "_compile")
+        seen = self._together(_ckernel.load)
+        assert len(calls) == 1
+        assert seen[0] is not None and set(seen) == {seen[0]}

@@ -3,15 +3,18 @@
 :func:`repro.circuit.dc.operating_point_dies` solves every die of a
 chunk whose specs each declare their solves — one DC node voltage
 (:class:`NodeVoltageExtractor`, a netlist ``mc`` die), one offset
-sweep (:class:`OffsetExtractor`, the offset ``mc`` die) or one read
-butterfly sweep (:class:`SnmExtractor`, the ``highsigma`` die) — in one
-loop around the compiled kernel.  It must give what the per-die path
-gives — each extractor called per die — bit for bit: values, pass
-flags, quarantines (``failure_counts``, ledger), ``solver.dc.*``
-counters, the iteration histogram and the span counts.  The per-die
-path is forced here by making the die loop decline.
+sweep (:class:`OffsetExtractor`, the offset ``mc`` die), one read
+butterfly sweep (:class:`SnmExtractor`, the ``highsigma`` die) or one
+transient (:class:`RingSwing`, the ring ``mc`` die) — in one loop
+around the compiled kernel.  It must give what the per-die path gives
+— each extractor called per die — bit for bit: values, pass flags,
+quarantines (``failure_counts``, ledger), ``solver.dc.*`` and
+``solver.transient.*`` counters, the iteration histograms and the span
+counts.  The per-die path is forced here by making the die loop
+decline.
 """
 
+import importlib
 import itertools
 import json
 import math
@@ -29,12 +32,14 @@ from repro.circuit import NewtonOptions, _ckernel
 from repro.circuit import dc as dc_module
 from repro.circuit.elements import DcSpec
 from repro.circuit.mosfet import DeviceVariation
-from repro.circuits import differential_pair
+from repro.circuit.mna import ConvergenceError
+from repro.circuits import differential_pair, ring_oscillator
 from repro.core import (
     HighSigmaYield,
     MonteCarloYield,
     Specification,
     SurrogateConfig,
+    transient_specification,
 )
 from repro.core import importance, yield_analysis
 from repro.faultinject import (
@@ -49,6 +54,7 @@ from repro.variability.sampler import MismatchSampler
 from repro.workloads import (
     NodeVoltageExtractor,
     OffsetExtractor,
+    RingSwing,
     SnmExtractor,
     netlist_fixture,
     resolve,
@@ -59,6 +65,9 @@ pytestmark = pytest.mark.skipif(
     reason="needs the compiled kernel and scipy's LAPACK")
 
 TECH = get_node("90nm")
+
+#: The module (``repro.circuit.transient`` the attribute is the function).
+transient_module = importlib.import_module("repro.circuit.transient")
 
 #: A resistively loaded common-source stage (the serve benchmark's).
 COMMON_SOURCE = """common-source stage
@@ -93,8 +102,13 @@ def _engine(netlist=COMMON_SOURCE, nodes=("out",)):
     return MonteCarloYield(fixture, specs, TECH)
 
 
+#: The Newton-iteration histograms a run's two paths must agree on.
+ITERATION_HISTOGRAMS = ("solver.dc.newton_iterations",
+                        "solver.transient.newton_iterations")
+
+
 def _run(engine, monkeypatch, per_die: bool, **kwargs):
-    """``(result, counters, histogram, phase counts)`` of one run, with
+    """``(result, counters, histograms, phase counts)`` of one run, with
     the die loop allowed or declined (the per-die path)."""
     with monkeypatch.context() as patch:
         if per_die:
@@ -104,7 +118,8 @@ def _run(engine, monkeypatch, per_die: bool, **kwargs):
             result = engine.run(24, seed=3, chunk_size=8, **kwargs)
     snapshot = session.metrics.snapshot()
     return (result, snapshot["counters"],
-            snapshot["histograms"].get("solver.dc.newton_iterations"),
+            {name: snapshot["histograms"].get(name)
+             for name in ITERATION_HISTOGRAMS},
             {name: entry["count"]
              for name, entry in session.tracer.totals().items()})
 
@@ -193,9 +208,9 @@ def poison_dies(monkeypatch):
 
 @pytest.fixture
 def swap_params(monkeypatch):
-    """Make :meth:`MismatchSampler.assign` warm device ``m1`` by 30 K
-    (a params swap) on the given sample indices."""
-    def swap(indices):
+    """Make :meth:`MismatchSampler.assign` warm a device (``m1`` unless
+    named) by 30 K (a params swap) on the given sample indices."""
+    def swap(indices, name="m1"):
         real = MismatchSampler.assign
         dies = itertools.count()
         chosen = set(indices)
@@ -203,7 +218,7 @@ def swap_params(monkeypatch):
         def assign(self, circuit, placements=None, variates=None):
             real(self, circuit, placements, variates)
             if next(dies) in chosen:
-                device = circuit["m1"]
+                device = circuit[name]
                 device.params = replace(
                     device.params,
                     temperature_k=device.params.temperature_k + 30.0)
@@ -411,6 +426,228 @@ class TestSweepDies:
         np.testing.assert_array_equal(resumed.passes, reference.passes)
 
 
+def _ring_engine(n_stages=3, method="trapezoidal", lte_rtol=None,
+                 metric=workloads.ring_swing, extra=(), dt_s=5e-12):
+    """The ring workload's engine: one swing spec (the workload's
+    window and bound) with these integration settings and metric, then
+    the ``extra`` specs."""
+    spec = transient_specification(
+        "swing", metric, t_stop_s=0.3e-9, dt_s=dt_s, method=method,
+        lte_rtol=lte_rtol, lower=0.5 * TECH.vdd)
+    return MonteCarloYield(ring_oscillator(TECH, n_stages=n_stages),
+                           [spec, *extra], TECH)
+
+
+def _ring_runs(engine, monkeypatch, **kwargs):
+    """``(die loop, per-die path)`` runs of :func:`_run`, having checked
+    that the die loop served every chunk of the first."""
+    real = dc_module.operating_point_dies
+    served = []
+
+    def recorded(*args, **kw):
+        served.append(real(*args, **kw))
+        return served[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(yield_analysis, "operating_point_dies", recorded)
+        loop = _run(engine, monkeypatch, per_die=False, **kwargs)
+    assert len(served) == 3
+    assert all(outcome is not None for outcome in served)
+    return loop, _run(engine, monkeypatch, per_die=True, **kwargs)
+
+
+def _transient_counters(counters) -> dict:
+    return {name: value for name, value in counters.items()
+            if name.startswith("solver.transient.")}
+
+
+class TestTransientDies:
+    """The ring die: one operating point and one ``transient_dense``
+    call per die, on a step tape bound once per chunk."""
+
+    @pytest.mark.parametrize("n_stages", [3, 5])
+    @pytest.mark.parametrize("method", ["trapezoidal", "backward_euler"])
+    def test_values_counters_spans(self, monkeypatch, n_stages, method):
+        lean, per_die = _ring_runs(_ring_engine(n_stages, method),
+                                   monkeypatch)
+        _assert_same(lean, per_die)
+        result, counters, histograms, phases = lean
+        assert np.isfinite(result.values["swing"]).all()
+        assert _transient_counters(counters) == {
+            "solver.transient.solves": 24,
+            "solver.transient.kernel.compiled": 24,
+            "solver.transient.steps": 24 * 60,
+            "solver.transient.step_rejections": 0,
+            "solver.transient.lte_rejections": 0,
+            "solver.transient.tape_builds": 3}  # one per chunk
+        assert counters["solver.dc.kernel.compiled"] == 24
+        assert counters["solver.dc.base_builds"] == 3
+        assert histograms["solver.transient.newton_iterations"]["count"] \
+            == 24
+        for name in ("sample", "analysis", "solve.dc", "solve.transient"):
+            assert phases[name] == 24
+
+    def test_rejected_steps_replay(self, monkeypatch):
+        # An LTE bound the first predicted step of every die misses:
+        # the kernel stops there, the Python step loop halves it, and
+        # the kernel resumes after it.
+        replays = []
+        real = transient_module._StepReplay.step
+
+        def counted(self, *args):
+            replays.append(1)
+            return real(self, *args)
+
+        monkeypatch.setattr(transient_module._StepReplay, "step", counted)
+        lean, per_die = _ring_runs(_ring_engine(lte_rtol=0.3), monkeypatch)
+        _assert_same(lean, per_die)
+        counters = lean[1]
+        assert counters["solver.transient.lte_rejections"] == 24
+        assert counters["solver.transient.step_rejections"] == 24
+        assert len(replays) == 2 * 24  # both paths, one step per die
+
+    def test_operating_points_and_steps_that_need_the_ladder(
+            self, monkeypatch):
+        # Four plain-Newton iterations: cold operating points walk the
+        # ladder, and some grid steps fail Newton and halve.
+        _newton_iterations(monkeypatch, 4)
+        lean, per_die = _ring_runs(_ring_engine(), monkeypatch)
+        _assert_same(lean, per_die)
+        counters = lean[1]
+        assert counters["solver.dc.strategy.newton"] < 24
+        assert counters["solver.dc.solves"] == 24
+        assert counters["solver.transient.step_rejections"] > 0
+        assert counters["solver.transient.lte_rejections"] == 0
+
+    def test_step_that_exhausts_its_halvings(self, monkeypatch):
+        # Every replayed solve of two dies fails: their rejected step
+        # halves to the limit and raises; the dies after them are good.
+        chosen = {2, 9}
+        real = transient_module.newton_solve
+
+        def failing(*args, **kwargs):
+            if current_sample() in chosen:
+                raise ConvergenceError("forced", final_residual=1.0,
+                                       worst_index=0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(transient_module, "newton_solve", failing)
+        lean, per_die = _ring_runs(_ring_engine(lte_rtol=0.3), monkeypatch)
+        _assert_same(lean, per_die)
+        result, counters = lean[0], lean[1]
+        bad = np.isnan(result.values["swing"])
+        assert bad.nonzero()[0].tolist() == sorted(chosen)
+        assert result.failure_counts == {"ConvergenceError": 2}
+        assert counters["solver.transient.failures"] == 2
+        assert counters["solver.transient.solves"] == 24
+        assert counters["solver.transient.kernel.compiled"] == 22
+        for record in result.ledger.records:
+            assert record.convergence_report["message"].endswith(
+                "rejected 4 halvings deep")
+
+    def test_quarantined_dies_resume_from_last_good(self, monkeypatch,
+                                                    poison_dies):
+        poison_dies([0, 5, 6, 17])
+        engine = _ring_engine()
+        lean = _ring_runs(engine, monkeypatch)[0]
+        poison_dies([0, 5, 6, 17])
+        _assert_same(lean, _run(engine, monkeypatch, per_die=True))
+        result, counters, _histograms, phases = lean
+        bad = np.isnan(result.values["swing"])
+        assert bad.nonzero()[0].tolist() == [0, 5, 6, 17]
+        assert counters["solver.dc.failures"] == 4
+        # A die whose operating point failed integrates nothing.
+        assert phases["solve.transient"] == \
+            counters["solver.transient.solves"] == 20
+
+    def test_params_swap_mid_chunk(self, monkeypatch, swap_params):
+        swap_params((3, 11), "mn_0")
+        engine = _ring_engine()
+        lean = _ring_runs(engine, monkeypatch)[0]
+        swap_params((3, 11), "mn_0")
+        _assert_same(lean, _run(engine, monkeypatch, per_die=True))
+        counters = lean[1]
+        assert counters["solver.transient.kernel.compiled"] == 24
+        assert "solver.transient.kernel.python" not in counters
+
+    @pytest.mark.parametrize("first", [True, False],
+                             ids=["transient-first", "transient-last"])
+    def test_operating_point_after_a_transient(self, monkeypatch, first):
+        # The transient kernel rewrites the base: an operating point
+        # after it, in the same die or the next, must start from the
+        # engine's own.
+        node = Specification("v(s1)", NodeVoltageExtractor("s1"),
+                             lower=-1.0, upper=2.0)
+        engine = _ring_engine(extra=[node])
+        if not first:
+            engine.specs.reverse()
+        lean, per_die = _ring_runs(engine, monkeypatch)
+        _assert_same(lean, per_die)
+        assert lean[1]["solver.dc.solves"] == 48
+
+    def test_batch_size_takes_the_loop(self, monkeypatch):
+        lean, per_die = _ring_runs(_ring_engine(), monkeypatch,
+                                   batch_size=16)
+        _assert_same(lean, per_die)
+        _assert_same(lean, _run(_ring_engine(), monkeypatch,
+                                per_die=True))
+
+    def test_plan_matches_the_metric(self):
+        # The plan the loop integrates is the metric's measurement: the
+        # stage's node over the transient's grid, reduced to its swing.
+        fixture = ring_oscillator(TECH, n_stages=5)
+        metric = RingSwing("stage2")
+        plan = metric.die_plan(fixture, 0.3e-9, 5e-12)
+        assert plan.nodes == ("s2",)
+        values, _durations = dc_module.operating_point_dies(
+            fixture.circuit, 1, lambda k: None, [plan],
+            lambda k, j, exc: None)
+        result = transient_module.transient(fixture.circuit, 0.3e-9, 5e-12)
+        assert values[0, 0] == metric(result, fixture)
+
+    def test_per_die_checkpoint_resumes_under_the_loop(self, monkeypatch,
+                                                       tmp_path):
+        reference = _run(_ring_engine(), monkeypatch, per_die=True)[0]
+        ckpt = tmp_path / "ck"
+        with monkeypatch.context() as patch:
+            patch.setattr(yield_analysis, "operating_point_dies",
+                          lambda *args, **kw: None)
+            with pytest.raises(RunInterrupted) as stop:
+                _ring_engine().run(24, seed=3, chunk_size=8,
+                                   checkpoint=ckpt, budget=_stop_at(13))
+        assert stop.value.reason == "budget"
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        assert manifest["completed"] == [0]
+        loop = []
+        real = yield_analysis.operating_point_dies
+
+        def counted(*args, **kwargs):
+            loop.append(real(*args, **kwargs))
+            return loop[-1]
+
+        monkeypatch.setattr(yield_analysis, "operating_point_dies", counted)
+        resumed = _ring_engine().run(24, seed=3, chunk_size=8,
+                                     checkpoint=ckpt, resume=True)
+        assert len(loop) == 2 and None not in loop
+        np.testing.assert_array_equal(resumed.values["swing"],
+                                      reference.values["swing"])
+        np.testing.assert_array_equal(resumed.passes, reference.passes)
+        assert resumed.ledger.to_list() == reference.ledger.to_list()
+        # The ring workload's identity, as the per-die path wrote it
+        # before the die loop served ring dies.
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        assert {key: manifest[key] for key in RING_IDENTITY} == \
+            RING_IDENTITY
+
+
+#: The checkpoint identity of :func:`_ring_engine`'s 24-die run.
+RING_IDENTITY = {
+    "kind": "mc-yield", "seed": 3, "n_samples": 24, "chunk_size": 8,
+    "spec_names": ["swing"], "tech": "90nm", "circuit": "4f236a4c4ca5",
+    "specs": [{"name": "swing", "bounds": [0.6, None],
+               "transient": [3e-10, 5e-12, "trapezoidal", None]}]}
+
+
 class TestBackends:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_two_jobs_match_serial_per_die(self, monkeypatch, backend):
@@ -422,6 +659,13 @@ class TestBackends:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_sweep_dies_match_serial_per_die(self, monkeypatch, backend):
         engine = _offset_engine()
+        parallel = _run(engine, monkeypatch, per_die=False, jobs=2,
+                        backend=backend)
+        _assert_same(parallel, _run(engine, monkeypatch, per_die=True))
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_ring_dies_match_serial_per_die(self, monkeypatch, backend):
+        engine = _ring_engine()
         parallel = _run(engine, monkeypatch, per_die=False, jobs=2,
                         backend=backend)
         _assert_same(parallel, _run(engine, monkeypatch, per_die=True))
@@ -480,6 +724,28 @@ class TestDeclines:
         with telemetry.session(records=case == "trace"):
             _result, calls = _declined(monkeypatch, engine, **kwargs)
         assert calls == (3 if case in ("trace", "no kernel") else 0)
+
+    @pytest.mark.parametrize("case", ["trace", "no kernel", "closure"])
+    def test_ring_dies_decline(self, monkeypatch, case):
+        metric = workloads.ring_swing
+        if case == "no kernel":
+            monkeypatch.setattr(_ckernel, "_DISABLED", True)
+        elif case == "closure":
+            def metric(result, fixture):
+                return workloads.ring_swing(result, fixture)
+        engine = _ring_engine(metric=metric)
+        with telemetry.session(records=case == "trace"):
+            result, calls = _declined(monkeypatch, engine)
+        assert calls == (0 if case == "closure" else 3)
+        assert np.isfinite(result.values["swing"]).all()
+
+    def test_ragged_grid_is_quarantined_per_die(self, monkeypatch):
+        # A window that is no whole number of steps: the loop declines,
+        # and the per-die path quarantines every die as transient()
+        # refuses it.
+        result, calls = _declined(monkeypatch, _ring_engine(dt_s=7e-12))
+        assert calls == 3
+        assert result.failure_counts == {"ValueError": 24}
 
     def test_wrapped_workload_extractor_takes_the_per_die_path(
             self, monkeypatch, capsys):
