@@ -38,8 +38,10 @@ from repro.parallel import FailureLedger
 #: when chunks saved by older code hold different bits than the current
 #: code computes for the same run (2: batched transient specs run the
 #: scalar integrator; 3: :func:`repro.runner.run_identity` joins the
-#: manifest), so a resume never splices old and new chunks.
-MC_CHECKPOINT_SCHEMA = 3
+#: manifest; 4: the finite-difference Jacobian mode is gone, so the
+#: accelerator manifest loses ``jacobians``), so a resume never splices
+#: old and new chunks.
+MC_CHECKPOINT_SCHEMA = 4
 
 MANIFEST_NAME = "manifest.json"
 CHUNKS_NAME = "chunks.npz"

@@ -79,7 +79,6 @@ from repro.circuit.mosfet import (
     Mosfet,
     MosfetParams,
     OperatingPoint,
-    fd_jacobians,
 )
 from repro.circuit.netlist import Circuit, is_ground
 from repro.circuit.transient import TransientResult, transient
@@ -132,7 +131,6 @@ __all__ = [
     "canonical_cards",
     "clone_element",
     "dc_operating_point",
-    "fd_jacobians",
     "flatten_instance_names",
     "format_value",
     "dc_sweep",

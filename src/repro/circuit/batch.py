@@ -15,10 +15,10 @@ loop over the whole ensemble:
   per-lane value;
 * :class:`BatchMosfetGroup` — the lane-axis extension of
   :class:`~repro.circuit.mosfet.MosfetGroup`: every MOSFET of every
-  lane is evaluated in ONE ``(B, 7, n)`` finite-difference model pass,
-  reusing the scalar group's folded constants and scatter plans (with
-  per-lane offsets); every lane sees the live device parameters, so
-  lanes differ only in their sweep-source values;
+  lane is evaluated in ONE analytic model pass, reusing the scalar
+  group's folded constants and scatter plans (with per-lane offsets);
+  every lane sees the live device parameters, so lanes differ only in
+  their sweep-source values;
 * :meth:`BatchDcEngine.solve` — batched LAPACK via ``np.linalg.solve``
   on the stacked systems with per-lane convergence masks: converged
   lanes freeze while stragglers iterate, non-finite or singular lanes
@@ -62,7 +62,7 @@ from repro.circuit.dc import (
 )
 from repro.circuit.elements import CurrentSource, DcSpec, VoltageSource
 from repro.circuit.mna import Stamper
-from repro.circuit.mosfet import _CLM_SMOOTH_V, _FD_JACOBIANS, MosfetGroup
+from repro.circuit.mosfet import _CLM_SMOOTH_V, MosfetGroup
 from repro.circuit.netlist import Circuit
 
 #: Default cap on lanes per batched solve.  A (128, n, n) stack of the
@@ -190,8 +190,9 @@ class BatchMosfetGroup:
     * the scatter plans gain a per-lane flat offset (lane k writes at
       ``k·size² + a_flat`` / ``k·size + b_idx``), so one ``np.add.at``
       lands every Jacobian/companion entry of the whole ensemble;
-    * the 7-point FD stencil pass runs on ``(B, 7, n)`` buffers — one
-      vectorized sweep over B lanes × n devices × 7 bias points;
+    * the analytic model pass (the compiled lane-batched kernel, else
+      numpy on ``(B, 4, n)`` buffers) covers B lanes × n devices in one
+      sweep;
     * the *dynamic* per-device parameters (threshold offset, body
       factor, current factor, CLM) broadcast from the scalar group —
       every lane sees the live circuit, the right thing for sweeps
@@ -214,15 +215,14 @@ class BatchMosfetGroup:
         self._b_keep = group._b_keep
         # Work buffers — the whole iteration runs in these.
         self._xe = np.zeros((n_lanes, size + 1))  # trailing col = ground
-        self._B = [np.empty((n_lanes, 7, n)) for _ in range(5)]
         self._V = np.empty((n_lanes, 3, n))
         self._G = np.empty((n_lanes, 3, n))
         self._GV = np.empty((n_lanes, 3, n))
         self._vals8 = np.empty((n_lanes, 8, n))
         self._rhs2 = np.empty((n_lanes, 2, n))
         self._vn = np.empty((n_lanes, n))
-        # Analytic-pass extras: fused 4-row transcendental buffers and
-        # the (B, n) scratch set, mirroring MosfetGroup._stamp_analytic.
+        # Fused 4-row transcendental buffers and the (B, n) scratch set,
+        # mirroring MosfetGroup._stamp_analytic.
         self._VN = np.empty((n_lanes, 3, n))
         self._A4 = np.empty((n_lanes, 4, n))
         self._L4 = np.empty((n_lanes, 4, n))
@@ -239,13 +239,10 @@ class BatchMosfetGroup:
         The arithmetic mirrors :meth:`MosfetGroup.stamp` step for step
         (same folded constants, same closed-form derivatives), just with
         the extra leading lane axis — so batched and scalar solves agree
-        to rounding on each Newton iterate.  Dispatches on the active
-        Jacobian mode: fused analytic pass by default, 7-point FD
-        stencil when forced via :func:`repro.circuit.mosfet.fd_jacobians`.
+        to rounding on each Newton iterate.  The compiled lane-batched
+        kernel when it is loaded, else the fused numpy pass.
         """
-        if _FD_JACOBIANS[0]:
-            self._stamp_fd(bst, X)
-        elif self._ck_fn is not None and _ckernel.active() \
+        if self._ck_fn is not None and _ckernel.active() \
                 and bst.a.dtype == np.float64:
             self._stamp_ckernel(bst, X)
         else:
@@ -350,79 +347,11 @@ class BatchMosfetGroup:
         np.multiply(g0, sq, out=G[:, 2, :])
         np.multiply(G[:, 2, :], unclamped, out=G[:, 2, :])
         ids_n = np.multiply(ids0, clm, out=w[2])
-        # Scatter — identical tail to the FD pass.
+        # Scatter the 8 Jacobian values and the companion currents.
         vals8 = np.matmul(g._pmat, G, out=self._vals8)
         np.add.at(bst.a.reshape(-1), self._a_flat,
                   vals8.reshape(self.n_lanes, -1)[:, self._a_keep].ravel())
         ids = np.multiply(g.sign, ids_n, out=self._vn)
-        GV = np.multiply(G, V, out=self._GV)
-        ieq = np.sum(GV, axis=1)
-        np.subtract(ids, ieq, out=ieq)
-        rhs2 = self._rhs2
-        np.negative(ieq, out=rhs2[:, 0, :])
-        rhs2[:, 1, :] = ieq
-        np.add.at(bst.b.reshape(-1), self._b_idx,
-                  rhs2.reshape(self.n_lanes, -1)[:, self._b_keep].ravel())
-
-    def _stamp_fd(self, bst: BatchStamper, X: np.ndarray) -> None:
-        """7-point finite-difference stamp (legacy/debug reference)."""
-        g = self.group
-        xe = self._xe
-        xe[:, :-1] = X
-        V = self._V
-        vs = xe[:, g.s]
-        vgs = np.subtract(xe[:, g.g], vs, out=V[:, 0, :])
-        vds = np.subtract(xe[:, g.d], vs, out=V[:, 1, :])
-        vbs = np.subtract(xe[:, g.b], vs, out=V[:, 2, :])
-        sign = g.sign
-        tmp = self._vn
-        B0, B1, B2, B3, B4 = self._B
-        # NMOS-frame bias stencils: B0=vgs7, B1=vds7, B2=vbs7.
-        np.multiply(sign, vgs, out=tmp)
-        np.add(tmp[:, None, :], g._off_g[None, :, :], out=B0)
-        np.multiply(sign, vds, out=tmp)
-        np.add(tmp[:, None, :], g._off_d[None, :, :], out=B1)
-        np.multiply(sign, vbs, out=tmp)
-        np.add(tmp[:, None, :], g._off_b[None, :, :], out=B2)
-        vt0p, gamma, c0, lam = (a[None, None, :]
-                                for a in g.dynamic_arrays())
-        # Threshold with body effect → B2 becomes ov = vgs − vt.
-        np.minimum(B2, g._phi_cap, out=B2)
-        np.subtract(g._phi, B2, out=B2)
-        np.sqrt(B2, out=B2)
-        np.multiply(gamma, B2, out=B2)
-        np.add(vt0p, B2, out=B2)
-        ov = np.subtract(B0, B2, out=B2)
-        # Mobility/velocity denominator → B3 = 1 + θ_eff·vov.
-        np.multiply(ov, g._inv_nphit, out=B3)
-        np.logaddexp(0.0, B3, out=B3)
-        np.multiply(g._theta_nphit, B3, out=B3)
-        np.add(1.0, B3, out=B3)
-        # Forward/reverse interpolation terms → B4=lf, B0=lr.
-        np.multiply(ov, g._inv_ns2, out=B4)
-        np.multiply(B1, g._inv_s2, out=B0)
-        np.subtract(B4, B0, out=B0)
-        np.logaddexp(0.0, B4, out=B4)
-        np.logaddexp(0.0, B0, out=B0)
-        # ids0 = c0·(lf² − lr²)/denominator → B4.
-        np.multiply(B4, B4, out=B4)
-        np.multiply(B0, B0, out=B0)
-        np.subtract(B4, B0, out=B4)
-        np.multiply(c0, B4, out=B4)
-        np.divide(B4, B3, out=B4)
-        # CLM factor → B1; ids7 (NMOS frame) → B4.
-        np.multiply(B1, 1.0 / _CLM_SMOOTH_V, out=B1)
-        np.logaddexp(0.0, B1, out=B1)
-        np.multiply(lam * _CLM_SMOOTH_V, B1, out=B1)
-        np.add(1.0, B1, out=B1)
-        ids7 = np.multiply(B4, B1, out=B4)
-        # Derivatives and the 8 Jacobian values, batched matmuls.
-        G = np.matmul(g._dmat, ids7, out=self._G)
-        vals8 = np.matmul(g._pmat, G, out=self._vals8)
-        np.add.at(bst.a.reshape(-1), self._a_flat,
-                  vals8.reshape(self.n_lanes, -1)[:, self._a_keep].ravel())
-        # Companion current ieq = ids − gm·vgs − gds·vds − gmb·vbs.
-        ids = np.multiply(sign, ids7[:, 0, :], out=tmp)
         GV = np.multiply(G, V, out=self._GV)
         ieq = np.sum(GV, axis=1)
         np.subtract(ids, ieq, out=ieq)

@@ -51,8 +51,7 @@ from repro.circuit.mna import (
     sparse_available,
     sparse_min_size,
 )
-from repro.circuit.mosfet import Mosfet, MosfetGroup, OperatingPoint, \
-    jacobian_mode
+from repro.circuit.mosfet import Mosfet, MosfetGroup, OperatingPoint
 from repro.circuit.netlist import Circuit
 
 #: Maximum per-iteration node-voltage update [V] (NR damping).
@@ -830,16 +829,13 @@ def _recorded_ladder(circuit: Circuit, x0: Optional[np.ndarray],
         metrics.update([("solver.dc.solves", 1), ("solver.dc.failures", 1),
                         ("solver.factorizations", _ladder_iterations(exc))])
         raise
-    # Which Newton loop served it (compiled kernel or Python), and the
-    # analytic-vs-FD device-evaluation tally (one count per solve — the
-    # mode cannot change mid-solve).
+    # Which Newton loop served it (compiled kernel or Python).
     group = engine.newton_group
     compiled = group is not None \
         and group.newton_args(engine.workspace) is not None
     counters = [("solver.dc.solves", 1),
                 ("solver.dc.strategy." + strategy, 1),
                 ("solver.factorizations", iterations),
-                ("solver.dc.jacobian." + jacobian_mode(), 1),
                 ("solver.dc.kernel." + ("compiled" if compiled
                                         else "python"), 1)]
     if engine.sparsity_plan is not None:
@@ -1396,7 +1392,6 @@ def _record_kernel_solves(metrics, iterations: np.ndarray) -> int:
         [("solver.dc.solves", count),
          ("solver.dc.strategy.newton", count),
          ("solver.factorizations", total),
-         ("solver.dc.jacobian." + jacobian_mode(), count),
          ("solver.dc.kernel.compiled", count)],
         "solver.dc.newton_iterations", folded, telemetry.ITERATION_BUCKETS)
     return total

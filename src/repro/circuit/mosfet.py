@@ -31,10 +31,8 @@ how the degradation literature (and the paper) quotes shifts.
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -45,9 +43,6 @@ from repro.circuit.elements import Element
 from repro.circuit.mna import Stamper
 from repro.technology.node import TechnologyNode
 
-#: Finite-difference step for terminal-voltage derivatives [V].
-_FD_STEP_V = 1e-6
-
 #: Smoothing scale of the CLM softplus [V].
 _CLM_SMOOTH_V = 0.05
 
@@ -55,35 +50,6 @@ _F64 = np.dtype(np.float64)
 
 #: Marks compiled-kernel bindings as stale (see MosfetGroup.refresh).
 _UNBOUND = object()
-
-# Jacobian-mode switch.  The analytic derivatives are the default (one
-# model pass per Newton iteration instead of seven); the legacy 7-point
-# finite-difference stencil stays available for debugging and as the
-# differential-verification reference.  ``REPRO_FD_JACOBIANS=1`` forces
-# FD process-wide; :func:`fd_jacobians` scopes it to a block.
-_FD_JACOBIANS = [os.environ.get("REPRO_FD_JACOBIANS", "") not in ("", "0")]
-
-
-def jacobian_mode() -> str:
-    """``"analytic"`` or ``"fd"`` — the mode the next stamp will use."""
-    return "fd" if _FD_JACOBIANS[0] else "analytic"
-
-
-@contextmanager
-def fd_jacobians(enabled: bool = True) -> Iterator[None]:
-    """Force 7-point finite-difference device Jacobians inside a block.
-
-    The FD stencil is the model-agnostic reference the analytic
-    derivatives are verified against (property tests and the
-    ``dc.fd`` differential path); it is also the escape hatch if an
-    analytic derivative is ever suspected of being wrong.
-    """
-    previous = _FD_JACOBIANS[0]
-    _FD_JACOBIANS[0] = bool(enabled)
-    try:
-        yield
-    finally:
-        _FD_JACOBIANS[0] = previous
 
 
 def _softplus(x: float, scale: float = 1.0) -> float:
@@ -299,7 +265,12 @@ class OperatingPoint:
 
 
 class Mosfet(Element):
-    """Four-terminal MOSFET element: nodes (drain, gate, source, bulk)."""
+    """Four-terminal MOSFET element: nodes (drain, gate, source, bulk).
+
+    The element carries the model, its AC stamp and its gate-leak stamp;
+    its DC/transient channel stamp is :meth:`MosfetGroup.stamp`, which
+    every engine builds over a circuit's MOSFETs.
+    """
 
     nonlinear = True
 
@@ -490,8 +461,8 @@ class Mosfet(Element):
 
         σ is the logistic function — the derivative of ``ln(1+eˣ)``.
         The body-effect clamp at ``v_BS = φ − 0.05`` makes V_T constant
-        beyond it, hence the hard zero in gmb (matching the FD stencil
-        away from the ±h neighbourhood of the clamp).
+        beyond it, hence the hard zero in gmb (central differences of
+        the current agree everywhere but at the kink itself).
         """
         p = self.params
         phit = units.thermal_voltage(p.temperature_k)
@@ -531,43 +502,19 @@ class Mosfet(Element):
                   ) -> Tuple[float, float, float, float]:
         """Return ``(ids, gm, gds, gmb)`` at the given bias.
 
-        Uses the exact analytic derivatives of the model — one model
-        pass instead of the seven the FD stencil needs.  Polarity is
+        Uses the exact analytic derivatives of the model.  Polarity is
         handled by reflection: the conductances are frame-invariant
         (each picks up two compensating sign flips), only the current
         carries the device sign.  Scalar math on purpose: circuits
         solve through the vectorized :class:`MosfetGroup`, so this
         entry point serves single-device queries (operating points,
-        characterization) where numpy arrays cost more than they save.
-
-        Under :func:`fd_jacobians` the legacy central-difference
-        stencil (:meth:`linearize_fd`) is used instead.
+        small-signal AC stamps, characterization) where numpy arrays
+        cost more than they save.
         """
-        if _FD_JACOBIANS[0]:
-            return self.linearize_fd(vgs, vds, vbs)
         if self.params.polarity == "n":
             return self._linearize_nmos(vgs, vds, vbs)
         ids, gm, gds, gmb = self._linearize_nmos(-vgs, -vds, -vbs)
         return -ids, gm, gds, gmb
-
-    def linearize_fd(self, vgs: float, vds: float, vbs: float
-                     ) -> Tuple[float, float, float, float]:
-        """Reference ``(ids, gm, gds, gmb)`` by central finite difference.
-
-        Model-agnostic 7-point stencil of the polarity-aware current —
-        kept as the verification reference for the analytic derivatives
-        (property tests, the ``dc.fd`` differential path) and as the
-        debugging fallback behind :func:`fd_jacobians`.
-        """
-        h = _FD_STEP_V
-        ids = self.drain_current(vgs, vds, vbs)
-        gm = (self.drain_current(vgs + h, vds, vbs)
-              - self.drain_current(vgs - h, vds, vbs)) / (2.0 * h)
-        gds = (self.drain_current(vgs, vds + h, vbs)
-               - self.drain_current(vgs, vds - h, vbs)) / (2.0 * h)
-        gmb = (self.drain_current(vgs, vds, vbs + h)
-               - self.drain_current(vgs, vds, vbs - h)) / (2.0 * h)
-        return ids, gm, gds, gmb
 
     def operating_point(self, x: np.ndarray) -> OperatingPoint:
         """Summarise the device bias under DC solution ``x``."""
@@ -590,25 +537,6 @@ class Mosfet(Element):
     # ------------------------------------------------------------------
     # Stamps
     # ------------------------------------------------------------------
-    def _stamp_channel(self, st: Stamper, x: np.ndarray) -> None:
-        d, g, s, b = self.nodes
-        vgs, vds, vbs = self._terminal_voltages(x)
-        ids, gm, gds, gmb = self.linearize(vgs, vds, vbs)
-        # Companion current source: ieq = ids − gm·vgs − gds·vds − gmb·vbs.
-        ieq = ids - gm * vgs - gds * vds - gmb * vbs
-        # Jacobian entries (drain row; source row mirrored).
-        st.matrix(d, g, gm)
-        st.matrix(d, d, gds)
-        st.matrix(d, b, gmb)
-        st.matrix(d, s, -(gm + gds + gmb))
-        st.matrix(s, g, -gm)
-        st.matrix(s, d, -gds)
-        st.matrix(s, b, -gmb)
-        st.matrix(s, s, gm + gds + gmb)
-        # Current ieq leaves the drain, enters the source.
-        st.current(d, -ieq)
-        st.current(s, ieq)
-
     def _stamp_gate_leak(self, st: Stamper) -> None:
         leak = self.degradation.gate_leak_s
         if leak <= 0.0:
@@ -618,10 +546,6 @@ class Mosfet(Element):
         # BD spot near the drain (pos→1) puts the leak across gate-drain.
         st.conductance(g, d, leak * pos)
         st.conductance(g, s, leak * (1.0 - pos))
-
-    def stamp_dc(self, st: Stamper, x: np.ndarray, t: float = 0.0) -> None:
-        self._stamp_channel(st, x)
-        self._stamp_gate_leak(st)
 
     def stamp_ac(self, st: Stamper, omega: float, op: np.ndarray) -> None:
         d, g, s, b = self.nodes
@@ -654,17 +578,22 @@ class Mosfet(Element):
 
 
 class MosfetGroup:
-    """Vectorized Newton-iteration stamp for ALL MOSFETs of a circuit.
+    """Newton-iteration stamp for ALL MOSFETs of a circuit — the only
+    channel stamp: DC, transient and sparsity recording all route every
+    MOSFET through a group.
 
-    Per Newton iteration the per-device path costs one Python call chain
-    (``stamp_dc`` → ``_stamp_channel`` → ``linearize``) and one small
-    numpy batch per device.  For a compiled circuit the group instead:
+    Each device stamps its linearized companion model: drain-row
+    Jacobian entries ``gm, gds, gmb, −(gm+gds+gmb)`` at the gate,
+    drain, bulk and source columns, the source row their negation, and
+    a current ``ieq = ids − gm·vgs − gds·vds − gmb·vbs`` leaving the
+    drain and entering the source.  Per iteration the group
 
     * gathers every terminal voltage with one fancy-index read,
-    * evaluates all devices' 7-point FD stencils in ONE ``(7, n)``
-      vectorized model pass (per-device parameters are arrays, refreshed
-      once per solve by :meth:`refresh`) running entirely in
-      preallocated buffers — zero heap traffic on the inner loop,
+    * evaluates every device's current and closed-form (gm, gds, gmb)
+      in one pass — the compiled kernel when it is loaded, else a fused
+      numpy pass (:meth:`_stamp_analytic`) over per-device parameter
+      arrays refreshed once per solve by :meth:`refresh`, running
+      entirely in preallocated buffers,
     * scatter-adds the Jacobian/companion entries through precomputed
       flat indices (``np.add.at`` handles shared-node duplicates).
 
@@ -692,16 +621,9 @@ class MosfetGroup:
         self.d, self.g, self.s, self.b = idx.T.copy()
         self.sign = np.array(
             [1.0 if m.params.polarity == "n" else -1.0 for m in self.mosfets])
-        # FD stencil offsets, one (7, 1) column per bias axis.
-        h = _FD_STEP_V
-        base = np.zeros((7, 1))
-        self._off_g = base.copy(); self._off_g[1, 0] = h; self._off_g[2, 0] = -h
-        self._off_d = base.copy(); self._off_d[3, 0] = h; self._off_d[4, 0] = -h
-        self._off_b = base.copy(); self._off_b[5, 0] = h; self._off_b[6, 0] = -h
         # Jacobian scatter plan, entry-major to match the (8, n) value
-        # matrix produced below.  Entry order per device mirrors
-        # _stamp_channel: (d,g) (d,d) (d,b) (d,s) (s,g) (s,d) (s,b) (s,s).
-        # Ground rows/cols drop out.
+        # matrix produced below.  Entry order per device: (d,g) (d,d)
+        # (d,b) (d,s) (s,g) (s,d) (s,b) (s,s).  Ground rows/cols drop out.
         d, g, s, b = self.d, self.g, self.s, self.b
         rows = np.concatenate([d, d, d, d, s, s, s, s])
         cols = np.concatenate([g, d, b, s, g, d, b, s])
@@ -712,13 +634,6 @@ class MosfetGroup:
         rhs_keep = rhs_rows >= 0
         self._b_idx = rhs_rows[rhs_keep].astype(np.intp)
         self._b_keep = rhs_keep
-        # Central-difference extractor: ids7 (7, n) → (gm, gds, gmb).
-        inv2h = 1.0 / (2.0 * h)
-        dmat = np.zeros((3, 7))
-        dmat[0, 1], dmat[0, 2] = inv2h, -inv2h
-        dmat[1, 3], dmat[1, 4] = inv2h, -inv2h
-        dmat[2, 5], dmat[2, 6] = inv2h, -inv2h
-        self._dmat = dmat
         # Jacobian pattern: (gm, gds, gmb) → the 8 stamp values above.
         self._pmat = np.array([
             [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
@@ -727,16 +642,15 @@ class MosfetGroup:
             [1.0, 1.0, 1.0]])
         # Work buffers: the whole iteration runs in these.
         self._xe = np.zeros(size + 1)  # trailing slot stays 0 for ground
-        self._B = [np.empty((7, n)) for _ in range(5)]
         self._V = np.empty((3, n))
         self._G = np.empty((3, n))
         self._GV = np.empty((3, n))
         self._vals8 = np.empty((8, n))
         self._rhs2 = np.empty((2, n))
         self._vn = [np.empty(n) for _ in range(5)]
-        # Analytic-pass extras: stacked gather index and fused 4-row
-        # buffers (one transcendental dispatch covers lf/lu/lr/lz and
-        # one covers all four sigmoids).
+        # Stacked gather index and fused 4-row buffers (one
+        # transcendental dispatch covers lf/lu/lr/lz and one covers all
+        # four sigmoids).
         self._gdb = np.vstack((self.g, self.d, self.b))
         self._VN = np.empty((3, n))
         self._A4 = np.empty((4, n))
@@ -794,9 +708,9 @@ class MosfetGroup:
         self._dyn_static = list(zip(self._vt_thermal.tolist(),
                                     self._sqrt_phi.tolist(),
                                     self._c0s.tolist()))
-        # Analytic-pass extras: derivative prefactors and the stacked
-        # scale rows that turn (ov, vds) into all four transcendental
-        # arguments with two broadcasts.
+        # Derivative prefactors and the stacked scale rows that turn
+        # (ov, vds) into all four transcendental arguments with two
+        # broadcasts.
         self._theta_eff = theta_eff
         self._two_inv_ns2 = 2.0 * self._inv_ns2
         self._two_inv_s2 = 2.0 * self._inv_s2
@@ -857,12 +771,11 @@ class MosfetGroup:
         """The argument block of the compiled Newton loop over this
         group and ``ws`` (a :class:`~repro.circuit.dc.NewtonWorkspace`),
         or None when the loop cannot serve the solve: the kernel is off
-        (not built, kill switch), FD Jacobians are forced, the
-        workspace solves sparse, or LAPACK ``dgesv`` is unavailable.
+        (not built, kill switch), the workspace solves sparse, or LAPACK
+        ``dgesv`` is unavailable.
         The block itself is built once per (group, workspace)."""
-        if self._ck_args is None or _FD_JACOBIANS[0] \
-                or ws.st.plan is not None or not _ckernel.active() \
-                or _mna._dgesv is None:
+        if self._ck_args is None or ws.st.plan is not None \
+                or not _ckernel.active() or _mna._dgesv is None:
             return None
         if self._nb_ws is not ws:
             dgesv = _ckernel.dgesv_pointer()
@@ -891,15 +804,12 @@ class MosfetGroup:
     def stamp(self, st: Stamper, x: np.ndarray) -> None:
         """Stamp every channel's linearized companion model at guess ``x``.
 
-        Dispatches on the active Jacobian mode: compiled analytic kernel
-        (when available) → fused numpy analytic pass → 7-point FD
-        stencil (only when forced via :func:`fd_jacobians`).  All three
-        produce the same linearization to rounding; Newton converges to
-        the same fixed point either way.
+        The compiled kernel when it is bound and the system is real,
+        else the fused numpy pass (:meth:`_stamp_analytic`).  Both
+        evaluate the same closed-form derivatives and agree to final-ulp
+        rounding; Newton converges to the same fixed point either way.
         """
-        if _FD_JACOBIANS[0]:
-            self._stamp_fd(st, x)
-        elif self._ck_args is not None and st.a.dtype is _F64:
+        if self._ck_args is not None and st.a.dtype is _F64:
             xe = self._xe
             xe[:-1] = x
             self._ck_fn(*self._ck_args, _ckernel.address(st.a),
@@ -975,74 +885,11 @@ class MosfetGroup:
         np.multiply(G[0], sq, out=G[2])
         np.multiply(G[2], unclamped, out=G[2])
         ids_n = np.multiply(ids0, clm, out=vn[2])
-        # Scatter — identical tail to the FD pass.
+        # Scatter the 8 Jacobian values and the companion currents.
         vals8 = np.matmul(self._pmat, G, out=self._vals8)
         np.add.at(st.a.reshape(-1), self._a_flat,
                   vals8.reshape(-1)[self._a_keep])
         ids = np.multiply(self.sign, ids_n, out=vn[3])
-        GV = np.multiply(G, V, out=self._GV)
-        ieq = np.sum(GV, axis=0, out=vn[4])
-        np.subtract(ids, ieq, out=ieq)
-        rhs2 = self._rhs2
-        np.negative(ieq, out=rhs2[0])
-        rhs2[1] = ieq
-        np.add.at(st.b, self._b_idx, rhs2.reshape(-1)[self._b_keep])
-
-    def _stamp_fd(self, st: Stamper, x: np.ndarray) -> None:
-        """7-point finite-difference stamp (legacy/debug reference)."""
-        xe = self._xe  # ground (index -1) reads the trailing 0
-        xe[:-1] = x
-        vn = self._vn
-        V = self._V
-        vs = xe[self.s]
-        vgs = np.subtract(xe[self.g], vs, out=V[0])
-        vds = np.subtract(xe[self.d], vs, out=V[1])
-        vbs = np.subtract(xe[self.b], vs, out=V[2])
-        sign = self.sign
-        B0, B1, B2, B3, B4 = self._B
-        # NMOS-frame bias stencils: B0=vgs7, B1=vds7, B2=vbs7.
-        np.add(np.multiply(sign, vgs, out=vn[0]), self._off_g, out=B0)
-        np.add(np.multiply(sign, vds, out=vn[1]), self._off_d, out=B1)
-        np.add(np.multiply(sign, vbs, out=vn[2]), self._off_b, out=B2)
-        # Threshold with body effect → B2 becomes ov = vgs − vt.
-        np.minimum(B2, self._phi_cap, out=B2)
-        np.subtract(self._phi, B2, out=B2)
-        np.sqrt(B2, out=B2)
-        np.multiply(self._gamma, B2, out=B2)
-        np.add(self._vt0p, B2, out=B2)
-        ov = np.subtract(B0, B2, out=B2)
-        # Mobility/velocity denominator → B3 = 1 + θ_eff·vov.
-        np.multiply(ov, self._inv_nphit, out=B3)
-        np.logaddexp(0.0, B3, out=B3)
-        np.multiply(self._theta_nphit, B3, out=B3)
-        np.add(1.0, B3, out=B3)
-        # Forward/reverse interpolation terms → B4=lf, B0=lr.
-        np.multiply(ov, self._inv_ns2, out=B4)
-        np.multiply(B1, self._inv_s2, out=B0)
-        np.subtract(B4, B0, out=B0)
-        np.logaddexp(0.0, B4, out=B4)
-        np.logaddexp(0.0, B0, out=B0)
-        # ids0 = c0·(lf² − lr²)/denominator → B4.
-        np.multiply(B4, B4, out=B4)
-        np.multiply(B0, B0, out=B0)
-        np.subtract(B4, B0, out=B4)
-        np.multiply(self._c0, B4, out=B4)
-        np.divide(B4, B3, out=B4)
-        # CLM factor → B1; ids7 (NMOS frame) → B4.
-        np.multiply(B1, 1.0 / _CLM_SMOOTH_V, out=B1)
-        np.logaddexp(0.0, B1, out=B1)
-        np.multiply(self._lam * _CLM_SMOOTH_V, B1, out=B1)
-        np.add(1.0, B1, out=B1)
-        ids7 = np.multiply(B4, B1, out=B4)
-        # (gm, gds, gmb) and the 8 Jacobian stamp values in two small
-        # matmuls against the precomputed pattern matrices.
-        G = np.matmul(self._dmat, ids7, out=self._G)
-        vals8 = np.matmul(self._pmat, G, out=self._vals8)
-        np.add.at(st.a.reshape(-1), self._a_flat,
-                  vals8.reshape(-1)[self._a_keep])
-        # Companion current (original terminal frame):
-        #   ieq = ids − gm·vgs − gds·vds − gmb·vbs.
-        ids = np.multiply(sign, ids7[0], out=vn[3])
         GV = np.multiply(G, V, out=self._GV)
         ieq = np.sum(GV, axis=0, out=vn[4])
         np.subtract(ids, ieq, out=ieq)

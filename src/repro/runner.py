@@ -71,15 +71,14 @@ def accel_manifest(batch_size: Optional[int]) -> dict:
     splicing chunks solved by different code paths, and part of the
     serve cache key so two daemons configured differently never serve
     each other's results.  The C kernel and the numpy stamping agree
-    only to final-ulp rounding, FD and analytic Jacobians take
-    different Newton paths, and the batched engines take different
+    only to final-ulp rounding, the sparse and dense factorizations
+    round differently, and the batched engines take different
     damped-iteration paths than the scalar ladder — close enough for
     physics, not for bit-identity.  ``batch_size`` is recorded as it
     takes effect: None where the ``batch`` capability is unavailable,
     since every sweep then solves scalar.
     """
     from repro.circuit import _ckernel, mna
-    from repro.circuit.mosfet import jacobian_mode
 
     if batch_size is not None and not resilience.allows("batch"):
         batch_size = None
@@ -88,7 +87,6 @@ def accel_manifest(batch_size: Optional[int]) -> dict:
         "ckernel": bool(_ckernel.available()),
         "sparse": bool(mna.sparse_available()),
         "sparse_min_size": int(mna.sparse_min_size()),
-        "jacobians": jacobian_mode(),
     }
 
 

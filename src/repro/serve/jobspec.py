@@ -27,8 +27,8 @@ The module also owns the two hashes the service lives on:
   backends (the PR 1 determinism contract), so a thread-backend replay
   of a process-backend request is a legitimate cache hit.  ``batch_size``,
   the capability flags and :func:`repro.runner.accel_manifest` (the
-  fingerprint checkpoints are validated against: C kernel, sparse
-  threshold, FD vs analytic Jacobians) stay in the key because they
+  fingerprint checkpoints are validated against: batch size, C kernel,
+  sparse path and threshold) stay in the key because they
   select between accelerated paths whose results are only equal to
   tolerance, not to the bit.
 """
@@ -61,10 +61,11 @@ __all__ = [
 
 #: Bump when the job-spec layout or result envelopes change shape, or
 #: when the same request now computes different bits (2: batched
-#: transient specs run the scalar integrator; 3: new ``sram`` defaults);
-#: part of every cache key so stale cache entries can never be replayed
-#: into a newer protocol.
-SPEC_SCHEMA = 3
+#: transient specs run the scalar integrator; 3: new ``sram`` defaults;
+#: 4: the finite-difference Jacobian mode is gone, so the accelerator
+#: manifest in the key loses ``jacobians``); part of every cache key so
+#: stale cache entries can never be replayed into a newer protocol.
+SPEC_SCHEMA = 4
 
 ANALYSES = ("op", "mc", "corners", "aging", "highsigma", "verify")
 BACKENDS = ("auto", "serial", "thread", "process")
@@ -303,8 +304,8 @@ def cache_key(spec: JobSpec, capabilities: Optional[dict] = None) -> str:
     bits; different params/seed/netlist/tech/batch/capabilities or
     accelerator configuration ⇒ different key.  The accelerator
     configuration is read when the key is computed, so two daemons
-    sharing a cache directory under different ``REPRO_FD_JACOBIANS``
-    or ``REPRO_SPARSE_MIN_SIZE`` never serve each other's results.
+    sharing a cache directory under different ``REPRO_NO_CKERNEL`` or
+    ``REPRO_SPARSE_MIN_SIZE`` never serve each other's results.
     """
     payload = {
         "schema": SPEC_SCHEMA,

@@ -8,12 +8,11 @@ Two layers of checks feed one structured :class:`VerificationReport`:
 * **cross-path checks** — a corpus of paper circuits is pushed through
   redundant solver paths that must agree with *each other*: scalar vs
   batched DC sweeps (within the per-circuit-class factors below),
-  sparse-vs-dense factorisation and finite-difference-vs-analytic
-  Jacobians on the OTA operating point (within the Newton stopping
-  band), backward-Euler vs trapezoidal transient (within the BE band),
-  and serial/thread/process Monte-Carlo with identical seeds
-  (bit-identical by the repo's determinism contract; ``batch_size=``
-  within Newton tolerance).
+  sparse-vs-dense factorisation on the OTA operating point (within the
+  Newton stopping band), backward-Euler vs trapezoidal transient
+  (within the BE band), and serial/thread/process Monte-Carlo with
+  identical seeds (bit-identical by the repo's determinism contract;
+  ``batch_size=`` within Newton tolerance).
 
 Deviations are ULP-aware: every record carries the distance in
 representable doubles alongside the absolute error, so "equal",
@@ -266,16 +265,14 @@ def _check_batch_vs_scalar(name, circuit, source, values) -> Deviation:
 
 
 def _check_solver_variants(tech) -> List[Deviation]:
-    """Linear-solver and Jacobian variants must share the fixed point.
+    """The linear-solver variants must share the fixed point.
 
-    The sparse (CSC/``splu``) factorisation and the finite-difference
-    Jacobian fallback run the same Newton loop with the same residual
-    and stopping criterion as the default dense/analytic path, so on
-    the five-transistor OTA each must land within the stopping band of
-    the dense/analytic solution (FD gets 2x: its Jacobian carries
-    O(h²) truncation error, which perturbs the final damped step).
+    The sparse (CSC/``splu``) factorisation runs the same Newton loop
+    with the same residual and stopping criterion as the default dense
+    path, so on the five-transistor OTA it must land within the
+    stopping band of the dense solution.
     """
-    from repro.circuit import dc_operating_point, fd_jacobians, sparse_mode
+    from repro.circuit import dc_operating_point, sparse_mode
     from repro.circuits import five_transistor_ota
 
     fx = five_transistor_ota(tech)
@@ -285,20 +282,14 @@ def _check_solver_variants(tech) -> List[Deviation]:
     with sparse_mode(1):
         fx_sparse = five_transistor_ota(tech)
         sparse = dc_operating_point(fx_sparse.circuit)
-    with fd_jacobians():
-        fd = dc_operating_point(fx.circuit)
-    out = []
-    for path, sol, factor in (("dc.sparse-vs-dense", sparse, 1.0),
-                              ("dc.fd-vs-analytic", fd, 2.0)):
-        bound = batch_state_bound(base.x, factor)
-        ratio = np.abs(sol.x - base.x) / bound
-        i = int(np.argmax(ratio))
-        out.append(Deviation(
-            subject="five_transistor_ota", path=path,
-            quantity="worst_state_delta", reference=float(base.x[i]),
-            measured=float(sol.x[i]), bound=float(bound[i]),
-            note=f"{factor:g}x Newton stopping criterion"))
-    return out
+    bound = batch_state_bound(base.x, 1.0)
+    ratio = np.abs(sparse.x - base.x) / bound
+    i = int(np.argmax(ratio))
+    return [Deviation(
+        subject="five_transistor_ota", path="dc.sparse-vs-dense",
+        quantity="worst_state_delta", reference=float(base.x[i]),
+        measured=float(sparse.x[i]), bound=float(bound[i]),
+        note="1x Newton stopping criterion")]
 
 
 def _check_transient_cross() -> Deviation:

@@ -41,7 +41,6 @@ from repro.circuit import (
     PulseSpec,
     dc_operating_point,
     dc_sweep,
-    fd_jacobians,
     sparse_mode,
     transient,
 )
@@ -244,7 +243,7 @@ class MosfetRegionOracle(Oracle):
         return ckt
 
     def paths(self) -> Sequence[str]:
-        return ("dc.scalar", "dc.fd", "dc.sparse", "dc.batch")
+        return ("dc.scalar", "dc.sparse", "dc.batch")
 
     def analytic(self) -> Dict[str, float]:
         vgs, vds = self.bias()
@@ -255,13 +254,6 @@ class MosfetRegionOracle(Oracle):
         vgs, vds = self.bias()
         if path == "dc.scalar":
             sol = dc_operating_point(ckt)
-            return {"ids_a": -sol.source_current("vd")}
-        if path == "dc.fd":
-            # Finite-difference Jacobians: the debugging fallback for
-            # the analytic derivatives must land on the same fixed
-            # point (the residual — the stamped currents — is shared).
-            with fd_jacobians():
-                sol = dc_operating_point(ckt)
             return {"ids_a": -sol.source_current("vd")}
         if path == "dc.sparse":
             with sparse_mode(1):

@@ -15,6 +15,7 @@ from repro.circuit import (
     dc_operating_point,
     dc_sweep,
 )
+from tests.test_properties import CENTRAL_STEP_V, central_linearize
 
 
 def nmos(tech, w=1e-6, l=None, name="m1"):
@@ -305,6 +306,120 @@ class TestGroupParameters:
                         group._c0s[j] * m.beta_effective, lam,
                         0.5 * gamma, lam * _CLM_SMOOTH_V]
                 assert group._dyn[:, j].tolist() == want
+
+
+class TestGroupStampAgainstCentralDifferences:
+    """``MosfetGroup.stamp`` — the C kernel and the numpy pass
+    ``_stamp_analytic`` — against the companion model built from central
+    differences of ``Mosfet.drain_current``.
+
+    Each device gets four nodes of its own, so its eight Jacobian
+    entries and two RHS entries land in distinct cells.  Biases are
+    random node voltages in ±1 V (both body-clamp sides, every region
+    of both polarities); the ±4h neighbourhood of the clamp kink is
+    skipped, as in ``TestAnalyticJacobianProperties``, whose tolerance
+    derivation the Jacobian band follows.  The RHS band adds the
+    Jacobian band times the terminal voltages it multiplies.
+    """
+
+    DRAWS = 60
+
+    @staticmethod
+    def _devices():
+        from repro.technology import get_node
+
+        devices = []
+        for tech_name in ("90nm", "65nm"):
+            tech = get_node(tech_name)
+            for polarity in ("n", "p"):
+                name = f"m{polarity}{tech_name}"
+                devices.append(Mosfet.from_technology(
+                    name, f"{name}.d", f"{name}.g", f"{name}.s",
+                    f"{name}.b", tech, polarity, w_m=12.0 * tech.wmin_m,
+                    l_m=2.0 * tech.lmin_m))
+        rng = np.random.default_rng(11)
+        for m in devices:
+            m.variation = DeviceVariation(
+                delta_vt_v=rng.normal(0.0, 0.02),
+                beta_factor=1.0 + rng.normal(0.0, 0.05),
+                gamma_factor=1.0 + rng.normal(0.0, 0.05))
+            m.degradation = DeviceDegradation(
+                delta_vt_v=abs(rng.normal(0.0, 0.02)),
+                beta_factor=1.0 - abs(rng.normal(0.0, 0.05)),
+                lambda_factor=1.0 + abs(rng.normal(0.0, 0.3)))
+        return devices
+
+    def _check(self, stamp_fn):
+        from repro.circuit.mna import Stamper
+        from repro.circuit.mosfet import MosfetGroup
+
+        devices = self._devices()
+        circuit = Circuit("group-stamp")
+        for m in devices:
+            circuit.mosfet(m)
+        size = circuit.n_unknowns
+        group = MosfetGroup(devices, size)
+        rng = np.random.default_rng(5)
+        st = Stamper(size)
+        checked = clamped = 0
+        while checked < self.DRAWS:
+            x = rng.uniform(-1.0, 1.0, size)
+            terminals = [m._terminal_voltages(x) for m in devices]
+            # NMOS-frame v_BS past the clamp (positive) or short of it.
+            past_clamp = [
+                (vbs if m.params.polarity == "n" else -vbs)
+                - (m.params.phi_v - 0.05)
+                for m, (_, _, vbs) in zip(devices, terminals)]
+            if min(map(abs, past_clamp)) <= 4.0 * CENTRAL_STEP_V:
+                continue
+            clamped += sum(v > 0.0 for v in past_clamp)
+            st.clear()
+            stamp_fn(group, st, x)
+            for m, (vgs, vds, vbs) in zip(devices, terminals):
+                self._compare(m, st, vgs, vds, vbs)
+            checked += 1
+        # Both sides of the body clamp were exercised.
+        assert 0 < clamped < self.DRAWS * len(devices)
+
+    @staticmethod
+    def _compare(m, st, vgs, vds, vbs):
+        d, g, s, b = m.nodes
+        ids, gm, gds, gmb = central_linearize(m, vgs, vds, vbs)
+        total = gm + gds + gmb
+        ieq = ids - gm * vgs - gds * vds - gmb * vbs
+        want_a = [gm, gds, gmb, -total, -gm, -gds, -gmb, total]
+        got_a = [st.a[d, g], st.a[d, d], st.a[d, b], st.a[d, s],
+                 st.a[s, g], st.a[s, d], st.a[s, b], st.a[s, s]]
+        phit = units.thermal_voltage(m.params.temperature_k)
+        g_scale = max(abs(ids) / (2.0 * m.params.n_slope * phit),
+                      abs(gm), abs(gds), abs(gmb), 1e-18)
+        band = 1e-6 * g_scale
+        for k, (got, want) in enumerate(zip(got_a, want_a)):
+            assert abs(got - want) <= band, (
+                f"{m.name} entry {k} at vgs={vgs:.4f} vds={vds:.4f} "
+                f"vbs={vbs:.4f}: stamped={got:.12e} reference={want:.12e}")
+        rhs_band = band * (abs(vgs) + abs(vds) + abs(vbs)) \
+            + 1e-12 * abs(ids) + 1e-21
+        for got, want, row in ((st.b[d], -ieq, "drain"),
+                               (st.b[s], ieq, "source")):
+            assert abs(got - want) <= rhs_band, (
+                f"{m.name} {row} rhs at vgs={vgs:.4f} vds={vds:.4f} "
+                f"vbs={vbs:.4f}: stamped={got:.12e} reference={want:.12e}")
+
+    def test_compiled_kernel(self):
+        from repro.circuit import _ckernel
+
+        if not _ckernel.available():
+            pytest.skip("compiled stamp kernel not available")
+
+        def stamp(group, st, x):
+            assert group._ck_args is not None
+            group.stamp(st, x)
+
+        self._check(stamp)
+
+    def test_numpy_pass(self):
+        self._check(lambda group, st, x: group._stamp_analytic(st, x))
 
 
 class TestStressHelpers:

@@ -30,7 +30,7 @@ from repro.circuit import (
 )
 from repro.circuit import mna
 from repro.circuit.dc import DcSweep, dc_engine, sweep_voltages, warm_start
-from repro.circuit.mosfet import Mosfet, MosfetGroup, fd_jacobians
+from repro.circuit.mosfet import Mosfet, MosfetGroup
 from repro.circuits import differential_pair, ring_oscillator, sram_cell, \
     sram_read_butterfly
 from repro.faultinject import force_nonconvergence
@@ -377,13 +377,6 @@ class TestFallbackRules:
         assert counter.calls == 0
         assert session.metrics.counters_with_prefix("solver.dc.kernel.") \
             == {"python": 1}
-
-    def test_fd_jacobians_use_python_loop(self, tech90, monkeypatch):
-        fx = differential_pair(tech90)
-        counter = _LoopCounter(monkeypatch)
-        with fd_jacobians():
-            dc_operating_point(fx.circuit)
-        assert counter.calls == 0
 
     def test_sparse_plan_uses_python_loop(self, tech90, monkeypatch):
         fx = differential_pair(tech90)

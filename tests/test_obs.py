@@ -221,9 +221,8 @@ class TestRunRegistry:
         assert runlog.config_hash(base, accel) != \
             runlog.config_hash(dict(base, batch_size=16), accel)
         # The accelerator manifest the run used is part of the hash.
-        flipped = "analytic" if accel["jacobians"] == "fd" else "fd"
         for key, value in (("ckernel", not accel["ckernel"]),
-                           ("jacobians", flipped)):
+                           ("sparse_min_size", accel["sparse_min_size"] + 1)):
             assert runlog.config_hash(base, accel) != \
                 runlog.config_hash(base, dict(accel, **{key: value}))
         assert runlog.config_hash(base) != runlog.config_hash(base, accel)

@@ -30,6 +30,24 @@ def make_nmos():
                                   w_m=1e-6, l_m=0.09e-6)
 
 
+#: Central-difference step of the reference linearization [V].
+CENTRAL_STEP_V = 1e-6
+
+
+def central_linearize(m, vgs, vds, vbs, h=CENTRAL_STEP_V):
+    """Reference ``(ids, gm, gds, gmb)`` of ``m`` by a 7-point central
+    difference of the polarity-aware :meth:`Mosfet.drain_current`: the
+    model-agnostic check on the closed-form derivatives."""
+    ids = m.drain_current(vgs, vds, vbs)
+    gm = (m.drain_current(vgs + h, vds, vbs)
+          - m.drain_current(vgs - h, vds, vbs)) / (2.0 * h)
+    gds = (m.drain_current(vgs, vds + h, vbs)
+           - m.drain_current(vgs, vds - h, vbs)) / (2.0 * h)
+    gmb = (m.drain_current(vgs, vds, vbs + h)
+           - m.drain_current(vgs, vds, vbs - h)) / (2.0 * h)
+    return ids, gm, gds, gmb
+
+
 class TestNumericHelpers:
     @given(st.floats(min_value=-500.0, max_value=500.0))
     def test_softplus_positive_and_bounded(self, x):
@@ -84,11 +102,11 @@ class TestMosfetInvariants:
 
 
 class TestAnalyticJacobianProperties:
-    """Analytic ``linearize`` agrees with the central-FD stencil.
+    """Analytic ``linearize`` agrees with :func:`central_linearize`.
 
     Tolerance derivation: the model transcendentals vary on the
     moderate-inversion scale ``s = 2·n·φt ≈ 70 mV``, so the central
-    difference with step ``h = _FD_STEP_V = 1e-6 V`` carries a relative
+    difference with step ``h = CENTRAL_STEP_V = 1e-6 V`` carries a relative
     truncation error of order ``h²/(6·s²) ≈ 3e-11`` plus a subtraction
     roundoff term of order ``ε·s/h ≈ 1e-11``.  A relative band of 1e-6
     on the dominant conductance scale at the bias point leaves four
@@ -105,8 +123,6 @@ class TestAnalyticJacobianProperties:
     @settings(max_examples=300, deadline=None)
     def test_linearize_matches_central_fd(self, polarity, tech_name,
                                           vgs_n, vds_n, vbs_n):
-        from repro.circuit.mosfet import _FD_STEP_V
-
         tech = get_node(tech_name)
         m = Mosfet.from_technology("m", "d", "g", "s", "b", tech, polarity,
                                    w_m=12.0 * tech.wmin_m,
@@ -114,12 +130,12 @@ class TestAnalyticJacobianProperties:
         # FD differentiates across the body-clamp kink within ±h of it;
         # the analytic branch is exact on either side but not inside.
         cap = m.params.phi_v - 0.05
-        assume(abs(vbs_n - cap) > 4.0 * _FD_STEP_V)
+        assume(abs(vbs_n - cap) > 4.0 * CENTRAL_STEP_V)
 
         sign = 1.0 if polarity == "n" else -1.0
         vgs, vds, vbs = sign * vgs_n, sign * vds_n, sign * vbs_n
         ids_a, gm_a, gds_a, gmb_a = m.linearize(vgs, vds, vbs)
-        ids_f, gm_f, gds_f, gmb_f = m.linearize_fd(vgs, vds, vbs)
+        ids_f, gm_f, gds_f, gmb_f = central_linearize(m, vgs, vds, vbs)
 
         # Identical current expression, different evaluation order only.
         assert ids_a == pytest.approx(ids_f, rel=1e-12, abs=1e-18)
@@ -143,16 +159,15 @@ class TestAnalyticJacobianProperties:
         """The closed forms track the *effective* parameters — mismatch
         offsets and degradation factors must not desynchronize them
         from the underlying current equation."""
-        from repro.circuit.mosfet import _FD_STEP_V
-
         m = make_nmos()
-        assume(abs(vbs_n - (m.params.phi_v - 0.05)) > 4.0 * _FD_STEP_V)
+        assume(abs(vbs_n - (m.params.phi_v - 0.05)) > 4.0 * CENTRAL_STEP_V)
         m.variation.delta_vt_v = dvt * 0.1
         m.variation.beta_factor = beta_fac
         m.degradation.delta_vt_v = dvt
         m.degradation.beta_factor = beta_fac
         ids_a, gm_a, gds_a, gmb_a = m.linearize(vgs_n, vds_n, vbs_n)
-        ids_f, gm_f, gds_f, gmb_f = m.linearize_fd(vgs_n, vds_n, vbs_n)
+        ids_f, gm_f, gds_f, gmb_f = central_linearize(m, vgs_n, vds_n,
+                                                      vbs_n)
         phit = units.thermal_voltage(m.params.temperature_k)
         g_scale = max(abs(ids_f) / (2.0 * m.params.n_slope * phit),
                       abs(gm_f), abs(gds_f), abs(gmb_f), 1e-18)

@@ -479,9 +479,10 @@ class TestCheckpointResume:
         assert np.array_equal(loaded[0]["values"]["s"], np.zeros(8))
         assert len(ledger) == 0
 
-    def test_schema_1_checkpoint_refused(self, tmp_path, capsys):
-        # Schema-1 chunks of transient specs under batch_size came from
-        # the removed lockstep integrator and hold different bits.
+    @staticmethod
+    def _resume_refused_at_schema(tmp_path, capsys, schema):
+        """Write a checkpoint, relabel its manifest ``schema`` and check
+        that both the store and ``repro mc --resume`` refuse it."""
         import json
 
         from repro.cli import main
@@ -492,14 +493,24 @@ class TestCheckpointResume:
         assert main(argv) == 0
         manifest_path = ckpt / "manifest.json"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        assert manifest["schema"] == MC_CHECKPOINT_SCHEMA == 3
-        manifest["schema"] = 1
+        assert manifest["schema"] == MC_CHECKPOINT_SCHEMA == 4
+        manifest["schema"] = schema
         atomic_write_json(manifest_path, manifest)
-        with pytest.raises(CheckpointError, match="schema 1"):
+        with pytest.raises(CheckpointError, match=f"schema {schema}"):
             McCheckpointStore(ckpt).load({})
         capsys.readouterr()
         assert main(argv + ["--resume"]) == 2
         assert "checkpoint refused" in capsys.readouterr().err
+
+    def test_schema_1_checkpoint_refused(self, tmp_path, capsys):
+        # Schema-1 chunks of transient specs under batch_size came from
+        # the removed lockstep integrator and hold different bits.
+        self._resume_refused_at_schema(tmp_path, capsys, 1)
+
+    def test_schema_3_checkpoint_refused(self, tmp_path, capsys):
+        # Schema-3 manifests carry the removed ``jacobians`` field in
+        # their accelerator manifest.
+        self._resume_refused_at_schema(tmp_path, capsys, 3)
 
 
 # ----------------------------------------------------------------------

@@ -254,17 +254,14 @@ class TestJobSpec:
 
     def test_cache_key_tracks_accelerator_configuration(self):
         # Two daemons sharing a cache directory under different
-        # Jacobian or sparse-threshold settings must not share keys:
-        # those knobs change result bits (the checkpoint manifest
-        # refuses a resume across them for the same reason).
+        # sparse-threshold settings must not share keys: the threshold
+        # changes result bits (the checkpoint manifest refuses a resume
+        # across it for the same reason).
         from repro.circuit.mna import sparse_mode
-        from repro.circuit.mosfet import fd_jacobians
 
         caps = {"sparse": True}
         spec = parse_job_spec(mc_spec())
         base = cache_key(spec, caps)
-        with fd_jacobians():
-            assert cache_key(spec, caps) != base
         with sparse_mode(0):
             assert cache_key(spec, caps) != base
         assert cache_key(spec, caps) == base

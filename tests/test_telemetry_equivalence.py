@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.circuit.dc import _record_kernel_solves
-from repro.circuit.mosfet import jacobian_mode
 from repro.telemetry import (
     ITERATION_BUCKETS,
     MetricsRegistry,
@@ -288,7 +287,6 @@ def _reference_kernel_solves(metrics, iterations):
     metrics.inc("solver.dc.solves", count)
     metrics.inc("solver.dc.strategy.newton", count)
     metrics.inc("solver.factorizations", sum(iterations))
-    metrics.inc("solver.dc.jacobian." + jacobian_mode(), count)
     metrics.inc("solver.dc.kernel.compiled", count)
     for value in iterations:
         metrics.observe("solver.dc.newton_iterations", value,
