@@ -8,8 +8,8 @@ finishes **bit-identical** to an uninterrupted run under the same seed.
 
 Format: a checkpoint is a *directory* holding
 
-* ``manifest.json`` — run identity (seed, chunk grid, specs, node,
-  circuit hash), the ids of completed chunks, per-chunk failure counts,
+* ``manifest.json`` — run identity (seed, chunk grid, accelerator and
+  :func:`repro.runner.run_identity`), completed chunk ids, failure counts,
   the serialised :class:`~repro.parallel.FailureLedger` and the run's
   cumulative :class:`~repro.telemetry.MetricsRegistry` snapshot (so a
   resumed run's solver/engine counters continue instead of resetting);
@@ -39,9 +39,10 @@ from repro.parallel import FailureLedger
 #: code computes for the same run (2: batched transient specs run the
 #: scalar integrator; 3: :func:`repro.runner.run_identity` joins the
 #: manifest; 4: the finite-difference Jacobian mode is gone, so the
-#: accelerator manifest loses ``jacobians``), so a resume never splices
-#: old and new chunks.
-MC_CHECKPOINT_SCHEMA = 4
+#: accelerator manifest loses ``jacobians``; 5: the run identity is
+#: derived from every object the run computes on, not declared by the
+#: extractor), so a resume never splices old and new chunks.
+MC_CHECKPOINT_SCHEMA = 5
 
 MANIFEST_NAME = "manifest.json"
 CHUNKS_NAME = "chunks.npz"
@@ -138,12 +139,31 @@ def atomic_write_npz(path: Path, arrays: Dict[str, np.ndarray]) -> None:
     _atomic_write_bytes(Path(path), buffer.getvalue())
 
 
-class McCheckpointStore:
-    """Checkpoint reader/writer for the Monte-Carlo yield engine.
+def _canonical(value) -> str:
+    """``value``'s JSON text: a tuple equals the list read back."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
-    A *chunk payload* is the dict ``MonteCarloYield._evaluate_chunk``
-    returns: start/stop bounds, per-spec value and pass arrays, the
-    overall pass flags, failure counts and quarantine records.
+
+def _differences(found, expected, path: str = "") -> list:
+    """``path: checkpoint has …, this run has …`` for each leaf at which
+    two identities differ."""
+    if isinstance(found, dict) and isinstance(expected, dict):
+        return [line for key in sorted(set(found) | set(expected))
+                for line in _differences(found.get(key), expected.get(key),
+                                         f"{path}{key}.")]
+    if _canonical(found) == _canonical(expected):
+        return []
+    return [f"{path[:-1] + ': ' if path else ''}checkpoint has {found!r}, "
+            f"this run has {expected!r}"]
+
+
+class McCheckpointStore:
+    """Checkpoint reader/writer of :func:`repro.runner.run_chunks`,
+    which both sampling engines (Monte-Carlo and high-sigma yield) run.
+
+    A *chunk payload* is the dict an engine's chunk function returns:
+    start/stop bounds, per-channel value and pass arrays, the overall
+    pass flags, failure counts and quarantine records.
     """
 
     def __init__(self, path) -> None:
@@ -211,7 +231,8 @@ class McCheckpointStore:
         Raises :class:`CheckpointError` when the manifest does not
         match ``expected_params`` — resuming a different run (other
         seed, sample count, chunk size, specs, node or circuit) would
-        silently corrupt the statistics, so it is refused outright.
+        silently corrupt the statistics, so it is refused outright,
+        naming what differs (compared as canonical JSON).
         """
         if not self.exists():
             raise CheckpointError(f"no checkpoint at {self.path}")
@@ -226,28 +247,19 @@ class McCheckpointStore:
                 f"checkpoint schema {manifest.get('schema')!r} not supported")
         for key, expected in expected_params.items():
             found = manifest.get(key)
-            if key == "accel" and isinstance(found, dict):
-                # Accelerator/batch configuration: a mismatch is refused
-                # with the exact knobs that differ, because splicing
-                # chunks solved by different accelerator paths silently
-                # breaks the bit-identical-resume guarantee.  A missing
-                # record falls through to the generic mismatch below.
-                if found != expected:
-                    keys = sorted(set(found) | set(expected))
-                    diffs = ", ".join(
-                        f"{k}: checkpoint has {found.get(k)!r}, this run "
-                        f"has {expected.get(k)!r}"
-                        for k in keys if found.get(k) != expected.get(k))
-                    raise CheckpointError(
-                        "accelerator configuration mismatch — resuming "
-                        "would not be bit-identical (" + diffs + "). "
-                        "Rerun with the checkpoint's accelerator "
-                        "configuration, or start a fresh checkpoint.")
+            if _canonical(found) == _canonical(expected):
                 continue
-            if found != expected:
+            lines = _differences(found, expected)
+            diffs = "; ".join(lines[:3]) + ("; …" if len(lines) > 3 else "")
+            if key == "accel" and isinstance(found, dict):
+                # Splicing chunks solved by different accelerator paths
+                # silently breaks the bit-identical-resume guarantee.
                 raise CheckpointError(
-                    f"checkpoint mismatch on {key!r}: checkpoint has "
-                    f"{found!r}, this run wants {expected!r}")
+                    "accelerator configuration mismatch — resuming "
+                    "would not be bit-identical (" + diffs + "). "
+                    "Rerun with the checkpoint's accelerator "
+                    "configuration, or start a fresh checkpoint.")
+            raise CheckpointError(f"checkpoint mismatch on {key!r}: {diffs}")
         spec_names = list(expected_params["spec_names"])
         try:
             with np.load(self.chunks_path) as archive:
@@ -283,9 +295,8 @@ class McCheckpointStore:
     def load_metrics(self) -> dict:
         """The persisted metrics snapshot ({} when absent).
 
-        Kept separate from :meth:`load` — metrics are observability
-        payload, not part of the result contract, and checkpoints
-        written before the telemetry layer simply lack the key.
+        Kept separate from :meth:`load`: metrics are observability
+        payload, not part of the result contract.
         """
         if not self.exists():
             return {}

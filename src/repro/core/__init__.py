@@ -34,8 +34,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                  "tddb_survival_fn", "time_to_spec_violation"),
     "yield_analysis": ("QUARANTINE_ERRORS", "MonteCarloYield",
                        "SampleEvaluationError", "Specification",
-                       "TransientSpecification", "YieldResult",
-                       "transient_specification", "wilson_interval"),
+                       "YieldResult", "transient_specification",
+                       "wilson_interval"),
 })
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "ReliabilitySimulator",
     "SampleEvaluationError",
     "Specification",
-    "TransientSpecification",
     "SusceptibilityMap",
     "SweepResult",
     "YieldResult",

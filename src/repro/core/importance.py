@@ -1002,15 +1002,16 @@ class HighSigmaYield:
             return {
                 "kind": "high-sigma", "seed": seed, "n_samples": n_samples,
                 "chunk_size": chunk_size, "spec_names": channel_names,
-                "spec": self.spec.name, "two_sided": two_sided,
-                "adapt": adapt, "refine_magnitude": refine_magnitude,
+                "two_sided": two_sided, "adapt": adapt,
+                "refine_magnitude": refine_magnitude,
                 "shift_sigma": shift_sigma,
                 "direction": {k: float(v)
                               for k, v in sorted(direction.items())},
                 "surrogate": surrogate.to_dict() if surrogate else None,
                 "n_pilot_chunks": n_pilot_chunks,
                 "accel": accel_manifest(batch_size),
-                **run_identity(self.fixture, [self.spec], self.tech),
+                **run_identity(self.fixture, [self.spec], self.tech,
+                               self.include_ler),
             }
 
         def tasks(chunk_ids: range, proposal: _Proposal) -> dict:

@@ -121,31 +121,21 @@ class LifetimeEstimator:
 
         A die whose metric stays in spec for the whole mission records
         an infinite failure time (visible in ``surviving_fraction``).
-        The dies are drawn from one stream and aged in turn on one
-        replica of the fixture; the caller's fixture is never modified.
+        The dies are :func:`~repro.core.aging_simulator.aging_ensemble`'s
+        (one seed stream per die); the caller's fixture is never
+        modified.
         """
-        from repro.core.aging_simulator import ReliabilitySimulator
-        from repro.parallel import clone_fixture
-        from repro.variability.sampler import MismatchSampler
+        from repro.core.aging_simulator import aging_ensemble
 
-        if n_samples <= 0:
-            raise ValueError("n_samples must be positive")
-        rng = np.random.default_rng(seed)
-        sampler = MismatchSampler(self.tech, rng,
-                                  include_ler=self.include_ler)
-        replica = clone_fixture(self.fixture)
-        simulator = ReliabilitySimulator(replica, self.mechanisms)
-        metric_name = "lifetime_metric"
-        failure_times = np.empty(n_samples)
-        for k in range(n_samples):
-            sampler.assign(replica.circuit)
-            simulator.reset()
-            report = simulator.run(profile,
-                                   metrics={metric_name: self.metric})
-            failure_times[k] = time_to_spec_violation(
-                report.times_s, report.metric(metric_name),
-                lower=self.lower, upper=self.upper)
-        return LifetimeSummary(failure_times_s=failure_times)
+        reports = aging_ensemble(self.fixture, self.mechanisms, profile,
+                                 {"lifetime_metric": self.metric}, self.tech,
+                                 n_samples, seed=seed,
+                                 include_ler=self.include_ler)
+        return LifetimeSummary(failure_times_s=np.array([
+            time_to_spec_violation(report.times_s,
+                                   report.metric("lifetime_metric"),
+                                   lower=self.lower, upper=self.upper)
+            for report in reports]))
 
 
 def reliability_yield(fixture, mechanisms, tech, metric, profile,

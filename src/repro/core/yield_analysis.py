@@ -123,7 +123,7 @@ class Specification:
 
 @dataclass(frozen=True)
 class _TransientExtractor:
-    """Picklable extractor of a :class:`TransientSpecification`: one
+    """Picklable extractor of a :func:`transient_specification`: one
     :func:`~repro.circuit.transient.transient` per die, then the metric.
 
     A plain dataclass (not a closure) so the ``process`` backend can
@@ -135,6 +135,10 @@ class _TransientExtractor:
     dt_s: float
     method: str
     lte_rtol: Optional[float]
+
+    def __post_init__(self) -> None:
+        if self.t_stop_s <= 0.0 or self.dt_s <= 0.0:
+            raise ValueError("t_stop_s and dt_s must be positive")
 
     def __call__(self, fixture: CircuitFixture) -> float:
         result = transient(fixture.circuit, self.t_stop_s, self.dt_s,
@@ -154,8 +158,13 @@ class _TransientExtractor:
                         self.lte_rtol)
 
 
-@dataclass(frozen=True)
-class TransientSpecification(Specification):
+def transient_specification(
+        name: str,
+        metric: Callable[[TransientResult, CircuitFixture], float],
+        *, t_stop_s: float, dt_s: float, method: str = "trapezoidal",
+        lte_rtol: Optional[float] = None,
+        lower: Optional[float] = None,
+        upper: Optional[float] = None) -> Specification:
     """A pass/fail criterion computed from a transient record.
 
     The metric maps ``(TransientResult, fixture) → float``; every die
@@ -165,42 +174,10 @@ class TransientSpecification(Specification):
     ``die_plan`` (:class:`repro.workloads.RingSwing`) declares that
     transient as a :class:`~repro.circuit.dc.TransientPlan`, and
     :func:`evaluate_dies` runs the chunk's dies in the die loop; a
-    closure metric takes the per-die path.  Build with
-    :func:`transient_specification`.
+    closure metric takes the per-die path.
     """
-
-    t_stop_s: float = 0.0
-    dt_s: float = 0.0
-    method: str = "trapezoidal"
-    lte_rtol: Optional[float] = None
-    metric: Optional[Callable[[TransientResult, CircuitFixture], float]] \
-        = None
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.metric is None:
-            raise ValueError(
-                f"spec {self.name!r}: use transient_specification() to "
-                f"build a TransientSpecification (metric is required)")
-        if self.t_stop_s <= 0.0 or self.dt_s <= 0.0:
-            raise ValueError(
-                f"spec {self.name!r}: t_stop_s and dt_s must be positive")
-
-
-def transient_specification(
-        name: str,
-        metric: Callable[[TransientResult, CircuitFixture], float],
-        *, t_stop_s: float, dt_s: float, method: str = "trapezoidal",
-        lte_rtol: Optional[float] = None,
-        lower: Optional[float] = None,
-        upper: Optional[float] = None) -> TransientSpecification:
-    """Build a :class:`TransientSpecification` (extractor derived)."""
-    extractor = _TransientExtractor(metric, t_stop_s, dt_s, method,
-                                    lte_rtol)
-    return TransientSpecification(name, extractor, lower, upper,
-                                  t_stop_s=t_stop_s, dt_s=dt_s,
-                                  method=method, lte_rtol=lte_rtol,
-                                  metric=metric)
+    return Specification(name, _TransientExtractor(
+        metric, t_stop_s, dt_s, method, lte_rtol), lower, upper)
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple:
@@ -600,7 +577,8 @@ class MonteCarloYield:
             "chunk_size": chunk_size,
             "spec_names": [s.name for s in self.specs],
             "accel": accel_manifest(batch_size),
-            **run_identity(self.fixture, self.specs, self.tech)}
+            **run_identity(self.fixture, self.specs, self.tech,
+                           self.include_ler, self.placements)}
         return run_chunks(
             self._evaluate_chunk, tasks,
             lambda chunks, partial: self._assemble(n_samples, chunks,

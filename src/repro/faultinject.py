@@ -13,7 +13,9 @@ service must absorb:
   re-assignment (the sampler only rewrites ``variation``);
 * **sample-targeted extractor faults** — wrappers that raise, interrupt
   or "kill the worker" on chosen global sample indices, driven by the
-  :func:`current_sample` context the yield engine publishes.
+  :func:`current_sample` context the yield engine publishes.  Each sets
+  ``__wrapped__``, claiming to compute what it wraps, so a checkpointed
+  run under it resumes with the plain extractor.
 
 Everything here is deterministic: faults target explicit sample indices
 or named devices, never random draws, so an injected-fault run is as
@@ -22,6 +24,7 @@ reproducible as a clean one.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from contextvars import ContextVar
 from dataclasses import replace
@@ -269,6 +272,23 @@ def _as_set(samples: Iterable[int]) -> Set[int]:
     return set(int(s) for s in samples)
 
 
+def _on_samples(base: Callable, targets: Iterable[int], kind: str,
+                fault: Callable[[int], BaseException]) -> Callable:
+    """``base``, raising ``fault(index)`` on the ``targets`` samples.
+    Sets ``__wrapped__``: it computes what ``base`` does."""
+    targets = _as_set(targets)
+
+    @functools.wraps(base)
+    def wrapped(fixture):
+        index = current_sample()
+        if index is not None and index in targets:
+            _emit_activated(kind, index)
+            raise fault(index)
+        return base(fixture)
+
+    return wrapped
+
+
 def failing_extractor(base: Callable, fail_on: Iterable[int],
                       exc_factory: Optional[Callable[[int], BaseException]]
                       = None) -> Callable:
@@ -278,33 +298,15 @@ def failing_extractor(base: Callable, fail_on: Iterable[int],
     default raises :class:`ValueError`, which the engines classify as a
     quarantinable evaluation failure.
     """
-    targets = _as_set(fail_on)
-
-    def wrapped(fixture):
-        index = current_sample()
-        if index is not None and index in targets:
-            _emit_activated("failing", index)
-            if exc_factory is not None:
-                raise exc_factory(index)
-            raise ValueError(f"injected evaluation fault on sample {index}")
-        return base(fixture)
-
-    return wrapped
+    return _on_samples(base, fail_on, "failing", exc_factory or (
+        lambda index: ValueError(
+            f"injected evaluation fault on sample {index}")))
 
 
 def killing_extractor(base: Callable, kill_on: Iterable[int]) -> Callable:
     """Wrap ``base`` to simulate worker death on chosen samples."""
-    targets = _as_set(kill_on)
-
-    def wrapped(fixture):
-        index = current_sample()
-        if index is not None and index in targets:
-            _emit_activated("killing", index)
-            raise WorkerKilledError(
-                f"worker killed while evaluating sample {index}")
-        return base(fixture)
-
-    return wrapped
+    return _on_samples(base, kill_on, "killing", lambda index: (
+        WorkerKilledError(f"worker killed while evaluating sample {index}")))
 
 
 def interrupting_extractor(base: Callable, interrupt_on: int) -> Callable:
@@ -315,12 +317,5 @@ def interrupting_extractor(base: Callable, interrupt_on: int) -> Callable:
     a run with this, then resume from the checkpoint with the plain
     extractor and assert bit-identical results.
     """
-
-    def wrapped(fixture):
-        if current_sample() == interrupt_on:
-            _emit_activated("interrupting", interrupt_on)
-            raise KeyboardInterrupt(
-                f"injected interrupt at sample {interrupt_on}")
-        return base(fixture)
-
-    return wrapped
+    return _on_samples(base, [interrupt_on], "interrupting", lambda index: (
+        KeyboardInterrupt(f"injected interrupt at sample {index}")))

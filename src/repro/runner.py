@@ -40,6 +40,8 @@ still handed back, so a resumed run derives the same later stages.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -90,29 +92,70 @@ def accel_manifest(batch_size: Optional[int]) -> dict:
     }
 
 
-def run_identity(fixture, specs, tech) -> dict:
-    """What a run computes on, for the checkpoint manifest: the node,
-    each spec's bounds (plus a transient spec's integration settings
-    and the ``keywords`` of a :func:`functools.partial` extractor, or of
-    one that declares them as a partial would) and a hash of
-    the template circuit's :func:`~repro.circuit.parser.canonical_cards`
-    — so a resume never splices chunks of two different runs."""
+def _identity(value):
+    """``value`` in canonical JSON form, written out from the state a
+    process backend pickles: a wrapper with ``__wrapped__``
+    (:func:`functools.wraps`) is what it wraps, a float its ``repr``, a
+    function or class ``module:qualname`` (a lambda or ``<locals>`` name
+    raises ``ValueError``), a partial its function, args and keywords,
+    any other object its class and ``vars``."""
+    value = inspect.unwrap(value)
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, (list, tuple)):
+        return [_identity(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): _identity(value[key]) for key in sorted(value)}
+    if isinstance(value, functools.partial):
+        return {"partial": _identity(value.func),
+                "args": _identity(value.args),
+                "keywords": _identity(value.keywords)}
+    if inspect.ismethod(value):  # its vars are its function's
+        return {"method": value.__name__, "of": _identity(value.__self__)}
+    if inspect.isfunction(value) or inspect.isclass(value):
+        name = f"{value.__module__}:{value.__qualname__}"
+        if "<lambda>" in name or "<locals>" in name:
+            raise ValueError(f"{name} has no stable name")
+        return name
+    return {"__class__": _identity(type(value)), **_identity(vars(value))}
+
+
+def run_identity(fixture, specs, tech, include_ler: bool = False,
+                 placements=None) -> dict:
+    """What a run computes on, in :func:`_identity`'s form, for the
+    checkpoint manifest: every field of the node; each spec's name,
+    bounds and extractor; the template (its circuit's
+    :func:`~repro.circuit.parser.canonical_cards` hash, the fixture's
+    landmarks, each MOSFET's params and degradation — not its variation,
+    which the sampler overwrites on every die); the sampler settings.
+    Raises :class:`~repro.checkpoint.CheckpointError`, naming the spec,
+    for an extractor without a stable name.
+    """
     from repro.circuit.parser import canonical_cards
     from repro.obs.runlog import content_hash
 
-    def identity(spec) -> dict:
-        entry = {"name": spec.name, "bounds": [spec.lower, spec.upper]}
-        if hasattr(spec, "t_stop_s"):
-            entry["transient"] = [spec.t_stop_s, spec.dt_s, spec.method,
-                                  spec.lte_rtol]
-        keywords = getattr(spec.extractor, "keywords", None)
-        if keywords is not None:
-            entry["keywords"] = {key: repr(value) for key, value
-                                 in sorted(keywords.items())}
-        return entry
+    def spec_identity(spec) -> dict:
+        try:
+            return _identity({"name": spec.name,
+                              "bounds": [spec.lower, spec.upper],
+                              "extractor": spec.extractor})
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"spec {spec.name!r}: a checkpointed run needs an "
+                f"extractor with a stable name, a module-level function "
+                f"or class ({exc})") from exc
 
-    return {"tech": tech.name, "specs": [identity(s) for s in specs],
-            "circuit": content_hash(canonical_cards(fixture.circuit))}
+    return {**_identity({
+        "tech": tech,
+        "fixture": {"nodes": fixture.nodes, "devices": fixture.devices,
+                    "meta": fixture.meta,
+                    "mosfets": {m.name: [m.params, m.degradation]
+                                for m in fixture.circuit.mosfets}},
+        "sampler": {"include_ler": include_ler, "placements": placements}}),
+        "specs": [spec_identity(s) for s in specs],
+        "circuit": content_hash(canonical_cards(fixture.circuit))}
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ module-level so the ``process`` backend can pickle them.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro import units
@@ -101,13 +101,6 @@ class NodeVoltageExtractor:
 
         return dc_operating_point(fixture.circuit).voltage(self.node)
 
-    @property
-    def keywords(self) -> Dict[str, Any]:
-        """The node, for the checkpoint identity
-        (:func:`repro.runner.run_identity`), as
-        :attr:`OffsetExtractor.keywords` names its grid."""
-        return {"node": self.node}
-
     def die_plan(self, fixture) -> str:
         """The plan of :func:`repro.circuit.dc.operating_point_dies`
         that computes what :meth:`__call__` does: this node."""
@@ -129,14 +122,6 @@ class OffsetExtractor:
 
         return input_referred_offset_v(fixture, self.search_range_v,
                                        self.n_points)
-
-    @property
-    def keywords(self) -> Optional[Dict[str, Any]]:
-        """The grid fields that differ from their defaults, for the
-        checkpoint identity (:func:`repro.runner.run_identity`); None
-        on the default grid, whose identity then names no keywords."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if getattr(self, f.name) != f.default} or None
 
     def die_plan(self, fixture):
         """The :class:`~repro.circuit.dc.SweepPlan` of
@@ -168,13 +153,6 @@ class SnmExtractor:
 
     def __call__(self, fixture) -> float:
         return sram_snm(fixture, self.n_points)
-
-    @property
-    def keywords(self) -> Dict[str, Any]:
-        """The grid size, as a :func:`functools.partial` of
-        :func:`sram_snm` carries it: the checkpoint identity
-        (:func:`repro.runner.run_identity`) records it."""
-        return {"n_points": self.n_points}
 
     def die_plan(self, fixture):
         """The :class:`~repro.circuit.dc.SweepPlan` of

@@ -633,19 +633,25 @@ class TestTransientDies:
                                       reference.values["swing"])
         np.testing.assert_array_equal(resumed.passes, reference.passes)
         assert resumed.ledger.to_list() == reference.ledger.to_list()
-        # The ring workload's identity, as the per-die path wrote it
-        # before the die loop served ring dies.
+        # The ring workload's identity, as the per-die path wrote it.
         manifest = json.loads((ckpt / "manifest.json").read_text())
         assert {key: manifest[key] for key in RING_IDENTITY} == \
             RING_IDENTITY
+        assert manifest["tech"]["name"] == "90nm"
 
 
-#: The checkpoint identity of :func:`_ring_engine`'s 24-die run.
+#: The checkpoint identity of :func:`_ring_engine`'s 24-die run (the
+#: node's fields apart).
 RING_IDENTITY = {
     "kind": "mc-yield", "seed": 3, "n_samples": 24, "chunk_size": 8,
-    "spec_names": ["swing"], "tech": "90nm", "circuit": "4f236a4c4ca5",
-    "specs": [{"name": "swing", "bounds": [0.6, None],
-               "transient": [3e-10, 5e-12, "trapezoidal", None]}]}
+    "spec_names": ["swing"], "circuit": "4f236a4c4ca5",
+    "specs": [{"name": "swing", "bounds": ["0.6", None], "extractor": {
+        "__class__": "repro.core.yield_analysis:_TransientExtractor",
+        "metric": {"__class__": "repro.workloads:RingSwing",
+                   "stage": "stage1"},
+        "t_stop_s": "3e-10", "dt_s": "5e-12", "method": "trapezoidal",
+        "lte_rtol": None}}],
+    "sampler": {"include_ler": False, "placements": None}}
 
 
 class TestBackends:

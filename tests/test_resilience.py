@@ -67,6 +67,10 @@ def _hanging_offset(fixture) -> float:
     return input_referred_offset_v(fixture)
 
 
+# It computes what _offset does, so a run it hung resumes with _offset.
+_hanging_offset.__wrapped__ = _offset
+
+
 def offset_spec(extractor=_offset, limit_v=5e-3):
     return Specification("offset", extractor, lower=-limit_v,
                          upper=limit_v)

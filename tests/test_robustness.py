@@ -420,11 +420,8 @@ class TestCheckpointResume:
         reference = self._engine(tech90, faulty).run(n_samples=32, seed=5,
                                                      chunk_size=8)
 
-        def faulty_interrupting(fixture):
-            if current_sample() == 20:
-                raise KeyboardInterrupt("injected")
-            return faulty(fixture)
-
+        faulty_interrupting = interrupting_extractor(faulty,
+                                                     interrupt_on=20)
         with pytest.raises(RunInterrupted):
             self._engine(tech90, faulty_interrupting).run(
                 n_samples=32, seed=5, chunk_size=8, checkpoint=ckpt)
@@ -493,7 +490,7 @@ class TestCheckpointResume:
         assert main(argv) == 0
         manifest_path = ckpt / "manifest.json"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        assert manifest["schema"] == MC_CHECKPOINT_SCHEMA == 4
+        assert manifest["schema"] == MC_CHECKPOINT_SCHEMA == 5
         manifest["schema"] = schema
         atomic_write_json(manifest_path, manifest)
         with pytest.raises(CheckpointError, match=f"schema {schema}"):
@@ -511,6 +508,11 @@ class TestCheckpointResume:
         # Schema-3 manifests carry the removed ``jacobians`` field in
         # their accelerator manifest.
         self._resume_refused_at_schema(tmp_path, capsys, 3)
+
+    def test_schema_4_checkpoint_refused(self, tmp_path, capsys):
+        # Schema-4 manifests record the extractor by its declared
+        # keywords only, not what the run computes on.
+        self._resume_refused_at_schema(tmp_path, capsys, 4)
 
 
 # ----------------------------------------------------------------------

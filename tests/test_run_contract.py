@@ -15,7 +15,11 @@ the two engines:
   ``batch_size`` is refused;
 * through the CLI, a resume under another node, circuit, spec bound,
   transient step or extractor keyword is refused (exit 2), and an
-  unchanged resume prints the same report.
+  unchanged resume prints the same report;
+* through the library, a resume under another extractor, template
+  (degradation, temperature) or sampler setting is refused, and a
+  checkpointed run of a lambda or closure extractor is refused at
+  start.
 
 Apart from the chunked engines, every engine that takes a fixture
 (Monte-Carlo, high-sigma, aging ensemble, corners on each backend,
@@ -50,10 +54,16 @@ from repro.verify.oracles import HighSigmaLinearOracle
 
 @dataclass(frozen=True)
 class _Slow:
-    """Picklable extractor wrapper that sleeps inside every sample."""
+    """Picklable extractor wrapper that sleeps inside every sample.  It
+    computes what it wraps, and says so (``__wrapped__``), so a run
+    slowed by it resumes with the plain extractor."""
 
     base: Callable
     delay_s: float
+
+    @property
+    def __wrapped__(self) -> Callable:
+        return self.base
 
     def __call__(self, fixture) -> float:
         if current_sample() is not None:
@@ -106,8 +116,8 @@ class _MonteCarlo(_Case):
         return MonteCarloYield(self.fixture, [spec], self.tech)
 
     def run(self, engine, **kwargs):
-        kwargs.setdefault("seed", 3)
-        return engine.run(n_samples=24, chunk_size=4, **kwargs)
+        kwargs = {"seed": 3, "n_samples": 24, "chunk_size": 4, **kwargs}
+        return engine.run(**kwargs)
 
     def bits(self, result):
         return {"values": result.values["offset"],
@@ -136,9 +146,8 @@ class _HighSigma(_Case):
             self.base.tech)
 
     def run(self, engine, **kwargs):
-        kwargs.setdefault("seed", 3)
-        return engine.run(n_samples=128, chunk_size=16,
-                          surrogate=SurrogateConfig(train_samples=32),
+        kwargs = {"seed": 3, "n_samples": 128, "chunk_size": 16, **kwargs}
+        return engine.run(surrogate=SurrogateConfig(train_samples=32),
                           **kwargs)
 
     def bits(self, result):
@@ -224,11 +233,13 @@ class TestRunContract:
         ckpt = tmp_path / "ck"
         engine = case.engine()
         case.run(engine, checkpoint=ckpt)
-        with pytest.raises(CheckpointError, match="seed"):
-            case.run(engine, checkpoint=ckpt, resume=True, seed=4)
-        with pytest.raises(CheckpointError,
-                           match="accelerator configuration mismatch"):
-            case.run(engine, checkpoint=ckpt, resume=True, batch_size=4)
+        for changed, message in [
+                ({"seed": 4}, "mismatch on 'seed'"),
+                ({"n_samples": 256}, "mismatch on 'n_samples'"),
+                ({"chunk_size": 8}, "mismatch on 'chunk_size'"),
+                ({"batch_size": 4}, "accelerator configuration mismatch")]:
+            with pytest.raises(CheckpointError, match=message):
+                case.run(engine, checkpoint=ckpt, resume=True, **changed)
 
 
 # ----------------------------------------------------------------------
@@ -295,9 +306,10 @@ def _snm_engine(n_points: int) -> HighSigmaYield:
     return HighSigmaYield(sram_cell(tech, cell_ratio=1.2), spec, tech)
 
 
-def test_snm_identity_is_its_partials():
-    # The sram checkpoint records the grid as the functools.partial of
-    # sram_snm it replaced did: the same manifest, byte for byte.
+def test_snm_identity_is_its_class_and_grid():
+    # The sram checkpoint names the extractor's class and its grid, so
+    # a partial of sram_snm, which computes the same values through
+    # another function, is another identity.
     from repro.runner import run_identity
     from repro.workloads import sram_snm
 
@@ -306,14 +318,16 @@ def test_snm_identity_is_its_partials():
                             functools.partial(sram_snm, n_points=41),
                             lower=0.0667)
     mine = run_identity(engine.fixture, [engine.spec], engine.tech)
-    assert mine == run_identity(engine.fixture, [partial], engine.tech)
-    assert mine["specs"][0]["keywords"] == {"n_points": "41"}
+    assert mine["specs"][0]["extractor"] == {
+        "__class__": "repro.workloads:SnmExtractor", "n_points": 41}
+    assert mine["specs"] != run_identity(engine.fixture, [partial],
+                                         engine.tech)["specs"]
 
 
 def test_resume_refuses_another_offset_grid(tmp_path):
-    # The default grid names no keywords (the manifest a wrapped
-    # extractor writes); another grid does, so a resume under it is
-    # refused instead of splicing chunks of two grids.
+    # The identity names the grid; a wrapper that says what it wraps
+    # (``__wrapped__``) has its base's identity.  A resume under another
+    # grid is refused instead of splicing chunks of two grids.
     from repro.runner import run_identity
     from repro.workloads import OffsetExtractor
 
@@ -325,7 +339,9 @@ def test_resume_refuses_another_offset_grid(tmp_path):
         return MonteCarloYield(fx, [spec], tech)
 
     default = run_identity(fx, engine(OffsetExtractor()).specs, tech)
-    assert "keywords" not in default["specs"][0]
+    assert default["specs"][0]["extractor"] == {
+        "__class__": "repro.workloads:OffsetExtractor", "n_points": 81,
+        "search_range_v": "0.2"}
     assert default == run_identity(fx, engine(_Slow(OffsetExtractor(),
                                                     0.0)).specs, tech)
     ckpt = tmp_path / "ck"
@@ -380,6 +396,97 @@ def test_resume_refuses_another_snm_grid(tmp_path):
         _snm_engine(81).run(resume=True, **kwargs)
     resumed = _snm_engine(41).run(resume=True, **kwargs)
     np.testing.assert_array_equal(resumed.values, reference.values)
+
+
+def _doubled_offset(fixture) -> float:
+    return 2.0 * input_referred_offset_v(fixture)
+
+
+def _aged(fixture) -> None:
+    for device in fixture.circuit.mosfets:
+        device.degradation.delta_vt_v = 0.02
+
+
+def _hot(fixture) -> None:
+    from dataclasses import replace
+
+    for device in fixture.circuit.mosfets:
+        device.params = replace(device.params, temperature_k=400.0)
+
+
+def _placements():
+    from repro.variability import Placement
+
+    return {"m1": Placement(0.0, 0.0), "m2": Placement(50e-6, 0.0)}
+
+
+@pytest.mark.parametrize("changed, key", [
+    pytest.param({"extractor": _doubled_offset}, "specs", id="extractor"),
+    pytest.param({"template": _aged}, "fixture", id="degraded"),
+    pytest.param({"template": _hot}, "fixture", id="temperature"),
+    pytest.param({"include_ler": True}, "sampler", id="include-ler"),
+    pytest.param({"placements": _placements}, "sampler", id="placements"),
+])
+def test_resume_refuses_another_computation(changed, key, tmp_path):
+    # Same spec name, bounds, seed and circuit cards: only what the
+    # dies compute on differs, and the resume is refused on it.
+    tech = get_node("90nm")
+
+    def engine(extractor=input_referred_offset_v, template=None,
+               include_ler=False, placements=None):
+        fx = differential_pair(tech)
+        if template is not None:
+            template(fx)
+        spec = Specification("offset", extractor, lower=-5e-3, upper=5e-3)
+        return MonteCarloYield(fx, [spec], tech, include_ler=include_ler,
+                               placements=placements and placements())
+
+    ckpt = tmp_path / "ck"
+    kwargs = dict(n_samples=8, chunk_size=4, seed=3, checkpoint=ckpt)
+    reference = engine().run(**kwargs)
+    with pytest.raises(CheckpointError, match=f"mismatch on {key!r}"):
+        engine(**changed).run(resume=True, **kwargs)
+    resumed = engine().run(resume=True, **kwargs)
+    np.testing.assert_array_equal(resumed.values["offset"],
+                                  reference.values["offset"])
+
+
+def test_high_sigma_resume_refuses_another_include_ler(tmp_path):
+    # A given direction skips the probe, so only the sampler differs.
+    base = HighSigmaLinearOracle(k_sigma=3.0)._engine()
+    ckpt = tmp_path / "ck"
+    kwargs = dict(n_samples=32, chunk_size=16, seed=3, surrogate=None,
+                  direction={"m1": -0.8, "m2": 0.6}, checkpoint=ckpt)
+    HighSigmaYield(base.fixture, base.spec, base.tech).run(**kwargs)
+    with pytest.raises(CheckpointError, match="mismatch on 'sampler'"):
+        HighSigmaYield(base.fixture, base.spec, base.tech,
+                       include_ler=True).run(resume=True, **kwargs)
+
+
+def _local_extractor():
+    def offset(fixture):
+        return input_referred_offset_v(fixture)
+    return offset
+
+
+@pytest.mark.parametrize("extractor", [
+    pytest.param(lambda fixture: input_referred_offset_v(fixture),
+                 id="lambda"),
+    pytest.param(_local_extractor(), id="locals"),
+])
+def test_checkpoint_needs_a_named_extractor(extractor, tmp_path):
+    # A lambda or closure names nothing a resume could match: refused
+    # before any die runs.  Without a checkpoint it runs as before.
+    tech = get_node("90nm")
+    engine = MonteCarloYield(
+        differential_pair(tech),
+        [Specification("offset", extractor, lower=-5e-3, upper=5e-3)],
+        tech)
+    ckpt = tmp_path / "ck"
+    with pytest.raises(CheckpointError, match="spec 'offset'"):
+        engine.run(n_samples=4, chunk_size=4, seed=3, checkpoint=ckpt)
+    assert not ckpt.exists()
+    assert engine.run(n_samples=4, chunk_size=4, seed=3).n_evaluated == 4
 
 
 # ----------------------------------------------------------------------
